@@ -202,7 +202,7 @@ class Pipeline:
         cfg = self.cfg
         sweep = inequalities.constant_sweep(
             kind, self.geom, cfg.sigma, cfg.epsilons, self.n,
-            tol=self.tol["eigen"], seed=self.seed, workers=self.workers)
+            tol=self.tol["eigen"], seed=self.seed)
         if write:
             reporting.write_csv(
                 os.path.join(self.outdir, f"constants_{kind}.csv"),

@@ -186,6 +186,19 @@ def _positive(tree, dotted):
         raise ValidationError("must be a positive number", key=dotted)
 
 
+def _check_time_grid(cfg: SimConfig):
+    """Every eps must reach t_end in a whole number of steps, and its step
+    must be a whole number of macro steps, so plate and micro states align."""
+    macro = cfg.macro_dt()
+    for e in cfg.epsilons:
+        dt = cfg.dt_for(e)
+        for ratio, what in ((cfg.t_end / dt, "t_end"), (dt / macro, "the macro dt")):
+            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+                raise ValidationError(
+                    f"dt {dt:g} at eps {e:g} does not fit {what}: ratio {ratio:g} "
+                    "is not an integer", key="time.dt")
+
+
 def validate_tree(tree: dict) -> dict:
     merged = _merge(_DEFAULTS, tree)
 
@@ -224,6 +237,8 @@ def validate_tree(tree: dict) -> dict:
                                   key="time.dt")
     elif not (isinstance(dt, (int, float)) and dt > 0):
         raise ValidationError("dt must be positive", key="time.dt")
+
+    _check_time_grid(SimConfig(merged))
 
     p = merged["p"]
     if not (isinstance(p, (int, float)) and 1.0 < p < np.inf):

@@ -2,8 +2,8 @@
 
 Trilinear hexahedra with 2x2x2 Gauss quadrature, periodic master/slave
 identification, Dirichlet elimination, mean-zero constraints via symmetric
-rank-one augmentation, Jacobi-preconditioned conjugate gradients, and a block
-inverse-power iteration for extremal generalized eigenvalues.
+rank-one augmentation, Jacobi-preconditioned conjugate gradients, and a
+Jacobi-preconditioned block LOBPCG for extremal generalized eigenvalues.
 """
 
 from __future__ import annotations
@@ -62,18 +62,10 @@ class ElasticityTensor4:
         """Tensor with A B : B = |B|^2 for symmetric B (lam=0, mu=1/2)."""
         return cls.isotropic(0.0, 0.5)
 
-    def _coercivity_constant(self, samples: int = 50, seed: int = 1234) -> float:
-        """Smallest sampled Rayleigh quotient A B:B / |B|^2 over random
-        symmetric B, tightened by the exact Mandel eigenvalue."""
-        rng = np.random.default_rng(seed)
-        worst = np.inf
-        for _ in range(samples):
-            b = rng.standard_normal((3, 3))
-            b = 0.5 * (b + b.T)
-            quad = np.einsum("ijkl,ij,kl->", self.components, b, b)
-            worst = min(worst, quad / np.sum(b * b))
-        exact = float(np.linalg.eigvalsh(self.mandel()).min())
-        return min(worst, exact)
+    def _coercivity_constant(self) -> float:
+        """Smallest Rayleigh quotient A B:B / |B|^2 over symmetric B: the
+        least eigenvalue of the Mandel matrix, an isometric representation."""
+        return float(np.linalg.eigvalsh(self.mandel()).min())
 
     def mandel(self) -> np.ndarray:
         """Symmetric 6x6 matrix representing the tensor on symmetric
@@ -267,9 +259,10 @@ class SymmetricOperator:
         return self.matrix.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Apply to a vector or to each column of an (n, k) block."""
         y = self.matrix @ x
         for s, v in self.augmentations:
-            y += s * np.dot(v, x) * v
+            y += np.multiply.outer(v, s * (v @ x))
         return y
 
     def quad(self, x: np.ndarray) -> float:
@@ -643,95 +636,90 @@ class EigenResult:
     iterations: int
 
 
-def max_rayleigh_pair(apply_b, solve_a, apply_a, n: int, tol: float = 1e-8,
-                      seed: int = 0, block: int = 2, max_iter: int = 300,
+def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
+                      seed: int = 0, block: int = 3, max_iter: int = 300,
                       project=None) -> EigenResult:
-    """Largest mu with B v = mu A v by block inverse-power iteration.
+    """Largest mu with B x = mu A x by block LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23(2), 2001).
 
-    A must be positive definite on the iteration subspace; ``solve_a`` is a
-    callable (rhs, x0, tol) applying its (approximate) inverse.  Inner solves
-    are warm-started from the current Ritz prediction and their accuracy is
-    tied to the current eigenresidual (inexact inverse iteration).
-    ``project`` removes a known common kernel each sweep; the Rayleigh-Ritz
-    step over the block makes clustered top eigenvalues harmless.
+    ``apply_a`` and ``apply_b`` map an (n, k) block to its image; A must be
+    positive definite on the iteration subspace, and the inverse of its
+    diagonal ``a_diag`` preconditions the residuals (Jacobi).  Each sweep is
+    a Rayleigh-Ritz step over [X, W, P]: the Ritz block, the preconditioned
+    residuals and the previous update.  Only W meets the operators; A and B
+    on X and P are carried by recombination.  ``project`` removes a known
+    common kernel from the start block and from W.  Stops once the top
+    pair's relative residual |Bx - mu Ax| / |Bx| is at most sqrt(tol), which
+    puts mu within about tol of the eigenvalue.
     """
+    if np.any(a_diag == 0):
+        raise SingularWithoutConstraints(
+            "operator has empty rows; constraints were probably not applied")
+    if np.any(a_diag < 0):
+        raise IndefiniteDetected("operator has negative diagonal entries")
+    inv_d = (1.0 / a_diag)[:, None]
     rng = np.random.default_rng(seed)
-    block = max(1, min(block, n))
-    V = rng.standard_normal((n, block))
+    n = a_diag.size
+    X = rng.standard_normal((n, max(1, min(block, n))))
     if project is not None:
-        V = project(V)
-
-    def a_orthonormalize(V):
-        W = np.empty((n, 0))
-        AW = np.empty((n, 0))
-        for k in range(V.shape[1]):
-            v = V[:, k].copy()
-            for _ in range(2):  # classical Gram-Schmidt, two passes
-                if W.shape[1]:
-                    v -= W @ (AW.T @ v)
-            av = apply_a(v)
-            nrm = np.sqrt(max(np.dot(v, av), 0.0))
-            if nrm <= 1e-14 * max(1.0, np.linalg.norm(v)):
-                v = rng.standard_normal(n)
-                if project is not None:
-                    v = project(v[:, None])[:, 0]
-                av = apply_a(v)
-                nrm = np.sqrt(max(np.dot(v, av), 1e-300))
-            W = np.column_stack([W, v / nrm])
-            AW = np.column_stack([AW, av / nrm])
-        return W, AW
-
-    mu_prev = None
-    residual = 1.0
+        X = project(X)
+    S, AS, BS = X, apply_a(X), apply_b(X)
+    nx = X.shape[1]  # leading columns of S that hold the previous Ritz block
+    residual = np.inf
     for it in range(1, max_iter + 1):
-        V, AV = a_orthonormalize(V)
-        BV = np.column_stack([apply_b(V[:, k]) for k in range(V.shape[1])])
-        H = V.T @ BV
-        H = 0.5 * (H + H.T)
-        evals, evecs = np.linalg.eigh(H)
-        order = np.argsort(evals)[::-1]
-        evals, evecs = evals[order], evecs[:, order]
-        V = V @ evecs
-        BV = BV @ evecs
-        AV = AV @ evecs
-        mu = float(evals[0])
-        res_vec = BV[:, 0] - mu * AV[:, 0]
-        denom = np.linalg.norm(BV[:, 0])
-        residual = np.linalg.norm(res_vec) / denom if denom > 0 else 0.0
-        if mu_prev is not None:
-            scale = max(abs(mu), 1e-300)
-            if abs(mu - mu_prev) <= tol * scale and residual <= np.sqrt(tol):
-                return EigenResult(mu, V[:, 0], residual, it)
-        mu_prev = mu
-        inner_tol = min(1e-6, max(0.05 * residual, 10.0 * tol))
-        V = np.column_stack([
-            solve_a(BV[:, k], float(evals[k]) * V[:, k], inner_tol)
-            for k in range(V.shape[1])
-        ])
+        C, mu = _rayleigh_ritz(S, AS, BS, X.shape[1])
+        X, AX, BX = S @ C, AS @ C, BS @ C
+        R = BX - AX * mu
+        bnorm = np.linalg.norm(BX[:, 0])
+        residual = float(np.linalg.norm(R[:, 0]) / bnorm) if bnorm > 0 else 0.0
+        if residual <= np.sqrt(tol):
+            return EigenResult(float(mu[0]), X[:, 0], residual, it)
+        # the update without its part along the previous block (zero on the
+        # first sweep: the Ritz step drops zero columns)
+        P, AP, BP = (M[:, nx:] @ C[nx:] for M in (S, AS, BS))
+        W = inv_d * R
         if project is not None:
-            V = project(V)
+            W = project(W)
+        S = np.hstack([X, W, P])
+        AS = np.hstack([AX, apply_a(W), AP])
+        BS = np.hstack([BX, apply_b(W), BP])
+        nx = X.shape[1]
     raise ConvergenceFailure(
         f"eigen iteration did not converge in {max_iter} sweeps "
         f"(last residual {residual:.3e})")
 
 
+def _rayleigh_ritz(S, AS, BS, k: int):
+    """Top k Ritz pairs of (B, A) on span(S), as coefficients C with
+    (S C)^T A (S C) = I and descending values.  The span is A-orthonormalized
+    through the eigendecomposition of the column-scaled Gram matrix, and
+    directions below 1e-13 of its largest eigenvalue are discarded."""
+    ga = S.T @ AS
+    d = np.diag(ga)
+    scale = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0)
+    ga = scale[:, None] * (0.5 * (ga + ga.T)) * scale
+    lam, U = np.linalg.eigh(ga)
+    keep = lam > 1e-13 * lam[-1]
+    Q = scale[:, None] * U[:, keep] / np.sqrt(lam[keep])
+    gb = S.T @ BS
+    H = Q.T @ (0.5 * (gb + gb.T)) @ Q
+    mu, V = np.linalg.eigh(H)
+    top = np.argsort(mu)[::-1][:k]
+    return Q @ V[:, top], mu[top]
+
+
 def min_generalized_eigenpair(a_op: SymmetricOperator, b_op: SymmetricOperator,
-                              tol: float = 1e-8, seed: int = 0, block: int = 2,
-                              max_iter: int = 300,
-                              solve_tol: float = 1e-11) -> EigenResult:
+                              tol: float = 1e-8, seed: int = 0, block: int = 3,
+                              max_iter: int = 300) -> EigenResult:
     """Smallest lambda with A v = lambda B v (A PSD, B SPD on the subspace).
 
-    Runs the inverse-power iteration on the reciprocal pencil; raises
-    NullspaceOverlap when A and B share a kernel vector.
+    Runs the eigensolver on the reciprocal pencil; raises NullspaceOverlap
+    when A and B share a kernel vector.
     """
-    n = a_op.shape[0]
-
-    def solve_a(r, x0=None, tol_hint=None):
-        return solve_spd(a_op, r, tol=tol_hint if tol_hint else solve_tol, x0=x0)
-
     try:
-        res = max_rayleigh_pair(b_op.matvec, solve_a, a_op.matvec, n,
-                                tol=tol, seed=seed, block=block, max_iter=max_iter)
+        res = max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
+                                tol=tol, seed=seed, block=block,
+                                max_iter=max_iter)
     except (IndefiniteDetected, SingularWithoutConstraints) as exc:
         raise NullspaceOverlap(str(exc)) from exc
     if res.value <= 0:

@@ -148,7 +148,7 @@ def test_cli_homogenize_and_exit_codes(tmp_path):
 def test_cli_plate_run_zero_loads(tmp_path):
     cfg = _write(tmp_path, "geometry:\n  type: full\nepsilons: [0.5]\n"
                            "loads:\n  preset: zero\n"
-                           "time:\n  t_end: 0.05\nresolutions:\n  n_sigma: 4\n")
+                           "time:\n  t_end: 0.0625\nresolutions:\n  n_sigma: 4\n")
     out = str(tmp_path / "out")
     rc = run_command(["plate-run", "--config", cfg, "--out", out])
     assert rc == 0
@@ -159,7 +159,7 @@ def test_cli_plate_run_zero_loads(tmp_path):
 
 
 def test_cli_determinism(tmp_path):
-    cfg = _write(tmp_path, "epsilons: [0.5]\ntime:\n  t_end: 0.1\n"
+    cfg = _write(tmp_path, "epsilons: [0.5]\ntime:\n  t_end: 0.125\n"
                            "resolutions:\n  n_sigma: 4\n")
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")
@@ -211,7 +211,7 @@ def test_cli_korn_sweep(tmp_path):
 
 def test_cli_dump_fields(tmp_path):
     cfg = _write(tmp_path, "geometry:\n  type: full\nepsilons: [0.5]\n"
-                           "time:\n  t_end: 0.05\nresolutions:\n  n_sigma: 4\n")
+                           "time:\n  t_end: 0.0625\nresolutions:\n  n_sigma: 4\n")
     out = str(tmp_path / "out")
     rc = run_command(["plate-run", "--config", cfg, "--out", out,
                       "--dump-fields", "final"])
@@ -266,6 +266,19 @@ def test_cli_converge_pipeline(tmp_path):
     assert kinds == {"korn", "extension", "trace"}
 
 
+def test_cli_time_grid_mismatch_is_validation_error(tmp_path):
+    # dt = eps/3: t_end / dt = 4.5 at eps = 1/3, and its stride over the
+    # macro dt (that of eps = 1/3) is 1.5 at eps = 1/2
+    cfg = _write(tmp_path, "epsilons: [0.5, 0.3333333333333333]\n"
+                           "time:\n  dt: eps/3\n")
+    out = str(tmp_path / "out")
+    rc = run_command(["converge", "--config", cfg, "--out", out])
+    assert rc == 2
+    assert sorted(os.listdir(out)) == ["error.json"]
+    with pytest.raises(ValidationError, match="time.dt"):
+        validate_tree({"time": {"dt": 0.03}})  # 0.5 / 0.03 is not an integer
+
+
 def test_cli_missing_config_is_validation_error(tmp_path):
     out = str(tmp_path / "out")
     rc = run_command(["homogenize", "--config", str(tmp_path / "nope.yaml"),
@@ -276,7 +289,7 @@ def test_cli_missing_config_is_validation_error(tmp_path):
 def test_cli_expression_loads_pipeline(tmp_path):
     cfg = _write(tmp_path,
                  "geometry:\n  type: full\nepsilons: [0.5]\n"
-                 "time:\n  t_end: 0.05\nresolutions:\n  n_sigma: 4\n"
+                 "time:\n  t_end: 0.0625\nresolutions:\n  n_sigma: 4\n"
                  "loads:\n  expressions:\n    f3: sin(pi*x1)*sin(pi*x2)\n")
     out = str(tmp_path / "out")
     assert run_command(["plate-run", "--config", cfg, "--out", out]) == 0

@@ -70,6 +70,31 @@ def test_trace_dense_oracle_one_cell(channel_geom):
     assert est.constant == pytest.approx(np.sqrt(mu), rel=1e-6)
 
 
+# ARPACK (eigsh) references on sparse LU factorizations, as in
+# perfbench/make_references.py: an independent route to the same pencils
+KORN_QUARTER = 1.7719417286183445
+TRACE_QUARTER = 0.49026392264097474  # the runner-up of the cluster is 0.4902382
+EXTENSION_QUARTER = 2.154086472312923
+
+
+def test_korn_quarter_vs_eigsh(box_geom):
+    lmesh = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
+    est = pi.korn_constant(lmesh, 0.25, tol=1e-8, seed=1)
+    assert est.constant == pytest.approx(KORN_QUARTER, rel=1e-6)
+
+
+def test_trace_quarter_is_top_of_cluster(channel_geom):
+    lmesh = pg.build_layer_mesh(channel_geom, 0.25, SIGMA, 4, include_void=True)
+    est = pi.trace_constant(lmesh, 0.25, tol=1e-8, seed=1)
+    assert est.constant == pytest.approx(TRACE_QUARTER, rel=1e-6)
+
+
+def test_eigen_iteration_cap_raises(channel_geom):
+    lmesh = pg.build_layer_mesh(channel_geom, 0.25, SIGMA, 4, include_void=True)
+    with pytest.raises(fem.ConvergenceFailure):
+        pi.trace_constant(lmesh, 0.25, tol=1e-8, seed=1, max_iter=3)
+
+
 def test_trace_degenerate_when_boundary_fully_clamped(full_geom2):
     # when the perforation does not reach the lateral boundary every
     # admissible field vanishes there and the estimate collapses to zero
@@ -180,6 +205,12 @@ def test_extension_norm_vs_dense_oracle(box_geom):
     mu = sla.eigh(0.5 * (n_red + n_red.T), 0.5 * (s_red + s_red.T),
                   eigvals_only=True)[-1]
     assert est.constant == pytest.approx(np.sqrt(mu), rel=1e-4)
+
+
+def test_extension_norm_quarter_converges_to_eigsh(box_geom):
+    lmesh = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4, include_void=True)
+    est = pi.extension_norm(pi.extension_problem(lmesh), tol=1e-8, seed=1)
+    assert est.constant == pytest.approx(EXTENSION_QUARTER, rel=1e-6)
 
 
 def test_extension_monotone_under_void_shrinkage():
