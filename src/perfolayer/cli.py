@@ -47,6 +47,7 @@ class Pipeline:
 
     def __init__(self, cfg: SimConfig, outdir, workers=1, seed=0,
                  dump="none"):
+        self.dump_stride = _dump_stride(dump)
         self.cfg = cfg
         self.outdir = outdir
         self.workers = max(1, workers)
@@ -244,7 +245,6 @@ class Pipeline:
             "geometry_hash": self.geom.digest(),
         }
         series = {}
-        tables = {}
         for name in sorted(os.listdir(self.outdir)):
             if not name.endswith(".csv"):
                 continue
@@ -268,8 +268,7 @@ class Pipeline:
             summary["effective"] = {
                 k.strip(): v.strip()
                 for k, v in (ln.split("=", 1) for ln in tensor_lines)}
-        reporting.write_report({"summary": summary, "series": series, "tables": tables},
-                               self.outdir)
+        reporting.write_report({"summary": summary, "series": series}, self.outdir)
 
     # --- helpers -----------------------------------------------------------
     def _dump_states(self, prefix, states):
@@ -277,16 +276,28 @@ class Pipeline:
             return
         if self.dump == "final":
             picks = [len(states) - 1]
-        elif self.dump.startswith("stride="):
-            k = max(1, int(self.dump.split("=")[1]))
-            picks = list(range(0, len(states), k))
         else:
-            raise ValidationError(f"bad --dump-fields value {self.dump!r}")
+            picks = list(range(0, len(states), self.dump_stride))
         for idx in picks:
             t, values = states[idx]
             geometry.dump_field(
                 os.path.join(self.outdir, f"{prefix}_t{idx:05d}.field"),
                 np.asarray(values))
+
+
+def _dump_stride(dump: str):
+    """Validate a --dump-fields value; returns K for ``stride=K``, else None."""
+    if dump in ("none", "final"):
+        return None
+    try:
+        k = int(dump[len("stride="):]) if dump.startswith("stride=") else 0
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ValidationError(
+            f"bad --dump-fields value {dump!r}: expected none, final or "
+            "stride=K with an integer K >= 1")
+    return k
 
 
 def run_command(argv) -> int:
@@ -331,6 +342,9 @@ def run_command(argv) -> int:
         _error_record(outdir, exc)
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except Exception as exc:
+        _error_record(outdir, exc)
+        raise
 
 
 def _error_record(outdir, exc):

@@ -221,7 +221,7 @@ class DofMap:
 
     def element_dofs(self, elems: np.ndarray) -> np.ndarray:
         """(E, nodes_per_elem * ncomp) reduced dof ids, -1 = eliminated."""
-        return self.node_dofs[elems].reshape(elems.shape[0], -1)
+        return self.node_dofs[elems].reshape(elems.shape[0], elems.shape[1] * self.ncomp)
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Reduced coefficients -> nodal array (n_nodes, ncomp), zeros on
@@ -403,16 +403,20 @@ def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricO
         local = np.zeros((8 * nc, 8 * nc))
         for c in range(nc):
             local[c::nc, c::nc] = nn
-        edofs = dofmap.element_dofs(mesh.elems[group])
+        edofs = dofmap.element_dofs(mesh.elems[faces[group, 0]])
         total = total + _scatter(local, edofs, n)
     return SymmetricOperator(total)
 
 
 def _group_faces(faces: np.ndarray):
+    """Positions in the face list per (axis, side), in list order; groups
+    are ordered by their first appearance."""
+    keys, first = np.unique(faces[:, 1:], axis=0, return_index=True)
     groups = {}
-    for e, axis, side in faces:
-        groups.setdefault((int(axis), int(side)), []).append(int(e))
-    return {k: np.array(v, dtype=np.int64) for k, v in groups.items()}
+    for k in np.argsort(first):
+        axis, side = (int(v) for v in keys[k])
+        groups[(axis, side)] = np.nonzero((faces[:, 1] == axis) & (faces[:, 2] == side))[0]
+    return groups
 
 
 def surface_quadrature(mesh, faces: np.ndarray):
@@ -420,23 +424,24 @@ def surface_quadrature(mesh, faces: np.ndarray):
 
     Returns (pts, w) of shapes (F*4, 3) and (F*4,); ordering follows the
     face list."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     h = np.asarray(mesh.spacing)
-    all_pts = []
-    all_w = []
-    for e, axis, side in faces:
-        axis = int(axis)
-        side = int(side)
-        axes, pts, wts = face_quadrature(mesh.spacing, axis)
-        origin = mesh.coords[mesh.elems[e, 0]]
-        phys = np.empty((pts.shape[0], 3))
-        phys[:, axes[0]] = origin[axes[0]] + (pts[:, 0] + 1.0) / 2.0 * h[axes[0]]
-        phys[:, axes[1]] = origin[axes[1]] + (pts[:, 1] + 1.0) / 2.0 * h[axes[1]]
-        phys[:, axis] = origin[axis] + (h[axis] if side > 0 else 0.0)
-        all_pts.append(phys)
-        all_w.append(wts)
-    if not all_pts:
-        return np.zeros((0, 3)), np.zeros(0)
-    return np.concatenate(all_pts), np.concatenate(all_w)
+    pts = np.empty((faces.shape[0], 4, 3))
+    wts = np.empty((faces.shape[0], 4))
+    for axis in range(3):
+        sel = faces[:, 1] == axis
+        if not sel.any():
+            continue
+        axes, ref, w = face_quadrature(mesh.spacing, axis)
+        origin = mesh.coords[mesh.elems[faces[sel, 0], 0]]
+        block = np.empty((origin.shape[0], 4, 3))
+        block[:, :, axes[0]] = origin[:, None, axes[0]] + (ref[:, 0] + 1.0) / 2.0 * h[axes[0]]
+        block[:, :, axes[1]] = origin[:, None, axes[1]] + (ref[:, 1] + 1.0) / 2.0 * h[axes[1]]
+        offset = np.where(faces[sel, 2] > 0, h[axis], 0.0)
+        block[:, :, axis] = (origin[:, axis] + offset)[:, None]
+        pts[sel] = block
+        wts[sel] = w
+    return pts.reshape(-1, 3), wts.reshape(-1)
 
 
 def surface_load_vector(mesh, dofmap, faces: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -444,19 +449,15 @@ def surface_load_vector(mesh, dofmap, faces: np.ndarray, values: np.ndarray) -> 
 
     ``values`` has shape (F*4, ncomp) matching the ordering of
     ``surface_quadrature``."""
-    nc = dofmap.ncomp
-    out = np.zeros(dofmap.n_dofs)
-    row = 0
-    for e, axis, side in faces:
-        axes, pts, wts = face_quadrature(mesh.spacing, int(axis))
-        Nf = face_shape_values(int(axis), int(side), pts)
-        edofs = dofmap.element_dofs(mesh.elems[int(e)][None, :])[0]
-        vals = values[row:row + pts.shape[0]]
-        local = np.einsum("q,qa,qc->ac", wts, Nf, vals).reshape(-1)
-        keep = edofs >= 0
-        np.add.at(out, edofs[keep], local[keep])
-        row += pts.shape[0]
-    return out
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    vals = np.asarray(values).reshape(faces.shape[0], 4, dofmap.ncomp)
+    local = np.empty((faces.shape[0], 8, dofmap.ncomp))
+    for (axis, side), group in _group_faces(faces).items():
+        _, ref, w = face_quadrature(mesh.spacing, axis)
+        Nf = face_shape_values(axis, side, ref)
+        local[group] = np.einsum("q,qa,fqc->fac", w, Nf, vals[group])
+    edofs = dofmap.element_dofs(mesh.elems[faces[:, 0]])
+    return scatter_vector(local.reshape(edofs.shape), edofs, dofmap.n_dofs)
 
 
 def mean_zero_augmentations(mass_op: SymmetricOperator, dofmap: DofMap,

@@ -134,6 +134,8 @@ class LayerMesh:
     lateral_faces: np.ndarray
     n_cells: int
     quadrature: str = "gauss2"
+    # lookup tables that consumers derive from the mesh, kept for reuse
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:

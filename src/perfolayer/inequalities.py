@@ -130,7 +130,6 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
     solid_dofs = np.nonzero(sd_mask)[0]
     void_dofs = np.nonzero(~sd_mask)[0]
 
-    full = fem.assemble_elasticity(lmesh, ident, dofmap).matrix
     s_mat = fem.assemble_elasticity(lmesh, ident, dofmap, elems=solid_elems).matrix
     m_mat = fem.assemble_mass(lmesh, dofmap, elems=solid_elems).matrix
     if void_elems.shape[0]:
@@ -139,7 +138,7 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
         v_mat = sp.csr_matrix((n, n))
     return ExtensionProblem(
         lmesh=lmesh, dofmap=dofmap, solid_dofs=solid_dofs, void_dofs=void_dofs,
-        full_energy=full,
+        full_energy=(s_mat + v_mat).tocsr(),
         solid_energy=s_mat[solid_dofs][:, solid_dofs].tocsr(),
         solid_mass=m_mat[solid_dofs][:, solid_dofs].tocsr(),
         void_vv=v_mat[void_dofs][:, void_dofs].tocsr(),

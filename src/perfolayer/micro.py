@@ -20,7 +20,8 @@ from .errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from .fem import DofMap, ElasticityTensor4, SymmetricOperator
 from .geometry import HEX_CORNERS, LayerMesh
 from .loads import LoadModel
-from .plate import PlateState, evaluate_deflection, evaluate_membrane
+from .plate import (PlatePoints, PlateState, PlateSystem, evaluate_deflection,
+                    evaluate_membrane)
 
 
 @dataclass
@@ -37,6 +38,8 @@ class MicroOperators:
     quad_y: np.ndarray                # (E, Q, 3) cell coordinates x/eps mod 1
     quad_w: np.ndarray
     surface_rhs: np.ndarray           # fixed traction contribution
+    # memo of two_scale_errors, rebuilt for another plate system or cell set
+    transfer: PlateTransfer | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -252,6 +255,60 @@ def _voxel_element_map(lmesh: LayerMesh):
     return vox
 
 
+@dataclass
+class MomentColumns:
+    """Column data of the vertical moments at fixed in-plane points.
+
+    ``layers`` holds, for each voxel layer l3 that some vertical line meets
+    in the solid, the mask of those lines, their element nodes and, per
+    Gauss point xg, the trilinear shape values and the depth l3 + xg in
+    voxel units.
+    """
+
+    pts: np.ndarray
+    layers: list
+
+    @classmethod
+    def build(cls, lmesh: LayerMesh, pts: np.ndarray) -> "MomentColumns":
+        vox = _voxel_element_map(lmesh)
+        (a1, b1, a2, b2) = lmesh.sigma
+        h = lmesh.spacing[0]
+        i1 = np.clip(((pts[:, 0] - a1) / h).astype(np.int64), 0, vox.shape[0] - 1)
+        i2 = np.clip(((pts[:, 1] - a2) / h).astype(np.int64), 0, vox.shape[1] - 1)
+        xi1 = (pts[:, 0] - a1) / h - i1
+        xi2 = (pts[:, 1] - a2) / h - i2
+        hits = np.zeros(pts.shape[0], dtype=np.int64)
+        g = 0.5 / np.sqrt(3.0)
+        layers = []
+        for l3 in range(vox.shape[2]):
+            elem = vox[i1, i2, l3]
+            act = elem >= 0
+            if not act.any():
+                continue
+            hits[act] += 1
+            gauss = []
+            for xg in (0.5 - g, 0.5 + g):
+                shp = np.empty((act.sum(), 8))
+                for a, (ca, cb, cc) in enumerate(HEX_CORNERS):
+                    sx = xi1[act] if ca else 1.0 - xi1[act]
+                    sy = xi2[act] if cb else 1.0 - xi2[act]
+                    sz = xg if cc else 1.0 - xg
+                    shp[:, a] = sx * sy * sz
+                gauss.append((shp, l3 + xg))
+            layers.append((act, lmesh.elems[elem[act]], gauss))
+        if (hits == 0).any():
+            raise EmptyColumn(f"{int((hits == 0).sum())} vertical lines meet no solid")
+        return cls(pts=pts.copy(), layers=layers)
+
+
+def _moment_columns(lmesh: LayerMesh, pts: np.ndarray) -> MomentColumns:
+    """Column data of the points, memoized on the mesh for the last points."""
+    cols = lmesh.memo.get("moment_columns")
+    if cols is None or not np.array_equal(cols.pts, pts):
+        cols = lmesh.memo["moment_columns"] = MomentColumns.build(lmesh, pts)
+    return cols
+
+
 def plate_moments(lmesh: LayerMesh, u_nodal: np.ndarray, eps: float,
                   pts: np.ndarray):
     """Vertical zeroth and first moments of the in-plane displacement.
@@ -261,44 +318,19 @@ def plate_moments(lmesh: LayerMesh, u_nodal: np.ndarray, eps: float,
     each vertical line and normalized by the full thickness.
     """
     pts = np.atleast_2d(pts)
-    vox = _voxel_element_map(lmesh)
-    (a1, b1, a2, b2) = lmesh.sigma
-    h = lmesh.spacing[0]
-    n3 = vox.shape[2]
-    i1 = np.clip(((pts[:, 0] - a1) / h).astype(np.int64), 0, vox.shape[0] - 1)
-    i2 = np.clip(((pts[:, 1] - a2) / h).astype(np.int64), 0, vox.shape[1] - 1)
-    xi1 = (pts[:, 0] - a1) / h - i1
-    xi2 = (pts[:, 1] - a2) / h - i2
-
+    cols = _moment_columns(lmesh, pts)
     P = pts.shape[0]
     integral_u = np.zeros((P, 2))
     integral_xu = np.zeros((P, 2))
-    hits = np.zeros(P, dtype=np.int64)
-    g = 0.5 / np.sqrt(3.0)
-    gauss = (0.5 - g, 0.5 + g)
-
-    for l3 in range(n3):
-        elem = vox[i1, i2, l3]
-        act = elem >= 0
-        if not act.any():
-            continue
-        hits[act] += 1
-        conn = lmesh.elems[elem[act]]
+    h = lmesh.spacing[0]
+    wq = 0.5 * h
+    for act, conn, gauss in cols.layers:
         un = u_nodal[conn]  # (Pa, 8, 3)
-        for xg in gauss:
-            shp = np.empty((act.sum(), 8))
-            for a, (ca, cb, cc) in enumerate(HEX_CORNERS):
-                sx = xi1[act] if ca else 1.0 - xi1[act]
-                sy = xi2[act] if cb else 1.0 - xi2[act]
-                sz = xg if cc else 1.0 - xg
-                shp[:, a] = sx * sy * sz
+        for shp, depth in gauss:
             uval = np.einsum("pa,pac->pc", shp, un[:, :, :2])
-            x3 = -eps + (l3 + xg) * h
-            wq = 0.5 * h
+            x3 = -eps + depth * h
             integral_u[act] += wq * uval
             integral_xu[act] += wq * x3 * uval
-    if (hits == 0).any():
-        raise EmptyColumn(f"{int((hits == 0).sum())} vertical lines meet no solid")
     U = integral_u / (2.0 * eps**2)
     R = 3.0 * integral_xu / (2.0 * eps**3)
     return U, R
@@ -367,6 +399,55 @@ def _cell_element_lookup(lmesh: LayerMesh, cmesh):
     return lookup[l1, l2, l3]
 
 
+@dataclass
+class PlateTransfer:
+    """Data of the layer-to-plate comparison that no time step changes.
+
+    The layer quadrature points repeat their in-plane coordinates down each
+    column, so the plate fields are evaluated once per distinct point
+    (``plate_at``) and gathered back through ``inverse``.  The cell symmetric
+    gradients stay at cell size and are gathered per step through
+    ``cell_elem``.
+    """
+
+    system: PlateSystem
+    sols: CellSolutionSet
+    plate_at: PlatePoints
+    inverse: np.ndarray         # layer quadrature point -> distinct point
+    y3: np.ndarray              # x3 / eps per layer quadrature point
+    flat_w: np.ndarray
+    cell_elem: np.ndarray       # layer element -> cell element
+    stretch_sym: dict           # index pair -> (Ec, Q, 3, 3) cell D(chi)
+    bending_sym: dict
+
+    @classmethod
+    def build(cls, ops: MicroOperators, system: PlateSystem,
+              sols: CellSolutionSet) -> "PlateTransfer":
+        x = ops.quad_x
+        distinct, inverse = np.unique(x[..., :2].reshape(-1, 2), axis=0,
+                                      return_inverse=True)
+        return cls(
+            system=system, sols=sols,
+            plate_at=PlatePoints(system, distinct),
+            inverse=inverse.reshape(-1),
+            y3=(x[..., 2] / ops.eps).reshape(-1),
+            flat_w=ops.quad_w.reshape(-1),
+            cell_elem=_cell_element_lookup(ops.lmesh, sols.mesh),
+            stretch_sym={ij: fem.gradient_decomposition(
+                sols.mesh, sols.stretch[ij].nodal()).sym for ij in INDEX_PAIRS},
+            bending_sym={ij: fem.gradient_decomposition(
+                sols.mesh, sols.bending[ij].nodal()).sym for ij in INDEX_PAIRS},
+        )
+
+
+def _plate_transfer(ops: MicroOperators, system: PlateSystem,
+                    sols: CellSolutionSet) -> PlateTransfer:
+    tr = ops.transfer
+    if tr is None or tr.system is not system or tr.sols is not sols:
+        tr = ops.transfer = PlateTransfer.build(ops, system, sols)
+    return tr
+
+
 def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
                      sols: CellSolutionSet) -> TwoScaleReport:
     """Quadrature evaluation of the scaled two-scale errors over the solid
@@ -378,22 +459,21 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
             f"micro t = {micro_state.t} but plate t = {plate_state.t}")
     eps = ops.eps
     lmesh = ops.lmesh
-    system = plate_state.system
+    tr = _plate_transfer(ops, plate_state.system, sols)
 
     u_nodal = micro_state.nodal()
     uq = fem.element_values(lmesh, u_nodal)       # (E, Q, 3)
     dq = fem.gradient_decomposition(lmesh, u_nodal).sym
-    w = ops.quad_w
-    x = ops.quad_x
-    E, Q = x.shape[:2]
-    pts = x[..., :2].reshape(-1, 2)
-    y3 = (x[..., 2] / eps).reshape(-1)
+    E, Q = ops.quad_x.shape[:2]
+    y3 = tr.y3
+    flat_w = tr.flat_w
 
-    wvals, grad, hess = evaluate_deflection(system, plate_state.w, pts,
-                                            derivatives=True)
-    u1, strain = evaluate_membrane(system, plate_state.m, pts, derivatives=True)
+    inv = tr.inverse
+    wvals, grad, hess = (v[inv] for v in tr.plate_at.deflection(
+        plate_state.w, derivatives=True))
+    u1, strain = (v[inv] for v in tr.plate_at.membrane(
+        plate_state.m, derivatives=True))
 
-    flat_w = w.reshape(-1)
     du3 = uq[..., 2].reshape(-1) - wvals
     err_u3 = np.sqrt(np.sum(flat_w * du3**2) / eps)
 
@@ -404,7 +484,6 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
         err_u1.append(float(np.sqrt(np.sum(flat_w * dua**2) / eps)))
 
     # corrector strain at the matching cell quadrature points
-    cell_elem = _cell_element_lookup(lmesh, sols.mesh)
     coeff_s = {
         (1, 1): strain[:, 0, 0], (2, 2): strain[:, 1, 1],
         (1, 2): strain[:, 0, 1] + strain[:, 1, 0],
@@ -415,10 +494,8 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
     }
     dy_u2 = np.zeros((E * Q, 3, 3))
     for ij in INDEX_PAIRS:
-        ds = fem.gradient_decomposition(sols.mesh, sols.stretch[ij].nodal()).sym
-        db = fem.gradient_decomposition(sols.mesh, sols.bending[ij].nodal()).sym
-        gathered_s = ds[cell_elem].reshape(E * Q, 3, 3)
-        gathered_b = db[cell_elem].reshape(E * Q, 3, 3)
+        gathered_s = tr.stretch_sym[ij][tr.cell_elem].reshape(E * Q, 3, 3)
+        gathered_b = tr.bending_sym[ij][tr.cell_elem].reshape(E * Q, 3, 3)
         dy_u2 += coeff_s[ij][:, None, None] * gathered_s
         dy_u2 += coeff_b[ij][:, None, None] * gathered_b
 

@@ -9,6 +9,7 @@ block solved monolithically at the new time level.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -331,50 +332,79 @@ def _locate(pmesh: PlateMesh, pts: np.ndarray):
     return elem, xi, eta
 
 
+class PlatePoints:
+    """Plate element, local coordinates and basis tables of fixed points.
+
+    Evaluating changing coefficients at the same points reuses the tables,
+    which are built on first use; ``evaluate_deflection`` and
+    ``evaluate_membrane`` build one per call.
+    """
+
+    def __init__(self, system: PlateSystem, pts: np.ndarray):
+        self.system = system
+        self.elem, self.xi, self.eta = _locate(system.pmesh, np.atleast_2d(pts))
+
+    @functools.cached_property
+    def _bending(self):
+        pmesh = self.system.pmesh
+        basis = bending_basis(self.xi, self.eta, pmesh.spacing)
+        dofs = self.system.bend_dofs.element_dofs(pmesh.elems)[self.elem]
+        return basis, dofs
+
+    @functools.cached_property
+    def _membrane(self):
+        pmesh = self.system.pmesh
+        tables = membrane_basis(self.xi, self.eta, pmesh.spacing)
+        dofs = self.system.memb_dofs.element_dofs(pmesh.elems)[self.elem]
+        return tables, dofs
+
+    def deflection(self, w_red: np.ndarray, derivatives: bool = False):
+        """Deflection (and optionally gradient and Hessian) at the points."""
+        basis, dofs = self._bending
+        coeff = np.where(dofs >= 0, np.concatenate([w_red, [0.0]])[dofs], 0.0)
+        w = np.einsum("pi,pi->p", basis.val, coeff)
+        if not derivatives:
+            return w
+        grad = np.stack([
+            np.einsum("pi,pi->p", basis.dx, coeff),
+            np.einsum("pi,pi->p", basis.dy, coeff),
+        ], axis=-1)
+        hess = np.empty((len(w), 2, 2))
+        hess[:, 0, 0] = np.einsum("pi,pi->p", basis.dxx, coeff)
+        hess[:, 1, 1] = np.einsum("pi,pi->p", basis.dyy, coeff)
+        hess[:, 0, 1] = hess[:, 1, 0] = np.einsum("pi,pi->p", basis.dxy, coeff)
+        return w, grad, hess
+
+    def membrane(self, m_red: np.ndarray, derivatives: bool = False):
+        """In-plane displacement (and optionally its symmetric gradient)."""
+        (val, dx, dy), dofs = self._membrane
+        coeff = np.where(dofs >= 0, np.concatenate([m_red, [0.0]])[dofs], 0.0)
+        c1 = coeff[:, 0::2]
+        c2 = coeff[:, 1::2]
+        u = np.stack([np.einsum("pi,pi->p", val, c1),
+                      np.einsum("pi,pi->p", val, c2)], axis=-1)
+        if not derivatives:
+            return u
+        d11 = np.einsum("pi,pi->p", dx, c1)
+        d22 = np.einsum("pi,pi->p", dy, c2)
+        d12 = 0.5 * (np.einsum("pi,pi->p", dy, c1) + np.einsum("pi,pi->p", dx, c2))
+        strain = np.empty((len(d11), 2, 2))
+        strain[:, 0, 0] = d11
+        strain[:, 1, 1] = d22
+        strain[:, 0, 1] = strain[:, 1, 0] = d12
+        return u, strain
+
+
 def evaluate_deflection(system: PlateSystem, w_red: np.ndarray, pts: np.ndarray,
                         derivatives: bool = False):
     """Deflection (and optionally gradient and Hessian) at arbitrary points."""
-    pmesh = system.pmesh
-    elem, xi, eta = _locate(pmesh, np.atleast_2d(pts))
-    basis = bending_basis(xi, eta, pmesh.spacing)
-    dofs = system.bend_dofs.element_dofs(pmesh.elems)[elem]
-    coeff = np.where(dofs >= 0, np.concatenate([w_red, [0.0]])[dofs], 0.0)
-    w = np.einsum("pi,pi->p", basis.val, coeff)
-    if not derivatives:
-        return w
-    grad = np.stack([
-        np.einsum("pi,pi->p", basis.dx, coeff),
-        np.einsum("pi,pi->p", basis.dy, coeff),
-    ], axis=-1)
-    hess = np.empty((len(w), 2, 2))
-    hess[:, 0, 0] = np.einsum("pi,pi->p", basis.dxx, coeff)
-    hess[:, 1, 1] = np.einsum("pi,pi->p", basis.dyy, coeff)
-    hess[:, 0, 1] = hess[:, 1, 0] = np.einsum("pi,pi->p", basis.dxy, coeff)
-    return w, grad, hess
+    return PlatePoints(system, pts).deflection(w_red, derivatives)
 
 
 def evaluate_membrane(system: PlateSystem, m_red: np.ndarray, pts: np.ndarray,
                       derivatives: bool = False):
     """In-plane displacement (and optionally its symmetric gradient)."""
-    pmesh = system.pmesh
-    elem, xi, eta = _locate(pmesh, np.atleast_2d(pts))
-    val, dx, dy = membrane_basis(xi, eta, pmesh.spacing)
-    dofs = system.memb_dofs.element_dofs(pmesh.elems)[elem]
-    coeff = np.where(dofs >= 0, np.concatenate([m_red, [0.0]])[dofs], 0.0)
-    c1 = coeff[:, 0::2]
-    c2 = coeff[:, 1::2]
-    u = np.stack([np.einsum("pi,pi->p", val, c1),
-                  np.einsum("pi,pi->p", val, c2)], axis=-1)
-    if not derivatives:
-        return u
-    d11 = np.einsum("pi,pi->p", dx, c1)
-    d22 = np.einsum("pi,pi->p", dy, c2)
-    d12 = 0.5 * (np.einsum("pi,pi->p", dy, c1) + np.einsum("pi,pi->p", dx, c2))
-    strain = np.empty((len(d11), 2, 2))
-    strain[:, 0, 0] = d11
-    strain[:, 1, 1] = d22
-    strain[:, 0, 1] = strain[:, 1, 0] = d12
-    return u, strain
+    return PlatePoints(system, pts).membrane(m_red, derivatives)
 
 
 def deflection_at_quad(system: PlateSystem, w_red: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -296,3 +297,45 @@ def test_cli_expression_loads_pipeline(tmp_path):
     lines = open(os.path.join(out, "plate_trajectory.csv")).read().splitlines()
     data = np.array([r.split(",") for r in lines[1:]], dtype=float)
     assert data[-1, 1] > 0  # nonzero response
+
+
+@pytest.mark.parametrize("value", ["stride=0", "stride=x", "every"])
+def test_cli_bad_dump_fields_fails_before_compute(tmp_path, value):
+    cfg = _write(tmp_path, "epsilons: [0.5, 0.25, 0.125]\n")
+    out = str(tmp_path / "out")
+    rc = run_command(["converge", "--config", cfg, "--out", out,
+                      "--dump-fields", value])
+    assert rc == 2
+    assert set(os.listdir(out)) <= {"error.json", "config_echo.yaml"}
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "ValidationError"
+    assert value in record["message"]
+
+
+def test_cli_unexpected_exception_leaves_error_record(tmp_path, monkeypatch):
+    from perfolayer import cli
+
+    def broken(self):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli.Pipeline, "cell_solve", broken)
+    cfg = _write(tmp_path, "geometry:\n  type: full\nepsilons: [0.5]\n")
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="injected"):
+        run_command(["cell-solve", "--config", cfg, "--out", out])
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record == {"error": "RuntimeError", "message": "injected"}
+
+
+def test_cli_converge_determinism(tmp_path):
+    cfg = _write(tmp_path, "epsilons: [0.5]\ntime:\n  t_end: 0.125\n"
+                           "resolutions:\n  n_sigma: 4\n"
+                           "loads:\n  preset: linear\n"
+                           "tolerances:\n  eigen: 1.0e-3\n")
+    outs = [str(tmp_path / name) for name in ("o1", "o2")]
+    for out in outs:
+        assert run_command(["converge", "--config", cfg, "--out", out]) == 0
+    for name in ("twoscale.csv", "twoscale_trend.csv", "moments.csv"):
+        b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+        assert b1 == b2, name
+        assert len(b1.splitlines()) >= 2

@@ -237,3 +237,51 @@ def test_quadrature_gradient_first_order_convergence():
         errs.append(np.abs(d.sym[..., 0, 0] - exact).max())
     assert errs[1] <= 0.6 * errs[0]
     assert errs[2] <= 0.6 * errs[1]
+
+
+def _per_face_surface(mesh, dofmap, faces, values):
+    """Surface points, weights and load vector assembled face by face."""
+    h = np.asarray(mesh.spacing)
+    pts, wts = [], []
+    load = np.zeros(dofmap.n_dofs)
+    for f, (e, axis, side) in enumerate(faces):
+        axes, ref, w = fem.face_quadrature(mesh.spacing, int(axis))
+        origin = mesh.coords[mesh.elems[e, 0]]
+        phys = np.empty((4, 3))
+        phys[:, axes[0]] = origin[axes[0]] + (ref[:, 0] + 1.0) / 2.0 * h[axes[0]]
+        phys[:, axes[1]] = origin[axes[1]] + (ref[:, 1] + 1.0) / 2.0 * h[axes[1]]
+        phys[:, axis] = origin[axis] + (h[axis] if side > 0 else 0.0)
+        pts.append(phys)
+        wts.append(w)
+        Nf = fem.face_shape_values(int(axis), int(side), ref)
+        local = np.einsum("q,qa,qc->ac", w, Nf, values[4 * f:4 * f + 4]).reshape(-1)
+        edofs = dofmap.element_dofs(mesh.elems[int(e)][None, :])[0]
+        keep = edofs >= 0
+        np.add.at(load, edofs[keep], local[keep])
+    return np.concatenate(pts), np.concatenate(wts), load
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_surface_quadrature_and_load_match_per_face_loop(box_geom, eps):
+    lmesh = pg.build_layer_mesh(box_geom, eps, SIGMA, 4)
+    dm = fem.DofMap(lmesh, 3, dirichlet_nodes=lmesh.dirichlet_nodes)
+    faces = lmesh.gamma_faces
+    groups = {(int(a), int(s)) for _, a, s in faces}
+    assert groups == {(a, s) for a in range(3) for s in (-1, 1)}
+    values = rng(4).standard_normal((4 * faces.shape[0], 3))
+    pts, w = fem.surface_quadrature(lmesh, faces)
+    load = fem.surface_load_vector(lmesh, dm, faces, values)
+    want_pts, want_w, want_load = _per_face_surface(lmesh, dm, faces, values)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(w, want_w)
+    assert np.array_equal(load, want_load)
+
+
+def test_surface_quadrature_empty_face_list(box_geom):
+    lmesh = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
+    dm = fem.DofMap(lmesh, 3)
+    none = np.zeros((0, 3), dtype=np.int64)
+    pts, w = fem.surface_quadrature(lmesh, none)
+    assert pts.shape == (0, 3) and w.shape == (0,)
+    load = fem.surface_load_vector(lmesh, dm, none, np.zeros((0, 3)))
+    assert load.shape == (dm.n_dofs,) and not load.any()

@@ -277,3 +277,169 @@ def test_reconstruct_corrector_from_plate_state(box_cell_n4):
     want = combine_corrector(sols, np.array([[1.0, 0.0], [0.0, 0.0]]),
                              np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert np.allclose(got, want, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics against their direct evaluation
+# ---------------------------------------------------------------------------
+
+def _direct_two_scale(ms, ps, sols):
+    """Two-scale errors with the plate evaluated at every layer quadrature
+    point and the cell gradients decomposed afresh."""
+    from perfolayer.cell import INDEX_PAIRS
+
+    ops = ms.ops
+    eps = ops.eps
+    lmesh = ops.lmesh
+    system = ps.system
+    u_nodal = ms.nodal()
+    uq = fem.element_values(lmesh, u_nodal)
+    dq = fem.gradient_decomposition(lmesh, u_nodal).sym
+    x = ops.quad_x
+    E, Q = x.shape[:2]
+    pts = x[..., :2].reshape(-1, 2)
+    y3 = (x[..., 2] / eps).reshape(-1)
+    flat_w = ops.quad_w.reshape(-1)
+    wvals, grad, hess = pp.evaluate_deflection(system, ps.w, pts, derivatives=True)
+    u1, strain = pp.evaluate_membrane(system, ps.m, pts, derivatives=True)
+
+    err_u3 = float(np.sqrt(np.sum(flat_w * (uq[..., 2].reshape(-1) - wvals)**2) / eps))
+    err_u1 = []
+    for al in range(2):
+        dua = uq[..., al].reshape(-1) / eps - (u1[:, al] - y3 * grad[:, al])
+        err_u1.append(float(np.sqrt(np.sum(flat_w * dua**2) / eps)))
+
+    cell_elem = pm._cell_element_lookup(lmesh, sols.mesh)
+    coeff_s = {(1, 1): strain[:, 0, 0], (2, 2): strain[:, 1, 1],
+               (1, 2): strain[:, 0, 1] + strain[:, 1, 0]}
+    coeff_b = {(1, 1): hess[:, 0, 0], (2, 2): hess[:, 1, 1],
+               (1, 2): hess[:, 0, 1] + hess[:, 1, 0]}
+    dy_u2 = np.zeros((E * Q, 3, 3))
+    for ij in INDEX_PAIRS:
+        ds = fem.gradient_decomposition(sols.mesh, sols.stretch[ij].nodal()).sym
+        db = fem.gradient_decomposition(sols.mesh, sols.bending[ij].nodal()).sym
+        dy_u2 += coeff_s[ij][:, None, None] * ds[cell_elem].reshape(E * Q, 3, 3)
+        dy_u2 += coeff_b[ij][:, None, None] * db[cell_elem].reshape(E * Q, 3, 3)
+    limit_strain = np.zeros((E * Q, 3, 3))
+    limit_strain[:, :2, :2] = strain - y3[:, None, None] * hess
+    limit_strain += dy_u2
+    diff = dq.reshape(E * Q, 3, 3) / eps - limit_strain
+    err_sym = float(np.sqrt(np.sum(flat_w * np.sum(diff**2, axis=(1, 2))) / eps))
+    return err_u3, err_u1[0], err_u1[1], err_sym
+
+
+def _direct_plate_moments(lmesh, u_nodal, eps, pts):
+    """Vertical moments with the voxel map and shape values built per call."""
+    vox = pm._voxel_element_map(lmesh)
+    (a1, b1, a2, b2) = lmesh.sigma
+    h = lmesh.spacing[0]
+    i1 = np.clip(((pts[:, 0] - a1) / h).astype(np.int64), 0, vox.shape[0] - 1)
+    i2 = np.clip(((pts[:, 1] - a2) / h).astype(np.int64), 0, vox.shape[1] - 1)
+    xi1 = (pts[:, 0] - a1) / h - i1
+    xi2 = (pts[:, 1] - a2) / h - i2
+    integral_u = np.zeros((pts.shape[0], 2))
+    integral_xu = np.zeros((pts.shape[0], 2))
+    g = 0.5 / np.sqrt(3.0)
+    for l3 in range(vox.shape[2]):
+        elem = vox[i1, i2, l3]
+        act = elem >= 0
+        if not act.any():
+            continue
+        un = u_nodal[lmesh.elems[elem[act]]]
+        for xg in (0.5 - g, 0.5 + g):
+            shp = np.empty((act.sum(), 8))
+            for a, (ca, cb, cc) in enumerate(pg.HEX_CORNERS):
+                sx = xi1[act] if ca else 1.0 - xi1[act]
+                sy = xi2[act] if cb else 1.0 - xi2[act]
+                shp[:, a] = sx * sy * (xg if cc else 1.0 - xg)
+            uval = np.einsum("pa,pac->pc", shp, un[:, :, :2])
+            x3 = -eps + (l3 + xg) * h
+            integral_u[act] += 0.5 * h * uval
+            integral_xu[act] += 0.5 * h * x3 * uval
+    return integral_u / (2.0 * eps**2), 3.0 * integral_xu / (2.0 * eps**3)
+
+
+def _direct_moment_errors(ps, lmesh, u_nodal, eps):
+    system = ps.system
+    pts = system.quad_xy.reshape(-1, 2)
+    wq = np.broadcast_to(system.quad_w, system.quad_xy.shape[:2]).ravel()
+    U, R = _direct_plate_moments(lmesh, u_nodal, eps, pts)
+    u1 = pp.evaluate_membrane(system, ps.m, pts)
+    _, grad, _ = pp.evaluate_deflection(system, ps.w, pts, derivatives=True)
+    return (float(np.sqrt(np.sum(wq[:, None] * (U - u1) ** 2))),
+            float(np.sqrt(np.sum(wq[:, None] * (R + grad) ** 2))))
+
+
+@pytest.fixture(scope="module")
+def coupled_small(box_cell_n4, iso_tensor):
+    """Plate and micro runs at eps 1/2 and 1/4 with every state stored."""
+    mesh, sols, eff = box_cell_n4
+    loads = _loads("linear", CellQuadrature.from_cell_mesh(mesh))
+    system = pp.assemble_plate_system(pg.build_plate_mesh(SIGMA, 4), eff)
+    dt_macro = 1.0 / 32
+    ptraj = pp.run_plate(system, loads, dt=dt_macro, t_end=0.125, store_states=True)
+    runs = []
+    for eps in (0.5, 0.25):
+        lmesh = pg.build_layer_mesh(mesh.geometry, eps, SIGMA, 4)
+        ops = pm.assemble_micro(lmesh, iso_tensor, eps, loads)
+        dt = eps / 8
+        mtraj = pm.run_micro(ops, loads, dt=dt, t_end=0.125, store_states=True)
+        stride = int(round(dt / dt_macro))
+        pairs = [(ms, ptraj.states[k * stride])
+                 for k, ms in enumerate(mtraj.states[1:], start=1)]
+        runs.append((lmesh, ops, pairs))
+    return sols, system, runs
+
+
+def test_diagnostics_equal_direct_evaluation(coupled_small):
+    sols, _, runs = coupled_small
+    for lmesh, ops, pairs in runs:
+        assert len(pairs) >= 2
+        for ms, ps in pairs:
+            rep = pm.two_scale_errors(ms, ps, sols)
+            got = (rep.err_u3, rep.err_u1[0], rep.err_u1[1], rep.err_symgrad)
+            assert got == _direct_two_scale(ms, ps, sols)
+            assert rep.err_symgrad > 0
+            u_nodal = ms.nodal()
+            assert (pm.moment_errors(ps, lmesh, u_nodal, ms.eps)
+                    == _direct_moment_errors(ps, lmesh, u_nodal, ms.eps))
+        # the moment columns follow the points asked for
+        pts = np.array([[0.3, 0.4], [0.55, 0.8]])
+        for p in (pts, pts[::-1], pts):
+            got = pm.plate_moments(lmesh, u_nodal, ms.eps, p)
+            want = _direct_plate_moments(lmesh, u_nodal, ms.eps, p)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_two_scale_memo_follows_system_and_cells(coupled_small, box_cell_n4):
+    from dataclasses import replace
+
+    sols, system, runs = coupled_small
+    _, ops, pairs = runs[0]
+    ms, ps = pairs[-1]
+    first = pm.two_scale_errors(ms, ps, sols)
+    memo = ops.transfer
+    assert memo.system is system and memo.sols is sols
+    pm.two_scale_errors(ms, ps, sols)
+    assert ops.transfer is memo
+
+    doubled = replace(sols, stretch={
+        ij: fem.FieldVector(f.mesh, f.dofmap, 2.0 * f.values)
+        for ij, f in sols.stretch.items()})
+    rep = pm.two_scale_errors(ms, ps, doubled)
+    assert ops.transfer is not memo and ops.transfer.sols is doubled
+    assert rep.err_symgrad != first.err_symgrad
+    assert rep.err_symgrad == _direct_two_scale(ms, ps, doubled)[3]
+
+    _, _, eff = box_cell_n4
+    finer = pp.assemble_plate_system(pg.build_plate_mesh(SIGMA, 8), eff)
+    r = rng(11)
+    ps2 = pp.PlateState(system=finer, t=ms.t,
+                        w=r.standard_normal(finer.bend_dofs.n_dofs),
+                        v=np.zeros(finer.bend_dofs.n_dofs),
+                        a=np.zeros(finer.bend_dofs.n_dofs),
+                        m=r.standard_normal(finer.memb_dofs.n_dofs))
+    rep = pm.two_scale_errors(ms, ps2, doubled)
+    assert ops.transfer.system is finer and ops.transfer.sols is doubled
+    got = (rep.err_u3, rep.err_u1[0], rep.err_u1[1], rep.err_symgrad)
+    assert got == _direct_two_scale(ms, ps2, doubled)
