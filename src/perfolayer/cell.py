@@ -60,7 +60,9 @@ class EffectiveModel:
     solid_volume: float
 
     def voigt(self, t: np.ndarray) -> np.ndarray:
-        """3x3 Mandel representation of a 2x2x2x2 block on symmetric inputs."""
+        """3x3 Mandel matrix of a 2x2x2x2 block on symmetric inputs; rows
+        carry the first index pair (no symmetrization, so the coupling block
+        b* keeps its orientation)."""
         pairs = ((0, 0), (1, 1), (0, 1))
         s = np.sqrt(2.0)
         out = np.empty((3, 3))
@@ -68,7 +70,7 @@ class EffectiveModel:
             for c, (k, l) in enumerate(pairs):
                 f = (1.0 if i == j else s) * (1.0 if k == l else s)
                 out[r, c] = f * t[i, j, k, l]
-        return 0.5 * (out + out.T)
+        return out
 
 
 def _periodic_dofmap(mesh: CellMesh) -> DofMap:
@@ -77,8 +79,7 @@ def _periodic_dofmap(mesh: CellMesh) -> DofMap:
 
 def _cell_operator(mesh, tensor, dofmap):
     k = fem.assemble_elasticity(mesh, tensor, dofmap)
-    mass = fem.assemble_mass(mesh, dofmap)
-    aug = fem.mean_zero_augmentations(mass, dofmap, k)
+    aug = fem.mean_zero_augmentations(mesh, dofmap, k)
     return SymmetricOperator(k.matrix, aug), k
 
 
@@ -179,58 +180,50 @@ def solve_cell_problems(mesh: CellMesh, tensor: ElasticityTensor4,
     return sols
 
 
-def _quad_strains(sols: CellSolutionSet):
-    """Total strain fields D(chi) + M (stretch) and D(chi^B) - y3 M (bending)
-    at the quadrature points of the cell mesh."""
+def _mandel_strains(sols: CellSolutionSet) -> np.ndarray:
+    """Total strain fields at the quadrature points of the cell mesh in
+    Mandel form, shape (6, E * n_q, 6): D(chi_ij) + M_ij (stretch) for the
+    pairs of ``INDEX_PAIRS``, then D(chi^B_ij) - y3 M_ij (bending)."""
     mesh = sols.mesh
-    y3 = fem.quadrature_points(mesh)[:, :, 2]
-    stretch = {}
-    bending = {}
-    for ij in INDEX_PAIRS:
-        m = basis_matrix(*ij)
-        d_s = fem.gradient_decomposition(mesh, sols.stretch[ij].nodal()).sym
-        stretch[ij] = d_s + m[None, None, :, :]
-        d_b = fem.gradient_decomposition(mesh, sols.bending[ij].nodal()).sym
-        bending[ij] = d_b - y3[:, :, None, None] * m[None, None, :, :]
-    return stretch, bending
+    y3 = fem.quadrature_points(mesh)[:, :, 2, None, None]
+    out = np.empty((6, y3.size, 6))
+    fields = [(sols.stretch[ij], 1.0, ij) for ij in INDEX_PAIRS]
+    fields += [(sols.bending[ij], -y3, ij) for ij in INDEX_PAIRS]
+    for r, (chi, profile, ij) in enumerate(fields):
+        d = fem.gradient_decomposition(mesh, chi.nodal()).sym
+        out[r] = fem.sym_to_mandel(d + profile * basis_matrix(*ij)).reshape(-1, 6)
+    return out
+
+
+def _block(g: np.ndarray) -> np.ndarray:
+    """2x2x2x2 tensor whose (ab, cd) entry is g[slot(ab), slot(cd)], with
+    slot the position of the pair in ``INDEX_PAIRS`` (either order)."""
+    slot = np.empty((2, 2), dtype=np.int64)
+    for r, (i, j) in enumerate(INDEX_PAIRS):
+        slot[i - 1, j - 1] = slot[j - 1, i - 1] = r
+    return g[slot[:, :, None, None], slot[None, None, :, :]]
 
 
 def effective_tensors(mesh: CellMesh, tensor: ElasticityTensor4,
                       sols: CellSolutionSet) -> EffectiveModel:
     """Energy averages of the cell strains over the solid cell.
 
-    a* pairs stretch with stretch, c* bending with bending, and b* carries
-    the bending strain on its first index pair.
+    The six total strains (three stretch, three bending) give one 6x6 Gram
+    matrix G_rs = (1/|Y*|) int A e_r : e_s; a* is its stretch block, c* its
+    bending block, and b* the block with bending rows and stretch columns,
+    so b* carries the bending strain on its first index pair.
     """
     if sols.mesh is not mesh:
         raise InconsistentMesh("solutions were computed on a different mesh")
     sols.require_complete()
-    stretch, bending = _quad_strains(sols)
-    w = fem.quadrature_weights(mesh)
+    strains = _mandel_strains(sols)
+    w = fem.quadrature_weights(mesh).reshape(-1)
     vol = mesh.geometry.solid_volume
-    am = tensor.mandel()
-
-    def pairing(x, y):
-        xm = fem.sym_to_mandel(x)
-        ym = fem.sym_to_mandel(y)
-        return float(np.einsum("eq,eqi,ij,eqj->", w, xm, am, ym)) / vol
-
-    a = np.empty((2, 2, 2, 2))
-    b = np.empty((2, 2, 2, 2))
-    c = np.empty((2, 2, 2, 2))
-    key = lambda i, j: (min(i, j), max(i, j))
-    for al in (1, 2):
-        for be in (1, 2):
-            for ga in (1, 2):
-                for de in (1, 2):
-                    xs = stretch[key(al, be)]
-                    ys = stretch[key(ga, de)]
-                    xb = bending[key(al, be)]
-                    yb = bending[key(ga, de)]
-                    a[al - 1, be - 1, ga - 1, de - 1] = pairing(xs, ys)
-                    b[al - 1, be - 1, ga - 1, de - 1] = pairing(xb, ys)
-                    c[al - 1, be - 1, ga - 1, de - 1] = pairing(xb, yb)
-    return EffectiveModel(a_star=a, b_star=b, c_star=c, solid_volume=vol)
+    g = np.einsum("p,rpi,ij,spj->rs", w, strains, tensor.mandel(), strains,
+                  optimize=True) / vol
+    g = 0.5 * (g + g.T)
+    return EffectiveModel(a_star=_block(g[:3, :3]), b_star=_block(g[3:, :3]),
+                          c_star=_block(g[3:, 3:]), solid_volume=vol)
 
 
 def voigt_bound(tensor: ElasticityTensor4, mesh: CellMesh) -> np.ndarray:
@@ -238,17 +231,9 @@ def voigt_bound(tensor: ElasticityTensor4, mesh: CellMesh) -> np.ndarray:
     Loewner order on symmetric 2x2 inputs)."""
     w = fem.quadrature_weights(mesh)
     vol = mesh.geometry.solid_volume
-    am = tensor.mandel()
-    out = np.empty((2, 2, 2, 2))
-    for al in (1, 2):
-        for be in (1, 2):
-            for ga in (1, 2):
-                for de in (1, 2):
-                    x = fem.sym_to_mandel(basis_matrix(al, be))
-                    y = fem.sym_to_mandel(basis_matrix(ga, de))
-                    out[al - 1, be - 1, ga - 1, de - 1] = (
-                        w.sum() / vol * float(x @ am @ y))
-    return out
+    m = fem.sym_to_mandel(np.stack([basis_matrix(*ij) for ij in INDEX_PAIRS]))
+    g = w.sum() / vol * (m @ tensor.mandel() @ m.T)
+    return _block(0.5 * (g + g.T))
 
 
 # ---------------------------------------------------------------------------

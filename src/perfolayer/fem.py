@@ -460,22 +460,26 @@ def surface_load_vector(mesh, dofmap, faces: np.ndarray, values: np.ndarray) -> 
     return scatter_vector(local.reshape(edofs.shape), edofs, dofmap.n_dofs)
 
 
-def mean_zero_augmentations(mass_op: SymmetricOperator, dofmap: DofMap,
+def mean_zero_augmentations(mesh, dofmap: DofMap,
                             scale_from: SymmetricOperator):
     """Rank-one vectors enforcing a zero mean per component.
 
-    For a consistent right-hand side, CG on K + sum sigma m m^T returns the
-    unique mean-zero solution of K u = r (the symmetric elimination of one
-    scalar multiplier per component).
+    Each vector m_c holds the integrals of the shape functions of component
+    c (the mean functional u -> int u_c), scattered from one element vector.
+    Without eliminated dofs it equals M e_c, the vector mass matrix applied
+    to the unit field of component c, with no mass assembly.  For a consistent
+    right-hand side, CG on K + sum sigma m m^T returns the unique mean-zero
+    solution of K u = r (the symmetric elimination of one scalar multiplier
+    per component).
     """
+    N, G, w, _ = hex_reference(mesh.spacing)
     nc = dofmap.ncomp
+    edofs = dofmap.element_dofs(mesh.elems)
+    local = np.broadcast_to(w @ N, (edofs.shape[0], N.shape[1]))
     s0 = scale_from.matrix.diagonal().mean()
     out = []
     for c in range(nc):
-        ones = np.zeros((dofmap.node_dofs.shape[0], nc))
-        ones[:, c] = 1.0
-        e_c = dofmap.restrict(ones)
-        m_c = mass_op.matvec(e_c)
+        m_c = scatter_vector(local, edofs[:, c::nc], dofmap.n_dofs)
         out.append((s0 / np.dot(m_c, m_c), m_c))
     return out
 
@@ -522,14 +526,14 @@ def element_gradients(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
     N, G, w, _ = hex_reference(mesh.spacing)
     el = mesh.elems if elems is None else elems
     ue = nodal[el]  # (E, 8, 3)
-    return np.einsum("eai,qaj->eqij", ue, G)
+    return np.einsum("eai,qaj->eqij", ue, G, optimize=True)
 
 
 def element_values(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
     """Field values at quadrature points, shape (E, n_q, ncomp)."""
     N, G, w, _ = hex_reference(mesh.spacing)
     el = mesh.elems if elems is None else elems
-    return np.einsum("eac,qa->eqc", nodal[el], N)
+    return np.einsum("eac,qa->eqc", nodal[el], N, optimize=True)
 
 
 def quadrature_weights(mesh, n_elems=None) -> np.ndarray:

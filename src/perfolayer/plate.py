@@ -117,19 +117,6 @@ def membrane_basis(xi: np.ndarray, eta: np.ndarray, spacing):
     return val, dx, dy
 
 
-def _tensor_voigt2d(t: np.ndarray) -> np.ndarray:
-    """2x2x2x2 block -> 3x3 Mandel matrix (no symmetrization; rows carry the
-    first index pair)."""
-    pairs = ((0, 0), (1, 1), (0, 1))
-    s = np.sqrt(2.0)
-    out = np.empty((3, 3))
-    for r, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            f = (1.0 if i == j else s) * (1.0 if k == l else s)
-            out[r, c] = f * t[i, j, k, l]
-    return out
-
-
 def _mandel2(e11, e22, e12):
     return np.stack([e11, e22, np.sqrt(2.0) * e12], axis=-2)
 
@@ -224,9 +211,9 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     strain[:, :, 0::2] = _mandel2(mb_dx, zeros, 0.5 * mb_dy)
     strain[:, :, 1::2] = _mandel2(zeros, mb_dy, 0.5 * mb_dx)
 
-    va = _tensor_voigt2d(eff.a_star)
-    vb = _tensor_voigt2d(eff.b_star)
-    vc = _tensor_voigt2d(eff.c_star)
+    va = eff.voigt(eff.a_star)
+    vb = eff.voigt(eff.b_star)
+    vc = eff.voigt(eff.c_star)
 
     k_bb_loc = np.einsum("q,qri,rs,qsj->ij", w_phys, hess, vc, hess)
     k_aa_loc = np.einsum("q,qri,rs,qsj->ij", w_phys, strain, va, strain)

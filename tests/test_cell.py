@@ -106,6 +106,66 @@ def test_effective_tensors_full_cell_goldens(full_cell_n8):
     assert np.allclose(eff.c_star, eff.a_star / 3.0, rtol=1e-2)
 
 
+def _pairing_reference(mesh, tensor, sols):
+    """a*, b*, c* entry by entry: one weighted Mandel pairing of two total
+    strain fields per entry."""
+    y3 = fem.quadrature_points(mesh)[:, :, 2]
+    stretch, bending = {}, {}
+    for ij in pc.INDEX_PAIRS:
+        m = pc.basis_matrix(*ij)
+        d_s = fem.gradient_decomposition(mesh, sols.stretch[ij].nodal()).sym
+        d_b = fem.gradient_decomposition(mesh, sols.bending[ij].nodal()).sym
+        stretch[ij] = d_s + m[None, None, :, :]
+        bending[ij] = d_b - y3[:, :, None, None] * m[None, None, :, :]
+    w = fem.quadrature_weights(mesh)
+    vol = mesh.geometry.solid_volume
+    am = tensor.mandel()
+
+    def pairing(x, y):
+        xm, ym = fem.sym_to_mandel(x), fem.sym_to_mandel(y)
+        return float(np.einsum("eq,eqi,ij,eqj->", w, xm, am, ym)) / vol
+
+    key = lambda i, j: (min(i, j), max(i, j))
+    out = {k: np.empty((2, 2, 2, 2)) for k in ("a_star", "b_star", "c_star")}
+    for idx in np.ndindex(2, 2, 2, 2):
+        al, be, ga, de = (v + 1 for v in idx)
+        xs, ys = stretch[key(al, be)], stretch[key(ga, de)]
+        xb, yb = bending[key(al, be)], bending[key(ga, de)]
+        out["a_star"][idx] = pairing(xs, ys)
+        out["b_star"][idx] = pairing(xb, ys)
+        out["c_star"][idx] = pairing(xb, yb)
+    return out
+
+
+@pytest.mark.parametrize("cell", ["full_cell_n8", "box_cell_n8"])
+def test_effective_tensors_match_pairing_reference(cell, iso_tensor, request):
+    mesh, sols, eff = request.getfixturevalue(cell)
+    ref = _pairing_reference(mesh, iso_tensor, sols)
+    scale = np.abs(ref["a_star"]).max()
+    for key, want in ref.items():
+        got = getattr(eff, key)
+        assert np.abs(got - want).max() <= 1e-12 * scale, key
+    # a* and c* are blocks of one symmetric Gram matrix: exact major symmetry
+    for t in (eff.a_star, eff.c_star):
+        assert np.array_equal(t, t.transpose(2, 3, 0, 1))
+
+
+def test_voigt_keeps_asymmetric_coupling_block(iso_tensor):
+    # an off-centre channel breaks the vertical reflection, and b* is then
+    # not symmetric under ijkl <-> klij; voigt must not symmetrize it
+    geom = pg.build_cell_geometry(pg.channel_mask(4, height=(-0.75, 0.25)), m=4)
+    mesh = pg.build_cell_mesh(geom, 4)
+    sols = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-11)
+    eff = pc.effective_tensors(mesh, iso_tensor, sols)
+    b = eff.b_star
+    assert np.abs(b - b.transpose(2, 3, 0, 1)).max() > 1e-6
+    s = np.sqrt(2.0)
+    want = np.array([[b[0, 0, 0, 0], b[0, 0, 1, 1], s * b[0, 0, 0, 1]],
+                     [b[1, 1, 0, 0], b[1, 1, 1, 1], s * b[1, 1, 0, 1]],
+                     [s * b[0, 1, 0, 0], s * b[0, 1, 1, 1], s * s * b[0, 1, 0, 1]]])
+    assert np.array_equal(eff.voigt(b), want)
+
+
 def test_effective_tensor_mesh_consistency_guard(full_cell_n8, box_cell_n4, iso_tensor):
     mesh_full, sols_full, _ = full_cell_n8
     mesh_box, _, _ = box_cell_n4

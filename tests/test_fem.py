@@ -119,6 +119,41 @@ def test_mass_values():
         fem.assemble_mass(mesh, dm, weight=0.0)
 
 
+def test_mean_zero_vectors_equal_mass_products():
+    # m_c is scattered from the shape-function integrals; without eliminated
+    # dofs it must equal the assembled vector mass matrix applied to the unit
+    # field of component c
+    geom = pg.build_cell_geometry(("box", ((0.25, 0.75), (0.25, 0.75), (-0.5, 0.5))), m=4)
+    mesh = pg.build_cell_mesh(geom, 4)
+    lm = pg.build_layer_mesh(pg.build_cell_geometry("full", m=2), 0.5, SIGMA, 2)
+    cases = [(mesh, fem.DofMap(mesh, 3, periodic=True)),
+             (lm, fem.DofMap(lm, 3))]
+    for m, dm in cases:
+        k = fem.assemble_elasticity(m, shear_tensor(), dm)
+        mass = fem.assemble_mass(m, dm)
+        s0 = k.matrix.diagonal().mean()
+        aug = fem.mean_zero_augmentations(m, dm, k)
+        assert len(aug) == 3
+        for c, (sigma, m_c) in enumerate(aug):
+            ones = np.zeros((m.n_nodes, 3))
+            ones[:, c] = 1.0
+            want = mass.matvec(dm.restrict(ones))
+            assert np.abs(m_c - want).max() <= 1e-13 * np.abs(want).max()
+            assert sigma == pytest.approx(s0 / np.dot(want, want), rel=1e-13)
+
+
+def test_quadrature_contractions_match_plain_einsum():
+    mesh = _cell_mesh(n=4, m=2)
+    N, G, _, _ = fem.hex_reference(mesh.spacing)
+    u = rng(5).standard_normal((mesh.n_nodes, 3))
+    grad = fem.element_gradients(mesh, u)
+    want = np.einsum("eai,qaj->eqij", u[mesh.elems], G)
+    assert np.abs(grad - want).max() <= 1e-13 * np.abs(want).max()
+    vals = fem.element_values(mesh, u)
+    want = np.einsum("eac,qa->eqc", u[mesh.elems], N)
+    assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_gradient_decomposition_cases():
     mesh = _cell_mesh(n=2)
     a = np.array([[0, 0.3, -0.2], [-0.3, 0, 0.1], [0.2, -0.1, 0]])
