@@ -91,10 +91,6 @@ class SimConfig:
     def probes(self):
         return [tuple(p) for p in self.tree["probes"]]
 
-    @property
-    def norm_order(self):
-        return float(self.tree["p"])
-
     def dt_for(self, eps: float) -> float:
         rule = self.tree["time"]["dt"]
         if isinstance(rule, str):

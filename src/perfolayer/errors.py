@@ -53,10 +53,6 @@ class SingularWithoutConstraints(SolverFailure):
     """Operator is singular because no constraints were applied."""
 
 
-class PicardNoConvergence(PerfolayerError):
-    """Picard iteration for the semi-linear load stalled (recorded, not fatal)."""
-
-
 # --- data consistency -------------------------------------------------------
 
 class InconsistentMesh(PerfolayerError):

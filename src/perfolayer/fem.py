@@ -1,13 +1,20 @@
 """Finite-element kernels on structured hexahedral meshes.
 
-Trilinear hexahedra with 2x2x2 Gauss quadrature, periodic master/slave
-identification, Dirichlet elimination, mean-zero constraints via symmetric
-rank-one augmentation, Jacobi-preconditioned conjugate gradients, and a
-Jacobi-preconditioned block LOBPCG for extremal generalized eigenvalues.
+Trilinear hexahedra with 2x2x2 Gauss quadrature (reference tables cached per
+spacing), periodic master/slave identification, Dirichlet elimination,
+mean-zero constraints via symmetric rank-one augmentation, Jacobi-
+preconditioned conjugate gradients, and a Jacobi-preconditioned block LOBPCG
+for extremal generalized eigenvalues.
+
+Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
+pattern of an element set on node blocks (the dofs of a node are
+consecutive), built once per ``DofMap`` and element array and filled per
+operator by one sparse-dense product of local blocks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +27,7 @@ from .errors import (
     NullspaceOverlap,
     SingularWithoutConstraints,
 )
-from .geometry import HEX_CORNERS
+from .geometry import HEX_CORNERS, HEX_FACE_NODES, HEX_FACES
 
 # Mandel index pairs: (11, 22, 33, 23, 13, 12); off-diagonal entries carry
 # sqrt(2) so that A B : B equals the plain 6-vector quadratic form.
@@ -136,8 +143,14 @@ def hex_reference(spacing):
 
     Returns (N, G, w, pts) with N (8 pts, 8 nodes), G (8 pts, 8 nodes, 3),
     w the physical weights (include |J|), pts the reference coordinates in
-    [0,1]^3 ordered lexicographically (third axis fastest).
+    [0,1]^3 ordered lexicographically (third axis fastest).  The tables are
+    computed once per spacing and shared, so they are read-only.
     """
+    return _hex_reference(tuple(float(h) for h in spacing))
+
+
+@functools.lru_cache(maxsize=16)
+def _hex_reference(spacing: tuple):
     hx, hy, hz = spacing
     x1, w1 = _gauss_points_1d()
     pts = []
@@ -162,8 +175,10 @@ def hex_reference(spacing):
         G[q, :, 1] = 0.125 * signs[:, 1] * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 2] * xi[2]) * scale[1]
         G[q, :, 2] = 0.125 * signs[:, 2] * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 1] * xi[1]) * scale[2]
     jac = hx * hy * hz / 8.0
-    ref = (pts + 1.0) / 2.0
-    return N, G, wts * jac, ref
+    out = (N, G, wts * jac, (pts + 1.0) / 2.0)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def strain_matrices(G: np.ndarray) -> np.ndarray:
@@ -218,10 +233,25 @@ class DofMap:
         # per-node dof table (n_nodes, ncomp), -1 where eliminated
         self.node_dofs = reduced[(ncomp * node_slot[:, None]
                                   + np.arange(ncomp)[None, :])]
+        # constraints take whole nodes, so the dofs of a node are consecutive:
+        # node_dofs[:, c] = ncomp * node_blocks + c, or -1 for all c
+        self.node_blocks = np.where(self.node_dofs[:, 0] >= 0,
+                                    self.node_dofs[:, 0] // ncomp, -1)
+        self._plan = None  # (element array, AssemblyPlan) of the last plan
 
     def element_dofs(self, elems: np.ndarray) -> np.ndarray:
         """(E, nodes_per_elem * ncomp) reduced dof ids, -1 = eliminated."""
         return self.node_dofs[elems].reshape(elems.shape[0], elems.shape[1] * self.ncomp)
+
+    def plan(self, elems: np.ndarray) -> "AssemblyPlan":
+        """Node-block assembly plan of an element array.  The plan of the
+        last array asked for is kept, so operators assembled over the same
+        array object share one sparsity pattern."""
+        if self._plan is None or self._plan[0] is not elems:
+            blocks = self.node_blocks[elems]
+            n = self.n_dofs // self.ncomp
+            self._plan = (elems, AssemblyPlan(blocks, blocks, (n, n)))
+        return self._plan[1]
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Reduced coefficients -> nodal array (n_nodes, ncomp), zeros on
@@ -281,19 +311,53 @@ class SymmetricOperator:
         return a
 
 
-def _scatter(local: np.ndarray, edofs: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum an identical (or per-element) local matrix into the global one."""
-    E, nd = edofs.shape
-    if local.ndim == 2:
-        data = np.broadcast_to(local, (E, nd, nd))
-    else:
-        data = local
-    rows = np.broadcast_to(edofs[:, :, None], (E, nd, nd))
-    cols = np.broadcast_to(edofs[:, None, :], (E, nd, nd))
-    keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix(
-        (data[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return mat.tocsr()
+class AssemblyPlan:
+    """Sparsity pattern of one element set, built once and filled per operator.
+
+    ``rows`` (E, a) and ``cols`` (E, b) give the block row and block column
+    of each element's local nodes (-1 = eliminated), in a matrix of
+    ``shape`` blocks; ``kinds`` (E,) picks one of ``n_kinds`` local matrices
+    per element.  Only the E*a*b node pairs are keyed: the pattern is the
+    sorted set of distinct pairs, and ``count`` maps the n_kinds*a*b local
+    block positions to its slots, so each operator is one sparse-dense
+    product.
+    """
+
+    def __init__(self, rows, cols, shape, kinds=None, n_kinds: int = 1):
+        a, b = rows.shape[1], cols.shape[1]
+        nr, nc = shape
+        keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+        keys = (rows[:, :, None] * nc + cols[:, None, :])[keep]
+        pos = np.arange(a * b).reshape(a, b)
+        if kinds is not None:
+            pos = pos + (a * b) * kinds[:, None, None]
+        pos = np.broadcast_to(pos, keep.shape)[keep]
+        pairs, slot = np.unique(keys, return_inverse=True)
+        self.shape = (nr, nc)
+        self.indices = pairs % nc
+        self.indptr = np.searchsorted(pairs // nc, np.arange(nr + 1))
+        self.count = sp.csr_matrix((np.ones(slot.size), (slot, pos)),
+                                   shape=(pairs.size, n_kinds * a * b))
+
+    def fill(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum the local blocks, shaped ([n_kinds,] a, b, br, bc), into a CSR
+        matrix without stored zeros."""
+        br, bc = local.shape[-2:]
+        data = self.count @ local.reshape(-1, br * bc)
+        nr, nc = self.shape
+        mat = sp.bsr_matrix((data.reshape(-1, br, bc), self.indices, self.indptr),
+                            shape=(nr * br, nc * bc)).tocsr()
+        mat.eliminate_zeros()
+        return mat
+
+
+def _assemble(mesh, dofmap: DofMap, elems, local: np.ndarray) -> SymmetricOperator:
+    """Operator of one dof-level local matrix (node-major, 8*ncomp square)
+    summed over the elements (all mesh elements when ``elems`` is None)."""
+    nc = dofmap.ncomp
+    blocks = local.reshape(8, nc, 8, nc).transpose(0, 2, 1, 3)
+    el = mesh.elems if elems is None else elems
+    return SymmetricOperator(dofmap.plan(el).fill(blocks))
 
 
 def scatter_vector(local: np.ndarray, edofs: np.ndarray, n: int) -> np.ndarray:
@@ -311,9 +375,7 @@ def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
     B = strain_matrices(G)
     Am = tensor.mandel()
     local = np.einsum("q,qia,ij,qjb->ab", w, B, Am, B)
-    el = mesh.elems if elems is None else elems
-    edofs = dofmap.element_dofs(el)
-    return SymmetricOperator(_scatter(local, edofs, dofmap.n_dofs))
+    return _assemble(mesh, dofmap, elems, local)
 
 
 def assemble_mass(mesh, dofmap: DofMap, weight: float = 1.0,
@@ -327,9 +389,7 @@ def assemble_mass(mesh, dofmap: DofMap, weight: float = 1.0,
     local = np.zeros((8 * nc, 8 * nc))
     for c in range(nc):
         local[c::nc, c::nc] = nn
-    el = mesh.elems if elems is None else elems
-    edofs = dofmap.element_dofs(el)
-    return SymmetricOperator(_scatter(local, edofs, dofmap.n_dofs))
+    return _assemble(mesh, dofmap, elems, local)
 
 
 def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights, grad_weights,
@@ -349,9 +409,7 @@ def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights, grad_weights,
         for i in range(3):
             block = block + grad_weights[i][c] * gg[i]
         local[c::nc, c::nc] = block
-    el = mesh.elems if elems is None else elems
-    edofs = dofmap.element_dofs(el)
-    return SymmetricOperator(_scatter(local, edofs, dofmap.n_dofs))
+    return _assemble(mesh, dofmap, elems, local)
 
 
 def face_quadrature(spacing, axis):
@@ -393,30 +451,34 @@ def face_shape_values(axis, side, pts):
 
 def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricOperator:
     """Operator of (u, v) -> int_S u . v over the given element faces."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     nc = dofmap.ncomp
-    n = dofmap.n_dofs
-    total = sp.csr_matrix((n, n))
-    for (axis, side), group in _group_faces(faces).items():
-        axes, pts, wts = face_quadrature(mesh.spacing, axis)
-        Nf = face_shape_values(axis, side, pts)
-        nn = np.einsum("q,qa,qb->ab", wts, Nf, Nf)
-        local = np.zeros((8 * nc, 8 * nc))
-        for c in range(nc):
-            local[c::nc, c::nc] = nn
-        edofs = dofmap.element_dofs(mesh.elems[faces[group, 0]])
-        total = total + _scatter(local, edofs, n)
-    return SymmetricOperator(total)
+    # one local matrix per (axis, side) on the four nodes of the face
+    w, nf = _face_tables(mesh.spacing)
+    nf = np.take_along_axis(nf, HEX_FACE_NODES[:, None, :], axis=2)
+    local = np.einsum("kq,kqa,kqb->kab", w, nf, nf)
+    kinds = _face_kinds(faces)
+    nodes = mesh.elems[faces[:, :1], HEX_FACE_NODES[kinds]]
+    blocks = dofmap.node_blocks[nodes]
+    n = dofmap.n_dofs // nc
+    plan = AssemblyPlan(blocks, blocks, (n, n), kinds=kinds, n_kinds=len(HEX_FACES))
+    return SymmetricOperator(plan.fill(local[..., None, None] * np.eye(nc)))
 
 
-def _group_faces(faces: np.ndarray):
-    """Positions in the face list per (axis, side), in list order; groups
-    are ordered by their first appearance."""
-    keys, first = np.unique(faces[:, 1:], axis=0, return_index=True)
-    groups = {}
-    for k in np.argsort(first):
-        axis, side = (int(v) for v in keys[k])
-        groups[(axis, side)] = np.nonzero((faces[:, 1] == axis) & (faces[:, 2] == side))[0]
-    return groups
+def _face_tables(spacing):
+    """Weights (6, 4) and trilinear shape values (6, 4, 8) of the face rule
+    for each (axis, side), in HEX_FACES order."""
+    w = np.empty((len(HEX_FACES), 4))
+    nf = np.empty((len(HEX_FACES), 4, 8))
+    for k, (axis, side) in enumerate(HEX_FACES):
+        _, pts, w[k] = face_quadrature(spacing, axis)
+        nf[k] = face_shape_values(axis, side, pts)
+    return w, nf
+
+
+def _face_kinds(faces: np.ndarray) -> np.ndarray:
+    """Position of each face's (axis, side) in HEX_FACES."""
+    return 2 * faces[:, 1] + (faces[:, 2] > 0)
 
 
 def surface_quadrature(mesh, faces: np.ndarray):
@@ -451,11 +513,9 @@ def surface_load_vector(mesh, dofmap, faces: np.ndarray, values: np.ndarray) -> 
     ``surface_quadrature``."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     vals = np.asarray(values).reshape(faces.shape[0], 4, dofmap.ncomp)
-    local = np.empty((faces.shape[0], 8, dofmap.ncomp))
-    for (axis, side), group in _group_faces(faces).items():
-        _, ref, w = face_quadrature(mesh.spacing, axis)
-        Nf = face_shape_values(axis, side, ref)
-        local[group] = np.einsum("q,qa,fqc->fac", w, Nf, vals[group])
+    w, nf = _face_tables(mesh.spacing)
+    kinds = _face_kinds(faces)
+    local = np.einsum("fq,fqa,fqc->fac", w[kinds], nf[kinds], vals)
     edofs = dofmap.element_dofs(mesh.elems[faces[:, 0]])
     return scatter_vector(local.reshape(edofs.shape), edofs, dofmap.n_dofs)
 

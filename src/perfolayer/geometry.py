@@ -46,6 +46,10 @@ HEX_FACES = {
     (2, -1): (0, 1, 2, 3),
     (2, +1): (4, 5, 6, 7),
 }
+# The same faces as arrays; face k is (axis, side) = (k // 2, +1 if k odd else -1).
+HEX_FACE_AXES = np.array([axis for axis, _ in HEX_FACES], dtype=np.int64)
+HEX_FACE_SIDES = np.array([side for _, side in HEX_FACES], dtype=np.int64)
+HEX_FACE_NODES = np.array(list(HEX_FACES.values()), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,6 @@ class CellMesh:
     spacing: tuple
     node_master: np.ndarray
     gamma_faces: np.ndarray
-    quadrature: str = "gauss2"
 
     @property
     def n_nodes(self) -> int:
@@ -103,10 +106,6 @@ class CellMesh:
     def n_periodic_nodes(self) -> int:
         """Number of distinct nodes after periodic identification."""
         return int(np.sum(self.node_master == np.arange(self.n_nodes)))
-
-    def element_volume(self) -> float:
-        hx, hy, hz = self.spacing
-        return hx * hy * hz
 
 
 @dataclass
@@ -133,7 +132,6 @@ class LayerMesh:
     gamma_faces: np.ndarray
     lateral_faces: np.ndarray
     n_cells: int
-    quadrature: str = "gauss2"
     # lookup tables that consumers derive from the mesh, kept for reuse
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -144,10 +142,6 @@ class LayerMesh:
     @property
     def n_elems(self) -> int:
         return self.elems.shape[0]
-
-    def element_volume(self) -> float:
-        hx, hy, hz = self.spacing
-        return hx * hy * hz
 
 
 @dataclass
@@ -451,40 +445,22 @@ def build_layer_mesh(geom: CellGeometry, eps: float, sigma, n: int,
     local_flat = (l1 * n + l2) * (2 * n) + l3
     cell_index = np.stack([cell_flat, local_flat], axis=1)
 
-    # boundary classification on the fine global voxel grid
-    elem_of_voxel = -np.ones(big.shape, dtype=np.int64)
-    elem_of_voxel[voxels[:, 0], voxels[:, 1], voxels[:, 2]] = np.arange(len(voxels))
+    # boundary classification of the six faces of every element on the fine
+    # global voxel grid, element-major in HEX_FACES order
+    nbr = voxels[:, None, :] + HEX_FACE_SIDES[:, None] * np.eye(3, dtype=np.int64)[HEX_FACE_AXES]
+    inside = np.all((nbr >= 0) & (nbr < big.shape), axis=-1)
+    nbr = np.clip(nbr, 0, np.array(big.shape) - 1)
+    nbr_solid = inside & big[nbr[..., 0], nbr[..., 1], nbr[..., 2]]
+    lateral = (HEX_FACE_AXES < 2) & ~inside
+    dirichlet = lateral & solid[:, None]
+    gamma = solid[:, None] & ~lateral & ~nbr_solid  # void neighbour or x3 = +/- eps
 
-    dirichlet_faces = []
-    gamma_faces = []
-    lateral_faces = []
-    G1, G2, G3 = big.shape
-    for e in range(len(voxels)):
-        i, j, k = voxels[e]
-        for axis, side in HEX_FACES:
-            step = [0, 0, 0]
-            step[axis] = side
-            a, b, c = i + step[0], j + step[1], k + step[2]
-            inside = (0 <= a < G1) and (0 <= b < G2) and (0 <= c < G3)
-            if axis < 2 and not inside:
-                lateral_faces.append((e, axis, side))
-                if solid[e]:
-                    dirichlet_faces.append((e, axis, side))
-            elif solid[e]:
-                if not inside:
-                    gamma_faces.append((e, axis, side))  # x3 = +/- eps
-                elif not big[a, b, c]:
-                    gamma_faces.append((e, axis, side))
+    def face_list(mask):
+        e, f = np.nonzero(mask)
+        return np.stack([e, HEX_FACE_AXES[f], HEX_FACE_SIDES[f]], axis=1).astype(np.int64)
 
-    dirichlet_faces = np.array(dirichlet_faces, dtype=np.int64).reshape(-1, 3)
-    gamma_arr = np.array(gamma_faces, dtype=np.int64).reshape(-1, 3)
-    lateral_arr = np.array(lateral_faces, dtype=np.int64).reshape(-1, 3)
-
-    dn = set()
-    for e, axis, side in dirichlet_faces:
-        for ln in HEX_FACES[(axis, side)]:
-            dn.add(int(elems[e, ln]))
-    dirichlet_nodes = np.array(sorted(dn), dtype=np.int64)
+    e, f = np.nonzero(dirichlet)
+    dirichlet_nodes = np.unique(elems[e[:, None], HEX_FACE_NODES[f]]).astype(np.int64)
 
     return LayerMesh(
         geometry=geom,
@@ -497,8 +473,8 @@ def build_layer_mesh(geom: CellGeometry, eps: float, sigma, n: int,
         solid=solid,
         cell_index=cell_index,
         dirichlet_nodes=dirichlet_nodes,
-        gamma_faces=gamma_arr,
-        lateral_faces=lateral_arr,
+        gamma_faces=face_list(gamma),
+        lateral_faces=face_list(lateral),
         n_cells=n_cells,
     )
 
@@ -537,14 +513,6 @@ def build_plate_mesh(sigma, n_sigma: int) -> PlateMesh:
         shape=(n1, n2),
         clamped_nodes=np.sort(clamped),
     )
-
-
-def face_nodes(elems: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Global node quadruples for an (element, axis, side) face list."""
-    out = np.empty((faces.shape[0], 4), dtype=np.int64)
-    for r, (e, axis, side) in enumerate(faces):
-        out[r] = elems[e, list(HEX_FACES[(int(axis), int(side))])]
-    return out
 
 
 def dump_mesh(path, coords: np.ndarray, elems: np.ndarray) -> None:

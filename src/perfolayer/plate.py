@@ -230,19 +230,14 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     eb = bend_dofs.element_dofs(pmesh.elems)
     em = memb_dofs.element_dofs(pmesh.elems)
 
-    def scatter(local, rows, cols, nr, nc):
-        E = rows.shape[0]
-        data = np.broadcast_to(local, (E,) + local.shape)
-        r = np.broadcast_to(rows[:, :, None], data.shape)
-        c = np.broadcast_to(cols[:, None, :], data.shape)
-        keep = (r >= 0) & (c >= 0)
-        return sp.coo_matrix((data[keep], (r[keep], c[keep])), shape=(nr, nc)).tocsr()
-
-    k_bb = scatter(k_bb_loc, eb, eb, bend_dofs.n_dofs, bend_dofs.n_dofs)
-    k_aa = scatter(k_aa_loc, em, em, memb_dofs.n_dofs, memb_dofs.n_dofs)
-    k_ab = scatter(k_ab_loc, em, eb, memb_dofs.n_dofs, bend_dofs.n_dofs)
-    m_b = scatter(m_b_loc, eb, eb, bend_dofs.n_dofs, bend_dofs.n_dofs)
-    m_memb = scatter(m_m_loc, em, em, memb_dofs.n_dofs, memb_dofs.n_dofs)
+    nb, nm = bend_dofs.n_dofs, memb_dofs.n_dofs
+    bb = fem.AssemblyPlan(eb, eb, (nb, nb))
+    mm = fem.AssemblyPlan(em, em, (nm, nm))
+    k_bb = bb.fill(k_bb_loc[:, :, None, None])
+    k_aa = mm.fill(k_aa_loc[:, :, None, None])
+    k_ab = fem.AssemblyPlan(em, eb, (nm, nb)).fill(k_ab_loc[:, :, None, None])
+    m_b = bb.fill(m_b_loc[:, :, None, None])
+    m_memb = mm.fill(m_m_loc[:, :, None, None])
 
     origin = pmesh.coords[pmesh.elems[:, 0]]
     qp = origin[:, None, :] + np.stack([xi * h1, eta * h2], axis=-1)[None, :, :]
@@ -282,9 +277,6 @@ def compute_loads(system: PlateSystem, loads: LoadModel, w_red: np.ndarray,
     h, hbar = loads.effective_loads(t, x1, x2, z)
 
     wq = sysm.quad_w
-    r_b = np.zeros(sysm.bend_dofs.n_dofs)
-    r_m = np.zeros(sysm.memb_dofs.n_dofs)
-
     eb = sysm.bend_dofs.element_dofs(sysm.pmesh.elems)
     em = sysm.memb_dofs.element_dofs(sysm.pmesh.elems)
 
@@ -292,14 +284,12 @@ def compute_loads(system: PlateSystem, loads: LoadModel, w_red: np.ndarray,
     local_b = np.einsum("q,eq,qi->ei", wq, h3, sysm.basis.val)
     local_b -= np.einsum("q,eq,qi->ei", wq, hbar[0].reshape(E, Q), sysm.basis.dx)
     local_b -= np.einsum("q,eq,qi->ei", wq, hbar[1].reshape(E, Q), sysm.basis.dy)
-    keep = eb >= 0
-    np.add.at(r_b, eb[keep], local_b[keep])
+    r_b = fem.scatter_vector(local_b, eb, sysm.bend_dofs.n_dofs)
 
     local_m = np.empty((E, 2 * sysm.mb_val.shape[1]))
     local_m[:, 0::2] = np.einsum("q,eq,qi->ei", wq, h[0].reshape(E, Q), sysm.mb_val)
     local_m[:, 1::2] = np.einsum("q,eq,qi->ei", wq, h[1].reshape(E, Q), sysm.mb_val)
-    keep = em >= 0
-    np.add.at(r_m, em[keep], local_m[keep])
+    r_m = fem.scatter_vector(local_m, em, sysm.memb_dofs.n_dofs)
     return r_m, r_b
 
 

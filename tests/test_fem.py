@@ -4,6 +4,8 @@ import scipy.linalg as sla
 
 from perfolayer import fem
 from perfolayer import geometry as pg
+from perfolayer import inequalities as inq
+from perfolayer import micro as pm
 from perfolayer.errors import IndefiniteDetected, NullspaceOverlap
 
 from conftest import SIGMA, rng
@@ -320,3 +322,111 @@ def test_surface_quadrature_empty_face_list(box_geom):
     assert pts.shape == (0, 3) and w.shape == (0,)
     load = fem.surface_load_vector(lmesh, dm, none, np.zeros((0, 3)))
     assert load.shape == (dm.n_dofs,) and not load.any()
+
+
+def _element_loop(local, rows, cols, shape):
+    """Dense reference: add each element's local matrix (one shared, or one
+    per element) into the global array, skipping eliminated (-1) dofs."""
+    out = np.zeros(shape)
+    for e in range(rows.shape[0]):
+        loc = local if local.ndim == 2 else local[e]
+        r, c = rows[e], cols[e]
+        kr, kc = r >= 0, c >= 0
+        np.add.at(out, (r[kr][:, None], c[kc][None, :]), loc[np.ix_(kr, kc)])
+    return out
+
+
+def _assert_matches_loop(mat, want):
+    assert mat.shape == want.shape
+    assert mat.nnz == np.count_nonzero(mat.data)  # no stored zeros
+    assert np.abs(mat.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _volume_locals(mesh, tensor):
+    """Dof-level local elasticity and unit mass matrices (node-major)."""
+    N, G, w, _ = fem.hex_reference(mesh.spacing)
+    B = fem.strain_matrices(G)
+    k = np.einsum("q,qia,ij,qjb->ab", w, B, tensor.mandel(), B)
+    m = np.kron(np.einsum("q,qa,qb->ab", w, N, N), np.eye(3))
+    return k, m
+
+
+def test_volume_assembly_matches_element_loop(box_geom):
+    tensor = fem.ElasticityTensor4.isotropic(0.8, 1.7)
+    cell = pg.build_cell_mesh(box_geom, 4)
+    layer = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
+    full = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4, include_void=True)
+    cases = [  # periodic cell, clamped layer, solid and void subsets
+        (cell, fem.DofMap(cell, 3, periodic=True), cell.elems),
+        (layer, fem.DofMap(layer, 3, dirichlet_nodes=layer.dirichlet_nodes), None),
+        (full, fem.DofMap(full, 3), full.elems[full.solid]),
+        (full, fem.DofMap(full, 3), full.elems[~full.solid]),
+    ]
+    for mesh, dm, elems in cases:
+        k_loc, m_loc = _volume_locals(mesh, tensor)
+        edofs = dm.element_dofs(mesh.elems if elems is None else elems)
+        shape = (dm.n_dofs, dm.n_dofs)
+        k = fem.assemble_elasticity(mesh, tensor, dm, elems=elems).matrix
+        _assert_matches_loop(k, _element_loop(k_loc, edofs, edofs, shape))
+        m = fem.assemble_mass(mesh, dm, weight=2.0, elems=elems).matrix
+        _assert_matches_loop(m, _element_loop(2.0 * m_loc, edofs, edofs, shape))
+    # mass couples equal components only: two thirds of each 3x3 block is zero
+    assert m.nnz == 3 * dm.plan(elems).count.shape[0]
+    mesh, dm, _ = cases[1]
+    N, G, w, _ = fem.hex_reference(mesh.spacing)
+    gg = np.einsum("q,qai,qbi->iab", w, G, G)
+    nn = np.einsum("q,qa,qb->ab", w, N, N)
+    local = np.zeros((24, 24))
+    for c in range(3):
+        local[c::3, c::3] = (c + 1.0) * nn + gg[0] + 2.0 * gg[1] + 0.5 * c * gg[2]
+    grad_w = [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [0.0, 0.5, 1.0]]
+    b = fem.assemble_anisotropic(mesh, dm, (1.0, 2.0, 3.0), grad_w).matrix
+    edofs = dm.element_dofs(mesh.elems)
+    _assert_matches_loop(b, _element_loop(local, edofs, edofs, (dm.n_dofs,) * 2))
+
+
+def test_surface_mass_matches_face_loop():
+    geom = pg.build_cell_geometry(pg.channel_mask(4), m=4)
+    lm = pg.build_layer_mesh(geom, 0.5, SIGMA, 4, include_void=True)
+    dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+    faces = lm.lateral_faces
+    assert {(int(a), int(s)) for _, a, s in faces} == {(a, s) for a in (0, 1) for s in (-1, 1)}
+    locals_ = np.empty((faces.shape[0], 24, 24))
+    for f, (e, axis, side) in enumerate(faces):
+        _, pts, w = fem.face_quadrature(lm.spacing, int(axis))
+        Nf = fem.face_shape_values(int(axis), int(side), pts)
+        locals_[f] = np.kron(np.einsum("q,qa,qb->ab", w, Nf, Nf), np.eye(3))
+    edofs = dm.element_dofs(lm.elems[faces[:, 0]])
+    want = _element_loop(locals_, edofs, edofs, (dm.n_dofs, dm.n_dofs))
+    assert np.count_nonzero(want)
+    _assert_matches_loop(fem.assemble_surface_mass(lm, dm, faces).matrix, want)
+
+
+def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
+    built = []
+
+    class CountingPlan(fem.AssemblyPlan):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0].shape)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "AssemblyPlan", CountingPlan)
+    lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
+    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.5)
+    assert built == [lm.elems.shape]  # mass, stiffness and strain energy
+    assert ops.mass.matrix.nnz < ops.stiffness.matrix.nnz
+    # a new DofMap builds its own plan, and so does another element array
+    full = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4, include_void=True)
+    built.clear()
+    inq.extension_problem(full)
+    assert len(built) == 2  # solid elements (energy and mass), void elements
+
+
+def test_hex_reference_cached_read_only():
+    a = fem.hex_reference((0.25, 0.25, 0.25))
+    b = fem.hex_reference([0.25, 0.25, 0.25])
+    assert all(x is y for x, y in zip(a, b))
+    for arr in a:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    assert fem.hex_reference((0.5, 0.5, 0.5))[2][0] == pytest.approx(8.0 * a[2][0], rel=1e-15)

@@ -165,3 +165,44 @@ def test_checkerboard_mask_rejected():
     mask[0, 0, 0] = mask[1, 1, 1] = True
     with pytest.raises((DisconnectedSolid, PeriodicMismatch)):
         pg.build_cell_geometry(mask)
+
+
+def _faces_by_loop(lm):
+    """Face lists and Dirichlet nodes by the per-element, per-face loop over
+    the global voxel grid, rebuilt from the mesh."""
+    h = lm.spacing[0]
+    a1, b1, a2, b2 = lm.sigma
+    origin = np.array([a1, a2, -lm.eps])
+    voxels = np.rint((lm.coords[lm.elems[:, 0]] - origin) / h).astype(np.int64)
+    big = np.zeros((round((b1 - a1) / h), round((b2 - a2) / h), 2 * lm.resolution), bool)
+    big[tuple(voxels[lm.solid].T)] = True
+    gamma, lateral, dirichlet = [], [], set()
+    for e, (i, j, k) in enumerate(voxels):
+        for axis, side in pg.HEX_FACES:
+            nbr = [i, j, k]
+            nbr[axis] += side
+            inside = all(0 <= v < n for v, n in zip(nbr, big.shape))
+            if axis < 2 and not inside:
+                lateral.append((e, axis, side))
+                if lm.solid[e]:
+                    dirichlet.update(int(lm.elems[e, ln]) for ln in pg.HEX_FACES[(axis, side)])
+            elif lm.solid[e] and (not inside or not big[tuple(nbr)]):
+                gamma.append((e, axis, side))
+    return (np.array(gamma, dtype=np.int64).reshape(-1, 3),
+            np.array(lateral, dtype=np.int64).reshape(-1, 3),
+            np.array(sorted(dirichlet), dtype=np.int64))
+
+
+@pytest.mark.parametrize("descriptor", ["full", BOX_HOLE, "channel"])
+def test_layer_faces_match_per_face_loop(descriptor):
+    if descriptor == "channel":
+        descriptor = pg.channel_mask(4, height=(-0.75, 0.25))
+    geom = pg.build_cell_geometry(descriptor, m=4)
+    for eps in (0.5, 0.25):
+        for include_void in (False, True):
+            lm = pg.build_layer_mesh(geom, eps, SIGMA, 4, include_void=include_void)
+            gamma, lateral, dirichlet = _faces_by_loop(lm)
+            for got, want in ((lm.gamma_faces, gamma), (lm.lateral_faces, lateral),
+                              (lm.dirichlet_nodes, dirichlet)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)

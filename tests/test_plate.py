@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,38 @@ def test_energy_conserved_from_velocity_kick(full_eff, cell_quad):
     assert e0 > 0
     for e1, e2 in zip(energies, energies[1:]):
         assert abs(e2 - e1) <= 1e-10 * e0
+
+
+def test_plate_operators_match_element_loop(full_eff):
+    # the coupling block is rectangular (membrane rows, bending columns);
+    # a random b* makes every entry of its local matrix count
+    b = rng(11).standard_normal((2, 2, 2, 2))
+    eff = replace(full_eff, b_star=b)
+    pmesh = pg.build_plate_mesh(SIGMA, 4)
+    system = pp.assemble_plate_system(pmesh, eff)
+    x, w = np.polynomial.legendre.leggauss(4)
+    xi, eta = (g.ravel() for g in np.meshgrid(0.5 * (x + 1.0), 0.5 * (x + 1.0), indexing="ij"))
+    h1, h2 = pmesh.spacing
+    wq = np.outer(0.5 * w, 0.5 * w).ravel() * h1 * h2
+    basis = pp.bending_basis(xi, eta, pmesh.spacing)
+    val, dx, dy = pp.membrane_basis(xi, eta, pmesh.spacing)
+    s = np.sqrt(2.0)
+    hess = np.stack([basis.dxx, basis.dyy, s * basis.dxy], axis=1)
+    strain = np.zeros((xi.size, 3, 8))
+    strain[:, 0, 0::2], strain[:, 2, 0::2] = dx, s * 0.5 * dy
+    strain[:, 1, 1::2], strain[:, 2, 1::2] = dy, s * 0.5 * dx
+    k_ab = np.einsum("q,qrj,rs,qsi->ij", wq, hess, eff.voigt(b), strain)
+    m_b = np.einsum("q,qi,qj->ij", wq, basis.val, basis.val)
+    eb = system.bend_dofs.element_dofs(pmesh.elems)
+    em = system.memb_dofs.element_dofs(pmesh.elems)
+    nb, nm = system.bend_dofs.n_dofs, system.memb_dofs.n_dofs
+    for mat, local, rows, cols, shape in ((system.k_ab, k_ab, em, eb, (nm, nb)),
+                                          (system.m_b, m_b, eb, eb, (nb, nb))):
+        want = np.zeros(shape)
+        for e in range(pmesh.n_elems):
+            kr, kc = rows[e] >= 0, cols[e] >= 0
+            np.add.at(want, (rows[e][kr][:, None], cols[e][kc][None, :]),
+                      local[np.ix_(kr, kc)])
+        assert mat.shape == shape
+        assert mat.nnz == np.count_nonzero(mat.data)
+        assert np.abs(mat.toarray() - want).max() <= 1e-14 * np.abs(want).max()
