@@ -86,8 +86,8 @@ def _cell_operator(mesh, tensor, dofmap):
 def _strain_load_vectors(mesh, dofmap, stress: np.ndarray):
     """Element load vectors of phi -> int s(y3) stress : D(phi) split into a
     constant part and a part linear in the element-local y3 coordinate."""
-    N, G, w, ref = fem.hex_reference(mesh.spacing)
-    B = fem.strain_matrices(G)
+    w, ref = fem.hex_reference(mesh.spacing)[2:]
+    B = fem.strain_matrices(mesh.spacing)
     sm = fem.sym_to_mandel(stress)
     v_const = np.einsum("q,qid,i->d", w, B, sm)
     v_lin = np.einsum("q,q,qid,i->d", w, ref[:, 2], B, sm)
@@ -264,8 +264,8 @@ def _cell_boundary_nodes(mesh: CellMesh) -> np.ndarray:
 
 def _field_rhs(mesh, dofmap, xi):
     """Load vector of phi -> int xi : D(phi) for a quadrature-point field."""
-    N, G, w, _ = fem.hex_reference(mesh.spacing)
-    B = fem.strain_matrices(G)
+    w = fem.hex_reference(mesh.spacing)[2]
+    B = fem.strain_matrices(mesh.spacing)
     xm = fem.sym_to_mandel(xi)
     local = np.einsum("q,qid,eqi->ed", w, B, xm)
     edofs = dofmap.element_dofs(mesh.elems)

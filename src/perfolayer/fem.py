@@ -181,20 +181,42 @@ def _hex_reference(spacing: tuple):
     return out
 
 
-def strain_matrices(G: np.ndarray) -> np.ndarray:
-    """Mandel strain-displacement matrices B (n_q, 6, 24); DOF order is
-    node-major (node a, component c) -> 3*a + c."""
-    nq = G.shape[0]
-    B = np.zeros((nq, 6, 24))
-    for q in range(nq):
-        for a in range(8):
-            for c in range(3):
-                dof = 3 * a + c
-                s = np.zeros((3, 3))
-                s[c, :] += 0.5 * G[q, a, :]
-                s[:, c] += 0.5 * G[q, a, :]
-                B[q, :, dof] = sym_to_mandel(s)
+def strain_matrices(spacing) -> np.ndarray:
+    """Mandel strain-displacement matrices B (n_q, 6, 24) of the 2x2x2 rule;
+    DOF order is node-major (node a, component c) -> 3*a + c.  Cached per
+    spacing and read-only, like ``hex_reference``."""
+    return _strain_matrices(tuple(float(h) for h in spacing))
+
+
+@functools.lru_cache(maxsize=16)
+def _strain_matrices(spacing: tuple):
+    G = _hex_reference(spacing)[1]
+    B = np.zeros((G.shape[0], 6, 8, 3))
+    for r, (i, j) in enumerate(_MANDEL_PAIRS):
+        if i == j:
+            B[:, r, :, i] = G[:, :, i]
+        else:  # D_ij = (d_j u_i + d_i u_j) / 2, times sqrt(2)
+            B[:, r, :, i] = 0.5 * G[:, :, j] * _SQRT2
+            B[:, r, :, j] = 0.5 * G[:, :, i] * _SQRT2
+    B = B.reshape(G.shape[0], 6, 24)
+    B.flags.writeable = False
     return B
+
+
+@functools.lru_cache(maxsize=16)
+def _value_strain_table(spacing: tuple):
+    """(24, n_q * 9) map from the node-major dofs of a three-component element
+    to, per quadrature point, its three values and six Mandel strains."""
+    N = _hex_reference(spacing)[0]
+    nq = N.shape[0]
+    table = np.zeros((8, 3, nq, 9))
+    for c in range(3):
+        table[:, c, :, c] = N.T
+    table = table.reshape(24, nq, 9)
+    table[:, :, 3:] = _strain_matrices(spacing).transpose(2, 0, 1)
+    table = table.reshape(24, nq * 9)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +305,7 @@ class SymmetricOperator:
     def __init__(self, matrix: sp.csr_matrix, augmentations=()):
         self.matrix = matrix.tocsr()
         self.augmentations = [(float(s), np.asarray(v)) for s, v in augmentations]
+        self._diagonal = None
 
     @property
     def shape(self):
@@ -299,10 +322,14 @@ class SymmetricOperator:
         return float(np.dot(x, self.matvec(x)))
 
     def diagonal(self) -> np.ndarray:
-        d = self.matrix.diagonal().copy()
-        for s, v in self.augmentations:
-            d += s * v * v
-        return d
+        """Diagonal with the augmentations, computed once and read-only."""
+        if self._diagonal is None:
+            d = self.matrix.diagonal().copy()
+            for s, v in self.augmentations:
+                d += s * v * v
+            d.flags.writeable = False
+            self._diagonal = d
+        return self._diagonal
 
     def dense(self) -> np.ndarray:
         a = self.matrix.toarray()
@@ -371,8 +398,8 @@ def scatter_vector(local: np.ndarray, edofs: np.ndarray, n: int) -> np.ndarray:
 def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
                         elems=None) -> SymmetricOperator:
     """Operator of (u, v) -> int A D(u) : D(v) over the mesh elements."""
-    N, G, w, _ = hex_reference(mesh.spacing)
-    B = strain_matrices(G)
+    w = hex_reference(mesh.spacing)[2]
+    B = strain_matrices(mesh.spacing)
     Am = tensor.mandel()
     local = np.einsum("q,qia,ij,qjb->ab", w, B, Am, B)
     return _assemble(mesh, dofmap, elems, local)
@@ -594,6 +621,16 @@ def element_values(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
     N, G, w, _ = hex_reference(mesh.spacing)
     el = mesh.elems if elems is None else elems
     return np.einsum("eac,qa->eqc", nodal[el], N, optimize=True)
+
+
+def element_fields(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
+    """Values and Mandel symmetric gradient of a three-component field at
+    the quadrature points, shape (E, n_q, 9): the three values, then the
+    six Mandel strains.  One gather and one product with a table cached per
+    spacing."""
+    el = mesh.elems if elems is None else elems
+    table = _value_strain_table(tuple(float(h) for h in mesh.spacing))
+    return (nodal[el].reshape(el.shape[0], -1) @ table).reshape(el.shape[0], -1, 9)
 
 
 def quadrature_weights(mesh, n_elems=None) -> np.ndarray:

@@ -10,6 +10,7 @@ cell corrector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ class MicroOperators:
     quad_x: np.ndarray                # (E, Q, 3) physical points
     quad_y: np.ndarray                # (E, Q, 3) cell coordinates x/eps mod 1
     quad_w: np.ndarray
+    elem_dofs: np.ndarray             # (E, 24) reduced dofs, -1 = eliminated
     surface_rhs: np.ndarray           # fixed traction contribution
     # memo of two_scale_errors, rebuilt for another plate system or cell set
     transfer: PlateTransfer | None = field(default=None, repr=False)
@@ -44,7 +46,10 @@ class MicroOperators:
 
 @dataclass
 class MicroState:
-    """Displacement, velocity and acceleration on the layer mesh at time t."""
+    """Displacement, velocity and acceleration on the layer mesh at time t.
+
+    The quadratic forms behind the energies and the scaled a priori norms
+    are computed once per state."""
 
     ops: MicroOperators
     t: float
@@ -61,18 +66,26 @@ class MicroState:
     def nodal(self) -> np.ndarray:
         return self.ops.dofmap.expand(self.u)
 
+    @functools.cached_property
+    def _v_mass_v(self) -> float:
+        return float(self.v @ self.ops.mass.matvec(self.v))
+
+    @functools.cached_property
+    def _u_stiffness_u(self) -> float:
+        return float(self.u @ self.ops.stiffness.matvec(self.u))
+
+    @functools.cached_property
+    def _u_strain_u(self) -> float:
+        return float(self.u @ self.ops.strain_energy.matvec(self.u))
+
     def scaled_velocity_norm(self) -> float:
-        return float(np.sqrt(max(self.v @ self.ops.mass.matvec(self.v), 0.0))
-                     / np.sqrt(self.eps))
+        return float(np.sqrt(max(self._v_mass_v, 0.0)) / np.sqrt(self.eps))
 
     def scaled_strain_norm(self) -> float:
-        e = float(self.u @ self.ops.strain_energy.matvec(self.u))
-        return float(np.sqrt(max(e, 0.0)) / self.eps**1.5)
+        return float(np.sqrt(max(self._u_strain_u, 0.0)) / self.eps**1.5)
 
     def energies(self):
-        kin = 0.5 * float(self.v @ self.ops.mass.matvec(self.v))
-        ela = 0.5 * float(self.u @ self.ops.stiffness.matvec(self.u))
-        return kin, ela
+        return 0.5 * self._v_mass_v, 0.5 * self._u_stiffness_u
 
 
 def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
@@ -109,6 +122,7 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
     return MicroOperators(lmesh=lmesh, dofmap=dofmap, eps=eps, mass=mass,
                           stiffness=stiffness, strain_energy=k_d,
                           quad_x=quad_x, quad_y=quad_y, quad_w=quad_w,
+                          elem_dofs=dofmap.element_dofs(lmesh.elems),
                           surface_rhs=surface_rhs)
 
 
@@ -118,8 +132,9 @@ def zero_micro_state(ops: MicroOperators) -> MicroState:
 
 
 def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
-                u3_quad: np.ndarray) -> np.ndarray:
-    """Load vector of the scaled volume force (f1/eps, f2/eps, f3)."""
+                u3_quad) -> np.ndarray:
+    """Load vector of the scaled volume force (f1/eps, f2/eps, f3); the
+    force sees z = ``u3_quad``, an (E, Q) array or a scalar."""
     eps = ops.eps
     x = ops.quad_x
     y = ops.quad_y
@@ -130,15 +145,17 @@ def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
                                      y[..., 0], y[..., 1], y[..., 2], u3_quad)
     fvals[..., 0] /= eps
     fvals[..., 1] /= eps
-    N, G, w, _ = fem.hex_reference(ops.lmesh.spacing)
-    local = np.einsum("q,qa,eqc->eac", w, N, fvals).reshape(E, -1)
-    edofs = ops.dofmap.element_dofs(ops.lmesh.elems)
-    return fem.scatter_vector(local, edofs, ops.dofmap.n_dofs)
+    N, _, w, _ = fem.hex_reference(ops.lmesh.spacing)
+    local = ((w[:, None] * N).T @ fvals).reshape(E, -1)  # sum_q w_q N_a(q) f_c(q)
+    return fem.scatter_vector(local, ops.elem_dofs, ops.dofmap.n_dofs)
 
 
 def micro_rhs(ops: MicroOperators, loads: LoadModel, t: float,
               u_nodal: np.ndarray) -> np.ndarray:
-    u3_quad = fem.element_values(ops.lmesh, u_nodal)[..., 2]
+    """Load vector at time t; the volume force sees the vertical displacement
+    only when it depends on z."""
+    u3_quad = (fem.element_values(ops.lmesh, u_nodal)[..., 2]
+               if loads.f_depends_z else 0.0)
     return _volume_rhs(ops, loads, t, u3_quad) + ops.surface_rhs
 
 
@@ -399,44 +416,84 @@ def _cell_element_lookup(lmesh: LayerMesh, cmesh):
     return lookup[l1, l2, l3]
 
 
+def _inplane_points(lmesh: LayerMesh, elems: np.ndarray):
+    """Distinct in-plane coordinates of the quadrature points of ``elems``
+    and, per point (element-major), the index of its distinct point.
+
+    The points of one vertical column of elements repeat their in-plane
+    coordinates, so each point is keyed by integers: its voxel column and
+    its in-plane Gauss index.  The keys sort like the coordinates, so the
+    result equals ``np.unique(axis=0)`` on the coordinate pairs.
+    """
+    ref = fem.hex_reference(lmesh.spacing)[3]
+    a1, _, a2, _ = lmesh.sigma
+    corner = lmesh.coords[elems[:, 0]]
+    keys = []
+    for axis, a in ((0, a1), (1, a2)):
+        column = np.rint((corner[:, axis] - a) / lmesh.spacing[axis]).astype(np.int64)
+        gauss, index = np.unique(ref[:, axis], return_inverse=True)
+        keys.append(column[:, None] * gauss.size + index)
+    _, first, inverse = np.unique(keys[0] * (keys[1].max() + 1) + keys[1],
+                                  return_index=True, return_inverse=True)
+    pts = fem.quadrature_points(lmesh, elems)[..., :2].reshape(-1, 2)
+    return pts[first], inverse.reshape(-1)
+
+
 @dataclass
 class PlateTransfer:
     """Data of the layer-to-plate comparison that no time step changes.
 
-    The layer quadrature points repeat their in-plane coordinates down each
-    column, so the plate fields are evaluated once per distinct point
-    (``plate_at``) and gathered back through ``inverse``.  The cell symmetric
-    gradients stay at cell size and are gathered per step through
-    ``cell_elem``.
+    ``elems`` holds the layer elements ordered by their cell element, so a
+    per-point array reshapes to (cell element, cell, quadrature point) and
+    meets the cell-size tables without a gather.  The layer quadrature
+    points repeat their in-plane coordinates down each column, so the plate
+    fields are evaluated once per distinct point (``plate_at``) and gathered
+    back through ``inverse``.
+
+    ``limit_strain`` (Ec, Q, 6, 6) maps, per cell element and quadrature
+    point, the six plate coefficients (membrane strain, then Hessian, each
+    as 11, 22, 12 + 21) to the Mandel limit strain: the Kirchhoff-Love part
+    e - y3 H in the plane plus the symmetric gradients of the six cell
+    correctors (stretch, then bending, in ``INDEX_PAIRS`` order).
     """
 
     system: PlateSystem
     sols: CellSolutionSet
     plate_at: PlatePoints
+    elems: np.ndarray           # (E, 8) layer elements by cell element
     inverse: np.ndarray         # layer quadrature point -> distinct point
     y3: np.ndarray              # x3 / eps per layer quadrature point
     flat_w: np.ndarray
-    cell_elem: np.ndarray       # layer element -> cell element
-    stretch_sym: dict           # index pair -> (Ec, Q, 3, 3) cell D(chi)
-    bending_sym: dict
+    limit_strain: np.ndarray
 
     @classmethod
     def build(cls, ops: MicroOperators, system: PlateSystem,
               sols: CellSolutionSet) -> "PlateTransfer":
-        x = ops.quad_x
-        distinct, inverse = np.unique(x[..., :2].reshape(-1, 2), axis=0,
-                                      return_inverse=True)
+        lmesh, cmesh = ops.lmesh, sols.mesh
+        cell_elem = _cell_element_lookup(lmesh, cmesh)
+        counts = np.bincount(cell_elem[cell_elem >= 0], minlength=cmesh.n_elems)
+        if (cell_elem < 0).any() or (counts != lmesh.n_cells).any():
+            raise InconsistentMesh("layer elements do not tile whole solid cells")
+        elems = lmesh.elems[np.argsort(cell_elem, kind="stable")]
+        distinct, inverse = _inplane_points(lmesh, elems)
+        chis = [sols.stretch[ij] for ij in INDEX_PAIRS]
+        chis += [sols.bending[ij] for ij in INDEX_PAIRS]
+        limit = np.stack([fem.element_fields(cmesh, chi.nodal())[..., 3:]
+                          for chi in chis], axis=2)
+        y3 = fem.quadrature_points(cmesh)[..., 2]
+        limit[..., 0, 0] += 1.0
+        limit[..., 1, 1] += 1.0
+        limit[..., 2, 5] += np.sqrt(0.5)  # Mandel 12 entry: sqrt(2) (12 + 21) / 2
+        limit[..., 3, 0] -= y3
+        limit[..., 4, 1] -= y3
+        limit[..., 5, 5] -= np.sqrt(0.5) * y3
         return cls(
             system=system, sols=sols,
             plate_at=PlatePoints(system, distinct),
-            inverse=inverse.reshape(-1),
-            y3=(x[..., 2] / ops.eps).reshape(-1),
+            elems=elems, inverse=inverse,
+            y3=(fem.quadrature_points(lmesh, elems)[..., 2] / ops.eps).reshape(-1),
             flat_w=ops.quad_w.reshape(-1),
-            cell_elem=_cell_element_lookup(ops.lmesh, sols.mesh),
-            stretch_sym={ij: fem.gradient_decomposition(
-                sols.mesh, sols.stretch[ij].nodal()).sym for ij in INDEX_PAIRS},
-            bending_sym={ij: fem.gradient_decomposition(
-                sols.mesh, sols.bending[ij].nodal()).sym for ij in INDEX_PAIRS},
+            limit_strain=limit,
         )
 
 
@@ -452,61 +509,41 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
                      sols: CellSolutionSet) -> TwoScaleReport:
     """Quadrature evaluation of the scaled two-scale errors over the solid
     layer, with the corrector contribution inside the symmetric-gradient
-    term."""
+    term (taken in Mandel form, which keeps the norm)."""
     ops = micro_state.ops
     if abs(micro_state.t - plate_state.t) > 1e-10 * max(1.0, abs(micro_state.t)):
         raise TimeMismatch(
             f"micro t = {micro_state.t} but plate t = {plate_state.t}")
     eps = ops.eps
-    lmesh = ops.lmesh
     tr = _plate_transfer(ops, plate_state.system, sols)
+    n_ce, nq = tr.limit_strain.shape[:2]
 
-    u_nodal = micro_state.nodal()
-    uq = fem.element_values(lmesh, u_nodal)       # (E, Q, 3)
-    dq = fem.gradient_decomposition(lmesh, u_nodal).sym
-    E, Q = ops.quad_x.shape[:2]
+    # u and the Mandel D(u) at the layer points: (E Q, 9)
+    fields = fem.element_fields(ops.lmesh, micro_state.nodal(), tr.elems).reshape(-1, 9)
+    wvals, grad, hess = tr.plate_at.deflection(plate_state.w, derivatives=True)
+    u1, strain = tr.plate_at.membrane(plate_state.m, derivatives=True)
+    plate = np.column_stack([
+        wvals, grad, u1,
+        strain[:, 0, 0], strain[:, 1, 1], strain[:, 0, 1] + strain[:, 1, 0],
+        hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1] + hess[:, 1, 0],
+    ])[tr.inverse]
     y3 = tr.y3
     flat_w = tr.flat_w
 
-    inv = tr.inverse
-    wvals, grad, hess = (v[inv] for v in tr.plate_at.deflection(
-        plate_state.w, derivatives=True))
-    u1, strain = (v[inv] for v in tr.plate_at.membrane(
-        plate_state.m, derivatives=True))
-
-    du3 = uq[..., 2].reshape(-1) - wvals
-    err_u3 = np.sqrt(np.sum(flat_w * du3**2) / eps)
-
+    du3 = fields[:, 2] - plate[:, 0]
+    err_u3 = float(np.sqrt(flat_w @ du3**2 / eps))
     err_u1 = []
     for al in range(2):
-        limit = u1[:, al] - y3 * grad[:, al]
-        dua = uq[..., al].reshape(-1) / eps - limit
-        err_u1.append(float(np.sqrt(np.sum(flat_w * dua**2) / eps)))
+        dua = fields[:, al] / eps - (plate[:, 3 + al] - y3 * plate[:, 1 + al])
+        err_u1.append(float(np.sqrt(flat_w @ dua**2 / eps)))
 
-    # corrector strain at the matching cell quadrature points
-    coeff_s = {
-        (1, 1): strain[:, 0, 0], (2, 2): strain[:, 1, 1],
-        (1, 2): strain[:, 0, 1] + strain[:, 1, 0],
-    }
-    coeff_b = {
-        (1, 1): hess[:, 0, 0], (2, 2): hess[:, 1, 1],
-        (1, 2): hess[:, 0, 1] + hess[:, 1, 0],
-    }
-    dy_u2 = np.zeros((E * Q, 3, 3))
-    for ij in INDEX_PAIRS:
-        gathered_s = tr.stretch_sym[ij][tr.cell_elem].reshape(E * Q, 3, 3)
-        gathered_b = tr.bending_sym[ij][tr.cell_elem].reshape(E * Q, 3, 3)
-        dy_u2 += coeff_s[ij][:, None, None] * gathered_s
-        dy_u2 += coeff_b[ij][:, None, None] * gathered_b
-
-    limit_strain = np.zeros((E * Q, 3, 3))
-    limit_strain[:, :2, :2] = strain - y3[:, None, None] * hess
-    limit_strain += dy_u2
-    diff = dq.reshape(E * Q, 3, 3) / eps - limit_strain
-    err_sym = float(np.sqrt(np.sum(flat_w * np.sum(diff**2, axis=(1, 2))) / eps))
+    coeff = plate[:, 5:].reshape(n_ce, -1, nq, 6)
+    limit = np.einsum("cnqk,cqkm->cnqm", coeff, tr.limit_strain, optimize=True)
+    diff = fields[:, 3:] / eps - limit.reshape(-1, 6)
+    err_sym = float(np.sqrt(flat_w @ np.einsum("pm,pm->p", diff, diff) / eps))
 
     return TwoScaleReport(
-        eps=eps, t=micro_state.t, err_u3=float(err_u3),
+        eps=eps, t=micro_state.t, err_u3=err_u3,
         err_u1=(err_u1[0], err_u1[1]), err_symgrad=err_sym,
         apriori_v=micro_state.scaled_velocity_norm(),
         apriori_D=micro_state.scaled_strain_norm(),

@@ -168,6 +168,9 @@ class PlateSystem:
     quad_w: np.ndarray         # physical weights (Q,)
     basis: BendingBasis
     mb_val: np.ndarray
+    # PlatePoints of the last points evaluated through evaluate_deflection
+    # or evaluate_membrane
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -314,12 +317,13 @@ class PlatePoints:
 
     Evaluating changing coefficients at the same points reuses the tables,
     which are built on first use; ``evaluate_deflection`` and
-    ``evaluate_membrane`` build one per call.
+    ``evaluate_membrane`` keep the one of the last points asked for.
     """
 
     def __init__(self, system: PlateSystem, pts: np.ndarray):
         self.system = system
-        self.elem, self.xi, self.eta = _locate(system.pmesh, np.atleast_2d(pts))
+        self.pts = np.array(np.atleast_2d(pts), dtype=float)
+        self.elem, self.xi, self.eta = _locate(system.pmesh, self.pts)
 
     @functools.cached_property
     def _bending(self):
@@ -372,16 +376,24 @@ class PlatePoints:
         return u, strain
 
 
+def _plate_points(system: PlateSystem, pts: np.ndarray) -> PlatePoints:
+    """PlatePoints of the points, memoized on the system for the last points."""
+    at = system.memo.get("points")
+    if at is None or not np.array_equal(at.pts, np.atleast_2d(pts)):
+        at = system.memo["points"] = PlatePoints(system, pts)
+    return at
+
+
 def evaluate_deflection(system: PlateSystem, w_red: np.ndarray, pts: np.ndarray,
                         derivatives: bool = False):
     """Deflection (and optionally gradient and Hessian) at arbitrary points."""
-    return PlatePoints(system, pts).deflection(w_red, derivatives)
+    return _plate_points(system, pts).deflection(w_red, derivatives)
 
 
 def evaluate_membrane(system: PlateSystem, m_red: np.ndarray, pts: np.ndarray,
                       derivatives: bool = False):
     """In-plane displacement (and optionally its symmetric gradient)."""
-    return PlatePoints(system, pts).membrane(m_red, derivatives)
+    return _plate_points(system, pts).membrane(m_red, derivatives)
 
 
 def deflection_at_quad(system: PlateSystem, w_red: np.ndarray) -> np.ndarray:
@@ -444,18 +456,21 @@ def static_solve(system: PlateSystem, loads: LoadModel, t: float = 0.0,
 def newmark_step(state: PlateState, dt: float, loads: LoadModel,
                  beta: float = 0.25, gamma: float = 0.5,
                  picard_tol: float = 1e-10, picard_max: int = 30,
-                 tol: float = 1e-12) -> PlateState:
+                 tol: float = 1e-12,
+                 op: fem.SymmetricOperator | None = None) -> PlateState:
     """One implicit Newmark step with Picard resolution of the z-dependence.
 
     The membrane block is carried at the new time level (no inertia); loads
-    that do not depend on the deflection converge in a single sweep.
+    that do not depend on the deflection converge in a single sweep.  ``op``
+    is the block operator of (dt, beta), built here when not given.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     system = state.system
     t_new = state.t + dt
     factor = 1.0 / (beta * dt * dt)
-    op = _block_operator(system, factor)
+    if op is None:
+        op = _block_operator(system, factor)
     w_pred = state.w + dt * state.v + dt * dt * (0.5 - beta) * state.a
 
     w_iter = state.w
@@ -541,9 +556,11 @@ def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
             on_state(st)
 
     record(state)
+    op = _block_operator(system, 1.0 / (beta * dt * dt))
     n_steps = int(round(t_end / dt))
     for _ in range(n_steps):
         state = newmark_step(state, dt, loads, beta=beta, gamma=gamma,
-                             picard_tol=picard_tol, picard_max=picard_max, tol=tol)
+                             picard_tol=picard_tol, picard_max=picard_max, tol=tol,
+                             op=op)
         record(state)
     return traj

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from perfolayer import fem
 from perfolayer import geometry as pg
@@ -345,7 +346,7 @@ def _assert_matches_loop(mat, want):
 def _volume_locals(mesh, tensor):
     """Dof-level local elasticity and unit mass matrices (node-major)."""
     N, G, w, _ = fem.hex_reference(mesh.spacing)
-    B = fem.strain_matrices(G)
+    B = fem.strain_matrices(mesh.spacing)
     k = np.einsum("q,qia,ij,qjb->ab", w, B, tensor.mandel(), B)
     m = np.kron(np.einsum("q,qa,qb->ab", w, N, N), np.eye(3))
     return k, m
@@ -430,3 +431,37 @@ def test_hex_reference_cached_read_only():
         with pytest.raises(ValueError):
             arr[...] = 0.0
     assert fem.hex_reference((0.5, 0.5, 0.5))[2][0] == pytest.approx(8.0 * a[2][0], rel=1e-15)
+
+
+def _strain_matrices_loop(G):
+    """The per-entry construction of the Mandel strain-displacement tables."""
+    B = np.zeros((G.shape[0], 6, 24))
+    for q in range(G.shape[0]):
+        for a in range(8):
+            for c in range(3):
+                s = np.zeros((3, 3))
+                s[c, :] += 0.5 * G[q, a, :]
+                s[:, c] += 0.5 * G[q, a, :]
+                B[q, :, 3 * a + c] = fem.sym_to_mandel(s)
+    return B
+
+
+@pytest.mark.parametrize("spacing", [(0.25, 0.25, 0.25), (0.5, 0.125, 1.0 / 3.0)])
+def test_strain_matrices_equal_loop_cached_read_only(spacing):
+    B = fem.strain_matrices(spacing)
+    assert np.array_equal(B, _strain_matrices_loop(fem.hex_reference(spacing)[1]))
+    assert fem.strain_matrices(list(spacing)) is B
+    with pytest.raises(ValueError):
+        B[...] = 0.0
+
+
+def test_symmetric_operator_diagonal_computed_once():
+    r = rng(4)
+    a = r.standard_normal((6, 6))
+    v = r.standard_normal(6)
+    op = fem.SymmetricOperator(sp.csr_matrix(a @ a.T), [(2.0, v)])
+    d = op.diagonal()
+    assert np.array_equal(d, np.diag(a @ a.T) + 2.0 * v * v)
+    assert op.diagonal() is d
+    with pytest.raises(ValueError):
+        d[0] = 1.0

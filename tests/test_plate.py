@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -270,3 +272,67 @@ def test_plate_operators_match_element_loop(full_eff):
         assert mat.shape == shape
         assert mat.nnz == np.count_nonzero(mat.data)
         assert np.abs(mat.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_run_plate_builds_block_operator_once(full_eff, cell_quad, monkeypatch):
+    system = pp.assemble_plate_system(pg.build_plate_mesh(SIGMA, 4), full_eff)
+    loads = _loads("smooth", cell_quad)
+    dt = 0.02
+    built = []
+    real = pp._block_operator
+    monkeypatch.setattr(pp, "_block_operator",
+                        lambda *a: built.append(a[1]) or real(*a))
+    traj = pp.run_plate(system, loads, dt=dt, t_end=3 * dt, store_states=True)
+    assert built == [1.0 / (0.25 * dt * dt)]
+    # run_plate starts from the stationary membrane; step on from its states
+    for st in traj.states[:-1]:
+        a = pp.newmark_step(st, dt, loads)
+        b = pp.newmark_step(st, dt, loads, op=real(system, built[0]))
+        assert np.array_equal(a.w, b.w) and np.array_equal(a.m, b.m)
+
+
+def test_evaluation_points_memoized_on_system(full_eff):
+    system = pp.assemble_plate_system(pg.build_plate_mesh(SIGMA, 4), full_eff)
+    r = np.random.default_rng(12)
+    w = r.standard_normal(system.bend_dofs.n_dofs)
+    m = r.standard_normal(system.memb_dofs.n_dofs)
+    pts = r.uniform(0.0, 1.0, (7, 2))
+    first = pp.evaluate_deflection(system, w, pts, derivatives=True)
+    at = system.memo["points"]
+    second = pp.evaluate_membrane(system, m, pts.copy(), derivatives=True)
+    assert system.memo["points"] is at
+    fresh = pp.PlatePoints(system, pts)
+    for got, want in zip(first + second, fresh.deflection(w, True) + fresh.membrane(m, True)):
+        assert np.array_equal(got, want)
+    pp.evaluate_deflection(system, w, pts[:3])
+    assert system.memo["points"] is not at
+    assert np.array_equal(system.memo["points"].pts, pts[:3])
+
+
+def test_evaluation_memo_shared_by_threads(full_eff):
+    # converge runs its eps jobs on threads that share one plate system
+    system = pp.assemble_plate_system(pg.build_plate_mesh(SIGMA, 4), full_eff)
+    r = np.random.default_rng(13)
+    w = r.standard_normal(system.bend_dofs.n_dofs)
+    sets = [r.uniform(0.0, 1.0, (5 + k, 2)) for k in range(8)]
+    want = [pp.PlatePoints(system, pts).deflection(w, True) for pts in sets]
+    wrong = []
+
+    def work(k):
+        for _ in range(50):
+            got = pp.evaluate_deflection(system, w, sets[k], derivatives=True)
+            if not all(np.array_equal(g, v) for g, v in zip(got, want[k])):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
