@@ -132,9 +132,8 @@ def zero_micro_state(ops: MicroOperators) -> MicroState:
 
 
 def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
-                u3_quad) -> np.ndarray:
-    """Load vector of the scaled volume force (f1/eps, f2/eps, f3); the
-    force sees z = ``u3_quad``, an (E, Q) array or a scalar."""
+                u3_quad: np.ndarray) -> np.ndarray:
+    """Load vector of the scaled volume force (f1/eps, f2/eps, f3)."""
     eps = ops.eps
     x = ops.quad_x
     y = ops.quad_y
@@ -152,10 +151,7 @@ def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
 
 def micro_rhs(ops: MicroOperators, loads: LoadModel, t: float,
               u_nodal: np.ndarray) -> np.ndarray:
-    """Load vector at time t; the volume force sees the vertical displacement
-    only when it depends on z."""
-    u3_quad = (fem.element_values(ops.lmesh, u_nodal)[..., 2]
-               if loads.f_depends_z else 0.0)
+    u3_quad = fem.element_values(ops.lmesh, u_nodal)[..., 2]
     return _volume_rhs(ops, loads, t, u3_quad) + ops.surface_rhs
 
 
@@ -492,7 +488,7 @@ class PlateTransfer:
             plate_at=PlatePoints(system, distinct),
             elems=elems, inverse=inverse,
             y3=(fem.quadrature_points(lmesh, elems)[..., 2] / ops.eps).reshape(-1),
-            flat_w=ops.quad_w.reshape(-1),
+            flat_w=fem.quadrature_weights(lmesh, len(elems)).reshape(-1),
             limit_strain=limit,
         )
 

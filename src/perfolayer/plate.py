@@ -169,7 +169,8 @@ class PlateSystem:
     basis: BendingBasis
     mb_val: np.ndarray
     # PlatePoints of the last points evaluated through evaluate_deflection
-    # or evaluate_membrane
+    # or evaluate_membrane, and the Newmark block operator of the last
+    # mass factor
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -424,6 +425,14 @@ def _block_operator(system: PlateSystem, mass_factor: float) -> fem.SymmetricOpe
     return fem.SymmetricOperator(mat)
 
 
+def _newmark_operator(system: PlateSystem, mass_factor: float) -> fem.SymmetricOperator:
+    """Block operator of the mass factor, memoized on the system for the last factor."""
+    held = system.memo.get("newmark")
+    if held is None or held[0] != mass_factor:
+        held = system.memo["newmark"] = (mass_factor, _block_operator(system, mass_factor))
+    return held[1]
+
+
 def _solve_block(system: PlateSystem, op, r_b, r_m, tol, x0=None):
     rhs = np.concatenate([r_b, r_m])
     nb = system.bend_dofs.n_dofs
@@ -456,21 +465,20 @@ def static_solve(system: PlateSystem, loads: LoadModel, t: float = 0.0,
 def newmark_step(state: PlateState, dt: float, loads: LoadModel,
                  beta: float = 0.25, gamma: float = 0.5,
                  picard_tol: float = 1e-10, picard_max: int = 30,
-                 tol: float = 1e-12,
-                 op: fem.SymmetricOperator | None = None) -> PlateState:
+                 tol: float = 1e-12) -> PlateState:
     """One implicit Newmark step with Picard resolution of the z-dependence.
 
     The membrane block is carried at the new time level (no inertia); loads
-    that do not depend on the deflection converge in a single sweep.  ``op``
-    is the block operator of (dt, beta), built here when not given.
+    that do not depend on the deflection converge in a single sweep.  The
+    block operator of (dt, beta) is kept on the system, so steps of one dt
+    build it once.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     system = state.system
     t_new = state.t + dt
     factor = 1.0 / (beta * dt * dt)
-    if op is None:
-        op = _block_operator(system, factor)
+    op = _newmark_operator(system, factor)
     w_pred = state.w + dt * state.v + dt * dt * (0.5 - beta) * state.a
 
     w_iter = state.w
@@ -556,11 +564,9 @@ def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
             on_state(st)
 
     record(state)
-    op = _block_operator(system, 1.0 / (beta * dt * dt))
     n_steps = int(round(t_end / dt))
     for _ in range(n_steps):
         state = newmark_step(state, dt, loads, beta=beta, gamma=gamma,
-                             picard_tol=picard_tol, picard_max=picard_max, tol=tol,
-                             op=op)
+                             picard_tol=picard_tol, picard_max=picard_max, tol=tol)
         record(state)
     return traj

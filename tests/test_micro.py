@@ -347,24 +347,21 @@ def test_transfer_orders_elements_by_cell_element(box_cell_n4, iso_tensor, cq):
         pm.PlateTransfer.build(ops_full, system, sols)
 
 
-def test_volume_rhs_matches_quadrature_sum(full_geom2, iso_tensor, cq, monkeypatch):
+def test_volume_rhs_matches_quadrature_sum(full_geom2, iso_tensor, cq):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
-    loads = _loads("linear", cq)
+    loads = _loads("linear_z", cq)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, loads)
+    u_nodal = rng(8).standard_normal((lmesh.n_nodes, 3))
+    u3 = fem.element_values(lmesh, u_nodal)[..., 2]
     N, _, w, _ = fem.hex_reference(lmesh.spacing)
     x, y = ops.quad_x, ops.quad_y
     f = np.stack([loads.eval_f(i, 0.2, x[..., 0], x[..., 1], y[..., 0], y[..., 1],
-                               y[..., 2], 0.0) for i in range(3)], axis=-1)
+                               y[..., 2], u3) for i in range(3)], axis=-1)
     f[..., :2] /= 0.5
     local = np.einsum("q,qa,eqc->eac", w, N, f).reshape(lmesh.n_elems, -1)
     want = fem.scatter_vector(local, ops.dofmap.element_dofs(lmesh.elems),
                               ops.dofmap.n_dofs) + ops.surface_rhs
-
-    def no_values(*args, **kwargs):
-        raise AssertionError("z-independent loads need no quadrature values")
-
-    monkeypatch.setattr(fem, "element_values", no_values)
-    got = pm.micro_rhs(ops, loads, 0.2, np.ones((lmesh.n_nodes, 3)))
+    got = pm.micro_rhs(ops, loads, 0.2, u_nodal)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 

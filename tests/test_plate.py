@@ -287,8 +287,13 @@ def test_run_plate_builds_block_operator_once(full_eff, cell_quad, monkeypatch):
     # run_plate starts from the stationary membrane; step on from its states
     for st in traj.states[:-1]:
         a = pp.newmark_step(st, dt, loads)
-        b = pp.newmark_step(st, dt, loads, op=real(system, built[0]))
+        system.memo.pop("newmark")
+        b = pp.newmark_step(st, dt, loads)
         assert np.array_equal(a.w, b.w) and np.array_equal(a.m, b.m)
+    assert len(built) == 1 + len(traj.states[:-1])
+    # another dt gets the operator of its own mass factor
+    pp.newmark_step(traj.states[0], dt / 2, loads)
+    assert built[-1] == 1.0 / (0.25 * (dt / 2)**2)
 
 
 def test_evaluation_points_memoized_on_system(full_eff):
