@@ -35,7 +35,8 @@ def _parser():
         "korn", "extension-norm", "trace", "helmholtz-check", "report"])
     p.add_argument("--config", default=None, help="configuration document (YAML)")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0, help="eigen iteration seed")
     p.add_argument("--dump-fields", default="none",
                    help="none, final, or stride=K")
@@ -43,14 +44,15 @@ def _parser():
 
 
 class Pipeline:
-    """Shared state between pipeline stages for one configuration."""
+    """Shared state between pipeline stages for one configuration.
+
+    ``workers`` is accepted and ignored: every stage runs serially."""
 
     def __init__(self, cfg: SimConfig, outdir, workers=1, seed=0,
                  dump="none"):
         self.dump_stride = _dump_stride(dump)
         self.cfg = cfg
         self.outdir = outdir
-        self.workers = max(1, workers)
         self.seed = seed
         self.dump = dump
         os.makedirs(outdir, exist_ok=True)
@@ -71,8 +73,7 @@ class Pipeline:
     def cell_solve(self):
         if self._sols is None:
             self._sols = cell_mod.solve_cell_problems(
-                self.cmesh, self.tensor, tol=self.tol["linear"],
-                workers=self.workers)
+                self.cmesh, self.tensor, tol=self.tol["linear"])
             rows = [[kind, f"{i}{j}", res]
                     for (kind, (i, j)), res in sorted(self._sols.residuals.items())]
             reporting.write_csv(os.path.join(self.outdir, "cell_residuals.csv"),
@@ -167,18 +168,10 @@ class Pipeline:
             return (rows, [eps, agg[0], agg[1], agg[2], agg[3]],
                     [eps, float(np.sqrt(agg_u)), float(np.sqrt(agg_r))])
 
-        if self.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(eps_job, cfg.epsilons))
-        else:
-            results = [eps_job(e) for e in cfg.epsilons]
-
         ts_rows = []
         trend_rows = []
         moment_rows = []
-        for rows, trend, moment in results:
+        for rows, trend, moment in map(eps_job, cfg.epsilons):
             ts_rows.extend(rows)
             trend_rows.append(trend)
             moment_rows.append(moment)

@@ -2,9 +2,10 @@
 
 Trilinear hexahedra with 2x2x2 Gauss quadrature (reference tables cached per
 spacing), periodic master/slave identification, Dirichlet elimination,
-mean-zero constraints via symmetric rank-one augmentation, Jacobi-
-preconditioned conjugate gradients, and a Jacobi-preconditioned block LOBPCG
-for extremal generalized eigenvalues.
+mean-zero constraints via symmetric rank-one augmentation, preconditioned
+conjugate gradients (Jacobi, or a geometric multigrid V-cycle on the
+background voxel grid), and a Jacobi-preconditioned block LOBPCG for
+extremal generalized eigenvalues.
 
 Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
 pattern of an element set on node blocks (the dofs of a node are
@@ -679,37 +680,52 @@ def gradient_decomposition(mesh, nodal=None, eps: float | None = None,
 # solvers
 # ---------------------------------------------------------------------------
 
-def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
-              x0: np.ndarray | None = None, max_iter: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients with a fixed iteration order.
+def jacobi(diagonal: np.ndarray):
+    """Jacobi preconditioner r -> r / diagonal, for a vector or for each
+    column of an (n, k) block.  Raises SingularWithoutConstraints on a zero
+    and IndefiniteDetected on a negative diagonal entry."""
+    if np.any(diagonal == 0):
+        raise SingularWithoutConstraints(
+            "operator has empty rows; constraints were probably not applied")
+    if np.any(diagonal < 0):
+        raise IndefiniteDetected("operator has negative diagonal entries")
+    inv_d = 1.0 / diagonal
+    inv_col = inv_d[:, None]
+    return lambda r: (inv_d if r.ndim == 1 else inv_col) * r
 
-    Stops at relative residual |r| <= tol |b|; raises MaxIterationsExceeded
-    beyond the cap 20 sqrt(n) + 200 and IndefiniteDetected on a nonpositive
-    curvature direction.
+
+def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
+              x0: np.ndarray | None = None, max_iter: int | None = None,
+              precond=None) -> np.ndarray:
+    """Preconditioned conjugate gradients with a fixed iteration order.
+
+    ``precond`` maps a residual r to z = B r for a symmetric positive
+    definite B; the default is ``jacobi(op.diagonal())``.  Stops at relative
+    residual |r| <= tol |b|; raises MaxIterationsExceeded beyond the cap
+    20 sqrt(n) + 200, and IndefiniteDetected on a nonpositive curvature
+    direction or a nonpositive r . z (an indefinite preconditioner).
     """
     n = rhs.shape[0]
     if n == 0:
         return rhs.copy()
     if max_iter is None:
         max_iter = int(20 * np.sqrt(n) + 200)
-    d = op.diagonal()
-    if np.any(d == 0):
-        raise SingularWithoutConstraints(
-            "operator has empty rows; constraints were probably not applied")
-    if np.any(d < 0):
-        raise IndefiniteDetected("operator has negative diagonal entries")
-    inv_d = 1.0 / d
+    if precond is None:
+        precond = jacobi(op.diagonal())
     x = np.zeros(n) if x0 is None else x0.copy()
     r = rhs - op.matvec(x) if x0 is not None else rhs.copy()
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros(n)
-    z = inv_d * r
+    z = precond(r)
     p = z.copy()
     rz = np.dot(r, z)
     for _ in range(max_iter):
         if np.linalg.norm(r) <= tol * bnorm:
             return x
+        if rz <= 0:
+            raise IndefiniteDetected(
+                f"nonpositive r.z = {rz:.3e}: the preconditioner is not positive definite")
         ap = op.matvec(p)
         pap = np.dot(p, ap)
         if pap <= 0:
@@ -718,7 +734,7 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        z = inv_d * r
+        z = precond(r)
         rz_new = np.dot(r, z)
         beta = rz_new / rz
         rz = rz_new
@@ -728,6 +744,174 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
     raise MaxIterationsExceeded(
         f"CG stalled at relative residual {np.linalg.norm(r) / bnorm:.3e} "
         f"after {max_iter} iterations")
+
+
+class GridMultigrid:
+    """Geometric multigrid V-cycle on the background node grid of a voxel
+    mesh, as a symmetric positive definite preconditioner r -> z for
+    ``solve_spd`` (Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001).
+
+    ``node_blocks`` is ``DofMap.node_blocks``; ``node_grid`` (n_nodes, 3)
+    holds the integer index of each mesh node on a grid of ``intervals``
+    intervals per axis, and an axis flagged in ``periodic`` wraps (index
+    ``intervals`` is index 0).  A coarse level halves every axis with an even
+    number (> 2) of intervals and keeps the coarse nodes with nonzero
+    support; P is the trilinear interpolation of node values, applied to each
+    of the ncomp components of a node block.  Coarse operators are the
+    Galerkin products P^T A P, and an augmentation (sigma, v) of ``op``
+    becomes (sigma, P^T v); no coarse mesh is built.  Levels are coarsened
+    until at most ``coarsest`` dofs remain, and that level is inverted
+    densely through its Cholesky factor (numpy only: importing
+    ``scipy.linalg`` costs peak memory).  (A grid that cannot be coarsened
+    that far ends on a smoothing step instead.)
+
+    Each level smooths with degree-2 Chebyshev polynomials in D^-1 A over
+    [0.1, 1.1] lambda, lambda the Rayleigh quotient after 15 power steps from
+    a fixed start, before and after the coarse correction (Adams, Brezina,
+    Hu and Tuminaro, J. Comput. Phys. 188, 2003), so the cycle is symmetric
+    and deterministic.  The levels apply their CSR matrices directly, never
+    ``SymmetricOperator.matvec``.
+    """
+
+    coarsest = 1500  # dofs of a level that is inverted densely
+
+    def __init__(self, op: SymmetricOperator, node_blocks: np.ndarray,
+                 node_grid: np.ndarray, intervals, periodic):
+        coarsest = self.coarsest
+        n_blocks = int(node_blocks.max()) + 1
+        ncomp = op.shape[0] // n_blocks
+        if ncomp * n_blocks != op.shape[0]:
+            raise ValueError("operator size does not match the node blocks")
+        intervals = np.asarray(intervals, dtype=np.int64)
+        periodic = np.asarray(periodic, dtype=bool)
+        keep = node_blocks >= 0
+        grid = np.empty((n_blocks, 3), dtype=np.int64)
+        grid[node_blocks[keep]] = np.where(periodic, node_grid % intervals,
+                                           node_grid)[keep]
+        vs = np.stack([v for _, v in op.augmentations], axis=1) if op.augmentations else None
+        sig = np.array([s for s, _ in op.augmentations])
+        levels = [_GridLevel(op.matrix, vs, sig, grid)]
+        while (levels[-1].matrix.shape[0] > coarsest
+               and np.any((intervals % 2 == 0) & (intervals > 2))):
+            p_node, grid, intervals = _grid_coarsening(grid, intervals, periodic)
+            fine = levels[-1]
+            fine.prolong = sp.kron(p_node, sp.identity(ncomp), format="csr")
+            fine.restrict = fine.prolong.T.tocsr()
+            levels.append(_GridLevel(
+                (fine.restrict @ fine.matrix @ fine.prolong).tocsr(),
+                None if vs is None else fine.restrict @ fine.vs, sig, grid))
+        self.levels = levels
+        self._coarse_inverse = None
+        last = levels[-1]
+        if last.matrix.shape[0] <= coarsest:
+            a = last.matrix.toarray()
+            if last.vs is not None:
+                a += (last.vs * sig) @ last.vs.T
+            try:
+                l_inv = np.linalg.inv(np.linalg.cholesky(a))
+            except np.linalg.LinAlgError as exc:
+                raise IndefiniteDetected(
+                    "coarsest multigrid operator is not positive definite") from exc
+            self._coarse_inverse = l_inv.T @ l_inv
+            levels = levels[:-1]
+        for lv in levels:
+            lv.setup_smoother()
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
+        lv = self.levels[k]
+        if k == len(self.levels) - 1:
+            if self._coarse_inverse is not None:
+                return self._coarse_inverse @ b
+            return lv.smooth(b)
+        x = lv.smooth(b)
+        x += lv.prolong @ self._cycle(k + 1, lv.restrict @ (b - lv.apply(x)))
+        return lv.smooth(b, x)
+
+
+class _GridLevel:
+    """One multigrid level: the matrix, its augmentation vectors (n, k) with
+    weights sigma, the grid index of each node block, the prolongation from
+    the next coarser level and the Chebyshev smoother on D^-1 A."""
+
+    degree = 2
+    power_steps = 15
+
+    def __init__(self, matrix, vs, sig, grid):
+        self.matrix = matrix
+        self.vs = vs
+        self.sig = sig
+        self.grid = grid
+        self.prolong = self.restrict = None
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        y = self.matrix @ x
+        if self.vs is not None:
+            y += self.vs @ (self.sig * (x @ self.vs))
+        return y
+
+    def setup_smoother(self):
+        d = self.matrix.diagonal()
+        if self.vs is not None:
+            d = d + (self.vs * self.vs) @ self.sig
+        self.jacobi = jacobi(d)
+        x = np.random.default_rng(0).standard_normal(d.size)
+        for _ in range(self.power_steps):
+            ax = self.apply(x)
+            lam = np.dot(x, ax) / np.dot(x, d * x)
+            x = self.jacobi(ax)
+            x /= np.linalg.norm(x)
+        self.theta = 0.6 * lam  # centre and half-width of [0.1, 1.1] lam
+        self.delta = 0.5 * lam
+
+    def smooth(self, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        """Chebyshev iteration for A x = b from x (zero when None; Saad,
+        *Iterative Methods for Sparse Linear Systems*, 2003, Alg. 12.1)."""
+        r = b.copy() if x is None else b - self.apply(x)
+        d = self.jacobi(r) / self.theta
+        x = d.copy() if x is None else x + d
+        sigma = self.theta / self.delta
+        rho = 1.0 / sigma
+        for _ in range(self.degree - 1):
+            r -= self.apply(d)
+            rho_new = 1.0 / (2.0 * sigma - rho)
+            d = (rho_new * rho) * d + (2.0 * rho_new / self.delta) * self.jacobi(r)
+            rho = rho_new
+            x += d
+        return x
+
+
+def _grid_coarsening(grid: np.ndarray, intervals: np.ndarray, periodic: np.ndarray):
+    """Trilinear interpolation from the next coarser node grid.
+
+    ``grid`` (n, 3) indexes the fine nodes (wrapped on periodic axes).
+    Returns the node-level prolongation (n, n_coarse) as CSR, the coarse
+    node indices (lexicographic, only nodes with nonzero support) and the
+    coarse interval counts."""
+    halve = (intervals % 2 == 0) & (intervals > 2)
+    coarse_int = np.where(halve, intervals // 2, intervals)
+    lo = np.where(halve, grid // 2, grid)
+    odd = halve & (grid % 2 == 1)
+    hi = np.where(odd, lo + 1, lo)
+    hi = np.where(periodic, hi % coarse_int, hi)
+    w_hi = np.where(odd, 0.5, 0.0)
+    extent = coarse_int + 1
+    rows, keys, vals = [], [], []
+    for corner in HEX_CORNERS.astype(bool):
+        w = np.prod(np.where(corner, w_hi, 1.0 - w_hi), axis=1)
+        nz = np.nonzero(w)[0]
+        c = np.where(corner, hi, lo)[nz]
+        rows.append(nz)
+        keys.append((c[:, 0] * extent[1] + c[:, 1]) * extent[2] + c[:, 2])
+        vals.append(w[nz])
+    used, cols = np.unique(np.concatenate(keys), return_inverse=True)
+    p = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
+                      shape=(grid.shape[0], used.size))
+    coarse_grid = np.stack([used // (extent[1] * extent[2]),
+                            used // extent[2] % extent[1], used % extent[2]], axis=1)
+    return p, coarse_grid, coarse_int
 
 
 @dataclass
@@ -754,12 +938,7 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
     pair's relative residual |Bx - mu Ax| / |Bx| is at most sqrt(tol), which
     puts mu within about tol of the eigenvalue.
     """
-    if np.any(a_diag == 0):
-        raise SingularWithoutConstraints(
-            "operator has empty rows; constraints were probably not applied")
-    if np.any(a_diag < 0):
-        raise IndefiniteDetected("operator has negative diagonal entries")
-    inv_d = (1.0 / a_diag)[:, None]
+    precond = jacobi(a_diag)
     rng = np.random.default_rng(seed)
     n = a_diag.size
     X = rng.standard_normal((n, max(1, min(block, n))))
@@ -779,7 +958,7 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
         # the update without its part along the previous block (zero on the
         # first sweep: the Ritz step drops zero columns)
         P, AP, BP = (M[:, nx:] @ C[nx:] for M in (S, AS, BS))
-        W = inv_d * R
+        W = precond(R)
         if project is not None:
             W = project(W)
         S = np.hstack([X, W, P])

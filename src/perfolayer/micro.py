@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .cell import CellSolutionSet, INDEX_PAIRS
@@ -270,16 +271,17 @@ def _voxel_element_map(lmesh: LayerMesh):
 
 @dataclass
 class MomentColumns:
-    """Column data of the vertical moments at fixed in-plane points.
+    """Vertical moment operator at fixed in-plane points.
 
-    ``layers`` holds, for each voxel layer l3 that some vertical line meets
-    in the solid, the mask of those lines, their element nodes and, per
-    Gauss point xg, the trilinear shape values and the depth l3 + xg in
-    voxel units.
+    ``operator`` (2P, n_nodes) maps a nodal field to, per point, its
+    integral along the solid part of the vertical line through the point
+    (rows 0..P-1) and the integral of x3 times it (rows P..2P-1): the
+    trilinear shape values at the two Gauss depths of every voxel layer the
+    line meets in the solid, times the quadrature weight.
     """
 
     pts: np.ndarray
-    layers: list
+    operator: sp.csr_matrix
 
     @classmethod
     def build(cls, lmesh: LayerMesh, pts: np.ndarray) -> "MomentColumns":
@@ -290,28 +292,30 @@ class MomentColumns:
         i2 = np.clip(((pts[:, 1] - a2) / h).astype(np.int64), 0, vox.shape[1] - 1)
         xi1 = (pts[:, 0] - a1) / h - i1
         xi2 = (pts[:, 1] - a2) / h - i2
-        hits = np.zeros(pts.shape[0], dtype=np.int64)
-        g = 0.5 / np.sqrt(3.0)
-        layers = []
-        for l3 in range(vox.shape[2]):
-            elem = vox[i1, i2, l3]
-            act = elem >= 0
-            if not act.any():
-                continue
-            hits[act] += 1
-            gauss = []
-            for xg in (0.5 - g, 0.5 + g):
-                shp = np.empty((act.sum(), 8))
-                for a, (ca, cb, cc) in enumerate(HEX_CORNERS):
-                    sx = xi1[act] if ca else 1.0 - xi1[act]
-                    sy = xi2[act] if cb else 1.0 - xi2[act]
-                    sz = xg if cc else 1.0 - xg
-                    shp[:, a] = sx * sy * sz
-                gauss.append((shp, l3 + xg))
-            layers.append((act, lmesh.elems[elem[act]], gauss))
+        elem = vox[i1, i2]  # (P, layers)
+        point, l3 = np.nonzero(elem >= 0)
+        hits = np.bincount(point, minlength=pts.shape[0])
         if (hits == 0).any():
             raise EmptyColumn(f"{int((hits == 0).sum())} vertical lines meet no solid")
-        return cls(pts=pts.copy(), layers=layers)
+        g = 0.5 / np.sqrt(3.0)
+        xg = np.array([0.5 - g, 0.5 + g])
+        corners = HEX_CORNERS.astype(bool)
+        # in-plane shape factors (hits, 8) and vertical ones (2 depths, 8)
+        sxy = (np.where(corners[:, 0], xi1[point, None], 1.0 - xi1[point, None])
+               * np.where(corners[:, 1], xi2[point, None], 1.0 - xi2[point, None]))
+        sz = np.where(corners[:, 2], xg[:, None], 1.0 - xg[:, None])
+        wq = 0.5 * h
+        shp = wq * sxy[:, None, :] * sz[None, :, :]  # (hits, 2, 8)
+        x3 = -lmesh.eps + (l3[:, None] + xg[None, :]) * h  # (hits, 2)
+        nodes = np.broadcast_to(lmesh.elems[elem[point, l3]][:, None, :], shp.shape)
+        rows = np.broadcast_to(point[:, None, None], shp.shape)
+        P = pts.shape[0]
+        operator = sp.csr_matrix(
+            (np.concatenate([shp.ravel(), (x3[:, :, None] * shp).ravel()]),
+             (np.concatenate([rows.ravel(), P + rows.ravel()]),
+              np.concatenate([nodes.ravel(), nodes.ravel()]))),
+            shape=(2 * P, lmesh.n_nodes))
+        return cls(pts=pts.copy(), operator=operator)
 
 
 def _moment_columns(lmesh: LayerMesh, pts: np.ndarray) -> MomentColumns:
@@ -331,21 +335,10 @@ def plate_moments(lmesh: LayerMesh, u_nodal: np.ndarray, eps: float,
     each vertical line and normalized by the full thickness.
     """
     pts = np.atleast_2d(pts)
-    cols = _moment_columns(lmesh, pts)
+    integrals = _moment_columns(lmesh, pts).operator @ u_nodal[:, :2]
     P = pts.shape[0]
-    integral_u = np.zeros((P, 2))
-    integral_xu = np.zeros((P, 2))
-    h = lmesh.spacing[0]
-    wq = 0.5 * h
-    for act, conn, gauss in cols.layers:
-        un = u_nodal[conn]  # (Pa, 8, 3)
-        for shp, depth in gauss:
-            uval = np.einsum("pa,pac->pc", shp, un[:, :, :2])
-            x3 = -eps + depth * h
-            integral_u[act] += wq * uval
-            integral_xu[act] += wq * x3 * uval
-    U = integral_u / (2.0 * eps**2)
-    R = 3.0 * integral_xu / (2.0 * eps**3)
+    U = integrals[:P] / (2.0 * eps**2)
+    R = 3.0 * integrals[P:] / (2.0 * eps**3)
     return U, R
 
 

@@ -4,9 +4,10 @@ import pytest
 from perfolayer import cell as pc
 from perfolayer import fem
 from perfolayer import geometry as pg
-from perfolayer.errors import AsymmetricInput, InconsistentMesh, MissingSolutions
+from perfolayer.errors import (AsymmetricInput, InconsistentMesh, MaxIterationsExceeded,
+                               MissingSolutions)
 
-from conftest import rng
+from conftest import BOX_HOLE, rng
 
 
 def test_basis_matrices():
@@ -303,18 +304,93 @@ def test_corrector_missing_solutions(box_cell_n4, iso_tensor):
         pc.combine_corrector(incomplete, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
-def test_cell_solve_workers_deterministic(box_geom, iso_tensor):
-    mesh = pg.build_cell_mesh(box_geom, 4)
-    s1 = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-11, workers=1)
-    s2 = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-11, workers=3)
-    for ij in pc.INDEX_PAIRS:
-        assert np.array_equal(s1.stretch[ij].values, s2.stretch[ij].values)
-        assert np.array_equal(s1.bending[ij].values, s2.bending[ij].values)
-
-
 def test_full_index_cell_solves(full_geom, iso_tensor):
     mesh = pg.build_cell_mesh(full_geom, 4)
     sols = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-11, full_index=True)
     assert (3, 3) in sols.stretch and (1, 3) in sols.bending
     # vertical unit strain relaxes to zero net stress: residual check suffices
     assert sols.residuals[("stretch", (3, 3))] <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# multigrid-preconditioned cell solves
+# ---------------------------------------------------------------------------
+
+def _cell_geometry(kind):
+    if kind == "box":
+        return pg.build_cell_geometry(BOX_HOLE, m=4)
+    return pg.build_cell_geometry(pg.channel_mask(4))
+
+
+def _capped_solves(monkeypatch, max_iter):
+    solve = fem.solve_spd
+    monkeypatch.setattr(fem, "solve_spd",
+                        lambda *a, **k: solve(*a, **{**k, "max_iter": max_iter}))
+
+
+@pytest.mark.parametrize("kind", ["box", "channel"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_multigrid_cell_solves_take_few_iterations(kind, n, iso_tensor, monkeypatch):
+    # Jacobi-CG needs about 52 (n = 8) and 96 (n = 16) iterations per solve
+    mesh = pg.build_cell_mesh(_cell_geometry(kind), n)
+    _capped_solves(monkeypatch, 15)
+    if n == 8:
+        with pytest.raises(MaxIterationsExceeded):
+            pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
+    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+    sols = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
+    assert max(sols.residuals.values()) <= 1e-10
+
+
+def test_multigrid_tensors_match_jacobi(box_geom, iso_tensor, monkeypatch):
+    mesh = pg.build_cell_mesh(box_geom, 16)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    op, _ = pc._cell_operator(mesh, iso_tensor, dm)
+    assert isinstance(pc._cell_multigrid(mesh, dm, op), fem.GridMultigrid)
+    mg = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))
+    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", np.inf)
+    jac = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))
+    scale = np.abs(jac.a_star).max()
+    for key in ("a_star", "b_star", "c_star"):
+        assert np.abs(getattr(mg, key) - getattr(jac, key)).max() <= 1e-11 * scale
+
+
+def _jacobi_cg(op, rhs, tol):
+    """Jacobi-preconditioned CG in the operation order of the original
+    ``fem.solve_spd``, for a zero start and a nonzero right-hand side."""
+    inv_d = 1.0 / op.diagonal()
+    x = np.zeros(rhs.shape[0])
+    r = rhs.copy()
+    bnorm = np.linalg.norm(rhs)
+    z = inv_d * r
+    p = z.copy()
+    rz = np.dot(r, z)
+    while np.linalg.norm(r) > tol * bnorm:
+        ap = op.matvec(p)
+        alpha = rz / np.dot(p, ap)
+        x += alpha * p
+        r -= alpha * ap
+        z = inv_d * r
+        rz_new = np.dot(r, z)
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    return x
+
+
+def test_cell_solves_below_crossover_keep_jacobi_bits(box_geom, iso_tensor, monkeypatch):
+    mesh = pg.build_cell_mesh(box_geom, 8)
+    calls = []
+    solve = fem.solve_spd
+
+    def recording(op, rhs, **kw):
+        x = solve(op, rhs, **kw)
+        calls.append((op, rhs, kw, x))
+        return x
+
+    monkeypatch.setattr(fem, "solve_spd", recording)
+    pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
+    assert len(calls) == 6
+    for op, rhs, kw, x in calls:
+        assert kw["precond"] is None
+        assert np.array_equal(x, _jacobi_cg(op, rhs, 1e-10))

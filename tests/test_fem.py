@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from perfolayer import cell as pc
 from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer import inequalities as inq
 from perfolayer import micro as pm
-from perfolayer.errors import IndefiniteDetected, NullspaceOverlap
+from perfolayer.errors import (IndefiniteDetected, NullspaceOverlap,
+                               SingularWithoutConstraints)
 
 from conftest import SIGMA, rng
 
@@ -465,3 +467,102 @@ def test_symmetric_operator_diagonal_computed_once():
     assert op.diagonal() is d
     with pytest.raises(ValueError):
         d[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# preconditioners
+# ---------------------------------------------------------------------------
+
+def test_jacobi_checks_diagonal_and_applies_to_blocks():
+    with pytest.raises(SingularWithoutConstraints):
+        fem.jacobi(np.array([1.0, 0.0]))
+    with pytest.raises(IndefiniteDetected):
+        fem.jacobi(np.array([1.0, -2.0]))
+    jac = fem.jacobi(np.array([2.0, 4.0]))
+    assert np.array_equal(jac(np.array([1.0, 1.0])), [0.5, 0.25])
+    assert np.array_equal(jac(np.ones((2, 3))), np.tile([[0.5], [0.25]], 3))
+
+
+def test_solve_spd_rejects_indefinite_preconditioner():
+    op = fem.SymmetricOperator(sp.diags([1.0, 2.0]).tocsr())
+    with pytest.raises(IndefiniteDetected):
+        fem.solve_spd(op, np.array([1.0, 1.0]), precond=lambda r: -r)
+
+
+def _cell_multigrid(geom, n, coarsest, monkeypatch):
+    monkeypatch.setattr(fem.GridMultigrid, "coarsest", coarsest)
+    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+    mesh = pg.build_cell_mesh(geom, n)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    op, _ = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
+    return op, pc._cell_multigrid(mesh, dm, op)
+
+
+def _interpolate_periodic(values, t):
+    """Piecewise-linear periodic interpolation of ``values`` at positions t."""
+    lo = np.floor(t).astype(np.int64)
+    frac = t - lo
+    return (1 - frac) * values[lo % values.size] + frac * values[(lo + 1) % values.size]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_grid_prolongation_reproduces_trilinear_fields(box_geom, n, monkeypatch):
+    # a product field: random and periodic in y1 and y2, linear in y3; its
+    # trilinear interpolant is the product of the 1D interpolants, and the
+    # coarse grid indices must already be wrapped (no index n/2 on y1, y2)
+    _, mg = _cell_multigrid(box_geom, n, 30, monkeypatch)
+    assert np.array_equal(mg.levels[-1].grid.max(axis=0), [1, 1, 2])  # 2 x 2 x 2
+    r = rng(3)
+    intervals = np.array([n, n, 2 * n])
+    for fine, coarse in zip(mg.levels[:-1], mg.levels[1:]):
+        halve = (intervals % 2 == 0) & (intervals > 2)
+        intervals = np.where(halve, intervals // 2, intervals)
+        g1, g2 = r.standard_normal(intervals[0]), r.standard_normal(intervals[1])
+        c = coarse.grid
+        field = g1[c[:, 0]] * g2[c[:, 1]] * (0.5 + c[:, 2])
+        t = fine.grid / np.where(halve, 2.0, 1.0)
+        want = (_interpolate_periodic(g1, t[:, 0]) * _interpolate_periodic(g2, t[:, 1])
+                * (0.5 + t[:, 2]))
+        for comp in range(3):
+            coarse_dofs = np.zeros(3 * c.shape[0])
+            coarse_dofs[comp::3] = field
+            got = (fine.prolong @ coarse_dofs).reshape(-1, 3)
+            assert np.abs(got[:, comp] - want).max() <= 1e-14 * np.abs(want).max()
+            assert not np.any(np.delete(got, comp, axis=1))
+        assert np.all(abs(fine.prolong).sum(axis=0) > 0)  # no zero column
+
+
+def _dense(level):
+    a = level.matrix.toarray()
+    if level.vs is not None:
+        a += (level.vs * level.sig) @ level.vs.T
+    return a
+
+
+def test_grid_coarse_operators_are_galerkin_and_spd(box_geom, monkeypatch):
+    op, mg = _cell_multigrid(box_geom, 4, 30, monkeypatch)
+    assert np.abs(_dense(mg.levels[0]) - op.dense()).max() <= 1e-15 * np.abs(op.dense()).max()
+    for fine, coarse in zip(mg.levels[:-1], mg.levels[1:]):
+        p = fine.prolong.toarray()
+        a = _dense(coarse)
+        galerkin = p.T @ _dense(fine) @ p
+        assert np.abs(a - galerkin).max() <= 1e-13 * np.abs(galerkin).max()
+        assert np.abs(a - a.T).max() <= 1e-13 * np.abs(a).max()
+        assert np.linalg.eigvalsh(a).min() > 0
+
+
+@pytest.mark.parametrize("n, coarsest", [(4, 50), (4, 10), (8, 1500)])
+def test_grid_vcycle_symmetric_positive(box_geom, n, coarsest, monkeypatch):
+    # coarsest 10 cannot be reached at n = 4: the cycle ends on smoothing
+    op, mg = _cell_multigrid(box_geom, n, coarsest, monkeypatch)
+    assert (mg._coarse_inverse is None) == (coarsest == 10)
+    r = rng(7)
+    for _ in range(3):
+        x, y = r.standard_normal((2, op.shape[0]))
+        bx, by = mg(x), mg(y)
+        assert abs(bx @ y - x @ by) <= 1e-12 * np.linalg.norm(bx) * np.linalg.norm(y)
+        assert bx @ x > 0
+    if n == 4:
+        b = np.stack([mg(e) for e in np.eye(op.shape[0])], axis=1)
+        assert np.abs(b - b.T).max() <= 1e-12 * np.abs(b).max()
+        assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0
