@@ -327,7 +327,7 @@ def run_command(argv) -> int:
         elif command == "report":
             pipe.report()
         return EXIT_OK
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         _error_record(outdir, exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -195,6 +195,33 @@ def _check_time_grid(cfg: SimConfig):
                     "is not an integer", key="time.dt")
 
 
+def _interval(value, lo: float, hi: float, key: str):
+    """Check a pair [a, b] of numbers with lo < a < b < hi."""
+    ok = (isinstance(value, (list, tuple)) and len(value) == 2
+          and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in value))
+    if not (ok and lo < value[0] < value[1] < hi):
+        raise ValidationError(f"expected [a, b] with {lo:g} < a < b < {hi:g}",
+                              key=key)
+
+
+def _check_geometry(g: dict):
+    """Bounds of the box hole and of the channel, which must lie strictly
+    inside the cell (0, 1)^2 x (-1, 1)."""
+    if g["type"] == "box":
+        hole = g["hole"]
+        if not (isinstance(hole, (list, tuple)) and len(hole) == 3):
+            raise ValidationError("expected [[x0, x1], [y0, y1], [z0, z1]]",
+                                  key="geometry.hole")
+        for k, (pair, lo) in enumerate(zip(hole, (0.0, 0.0, -1.0))):
+            _interval(pair, lo, 1.0, f"geometry.hole[{k}]")
+    elif g["type"] == "channel":
+        if g["axis"] not in (0, 1) or isinstance(g["axis"], bool):
+            raise ValidationError("channel axis must be 0 or 1", key="geometry.axis")
+        _interval(g["width"], 0.0, 1.0, "geometry.width")
+        _interval(g["height"], -1.0, 1.0, "geometry.height")
+
+
 def validate_tree(tree: dict) -> dict:
     merged = _merge(_DEFAULTS, tree)
 
@@ -246,6 +273,12 @@ def validate_tree(tree: dict) -> dict:
                               key="geometry.type")
     if g["type"] == "mask" and g.get("mask") is None:
         raise ValidationError("mask geometry needs 'mask'", key="geometry.mask")
+    _check_geometry(g)
+
+    try:
+        SimConfig(merged).material_tensor()
+    except (TypeError, ValueError) as exc:  # non-numeric or not coercive
+        raise ValidationError(str(exc), key="material") from exc
 
     loads = merged["loads"]
     if loads.get("expressions") is None and not isinstance(loads.get("preset"), str):

@@ -7,6 +7,10 @@ conjugate gradients (Jacobi, or a geometric multigrid V-cycle on the
 background voxel grid), and a Jacobi-preconditioned block LOBPCG for
 extremal generalized eigenvalues.
 
+Large sparse products are split by rows across the cores the process may
+run on (``RowSplitProduct``); each row is summed by the same kernel in the
+same order, so the results do not depend on the core count.
+
 Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
 pattern of an element set on node blocks (the dofs of a node are
 consecutive), built once per ``DofMap`` and element array and filled per
@@ -16,10 +20,13 @@ operator by one sparse-dense product of local blocks.
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # the CSR kernels behind ``A @ x``
 
 from .errors import (
     ConvergenceFailure,
@@ -307,6 +314,7 @@ class SymmetricOperator:
         self.matrix = matrix.tocsr()
         self.augmentations = [(float(s), np.asarray(v)) for s, v in augmentations]
         self._diagonal = None
+        self._product = RowSplitProduct(self.matrix)
 
     @property
     def shape(self):
@@ -314,7 +322,7 @@ class SymmetricOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply to a vector or to each column of an (n, k) block."""
-        y = self.matrix @ x
+        y = self._product(x)
         for s, v in self.augmentations:
             y += np.multiply.outer(v, s * (v @ x))
         return y
@@ -337,6 +345,87 @@ class SymmetricOperator:
         for s, v in self.augmentations:
             a += s * np.outer(v, v)
         return a
+
+
+# fewest nonzeros per row block: on small operators the hand-off to a pool
+# thread costs more than the second core gains, and a floor of 100,000 gained
+# nothing end to end (measured; README, "How sparse products are applied")
+SPLIT_MIN_NNZ = 200_000
+_pool = None  # threads of the row blocks after the first, made on first use
+
+
+def _cores() -> int:
+    """Number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+def _row_pool() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max(1, _cores() - 1),
+                                   thread_name_prefix="perfolayer-rows")
+    return _pool
+
+
+def _drop_row_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_drop_row_pool)
+
+
+class RowSplitProduct:
+    """x -> A x for a CSR matrix A, split by rows across the available cores.
+
+    The rows are cut once into contiguous blocks ``(r0, r1)`` of roughly
+    equal nnz: one per core, but no more than leave ``SPLIT_MIN_NNZ``
+    nonzeros to each.  A product applies scipy's CSR kernel to each block,
+    reading A's own arrays (no copy) and writing into its rows of one
+    zero-initialized output, as ``A @ x`` does for the whole matrix.  The
+    first block runs on the calling thread, the others on a shared thread
+    pool; the kernel releases the GIL.  Every row is summed by the same
+    kernel in the same order as in ``A @ x``, so the result is bit-identical
+    to it, for a vector or an (n, k) block.  With one block, or another
+    dtype than A's, the product is ``A @ x``.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix):
+        self.matrix = matrix
+        n_blocks = max(1, min(_cores(), matrix.nnz // SPLIT_MIN_NNZ))
+        cuts = np.searchsorted(matrix.indptr,
+                               matrix.nnz * np.arange(1, n_blocks) // n_blocks)
+        bounds = np.unique(np.concatenate(([0], cuts, [matrix.shape[0]])))
+        self.blocks = [(int(r0), int(r1)) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        a = self.matrix
+        if len(self.blocks) < 2 or x.dtype != a.dtype:
+            return a @ x
+        x = np.ascontiguousarray(x)
+        y = np.zeros((a.shape[0],) + x.shape[1:], dtype=a.dtype)
+        pool = _row_pool()
+        futures = [pool.submit(self._apply, block, x, y) for block in self.blocks[1:]]
+        self._apply(self.blocks[0], x, y)
+        for f in futures:
+            f.result()
+        return y
+
+    def _apply(self, block, x: np.ndarray, y: np.ndarray):
+        """y[r0:r1] += A[r0:r1] x through the kernel of ``A @ x``."""
+        r0, r1 = block
+        a = self.matrix
+        indptr = a.indptr[r0:r1 + 1]
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(r1 - r0, a.shape[1], indptr, a.indices,
+                                    a.data, x, y[r0:r1])
+        else:
+            _sparsetools.csr_matvecs(r1 - r0, a.shape[1], x.shape[1], indptr,
+                                     a.indices, a.data, x.ravel(), y[r0:r1].ravel())
 
 
 class AssemblyPlan:
@@ -769,11 +858,11 @@ class GridMultigrid:
     [0.1, 1.1] lambda, lambda the Rayleigh quotient after 15 power steps from
     a fixed start, before and after the coarse correction (Adams, Brezina,
     Hu and Tuminaro, J. Comput. Phys. 188, 2003), so the cycle is symmetric
-    and deterministic.  The levels apply their CSR matrices directly, never
-    ``SymmetricOperator.matvec``.
+    and deterministic.  The levels apply their matrices through their own
+    ``RowSplitProduct``, never through ``SymmetricOperator.matvec``.
     """
 
-    coarsest = 1500  # dofs of a level that is inverted densely
+    coarsest = 500  # dofs of a level that is inverted densely
 
     def __init__(self, op: SymmetricOperator, node_blocks: np.ndarray,
                  node_grid: np.ndarray, intervals, periodic):
@@ -841,13 +930,14 @@ class _GridLevel:
 
     def __init__(self, matrix, vs, sig, grid):
         self.matrix = matrix
+        self.product = RowSplitProduct(matrix)
         self.vs = vs
         self.sig = sig
         self.grid = grid
         self.prolong = self.restrict = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.matrix @ x
+        y = self.product(x)
         if self.vs is not None:
             y += self.vs @ (self.sig * (x @ self.vs))
         return y

@@ -41,6 +41,9 @@ class MicroOperators:
     quad_w: np.ndarray
     elem_dofs: np.ndarray             # (E, 24) reduced dofs, -1 = eliminated
     surface_rhs: np.ndarray           # fixed traction contribution
+    # distinct in-plane coordinates of the quadrature points and, per point
+    # (element-major, as quad_x), the index of its distinct one
+    inplane: tuple
     # memo of two_scale_errors, rebuilt for another plate system or cell set
     transfer: PlateTransfer | None = field(default=None, repr=False)
 
@@ -95,6 +98,9 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
     boundary, plus the fixed interior-surface traction vector."""
     if abs(eps - lmesh.eps) > 1e-12:
         raise InconsistentMesh("eps does not match the layer mesh")
+    # before the assembly: its temporaries would otherwise add to the peak
+    # memory of the first load vector
+    inplane = _inplane_points(lmesh, lmesh.elems)
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     mass = fem.assemble_mass(lmesh, dofmap)
     k = fem.assemble_elasticity(lmesh, tensor, dofmap)
@@ -124,7 +130,7 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
                           stiffness=stiffness, strain_energy=k_d,
                           quad_x=quad_x, quad_y=quad_y, quad_w=quad_w,
                           elem_dofs=dofmap.element_dofs(lmesh.elems),
-                          surface_rhs=surface_rhs)
+                          surface_rhs=surface_rhs, inplane=inplane)
 
 
 def zero_micro_state(ops: MicroOperators) -> MicroState:
@@ -134,15 +140,25 @@ def zero_micro_state(ops: MicroOperators) -> MicroState:
 
 def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
                 u3_quad: np.ndarray) -> np.ndarray:
-    """Load vector of the scaled volume force (f1/eps, f2/eps, f3)."""
+    """Load vector of the scaled volume force (f1/eps, f2/eps, f3).
+
+    A force that depends on neither y nor z is a function of (t, x1, x2):
+    it is evaluated once per distinct in-plane point and gathered down the
+    columns."""
     eps = ops.eps
     x = ops.quad_x
     y = ops.quad_y
     E, Q = x.shape[:2]
     fvals = np.empty((E, Q, 3))
-    for i in range(3):
-        fvals[..., i] = loads.eval_f(i, t, x[..., 0], x[..., 1],
-                                     y[..., 0], y[..., 1], y[..., 2], u3_quad)
+    if loads.f_depends_y or loads.f_depends_z:
+        for i in range(3):
+            fvals[..., i] = loads.eval_f(i, t, x[..., 0], x[..., 1],
+                                         y[..., 0], y[..., 1], y[..., 2], u3_quad)
+    else:
+        pts, index = ops.inplane
+        for i in range(3):
+            vals = loads.eval_f(i, t, pts[:, 0], pts[:, 1], 0.0, 0.0, 0.0, 0.0)
+            fvals[..., i] = vals[index].reshape(E, Q)
     fvals[..., 0] /= eps
     fvals[..., 1] /= eps
     N, _, w, _ = fem.hex_reference(ops.lmesh.spacing)

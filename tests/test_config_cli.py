@@ -312,6 +312,42 @@ def test_cli_bad_dump_fields_fails_before_compute(tmp_path, value):
     assert value in record["message"]
 
 
+@pytest.mark.parametrize("text, key", [
+    ("geometry:\n  hole: [[0.0, 0.75], [0.25, 0.75], [-0.5, 0.5]]\n", "geometry.hole[0]"),
+    ("geometry:\n  hole: [[0.25, 0.75], [0.25, 0.75], [-0.5, 1.5]]\n", "geometry.hole[2]"),
+    ("geometry:\n  hole: [[0.25, 0.75], [0.25, 0.75]]\n", "geometry.hole"),
+    ("geometry:\n  type: channel\n  axis: 2\n", "geometry.axis"),
+    ("geometry:\n  type: channel\n  width: [0.75, 0.25]\n", "geometry.width"),
+    ("geometry:\n  type: channel\n  height: [-1.0, 0.5]\n", "geometry.height"),
+    ("material:\n  mu: -1.0\n", "material"),
+    ("material:\n  lambda: -1.0\n", "material"),
+])
+def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "out")
+    rc = run_command(["homogenize", "--config", cfg, "--out", out])
+    assert rc == 2
+    assert set(os.listdir(out)) <= {"error.json", "config_echo.yaml"}
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record["error"] == "ValidationError"
+    assert record["message"].startswith(key + ":")
+
+
+def test_cli_value_error_in_solve_is_not_a_config_error(tmp_path, monkeypatch):
+    from perfolayer import fem
+
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(fem, "solve_spd", broken)
+    cfg = _write(tmp_path, "geometry:\n  type: full\nepsilons: [0.5]\n")
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="injected"):
+        run_command(["cell-solve", "--config", cfg, "--out", out])
+    record = json.load(open(os.path.join(out, "error.json")))
+    assert record == {"error": "ValueError", "message": "injected"}
+
+
 def test_cli_unexpected_exception_leaves_error_record(tmp_path, monkeypatch):
     from perfolayer import cli
 

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -467,6 +470,134 @@ def test_symmetric_operator_diagonal_computed_once():
     assert op.diagonal() is d
     with pytest.raises(ValueError):
         d[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# row-split products
+# ---------------------------------------------------------------------------
+
+def _matrix_with_empty_rows():
+    a = sp.random(60, 45, density=0.2, random_state=5, format="lil")
+    a[5:9] = 0.0   # a run of empty rows
+    a[-3:] = 0.0   # empty rows at the end
+    a = a.tocsr()
+    a.eliminate_zeros()
+    assert np.diff(a.indptr)[[5, 8, 59]].max() == 0
+    return a
+
+
+def _split(a, n_blocks, monkeypatch):
+    """The row-split product of ``a`` on ``n_blocks`` cores, without a floor."""
+    monkeypatch.setattr(fem, "_cores", lambda: n_blocks)
+    monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", 1)
+    return fem.RowSplitProduct(a)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_row_split_product_equals_matrix_product(n_blocks, monkeypatch):
+    a = _matrix_with_empty_rows()
+    prod = _split(a, n_blocks, monkeypatch)
+    bounds = np.ravel(prod.blocks)
+    assert len(prod.blocks) == n_blocks
+    assert bounds[0] == 0 and bounds[-1] == a.shape[0]
+    assert np.all(bounds[1:-1:2] == bounds[2:-1:2])  # contiguous blocks
+    r = rng(6)
+    for x in (r.standard_normal(45), r.standard_normal((45, 4))):
+        assert np.array_equal(prod(x), a @ x)
+
+
+@pytest.mark.parametrize("n_blocks", [2, 3])
+def test_row_split_product_bits_on_layer_operator(box_geom, n_blocks, monkeypatch):
+    lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
+    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.25)
+    a = pm.effective_operator(ops, 0.25 / 8).matrix
+    prod = _split(a, n_blocks, monkeypatch)
+    assert len(prod.blocks) == n_blocks
+    nnz = np.array([a.indptr[r1] - a.indptr[r0] for r0, r1 in prod.blocks])
+    assert nnz.sum() == a.nnz and nnz.max() - nnz.min() <= 2 * np.diff(a.indptr).max()
+    r = rng(8)
+    for x in (r.standard_normal(a.shape[0]), r.standard_normal((a.shape[0], 3))):
+        assert np.array_equal(prod(x), a @ x)
+    # the blocks read the matrix's own arrays, not copies made at the cut
+    a.data *= 1.5
+    x = r.standard_normal(a.shape[0])
+    assert np.array_equal(prod(x), a @ x)
+
+
+def test_row_split_block_count_follows_cores_and_floor(monkeypatch):
+    a = _matrix_with_empty_rows()
+    monkeypatch.setattr(fem, "_cores", lambda: 3)
+    for floor, want in ((a.nnz + 1, 1), (a.nnz // 2, 2), (1, 3)):
+        monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", floor)
+        assert len(fem.RowSplitProduct(a).blocks) == want
+    monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", a.nnz + 1)
+    assert fem.RowSplitProduct(a).blocks == [(0, a.shape[0])]
+
+
+def test_operator_below_floor_never_creates_pool(monkeypatch):
+    monkeypatch.setattr(fem, "_pool", None)
+    a = _matrix_with_empty_rows()
+    x = rng(2).standard_normal(45)
+    assert a.nnz < fem.SPLIT_MIN_NNZ
+    fem.RowSplitProduct(a)(x)
+    fem.SymmetricOperator(a @ a.T).matvec(rng(2).standard_normal(60))
+    assert fem._pool is None
+    _split(a, 2, monkeypatch)(x)
+    assert fem._pool is not None
+    fem._pool.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_row_pool(monkeypatch):
+    # the pool's threads do not survive a fork; a child that reused the
+    # parent's pool would wait forever for its row blocks
+    monkeypatch.setattr(fem, "_pool", None)
+    a = _matrix_with_empty_rows()
+    x = rng(2).standard_normal(45)
+    prod = _split(a, 2, monkeypatch)
+    prod(x)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        signal.alarm(10)
+        os._exit(0 if np.array_equal(prod(x), a @ x) else 1)
+    _, status = os.waitpid(pid, 0)
+    fem._pool.shutdown()
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _recorded_solve(op, rhs, precond):
+    seen = []
+
+    def record(r):
+        seen.append(r.copy())
+        return precond(r)
+
+    return fem.solve_spd(op, rhs, tol=1e-10, precond=record), seen
+
+
+@pytest.mark.parametrize("multigrid", [False, True])
+def test_split_products_keep_cg_iterates(box_geom, multigrid, monkeypatch):
+    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+    monkeypatch.setattr(fem, "_pool", None)
+    mesh = pg.build_cell_mesh(box_geom, 8)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    rhs = rng(4).standard_normal(dm.n_dofs)
+    runs = []
+    for floor, cores in ((10**12, 1), (1, 3)):
+        monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", floor)
+        monkeypatch.setattr(fem, "_cores", lambda cores=cores: cores)
+        op, _ = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
+        assert len(op._product.blocks) == cores and op._product.matrix is op.matrix
+        precond = pc._cell_multigrid(mesh, dm, op) if multigrid else fem.jacobi(op.diagonal())
+        if multigrid:
+            assert all(len(lv.product.blocks) == cores and lv.product.matrix is lv.matrix
+                       for lv in precond.levels)
+        runs.append(_recorded_solve(op, rhs, precond))
+    (x_off, seen_off), (x_on, seen_on) = runs
+    assert len(seen_off) == len(seen_on) > 5
+    assert all(np.array_equal(a, b) for a, b in zip(seen_off, seen_on))
+    assert np.array_equal(x_off, x_on)
+    fem._pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,33 @@ def test_volume_rhs_matches_quadrature_sum(full_geom2, iso_tensor, cq):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("name", ["box", "channel"])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_volume_rhs_of_inplane_load_evaluates_distinct_points(void_layers, iso_tensor,
+                                                             cq, name, eps):
+    # a force of (t, x1, x2) alone is evaluated once per distinct in-plane
+    # point; the load vector equals the pointwise evaluation bit for bit
+    lmesh = void_layers[name, eps]
+    ops = pm.assemble_micro(lmesh, iso_tensor, eps)
+    u3 = fem.element_values(lmesh, rng(9).standard_normal((lmesh.n_nodes, 3)))[..., 2]
+    n_distinct = ops.inplane[0].shape[0]
+    assert 4 * n_distinct < u3.size
+    for preset in ("linear", "smooth", "uniform_vertical"):
+        loads = _loads(preset, cq)
+        sizes = []
+
+        def counting(i, t, x1, *rest, eval_f=loads.eval_f):
+            sizes.append(np.size(x1))
+            return eval_f(i, t, x1, *rest)
+
+        loads.eval_f = counting
+        got = pm._volume_rhs(ops, loads, 0.2, u3)
+        pointwise = LoadModel(loads.f, loads.g, depends_y=True, depends_z=False)
+        want = pm._volume_rhs(ops, pointwise, 0.2, u3)
+        assert sizes == [n_distinct] * 3
+        assert np.any(got) and np.array_equal(got, want)
+
+
 def test_micro_state_forms_computed_once(full_geom2, iso_tensor, cq, monkeypatch):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, _loads("zero", cq))
