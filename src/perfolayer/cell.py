@@ -83,10 +83,9 @@ def _periodic_dofmap(mesh: CellMesh) -> DofMap:
     return DofMap(mesh, ncomp=3, periodic=True)
 
 
-def _cell_operator(mesh, tensor, dofmap):
+def _cell_operator(mesh, tensor, dofmap) -> SymmetricOperator:
     k = fem.assemble_elasticity(mesh, tensor, dofmap)
-    aug = fem.mean_zero_augmentations(mesh, dofmap, k)
-    return SymmetricOperator(k.matrix, aug), k
+    return SymmetricOperator(k.matrix, fem.mean_zero_augmentations(mesh, dofmap, k))
 
 
 def _cell_multigrid(mesh: CellMesh, dofmap: DofMap, op: SymmetricOperator):
@@ -111,45 +110,25 @@ def _strain_load_vectors(mesh, dofmap, stress: np.ndarray):
     return v_const, v_lin
 
 
-def solve_cell_standard(mesh: CellMesh, tensor: ElasticityTensor4, pair,
-                        tol: float = 1e-10, dofmap: DofMap | None = None,
-                        operator=None, precond=None) -> tuple:
-    """Stretching cell problem for index pair (i, j): periodic, traction-free
-    on the interior surface, zero mean; returns (FieldVector, residual).
-    ``precond`` is passed to ``fem.solve_spd`` (None: Jacobi)."""
-    i, j = pair
-    dofmap = dofmap or _periodic_dofmap(mesh)
-    op, k_plain = operator or _cell_operator(mesh, tensor, dofmap)
-    stress = tensor.apply(basis_matrix(i, j))
-    v_const, _ = _strain_load_vectors(mesh, dofmap, stress)
-    edofs = dofmap.element_dofs(mesh.elems)
-    rhs = fem.scatter_vector(np.broadcast_to(-v_const, edofs.shape), edofs,
-                             dofmap.n_dofs)
-    sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
-    res = _relative_residual(op, sol, rhs)
-    if res > max(100 * tol, 1e-8):
-        raise SolverFailure(f"cell problem {pair} residual {res:.3e}")
-    return FieldVector(mesh, dofmap, sol), res
-
-
-def solve_cell_bending(mesh: CellMesh, tensor: ElasticityTensor4, pair,
-                       tol: float = 1e-10, dofmap: DofMap | None = None,
-                       operator=None, precond=None) -> tuple:
-    """Bending cell problem: forcing -y3 M_ij in place of +M_ij."""
-    i, j = pair
-    dofmap = dofmap or _periodic_dofmap(mesh)
-    op, k_plain = operator or _cell_operator(mesh, tensor, dofmap)
-    stress = tensor.apply(basis_matrix(i, j))
+def _solve_cell(mesh: CellMesh, tensor: ElasticityTensor4, pair, kind: str,
+                dofmap: DofMap, op: SymmetricOperator, precond, tol: float) -> tuple:
+    """One periodic, traction-free, zero-mean cell problem for the index pair
+    (i, j); returns (FieldVector, relative residual).  The stretch problem
+    is forced by M_ij, the bending one by -y3 M_ij; ``precond`` is passed to
+    ``fem.solve_spd`` (None: Jacobi)."""
+    stress = tensor.apply(basis_matrix(*pair))
     v_const, v_lin = _strain_load_vectors(mesh, dofmap, stress)
-    z0 = mesh.coords[mesh.elems[:, 0], 2]
-    hz = mesh.spacing[2]
-    local = z0[:, None] * v_const[None, :] + hz * v_lin[None, :]
     edofs = dofmap.element_dofs(mesh.elems)
+    if kind == "stretch":
+        local = np.broadcast_to(-v_const, edofs.shape)
+    else:
+        z0 = mesh.coords[mesh.elems[:, 0], 2]
+        local = z0[:, None] * v_const[None, :] + mesh.spacing[2] * v_lin[None, :]
     rhs = fem.scatter_vector(local, edofs, dofmap.n_dofs)
     sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
     res = _relative_residual(op, sol, rhs)
     if res > max(100 * tol, 1e-8):
-        raise SolverFailure(f"bending cell problem {pair} residual {res:.3e}")
+        raise SolverFailure(f"{kind} cell problem {pair} residual {res:.3e}")
     return FieldVector(mesh, dofmap, sol), res
 
 
@@ -171,18 +150,16 @@ def solve_cell_problems(mesh: CellMesh, tensor: ElasticityTensor4,
     a fixed order.  ``workers`` is accepted and ignored.
     """
     dofmap = _periodic_dofmap(mesh)
-    op_pair = _cell_operator(mesh, tensor, dofmap)
-    precond = _cell_multigrid(mesh, dofmap, op_pair[0])
+    op = _cell_operator(mesh, tensor, dofmap)
+    precond = _cell_multigrid(mesh, dofmap, op)
     sols = CellSolutionSet(mesh=mesh, dofmap=dofmap, tensor=tensor)
 
     pairs = list(INDEX_PAIRS)
     if full_index:
         pairs += [(1, 3), (2, 3), (3, 3)]
-    for kind, solver in (("stretch", solve_cell_standard),
-                         ("bending", solve_cell_bending)):
+    for kind in ("stretch", "bending"):
         for ij in pairs:
-            fvec, res = solver(mesh, tensor, ij, tol=tol, dofmap=dofmap,
-                               operator=op_pair, precond=precond)
+            fvec, res = _solve_cell(mesh, tensor, ij, kind, dofmap, op, precond, tol)
             getattr(sols, kind)[ij] = fvec
             sols.residuals[(kind, ij)] = res
     return sols
@@ -308,7 +285,7 @@ def helmholtz_decompose(mesh: CellMesh, xi: np.ndarray,
     dp = fem.gradient_decomposition(mesh, p.nodal()).sym
 
     dm_per = _periodic_dofmap(mesh)
-    op_per, _ = _cell_operator(mesh, ident, dm_per)
+    op_per = _cell_operator(mesh, ident, dm_per)
     rhs_q = _field_rhs(mesh, dm_per, xi - dp)
     q_red = fem.solve_spd(op_per, rhs_q, tol=tol)
     q = FieldVector(mesh, dm_per, q_red)

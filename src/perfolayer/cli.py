@@ -35,8 +35,6 @@ def _parser():
         "korn", "extension-norm", "trace", "helmholtz-check", "report"])
     p.add_argument("--config", default=None, help="configuration document (YAML)")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0, help="eigen iteration seed")
     p.add_argument("--dump-fields", default="none",
                    help="none, final, or stride=K")
@@ -44,12 +42,9 @@ def _parser():
 
 
 class Pipeline:
-    """Shared state between pipeline stages for one configuration.
+    """Shared state between pipeline stages for one configuration."""
 
-    ``workers`` is accepted and ignored: every stage runs serially."""
-
-    def __init__(self, cfg: SimConfig, outdir, workers=1, seed=0,
-                 dump="none"):
+    def __init__(self, cfg: SimConfig, outdir, seed=0, dump="none"):
         self.dump_stride = _dump_stride(dump)
         self.cfg = cfg
         self.outdir = outdir
@@ -302,8 +297,7 @@ def run_command(argv) -> int:
         if args.out:
             cfg.tree["output_dir"] = args.out
         outdir = cfg.output_dir if args.out is None else args.out
-        pipe = Pipeline(cfg, outdir, workers=args.workers, seed=args.seed,
-                        dump=args.dump_fields)
+        pipe = Pipeline(cfg, outdir, seed=args.seed, dump=args.dump_fields)
         command = args.command
         if command == "cell-solve":
             pipe.cell_solve()

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .errors import ParseError, ValidationError
+from .errors import (DisconnectedSolid, EmptySolid, ParseError, PeriodicMismatch,
+                     ResolutionIncompatible, ValidationError)
 from .fem import ElasticityTensor4
 from .geometry import build_cell_geometry, channel_mask
 from .loads import expression_load_model, preset_load_model
@@ -274,6 +275,16 @@ def validate_tree(tree: dict) -> dict:
     if g["type"] == "mask" and g.get("mask") is None:
         raise ValidationError("mask geometry needs 'mask'", key="geometry.mask")
     _check_geometry(g)
+    try:
+        geom = SimConfig(merged).build_geometry()
+    except (ResolutionIncompatible, EmptySolid, PeriodicMismatch, DisconnectedSolid,
+            ValueError) as exc:
+        raise ValidationError(str(exc), key="geometry") from exc
+    n = merged["resolutions"]["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n % geom.resolution:
+        raise ValidationError(
+            f"must be an integer multiple of the geometry resolution {geom.resolution}",
+            key="resolutions.n")
 
     try:
         SimConfig(merged).material_tensor()

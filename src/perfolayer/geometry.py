@@ -62,7 +62,6 @@ class CellGeometry:
 
     mask: np.ndarray
     resolution: int
-    gamma_faces: frozenset
     solid_volume: float
 
     @property
@@ -82,8 +81,9 @@ class CellMesh:
     """Hexahedral mesh of the solid part of the reference cell.
 
     Nodes carry cell-unit coordinates; ``node_master`` identifies the lateral
-    periodic pairs (y_i = 1 mapped onto y_i = 0).  ``gamma_faces`` are
-    (element, axis, side) triples of the interior solid surface.
+    periodic pairs (y_i = 1 mapped onto y_i = 0).  ``voxels`` (E, 3) is the
+    voxel index of each element; ``gamma_faces`` are (element, axis, side)
+    triples of the interior solid surface.
     """
 
     geometry: CellGeometry
@@ -91,6 +91,7 @@ class CellMesh:
     coords: np.ndarray
     elems: np.ndarray
     spacing: tuple
+    voxels: np.ndarray
     node_master: np.ndarray
     gamma_faces: np.ndarray
 
@@ -116,7 +117,8 @@ class LayerMesh:
     lateral layer boundary; ``gamma_faces`` are the interior (traction)
     surface faces.  With ``include_void`` the mesh also carries the void
     elements (``solid`` flags them), which is needed for extension and trace
-    estimates on the complete layer.
+    estimates on the complete layer.  ``voxels`` (E, 3) is the voxel index
+    of each element on the global grid of the layer.
     """
 
     geometry: CellGeometry
@@ -127,7 +129,7 @@ class LayerMesh:
     elems: np.ndarray
     spacing: tuple
     solid: np.ndarray
-    cell_index: np.ndarray
+    voxels: np.ndarray
     dirichlet_nodes: np.ndarray
     gamma_faces: np.ndarray
     lateral_faces: np.ndarray
@@ -180,51 +182,20 @@ class PlateMesh:
 
 
 def _six_connected(mask: np.ndarray) -> bool:
-    """Flood fill over face neighbors; lateral wrap is intentionally not used
-    (the continuum cell is connected as a subset of Z, not of the torus)."""
-    solid = np.argwhere(mask)
-    if solid.shape[0] == 0:
-        return True
-    visited = np.zeros(mask.shape, dtype=bool)
-    stack = [tuple(solid[0])]
-    visited[tuple(solid[0])] = True
-    count = 0
-    shape = mask.shape
-    while stack:
-        i, j, k = stack.pop()
-        count += 1
-        for di, dj, dk in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            a, b, c = i + di, j + dj, k + dk
-            if 0 <= a < shape[0] and 0 <= b < shape[1] and 0 <= c < shape[2]:
-                if mask[a, b, c] and not visited[a, b, c]:
-                    visited[a, b, c] = True
-                    stack.append((a, b, c))
-    return count == solid.shape[0]
-
-
-def _collect_gamma_faces(mask: np.ndarray):
-    """Faces of solid voxels on the interior surface: neighbor void, or
-    missing neighbor across y3 = +/-1.  Lateral cell faces never belong."""
-    m1, m2, m3 = mask.shape
-    faces = []
-    solid = np.argwhere(mask)
-    for i, j, k in solid:
-        for axis, side in HEX_FACES:
-            step = [0, 0, 0]
-            step[axis] = side
-            a, b, c = i + step[0], j + step[1], k + step[2]
-            if axis < 2:
-                if 0 <= (a, b)[axis] < (m1, m2)[axis]:
-                    if not mask[a, b, c]:
-                        faces.append((i, j, k, axis, side))
-                # outside laterally: part of the cell boundary, not Gamma
-            else:
-                if 0 <= c < m3:
-                    if not mask[a, b, c]:
-                        faces.append((i, j, k, axis, side))
-                else:
-                    faces.append((i, j, k, axis, side))
-    return frozenset(faces)
+    """Grow the component of the first solid voxel by face-neighbour
+    dilation inside the mask until it stops; lateral wrap is intentionally
+    not used (the continuum cell is connected as a subset of Z, not of the
+    torus)."""
+    reached = np.zeros(mask.shape, dtype=bool)
+    reached.flat[np.argmax(mask)] = True
+    while True:
+        p = np.pad(reached, 1)
+        grown = mask & (reached | p[2:, 1:-1, 1:-1] | p[:-2, 1:-1, 1:-1]
+                        | p[1:-1, 2:, 1:-1] | p[1:-1, :-2, 1:-1]
+                        | p[1:-1, 1:-1, 2:] | p[1:-1, 1:-1, :-2])
+        if np.array_equal(grown, reached):
+            return bool(np.array_equal(reached, mask))
+        reached = grown
 
 
 def build_cell_geometry(descriptor, m: int = 8) -> CellGeometry:
@@ -239,7 +210,7 @@ def build_cell_geometry(descriptor, m: int = 8) -> CellGeometry:
     """
     if isinstance(descriptor, np.ndarray):
         mask = descriptor.astype(bool)
-        if mask.shape != (mask.shape[0], mask.shape[0], 2 * mask.shape[0]):
+        if mask.ndim != 3 or mask.shape != (mask.shape[0], mask.shape[0], 2 * mask.shape[0]):
             raise ResolutionIncompatible(
                 f"mask shape {mask.shape} is not (m, m, 2m)")
         m = mask.shape[0]
@@ -273,12 +244,7 @@ def build_cell_geometry(descriptor, m: int = 8) -> CellGeometry:
         raise DisconnectedSolid("solid voxel set is not 6-connected")
 
     volume = float(mask.sum()) / m**3
-    return CellGeometry(
-        mask=mask,
-        resolution=m,
-        gamma_faces=_collect_gamma_faces(mask),
-        solid_volume=volume,
-    )
+    return CellGeometry(mask=mask, resolution=m, solid_volume=volume)
 
 
 def channel_mask(m: int, width=(0.25, 0.75), height=(-0.5, 0.5),
@@ -300,80 +266,66 @@ def channel_mask(m: int, width=(0.25, 0.75), height=(-0.5, 0.5),
     return mask & ~hole
 
 
-def _refine_mask(mask: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return mask
-    return np.repeat(np.repeat(np.repeat(mask, factor, 0), factor, 1), factor, 2)
+def _fine_mask(geom: CellGeometry, n: int) -> np.ndarray:
+    """The cell mask at n voxels per unit length (n a positive multiple of
+    the mask resolution)."""
+    m = geom.resolution
+    if n <= 0 or n % m != 0:
+        raise ResolutionIncompatible(
+            f"elements per unit length n={n} must be a positive multiple of m={m}")
+    k = n // m
+    return np.repeat(np.repeat(np.repeat(geom.mask, k, 0), k, 1), k, 2)
 
 
-def _grid_node_ids(shape):
-    """Lexicographic node numbering over a structured grid, last index fastest."""
-    return np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+def _voxel_mesh(big: np.ndarray, include_void: bool = False):
+    """Hexahedra of the voxels of ``big`` (True = solid): the solid ones, or
+    all of them with ``include_void``, in lexicographic voxel order (x3
+    fastest).
+
+    Returns ``(voxels, solid, elems, nodes, lateral, gamma)``: the voxel
+    index (E, 3) and solid flag of every element, the connectivity over the
+    grid nodes that some element uses, the grid index (N, 3) of each used
+    node (lexicographic), and per element face (E, 6, ``HEX_FACES`` order)
+    whether it lies on the lateral grid boundary and whether it is a
+    traction face: a solid element face, not lateral, whose neighbour is
+    void or lies across the top or bottom of the grid.
+    """
+    voxels = np.argwhere(np.ones_like(big) if include_void else big)
+    solid = big[voxels[:, 0], voxels[:, 1], voxels[:, 2]]
+    grid = tuple(s + 1 for s in big.shape)
+    corners = (voxels[:, None, :] + HEX_CORNERS) @ np.array([grid[1] * grid[2], grid[2], 1])
+    used = np.zeros(int(np.prod(grid)), dtype=bool)
+    used[corners] = True
+    elems = (np.cumsum(used, dtype=np.int64) - 1)[corners]
+    nodes = np.argwhere(used.reshape(grid))
+
+    nbr = voxels[:, None, :] + HEX_FACE_SIDES[:, None] * np.eye(3, dtype=np.int64)[HEX_FACE_AXES]
+    inside = np.all((nbr >= 0) & (nbr < big.shape), axis=-1)
+    nbr = np.clip(nbr, 0, np.array(big.shape) - 1)
+    nbr_solid = inside & big[nbr[..., 0], nbr[..., 1], nbr[..., 2]]
+    lateral = (HEX_FACE_AXES < 2) & ~inside
+    gamma = solid[:, None] & ~lateral & ~nbr_solid
+    return voxels, solid, elems, nodes, lateral, gamma
 
 
-def _hex_connectivity(solid_voxels, node_ids):
-    """Element connectivity for the given (i1, i2, i3) voxel list."""
-    corners = solid_voxels[:, None, :] + HEX_CORNERS[None, :, :]
-    return node_ids[corners[..., 0], corners[..., 1], corners[..., 2]]
-
-
-def _compress_nodes(elems, n_grid_nodes):
-    """Renumber so only nodes referenced by elements remain, preserving order."""
-    used = np.zeros(n_grid_nodes, dtype=bool)
-    used[elems.ravel()] = True
-    new_id = np.cumsum(used, dtype=np.int64) - 1
-    return used, new_id
+def _face_list(mask: np.ndarray) -> np.ndarray:
+    """(element, axis, side) rows of the faces flagged in an (E, 6) mask."""
+    e, f = np.nonzero(mask)
+    return np.stack([e, HEX_FACE_AXES[f], HEX_FACE_SIDES[f]], axis=1).astype(np.int64)
 
 
 def build_cell_mesh(geom: CellGeometry, n: int) -> CellMesh:
     """Mesh the solid cell with n x n x 2n voxels (n a multiple of the mask
     resolution), with lateral periodic identification."""
-    m = geom.resolution
-    if n <= 0 or n % m != 0:
-        raise ResolutionIncompatible(
-            f"elements per unit length n={n} must be a positive multiple of m={m}")
-    fine = _refine_mask(geom.mask, n // m)
-    voxels = np.argwhere(fine)
-    order = np.lexsort((voxels[:, 2], voxels[:, 1], voxels[:, 0]))
-    voxels = voxels[order]
-
-    grid_shape = (n + 1, n + 1, 2 * n + 1)
-    node_ids = _grid_node_ids(grid_shape)
-    elems_grid = _hex_connectivity(voxels, node_ids)
-    used, new_id = _compress_nodes(elems_grid, node_ids.size)
-    elems = new_id[elems_grid]
-
-    idx = np.argwhere(used.reshape(grid_shape))
-    coords = np.empty((idx.shape[0], 3))
-    coords[:, 0] = idx[:, 0] / n
-    coords[:, 1] = idx[:, 1] / n
-    coords[:, 2] = -1.0 + idx[:, 2] / n
+    voxels, _, elems, nodes, _, gamma = _voxel_mesh(_fine_mask(geom, n))
+    coords = nodes / n
+    coords[:, 2] -= 1.0
 
     # periodic master: wrap i1 = n -> 0 and i2 = n -> 0
-    master_idx = idx.copy()
-    master_idx[:, 0] %= n
-    master_idx[:, 1] %= n
-    grid_master = node_ids[master_idx[:, 0], master_idx[:, 1], master_idx[:, 2]]
-    node_master = new_id[grid_master]
-
-    face_lookup = {}
-    for e, (i, j, k) in enumerate(voxels):
-        face_lookup[(i, j, k)] = e
-    gamma = []
-    coarse = n // m
-    for (ci, cj, ck, axis, side) in sorted(geom.gamma_faces):
-        # expand each coarse gamma face into the fine faces covering it
-        ranges = [range(ci * coarse, (ci + 1) * coarse),
-                  range(cj * coarse, (cj + 1) * coarse),
-                  range(ck * coarse, (ck + 1) * coarse)]
-        ranges[axis] = (ci * coarse + (coarse - 1 if side > 0 else 0),
-                        cj * coarse + (coarse - 1 if side > 0 else 0),
-                        ck * coarse + (coarse - 1 if side > 0 else 0))[axis:axis + 1]
-        for a in ranges[0]:
-            for b in ranges[1]:
-                for c in ranges[2]:
-                    gamma.append((face_lookup[(a, b, c)], axis, side))
-    gamma_faces = np.array(sorted(gamma), dtype=np.int64).reshape(-1, 3)
+    strides = np.array([(n + 1) * (2 * n + 1), 2 * n + 1, 1])
+    master = nodes.copy()
+    master[:, :2] %= n
+    node_master = np.searchsorted(nodes @ strides, master @ strides)
 
     return CellMesh(
         geometry=geom,
@@ -381,8 +333,9 @@ def build_cell_mesh(geom: CellGeometry, n: int) -> CellMesh:
         coords=coords,
         elems=elems,
         spacing=(1.0 / n, 1.0 / n, 1.0 / n),
+        voxels=voxels,
         node_master=node_master,
-        gamma_faces=gamma_faces,
+        gamma_faces=_face_list(gamma),
     )
 
 
@@ -398,8 +351,7 @@ def build_layer_mesh(geom: CellGeometry, eps: float, sigma, n: int,
     """Tile the scaled solid cell over Sigma x (-eps, eps).
 
     Sigma is ((a1, b1), (a2, b2)) with integer corners.  Elements are ordered
-    by global voxel index (x3 fastest); ``cell_index`` maps each element to
-    (flat cell id, local voxel id).
+    by global voxel index (x3 fastest), which ``voxels`` holds.
     """
     _check_eps(eps)
     (a1, b1), (a2, b2) = sigma
@@ -409,57 +361,13 @@ def build_layer_mesh(geom: CellGeometry, eps: float, sigma, n: int,
     w2 = int(round((b2 - a2) / eps))
     if abs(w1 * eps - (b1 - a1)) > 1e-12 or abs(w2 * eps - (b2 - a2)) > 1e-12:
         raise EpsilonNotReciprocalInteger("Sigma is not an integer number of cells")
-    m = geom.resolution
-    if n <= 0 or n % m != 0:
-        raise ResolutionIncompatible(
-            f"elements per unit length n={n} must be a positive multiple of m={m}")
 
-    fine = _refine_mask(geom.mask, n // m)
-    n_cells = w1 * w2
-    big = np.tile(fine, (w1, w2, 1))
-    voxels = np.argwhere(big if not include_void else np.ones_like(big))
-    order = np.lexsort((voxels[:, 2], voxels[:, 1], voxels[:, 0]))
-    voxels = voxels[order]
-    solid = big[voxels[:, 0], voxels[:, 1], voxels[:, 2]]
-
-    N1, N2, N3 = w1 * n + 1, w2 * n + 1, 2 * n + 1
-    node_ids = _grid_node_ids((N1, N2, N3))
-    elems_grid = _hex_connectivity(voxels, node_ids)
-    used, new_id = _compress_nodes(elems_grid, node_ids.size)
-    elems = new_id[elems_grid]
-
-    idx = np.argwhere(used.reshape((N1, N2, N3)))
+    big = np.tile(_fine_mask(geom, n), (w1, w2, 1))
+    voxels, solid, elems, nodes, lateral, gamma = _voxel_mesh(big, include_void)
     h = eps / n
-    coords = np.empty((idx.shape[0], 3))
-    coords[:, 0] = a1 + idx[:, 0] * h
-    coords[:, 1] = a2 + idx[:, 1] * h
-    coords[:, 2] = -eps + idx[:, 2] * h
+    coords = nodes * h + np.array([a1, a2, -eps])
 
-    # cell index: which eps-cell and which local voxel each element is
-    k1 = voxels[:, 0] // n
-    k2 = voxels[:, 1] // n
-    l1 = voxels[:, 0] % n
-    l2 = voxels[:, 1] % n
-    l3 = voxels[:, 2]
-    cell_flat = k1 * w2 + k2
-    local_flat = (l1 * n + l2) * (2 * n) + l3
-    cell_index = np.stack([cell_flat, local_flat], axis=1)
-
-    # boundary classification of the six faces of every element on the fine
-    # global voxel grid, element-major in HEX_FACES order
-    nbr = voxels[:, None, :] + HEX_FACE_SIDES[:, None] * np.eye(3, dtype=np.int64)[HEX_FACE_AXES]
-    inside = np.all((nbr >= 0) & (nbr < big.shape), axis=-1)
-    nbr = np.clip(nbr, 0, np.array(big.shape) - 1)
-    nbr_solid = inside & big[nbr[..., 0], nbr[..., 1], nbr[..., 2]]
-    lateral = (HEX_FACE_AXES < 2) & ~inside
-    dirichlet = lateral & solid[:, None]
-    gamma = solid[:, None] & ~lateral & ~nbr_solid  # void neighbour or x3 = +/- eps
-
-    def face_list(mask):
-        e, f = np.nonzero(mask)
-        return np.stack([e, HEX_FACE_AXES[f], HEX_FACE_SIDES[f]], axis=1).astype(np.int64)
-
-    e, f = np.nonzero(dirichlet)
+    e, f = np.nonzero(lateral & solid[:, None])
     dirichlet_nodes = np.unique(elems[e[:, None], HEX_FACE_NODES[f]]).astype(np.int64)
 
     return LayerMesh(
@@ -471,11 +379,11 @@ def build_layer_mesh(geom: CellGeometry, eps: float, sigma, n: int,
         elems=elems,
         spacing=(h, h, h),
         solid=solid,
-        cell_index=cell_index,
+        voxels=voxels,
         dirichlet_nodes=dirichlet_nodes,
-        gamma_faces=face_list(gamma),
-        lateral_faces=face_list(lateral),
-        n_cells=n_cells,
+        gamma_faces=_face_list(gamma),
+        lateral_faces=_face_list(lateral),
+        n_cells=w1 * w2,
     )
 
 

@@ -272,16 +272,8 @@ def _voxel_element_map(lmesh: LayerMesh):
     (a1, b1, a2, b2) = lmesh.sigma
     w1 = int(round((b1 - a1) / lmesh.eps))
     w2 = int(round((b2 - a2) / lmesh.eps))
-    shape = (w1 * n, w2 * n, 2 * n)
-    vox = -np.ones(shape, dtype=np.int64)
-    cell = lmesh.cell_index[:, 0]
-    local = lmesh.cell_index[:, 1]
-    k1, k2 = cell // w2, cell % w2
-    l3 = local % (2 * n)
-    rest = local // (2 * n)
-    l2 = rest % n
-    l1 = rest // n
-    vox[k1 * n + l1, k2 * n + l2, l3] = np.arange(lmesh.n_elems)
+    vox = -np.ones((w1 * n, w2 * n, 2 * n), dtype=np.int64)
+    vox[tuple(lmesh.voxels.T)] = np.arange(lmesh.n_elems)
     return vox
 
 
@@ -405,20 +397,10 @@ def _cell_element_lookup(lmesh: LayerMesh, cmesh):
     if cmesh.geometry.digest() != lmesh.geometry.digest():
         raise InconsistentMesh("cell mesh geometry differs from the layer")
     n = cmesh.resolution
-    fine = np.repeat(np.repeat(np.repeat(
-        cmesh.geometry.mask, n // cmesh.geometry.resolution, 0),
-        n // cmesh.geometry.resolution, 1), n // cmesh.geometry.resolution, 2)
-    lookup = -np.ones(fine.shape, dtype=np.int64)
-    order = np.argwhere(fine)
-    srt = np.lexsort((order[:, 2], order[:, 1], order[:, 0]))
-    order = order[srt]
-    lookup[order[:, 0], order[:, 1], order[:, 2]] = np.arange(order.shape[0])
-    local = lmesh.cell_index[:, 1]
-    l3 = local % (2 * n)
-    rest = local // (2 * n)
-    l2 = rest % n
-    l1 = rest // n
-    return lookup[l1, l2, l3]
+    lookup = -np.ones((n, n, 2 * n), dtype=np.int64)
+    lookup[tuple(cmesh.voxels.T)] = np.arange(cmesh.n_elems)
+    local = lmesh.voxels % np.array([n, n, 2 * n])
+    return lookup[tuple(local.T)]
 
 
 def _inplane_points(lmesh: LayerMesh, elems: np.ndarray):

@@ -121,44 +121,14 @@ def _mandel2(e11, e22, e12):
     return np.stack([e11, e22, np.sqrt(2.0) * e12], axis=-2)
 
 
-class PlateDofs:
-    """Reduced numbering for one unknown block with clamped boundary nodes."""
-
-    def __init__(self, pmesh: PlateMesh, per_node: int):
-        self.per_node = per_node
-        n = pmesh.n_nodes
-        constrained = np.zeros(n * per_node, dtype=bool)
-        for node in pmesh.clamped_nodes:
-            constrained[per_node * node:per_node * (node + 1)] = True
-        self.reduced = -np.ones(n * per_node, dtype=np.int64)
-        self.reduced[~constrained] = np.arange(int((~constrained).sum()))
-        self.n_dofs = int((~constrained).sum())
-        self.node_dofs = self.reduced.reshape(n, per_node)
-
-    def element_dofs(self, elems):
-        return self.node_dofs[elems].reshape(elems.shape[0], -1)
-
-    def expand(self, reduced):
-        out = np.zeros(self.node_dofs.shape[0] * self.per_node)
-        mask = self.reduced >= 0
-        out[mask] = reduced[self.reduced[mask]]
-        return out.reshape(-1, self.per_node)
-
-    def restrict(self, nodal):
-        out = np.zeros(self.n_dofs)
-        mask = self.node_dofs >= 0
-        out[self.node_dofs[mask]] = np.asarray(nodal)[mask]
-        return out
-
-
 @dataclass
 class PlateSystem:
     """Assembled block operators of the macroscopic model."""
 
     pmesh: PlateMesh
     eff: EffectiveModel
-    bend_dofs: PlateDofs
-    memb_dofs: PlateDofs
+    bend_dofs: fem.DofMap      # four Hermite dofs per node, clamped boundary
+    memb_dofs: fem.DofMap      # two membrane components per node
     k_bb: sp.csr_matrix
     k_aa: sp.csr_matrix
     k_ab: sp.csr_matrix        # membrane rows, bending columns
@@ -229,8 +199,8 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     m_m_loc[0::2, 0::2] = nn
     m_m_loc[1::2, 1::2] = nn
 
-    bend_dofs = PlateDofs(pmesh, 4)
-    memb_dofs = PlateDofs(pmesh, 2)
+    bend_dofs = fem.DofMap(pmesh, 4, dirichlet_nodes=pmesh.clamped_nodes)
+    memb_dofs = fem.DofMap(pmesh, 2, dirichlet_nodes=pmesh.clamped_nodes)
     eb = bend_dofs.element_dofs(pmesh.elems)
     em = memb_dofs.element_dofs(pmesh.elems)
 

@@ -208,7 +208,7 @@ def test_mesh_refinement_contraction(box_cell_n4, box_cell_n8, box_cell_n16):
 def test_galerkin_orthogonality(box_cell_n4, iso_tensor):
     mesh, sols, _ = box_cell_n4
     dm = sols.dofmap
-    op, _ = pc._cell_operator(mesh, iso_tensor, dm)
+    op = pc._cell_operator(mesh, iso_tensor, dm)
     r = rng(17)
     stress = iso_tensor.apply(pc.basis_matrix(1, 1))
     vc, _ = pc._strain_load_vectors(mesh, dm, stress)
@@ -345,7 +345,7 @@ def test_multigrid_cell_solves_take_few_iterations(kind, n, iso_tensor, monkeypa
 def test_multigrid_tensors_match_jacobi(box_geom, iso_tensor, monkeypatch):
     mesh = pg.build_cell_mesh(box_geom, 16)
     dm = fem.DofMap(mesh, 3, periodic=True)
-    op, _ = pc._cell_operator(mesh, iso_tensor, dm)
+    op = pc._cell_operator(mesh, iso_tensor, dm)
     assert isinstance(pc._cell_multigrid(mesh, dm, op), fem.GridMultigrid)
     mg = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))
     monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", np.inf)

@@ -312,6 +312,10 @@ def test_cli_bad_dump_fields_fails_before_compute(tmp_path, value):
     assert value in record["message"]
 
 
+def _mask_config(mask):
+    return f"geometry:\n  type: mask\n  mask: {json.dumps(mask.tolist())}\n"
+
+
 @pytest.mark.parametrize("text, key", [
     ("geometry:\n  hole: [[0.0, 0.75], [0.25, 0.75], [-0.5, 0.5]]\n", "geometry.hole[0]"),
     ("geometry:\n  hole: [[0.25, 0.75], [0.25, 0.75], [-0.5, 1.5]]\n", "geometry.hole[2]"),
@@ -321,6 +325,13 @@ def test_cli_bad_dump_fields_fails_before_compute(tmp_path, value):
     ("geometry:\n  type: channel\n  height: [-1.0, 0.5]\n", "geometry.height"),
     ("material:\n  mu: -1.0\n", "material"),
     ("material:\n  lambda: -1.0\n", "material"),
+    (_mask_config(np.ones((2, 2, 2), bool)), "geometry"),            # not (m, m, 2m)
+    (_mask_config(np.zeros((2, 2, 4), bool)), "geometry"),           # empty
+    (_mask_config(np.arange(16).reshape(2, 2, 4) > 0), "geometry"),  # not periodic
+    ("geometry:\n  type: mask\n  mask: 1\n", "geometry"),                 # not 3-d
+    ("geometry:\n  type: channel\n  width: [0.01, 0.99]\n", "geometry"),  # disconnected
+    ("resolutions:\n  n: 6\n", "resolutions.n"),
+    ("resolutions:\n  n: 4.5\n", "resolutions.n"),
 ])
 def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
     cfg = _write(tmp_path, text)

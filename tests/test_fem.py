@@ -586,7 +586,7 @@ def test_split_products_keep_cg_iterates(box_geom, multigrid, monkeypatch):
     for floor, cores in ((10**12, 1), (1, 3)):
         monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", floor)
         monkeypatch.setattr(fem, "_cores", lambda cores=cores: cores)
-        op, _ = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
+        op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
         assert len(op._product.blocks) == cores and op._product.matrix is op.matrix
         precond = pc._cell_multigrid(mesh, dm, op) if multigrid else fem.jacobi(op.diagonal())
         if multigrid:
@@ -625,7 +625,7 @@ def _cell_multigrid(geom, n, coarsest, monkeypatch):
     monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
     mesh = pg.build_cell_mesh(geom, n)
     dm = fem.DofMap(mesh, 3, periodic=True)
-    op, _ = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
+    op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
     return op, pc._cell_multigrid(mesh, dm, op)
 
 

@@ -167,15 +167,67 @@ def test_checkerboard_mask_rejected():
         pg.build_cell_geometry(mask)
 
 
-def _faces_by_loop(lm):
+def _flood_fill_connected(mask):
+    """The former stack-based flood fill of ``_six_connected``, kept as the
+    reference."""
+    solid = np.argwhere(mask)
+    if solid.shape[0] == 0:
+        return True
+    visited = np.zeros(mask.shape, dtype=bool)
+    stack = [tuple(solid[0])]
+    visited[tuple(solid[0])] = True
+    count = 0
+    while stack:
+        i, j, k = stack.pop()
+        count += 1
+        for di, dj, dk in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
+            a, b, c = i + di, j + dj, k + dk
+            if all(0 <= v < s for v, s in zip((a, b, c), mask.shape)):
+                if mask[a, b, c] and not visited[a, b, c]:
+                    visited[a, b, c] = True
+                    stack.append((a, b, c))
+    return count == solid.shape[0]
+
+
+def test_six_connected_matches_flood_fill():
+    r = np.random.default_rng(3)
+    outcomes = set()
+    for _ in range(400):
+        mask = r.random(tuple(r.integers(1, 7, size=3))) < r.uniform(0.3, 0.9)
+        want = _flood_fill_connected(mask)
+        assert pg._six_connected(mask) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def _random_periodic_mask(seed, m=4):
+    """A random solid mask with equal opposite lateral faces, 6-connected."""
+    r = np.random.default_rng(seed)
+    while True:
+        mask = r.random((m, m, 2 * m)) < 0.75
+        mask[-1] = mask[0]
+        mask[:, -1] = mask[:, 0]
+        if _flood_fill_connected(mask):
+            return mask
+
+
+def _descriptor(name):
+    if name == "channel":
+        return pg.channel_mask(4, height=(-0.75, 0.25))
+    if isinstance(name, str) and name.startswith("random"):
+        return _random_periodic_mask(int(name[len("random"):]))
+    return name
+
+
+def _faces_by_loop(mesh, origin, shape):
     """Face lists and Dirichlet nodes by the per-element, per-face loop over
-    the global voxel grid, rebuilt from the mesh."""
-    h = lm.spacing[0]
-    a1, b1, a2, b2 = lm.sigma
-    origin = np.array([a1, a2, -lm.eps])
-    voxels = np.rint((lm.coords[lm.elems[:, 0]] - origin) / h).astype(np.int64)
-    big = np.zeros((round((b1 - a1) / h), round((b2 - a2) / h), 2 * lm.resolution), bool)
-    big[tuple(voxels[lm.solid].T)] = True
+    the voxel grid of the given origin and shape, rebuilt from the mesh
+    coordinates (a cell mesh has no void elements)."""
+    h = mesh.spacing[0]
+    solid = getattr(mesh, "solid", np.ones(mesh.n_elems, dtype=bool))
+    voxels = np.rint((mesh.coords[mesh.elems[:, 0]] - origin) / h).astype(np.int64)
+    big = np.zeros(shape, bool)
+    big[tuple(voxels[solid].T)] = True
     gamma, lateral, dirichlet = [], [], set()
     for e, (i, j, k) in enumerate(voxels):
         for axis, side in pg.HEX_FACES:
@@ -184,9 +236,9 @@ def _faces_by_loop(lm):
             inside = all(0 <= v < n for v, n in zip(nbr, big.shape))
             if axis < 2 and not inside:
                 lateral.append((e, axis, side))
-                if lm.solid[e]:
-                    dirichlet.update(int(lm.elems[e, ln]) for ln in pg.HEX_FACES[(axis, side)])
-            elif lm.solid[e] and (not inside or not big[tuple(nbr)]):
+                if solid[e]:
+                    dirichlet.update(int(mesh.elems[e, ln]) for ln in pg.HEX_FACES[(axis, side)])
+            elif solid[e] and (not inside or not big[tuple(nbr)]):
                 gamma.append((e, axis, side))
     return (np.array(gamma, dtype=np.int64).reshape(-1, 3),
             np.array(lateral, dtype=np.int64).reshape(-1, 3),
@@ -195,14 +247,45 @@ def _faces_by_loop(lm):
 
 @pytest.mark.parametrize("descriptor", ["full", BOX_HOLE, "channel"])
 def test_layer_faces_match_per_face_loop(descriptor):
-    if descriptor == "channel":
-        descriptor = pg.channel_mask(4, height=(-0.75, 0.25))
-    geom = pg.build_cell_geometry(descriptor, m=4)
+    geom = pg.build_cell_geometry(_descriptor(descriptor), m=4)
     for eps in (0.5, 0.25):
         for include_void in (False, True):
             lm = pg.build_layer_mesh(geom, eps, SIGMA, 4, include_void=include_void)
-            gamma, lateral, dirichlet = _faces_by_loop(lm)
+            a1, b1, a2, b2 = lm.sigma
+            shape = (round((b1 - a1) / lm.spacing[0]), round((b2 - a2) / lm.spacing[1]),
+                     2 * lm.resolution)
+            gamma, lateral, dirichlet = _faces_by_loop(lm, np.array([a1, a2, -eps]), shape)
             for got, want in ((lm.gamma_faces, gamma), (lm.lateral_faces, lateral),
                               (lm.dirichlet_nodes, dirichlet)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("descriptor", ["full", BOX_HOLE, "channel", "random0", "random1"])
+def test_cell_gamma_faces_match_per_face_loop(descriptor):
+    geom = pg.build_cell_geometry(_descriptor(descriptor), m=4)
+    for n in (4, 8, 12):
+        cm = pg.build_cell_mesh(geom, n)
+        gamma, _, _ = _faces_by_loop(cm, np.array([0.0, 0.0, -1.0]), (n, n, 2 * n))
+        assert cm.gamma_faces.dtype == gamma.dtype and cm.gamma_faces.shape == gamma.shape
+        assert np.array_equal(cm.gamma_faces, gamma)
+
+
+def test_element_corners_follow_voxels(box_geom):
+    # n = 12: the cell's i / n and the voxel's i * h may differ in the last bit
+    cm = pg.build_cell_mesh(box_geom, 12)
+    lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 12, include_void=True)
+    for mesh, origin in ((cm, [0.0, 0.0, -1.0]), (lm, [SIGMA[0][0], SIGMA[1][0], -0.5])):
+        assert mesh.voxels.shape == (mesh.n_elems, 3)
+        np.testing.assert_allclose(mesh.coords[mesh.elems[:, 0]],
+                                   np.array(origin) + mesh.voxels * mesh.spacing[0],
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("descriptor", ["full", BOX_HOLE, "channel", "random2"])
+def test_cell_mesh_is_the_one_cell_layer(descriptor):
+    geom = pg.build_cell_geometry(_descriptor(descriptor), m=4)
+    cm = pg.build_cell_mesh(geom, 8)
+    lm = pg.build_layer_mesh(geom, 1.0, ((0, 1), (0, 1)), 8)
+    for name in ("elems", "gamma_faces", "voxels"):
+        assert np.array_equal(getattr(cm, name), getattr(lm, name)), name
