@@ -2,7 +2,7 @@
 
 Subcommands: cell-solve, homogenize, plate-run, micro-run, converge, korn,
 extension-norm, trace, helmholtz-check, report.  Exit codes: 0 success,
-2 configuration/validation error, 3 solver failure.  Failures leave a
+2 configuration, validation or I/O error, 3 solver failure.  Failures leave a
 machine-readable record in <out>/error.json.
 """
 
@@ -116,7 +116,7 @@ class Pipeline:
             "plate", [(s.t, system.bend_dofs.expand(s.w)[:, 0]) for s in traj.states])
         return traj
 
-    def micro_run(self, eps, write=True):
+    def micro_run(self, eps):
         cfg = self.cfg
         lmesh = geometry.build_layer_mesh(self.geom, eps, cfg.sigma, self.n)
         ops = micro.assemble_micro(lmesh, self.tensor, eps, self.loads)
@@ -126,13 +126,12 @@ class Pipeline:
             gamma=gamma, picard_tol=self.tol["picard"],
             picard_max=self.tol["picard_max"],
             tol=min(self.tol["linear"], 1e-11), store_states=True)
-        if write:
-            k = int(round(1.0 / eps))
-            reporting.write_csv(
-                os.path.join(self.outdir, f"micro_trajectory_eps{k}.csv"),
-                micro.MicroTrajectory.HEADER, traj.rows)
-            self._dump_states(
-                f"micro_eps{k}", [(s.t, s.nodal()) for s in traj.states])
+        k = int(round(1.0 / eps))
+        reporting.write_csv(
+            os.path.join(self.outdir, f"micro_trajectory_eps{k}.csv"),
+            micro.MicroTrajectory.HEADER, traj.rows)
+        self._dump_states(
+            f"micro_eps{k}", [(s.t, s.nodal()) for s in traj.states])
         return lmesh, ops, traj
 
     def converge(self):

@@ -175,12 +175,14 @@ def _merge(defaults, given, path=""):
     return out
 
 
-def _positive(tree, dotted):
+def _positive(tree, dotted, integer=False):
     node = tree
     for part in dotted.split("."):
         node = node[part]
-    if not (isinstance(node, (int, float)) and node > 0):
-        raise ValidationError("must be a positive number", key=dotted)
+    kind = int if integer else (int, float)
+    if isinstance(node, bool) or not (isinstance(node, kind) and node > 0):
+        raise ValidationError(
+            f"must be a positive {'integer' if integer else 'number'}", key=dotted)
 
 
 def _check_time_grid(cfg: SimConfig):
@@ -248,9 +250,10 @@ def validate_tree(tree: dict) -> dict:
         raise ValidationError("empty extent", key="sigma")
 
     for keypath in ("resolutions.m", "resolutions.n", "resolutions.n_sigma",
-                    "time.t_end", "time.beta", "time.gamma",
-                    "tolerances.linear", "tolerances.eigen",
-                    "tolerances.picard", "tolerances.picard_max"):
+                    "tolerances.picard_max"):
+        _positive(merged, keypath, integer=True)
+    for keypath in ("time.t_end", "time.beta", "time.gamma", "tolerances.linear",
+                    "tolerances.eigen", "tolerances.picard"):
         _positive(merged, keypath)
 
     dt = merged["time"]["dt"]
@@ -280,8 +283,7 @@ def validate_tree(tree: dict) -> dict:
     except (ResolutionIncompatible, EmptySolid, PeriodicMismatch, DisconnectedSolid,
             ValueError) as exc:
         raise ValidationError(str(exc), key="geometry") from exc
-    n = merged["resolutions"]["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n % geom.resolution:
+    if merged["resolutions"]["n"] % geom.resolution:
         raise ValidationError(
             f"must be an integer multiple of the geometry resolution {geom.resolution}",
             key="resolutions.n")

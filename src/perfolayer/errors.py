@@ -45,10 +45,6 @@ class ConvergenceFailure(SolverFailure):
     """Eigenvalue iteration did not converge."""
 
 
-class NullspaceOverlap(SolverFailure):
-    """Both pencil operators vanish on a common vector."""
-
-
 class SingularWithoutConstraints(SolverFailure):
     """Operator is singular because no constraints were applied."""
 
@@ -96,7 +92,3 @@ class ValidationError(PerfolayerError):
             message = f"{key}: {message}"
         super().__init__(message)
         self.key = key
-
-
-class IoError(PerfolayerError):
-    """Report or artifact could not be written."""

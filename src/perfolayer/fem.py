@@ -32,7 +32,6 @@ from .errors import (
     ConvergenceFailure,
     IndefiniteDetected,
     MaxIterationsExceeded,
-    NullspaceOverlap,
     SingularWithoutConstraints,
 )
 from .geometry import HEX_CORNERS, HEX_FACE_NODES, HEX_FACES
@@ -50,7 +49,7 @@ class ElasticityTensor4:
     A D(u):D(v) is then symmetric and acts on symmetric matrices only).
     """
 
-    def __init__(self, components: np.ndarray, coercivity_check: bool = True):
+    def __init__(self, components: np.ndarray):
         a = np.asarray(components, dtype=float)
         if a.shape != (3, 3, 3, 3):
             raise ValueError("elasticity tensor must be 3x3x3x3")
@@ -61,7 +60,7 @@ class ElasticityTensor4:
                 raise ValueError(f"symmetry {name} violated")
         self.components = a
         self.c0 = self._coercivity_constant()
-        if coercivity_check and self.c0 <= 0:
+        if self.c0 <= 0:
             raise ValueError(f"tensor is not coercive (c0 = {self.c0:.3e})")
 
     @classmethod
@@ -1077,23 +1076,3 @@ def _rayleigh_ritz(S, AS, BS, k: int):
     mu, V = np.linalg.eigh(H)
     top = np.argsort(mu)[::-1][:k]
     return Q @ V[:, top], mu[top]
-
-
-def min_generalized_eigenpair(a_op: SymmetricOperator, b_op: SymmetricOperator,
-                              tol: float = 1e-8, seed: int = 0, block: int = 3,
-                              max_iter: int = 300) -> EigenResult:
-    """Smallest lambda with A v = lambda B v (A PSD, B SPD on the subspace).
-
-    Runs the eigensolver on the reciprocal pencil; raises NullspaceOverlap
-    when A and B share a kernel vector.
-    """
-    try:
-        res = max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
-                                tol=tol, seed=seed, block=block,
-                                max_iter=max_iter)
-    except (IndefiniteDetected, SingularWithoutConstraints) as exc:
-        raise NullspaceOverlap(str(exc)) from exc
-    if res.value <= 0:
-        raise NullspaceOverlap("pencil has no positive Rayleigh quotient")
-    lam = 1.0 / res.value
-    return EigenResult(lam, res.vector, res.residual, res.iterations)

@@ -2,13 +2,18 @@
 
 Loads are scalar functions of (t, x1, x2, y1, y2, y3, z) for the three volume
 components and (x1, x2, y1, y2, y3) for the interior surface tractions.  They
-come either from built-in presets or from expression strings in a small
-arithmetic grammar (+ - * / **, sin, cos, exp, pi) so that runs are
-reproducible from the configuration alone.
+come either from built-in presets or from expression strings, so that runs
+are reproducible from the configuration alone.  An expression is read by
+Python's own parser (``ast``) and then checked against a whitelist: decimal
+numerals, ``pi``, the allowed variables, unary minus, binary ``+ - * / **``
+and ``sin``, ``cos``, ``exp`` of one argument.  The checked tree is evaluated
+by a small interpreter; config text is never compiled or executed.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
 
@@ -17,144 +22,73 @@ import numpy as np
 from . import fem
 from .errors import ParseError, ValidationError
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_][A-Za-z_0-9]*)|(\*\*)|([()+\-*/]))")
-
+_CHARS = r"[0-9A-Za-z_.+\-*/()\s]*"
+_NUMERAL = r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _VOLUME_VARS = ("t", "x1", "x2", "y1", "y2", "y3", "z")
 _SURFACE_VARS = ("x1", "x2", "y1", "y2", "y3")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad token in expression {text!r} at offset {pos}")
-        num, ident, power, op = m.groups()
-        if num is not None:
-            out.append(("num", float(num)))
-        elif ident is not None:
-            out.append(("ident", ident))
-        elif power is not None:
-            out.append(("op", "**"))
-        else:
-            out.append(("op", op))
-        pos = m.end()
-    out.append(("end", None))
-    return out
-
-
 class Expression:
-    """Parsed arithmetic expression over a fixed variable set."""
+    """Arithmetic expression over a fixed variable set.
+
+    Raises ParseError on a syntax error or a construct outside the language
+    and ValidationError on an unknown variable."""
 
     def __init__(self, text: str, variables):
         self.text = text
         self.variables = tuple(variables)
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self.ast = self._expr()
-        if self._peek()[0] != "end":
-            raise ParseError(f"trailing input in expression {text!r}")
         self.used = set()
-        self._collect(self.ast)
+        if not re.fullmatch(_CHARS, text):
+            raise ParseError(f"unsupported character in expression {text!r}")
+        self._source = " ".join(text.split())
+        try:
+            self._tree = self._check(ast.parse(self._source, mode="eval").body)
+        except (SyntaxError, RecursionError) as exc:
+            raise ParseError(f"cannot read expression {text!r}: {exc.args[0]}") from None
 
-    def _peek(self):
-        return self._tokens[self._pos]
-
-    def _next(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _expr(self):
-        node = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._next()[1]
-            node = ("bin", op, node, self._term())
-        return node
-
-    def _term(self):
-        node = self._unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._next()[1]
-            node = ("bin", op, node, self._unary())
-        return node
-
-    def _unary(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            return ("neg", self._unary())
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._peek() == ("op", "**"):
-            self._next()
-            return ("bin", "**", base, self._unary())
-        return base
-
-    def _atom(self):
-        kind, val = self._next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "ident":
-            if val == "pi":
+    def _check(self, node):
+        """Whitelisted ``ast`` node -> tagged tuple for ``_eval``."""
+        if isinstance(node, ast.Constant):
+            literal = ast.get_source_segment(self._source, node)
+            if re.fullmatch(_NUMERAL, literal):
+                return ("num", float(literal))
+        elif isinstance(node, ast.Name):
+            if node.id == "pi":
                 return ("num", np.pi)
-            if val in _FUNCTIONS:
-                if self._next() != ("op", "("):
-                    raise ParseError(f"{val} needs parentheses in {self.text!r}")
-                arg = self._expr()
-                if self._next() != ("op", ")"):
-                    raise ParseError(f"unbalanced parentheses in {self.text!r}")
-                return ("call", val, arg)
-            if val not in self.variables:
-                raise ValidationError(
-                    f"unknown variable {val!r} (allowed: {', '.join(self.variables)})")
-            return ("var", val)
-        if (kind, val) == ("op", "("):
-            node = self._expr()
-            if self._next() != ("op", ")"):
-                raise ParseError(f"unbalanced parentheses in {self.text!r}")
-            return node
-        raise ParseError(f"unexpected token {val!r} in {self.text!r}")
-
-    def _collect(self, node):
-        tag = node[0]
-        if tag == "var":
-            self.used.add(node[1])
-        elif tag == "bin":
-            self._collect(node[2])
-            self._collect(node[3])
-        elif tag in ("neg", "call"):
-            self._collect(node[-1])
+            if node.id in _FUNCTIONS:
+                raise ParseError(f"{node.id} needs parentheses in {self.text!r}")
+            if node.id not in self.variables:
+                raise ValidationError(f"unknown variable {node.id!r} "
+                                      f"(allowed: {', '.join(self.variables)})")
+            self.used.add(node.id)
+            return ("var", node.id)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("op", operator.neg, self._check(node.operand))
+        elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return ("op", _OPERATORS[type(node.op)],
+                    self._check(node.left), self._check(node.right))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCTIONS and len(node.args) == 1
+              and not node.keywords and not isinstance(node.args[0], ast.Starred)):
+            return ("op", _FUNCTIONS[node.func.id], self._check(node.args[0]))
+        segment = ast.get_source_segment(self._source, node)
+        raise ParseError(f"unsupported construct {segment!r} in {self.text!r}")
 
     def __call__(self, **env):
-        return self._eval(self.ast, env)
+        return _eval(self._tree, env)
 
-    def _eval(self, node, env):
-        tag = node[0]
-        if tag == "num":
-            return node[1]
-        if tag == "var":
-            return env[node[1]]
-        if tag == "neg":
-            return -self._eval(node[1], env)
-        if tag == "call":
-            return _FUNCTIONS[node[1]](self._eval(node[2], env))
-        op = node[1]
-        a = self._eval(node[2], env)
-        b = self._eval(node[3], env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return a ** b
+
+def _eval(node, env):
+    """Value of a tagged tuple: ("num", value), ("var", name) or
+    ("op", function, *operands)."""
+    if node[0] == "num":
+        return node[1]
+    if node[0] == "var":
+        return env[node[1]]
+    return node[1](*[_eval(arg, env) for arg in node[2:]])
 
 
 @dataclass

@@ -11,8 +11,6 @@ import os
 
 import numpy as np
 
-from .errors import IoError
-
 
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
@@ -23,23 +21,17 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write table {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_xy(path, xs, ys) -> None:
     """Two-column 'x y' series for external plotting."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for x, y in zip(xs, ys):
-                f.write(f"{_fmt(float(x))} {_fmt(float(y))}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write plot data {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for x, y in zip(xs, ys):
+            f.write(f"{_fmt(float(x))} {_fmt(float(y))}\n")
 
 
 def _summary_lines(tree, indent=0):
@@ -56,12 +48,9 @@ def _summary_lines(tree, indent=0):
 
 def write_summary(path, tree) -> None:
     """Structured key-value summary document."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for line in _summary_lines(tree):
-                f.write(line + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write summary {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for line in _summary_lines(tree):
+            f.write(line + "\n")
 
 
 def effective_model_lines(eff, digest: str, resolution: int, residuals) -> list:
@@ -87,12 +76,9 @@ def effective_model_lines(eff, digest: str, resolution: int, residuals) -> list:
 
 
 def write_effective_model(path, eff, digest, resolution, residuals) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for line in effective_model_lines(eff, digest, resolution, residuals):
-                f.write(line + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write tensor document {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for line in effective_model_lines(eff, digest, resolution, residuals):
+            f.write(line + "\n")
 
 
 def write_report(results: dict, outdir) -> None:

@@ -44,6 +44,152 @@ def test_expression_parse_errors():
         Expression("1 2", ("x1",))
 
 
+_VOL = ("t", "x1", "x2", "y1", "y2", "y3", "z")
+_SURF = ("x1", "x2", "y1", "y2", "y3")
+_ENV = dict(zip(_VOL, [0.3] + [np.linspace(0.1, 0.9, 5) + 0.01 * k for k in range(5)]
+                + [np.linspace(-1.0, 1.0, 5)]))
+
+# (text, the same expression in numpy with float literals, variables used);
+# every case is read over the volume variables unless it names no volume-only
+# variable, in which case the surface set is tried too
+EXPRESSIONS_ACCEPTED = [
+    ("0", lambda t, x1, x2, y1, y2, y3, z: 0.0, set()),
+    ("1.5e-3", lambda t, x1, x2, y1, y2, y3, z: 1.5e-3, set()),
+    (".5", lambda t, x1, x2, y1, y2, y3, z: 0.5, set()),
+    ("2.", lambda t, x1, x2, y1, y2, y3, z: 2.0, set()),
+    ("1E2", lambda t, x1, x2, y1, y2, y3, z: 100.0, set()),
+    ("00", lambda t, x1, x2, y1, y2, y3, z: 0.0, set()),
+    ("3.0e+2*y1", lambda t, x1, x2, y1, y2, y3, z: 300.0 * y1, {"y1"}),
+    ("pi", lambda t, x1, x2, y1, y2, y3, z: np.pi, set()),
+    ("pi/2 - x1", lambda t, x1, x2, y1, y2, y3, z: np.pi / 2.0 - x1, {"x1"}),
+    ("x1", lambda t, x1, x2, y1, y2, y3, z: x1, {"x1"}),
+    ("  x1\n+\tx2", lambda t, x1, x2, y1, y2, y3, z: x1 + x2, {"x1", "x2"}),
+    ("((x1))", lambda t, x1, x2, y1, y2, y3, z: x1, {"x1"}),
+    ("x1 - x2 - y1", lambda t, x1, x2, y1, y2, y3, z: x1 - x2 - y1, {"x1", "x2", "y1"}),
+    ("x1 / x2 / y3", lambda t, x1, x2, y1, y2, y3, z: x1 / x2 / y3, {"x1", "x2", "y3"}),
+    ("x1*x2/y1*y2", lambda t, x1, x2, y1, y2, y3, z: x1 * x2 / y1 * y2,
+     {"x1", "x2", "y1", "y2"}),
+    ("2 ** 3 ** 2", lambda t, x1, x2, y1, y2, y3, z: 2.0 ** 3.0 ** 2.0, set()),
+    ("-x1 ** 2", lambda t, x1, x2, y1, y2, y3, z: -x1 ** 2.0, {"x1"}),
+    ("(-x1) ** 2", lambda t, x1, x2, y1, y2, y3, z: (-x1) ** 2.0, {"x1"}),
+    ("--x1", lambda t, x1, x2, y1, y2, y3, z: -(-x1), {"x1"}),
+    ("x1 - -x2", lambda t, x1, x2, y1, y2, y3, z: x1 - -x2, {"x1", "x2"}),
+    ("2*-x1", lambda t, x1, x2, y1, y2, y3, z: 2.0 * -x1, {"x1"}),
+    ("x1 ** -2", lambda t, x1, x2, y1, y2, y3, z: x1 ** -2.0, {"x1"}),
+    ("2 ** -x1 ** 2", lambda t, x1, x2, y1, y2, y3, z: 2.0 ** -x1 ** 2.0, {"x1"}),
+    ("x2 ** x1", lambda t, x1, x2, y1, y2, y3, z: x2 ** x1, {"x1", "x2"}),
+    ("1/(1 + x1**2)", lambda t, x1, x2, y1, y2, y3, z: 1.0 / (1.0 + x1 ** 2.0), {"x1"}),
+    ("sin(pi*x1)*sin(pi*x2)*(1+0.2*z)",
+     lambda t, x1, x2, y1, y2, y3, z: np.sin(np.pi * x1) * np.sin(np.pi * x2)
+     * (1.0 + 0.2 * z), {"x1", "x2", "z"}),
+    ("sin(pi*x1)*y3 + z**2/2 - cos(t)",
+     lambda t, x1, x2, y1, y2, y3, z: np.sin(np.pi * x1) * y3 + z ** 2.0 / 2.0
+     - np.cos(t), {"t", "x1", "y3", "z"}),
+    ("exp(-t) * cos(2*pi*x2)",
+     lambda t, x1, x2, y1, y2, y3, z: np.exp(-t) * np.cos(2.0 * np.pi * x2), {"t", "x2"}),
+    ("sin(cos(exp(x1)))", lambda t, x1, x2, y1, y2, y3, z: np.sin(np.cos(np.exp(x1))),
+     {"x1"}),
+    ("sin ( x1 )", lambda t, x1, x2, y1, y2, y3, z: np.sin(x1), {"x1"}),
+    ("sin(pi * (x1 - x2))", lambda t, x1, x2, y1, y2, y3, z: np.sin(np.pi * (x1 - x2)),
+     {"x1", "x2"}),
+    ("x1 + 2*x2 - 3*y1/4 + y2**2 - exp(y3*z)",
+     lambda t, x1, x2, y1, y2, y3, z: x1 + 2.0 * x2 - 3.0 * y1 / 4.0 + y2 ** 2.0
+     - np.exp(y3 * z), {"x1", "x2", "y1", "y2", "y3", "z"}),
+    ("t*x1 + 1e0", lambda t, x1, x2, y1, y2, y3, z: t * x1 + 1.0, {"t", "x1"}),
+    ("y3 * cos(pi*x1) - 0.5", lambda t, x1, x2, y1, y2, y3, z: y3 * np.cos(np.pi * x1) - 0.5,
+     {"x1", "y3"}),
+]
+
+# (text, variables, error); a keyword or a call is a construct outside the
+# language (ParseError), not an unknown variable
+EXPRESSIONS_REJECTED = [
+    ("", _VOL, ParseError),
+    ("   ", _VOL, ParseError),
+    ("1 +* 2", _VOL, ParseError),
+    ("sin 3", _VOL, ParseError),
+    ("(1 + 2", _VOL, ParseError),
+    ("1 + 2)", _VOL, ParseError),
+    ("1 2", _VOL, ParseError),
+    ("x1 x2", _VOL, ParseError),
+    ("1e", _VOL, ParseError),
+    ("1.5.2", _VOL, ParseError),
+    ("x1 ** ", _VOL, ParseError),
+    ("+x1", _VOL, ParseError),
+    ("x1 // 2", _VOL, ParseError),
+    ("x1 % 2", _VOL, ParseError),
+    ("x1 < 2", _VOL, ParseError),
+    ("x1 # note", _VOL, ParseError),
+    ("'x1'", _VOL, ParseError),
+    ("[x1]", _VOL, ParseError),
+    ("sin", _VOL, ParseError),
+    ("sin + 1", _VOL, ParseError),
+    ("sin()", _VOL, ParseError),
+    ("sin(x1, x2)", _VOL, ParseError),
+    ("sin(*x1)", _VOL, ParseError),
+    ("pi(x1)", _VOL, ParseError),
+    ("x1(2)", _VOL, ParseError),
+    ("x1.real", _VOL, ParseError),
+    ("1_0", _VOL, ParseError),
+    ("0x1f", _VOL, ParseError),
+    ("1j", _VOL, ParseError),
+    ("x1 if x2 else 1", _VOL, ParseError),
+    ("x1 and x2", _VOL, ParseError),
+    ("q + 1", _VOL, ValidationError),
+    ("sin(q)", _VOL, ValidationError),
+    ("X1", _VOL, ValidationError),
+    ("z", _SURF, ValidationError),
+    ("cos(t)", _SURF, ValidationError),
+    ("007", _VOL, ParseError),
+    ("True", _VOL, ParseError),
+    ("not x1", _VOL, ParseError),
+    ("print(x1)", _VOL, ParseError),
+]
+
+
+@pytest.mark.parametrize("text, numpy_form, used", EXPRESSIONS_ACCEPTED,
+                         ids=[case[0] for case in EXPRESSIONS_ACCEPTED])
+def test_expression_corpus_accepted(text, numpy_form, used):
+    want = np.asarray(numpy_form(**_ENV))
+    for variables in (_VOL, _SURF) if used <= set(_SURF) else (_VOL,):
+        e = Expression(text, variables)
+        got = np.asarray(e(**{k: _ENV[k] for k in variables}))
+        assert e.used == used
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bitwise
+
+
+@pytest.mark.parametrize("text, variables, error", EXPRESSIONS_REJECTED,
+                         ids=[case[0] for case in EXPRESSIONS_REJECTED])
+def test_expression_corpus_rejected(text, variables, error):
+    with pytest.raises(error) as info:
+        Expression(text, variables)
+    assert type(info.value) is error
+
+
+def test_expression_trailing_whitespace_and_deep_nesting():
+    assert Expression("x1 \n", _VOL)(x1=2.0) == 2.0
+    with pytest.raises(ParseError):
+        Expression("-" * 5000 + "x1", _VOL)
+    with pytest.raises(ParseError):
+        Expression("+".join(["x1"] * 3000), _VOL)
+
+
+def test_source_never_evaluates_text():
+    # the expression reader must not fall back on eval, exec or compile
+    import ast
+    import pathlib
+
+    import perfolayer
+
+    for path in sorted(pathlib.Path(perfolayer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name not in ("eval", "exec", "compile"), \
+                    f"{path.name}:{node.lineno} calls {name}"
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -332,6 +478,11 @@ def _mask_config(mask):
     ("geometry:\n  type: channel\n  width: [0.01, 0.99]\n", "geometry"),  # disconnected
     ("resolutions:\n  n: 6\n", "resolutions.n"),
     ("resolutions:\n  n: 4.5\n", "resolutions.n"),
+    ("resolutions:\n  m: 4.5\n", "resolutions.m"),
+    ("resolutions:\n  m: true\n", "resolutions.m"),
+    ("resolutions:\n  n_sigma: 4.5\n", "resolutions.n_sigma"),
+    ("tolerances:\n  picard_max: 2.5\n", "tolerances.picard_max"),
+    ("tolerances:\n  linear: true\n", "tolerances.linear"),
 ])
 def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
     cfg = _write(tmp_path, text)
@@ -342,6 +493,17 @@ def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
     record = json.load(open(os.path.join(out, "error.json")))
     assert record["error"] == "ValidationError"
     assert record["message"].startswith(key + ":")
+
+
+def test_cli_unwritable_output_is_exit_2(tmp_path):
+    cfg = _write(tmp_path, "geometry:\n  type: full\nepsilons: [0.5]\n")
+    out = tmp_path / "out"
+    (out / "cell_residuals.csv").mkdir(parents=True)
+    rc = run_command(["cell-solve", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    record = json.load(open(out / "error.json"))
+    assert record["error"] == "IsADirectoryError"
+    assert "cell_residuals.csv" in record["message"]
 
 
 def test_cli_value_error_in_solve_is_not_a_config_error(tmp_path, monkeypatch):
