@@ -99,37 +99,38 @@ def _cell_multigrid(mesh: CellMesh, dofmap: DofMap, op: SymmetricOperator):
                              (True, True, False))
 
 
-def _strain_load_vectors(mesh, dofmap, stress: np.ndarray):
-    """Element load vectors of phi -> int s(y3) stress : D(phi) split into a
-    constant part and a part linear in the element-local y3 coordinate."""
-    w, ref = fem.hex_reference(mesh.spacing)[2:]
-    B = fem.strain_matrices(mesh.spacing)
-    sm = fem.sym_to_mandel(stress)
-    v_const = np.einsum("q,qid,i->d", w, B, sm)
-    v_lin = np.einsum("q,q,qid,i->d", w, ref[:, 2], B, sm)
-    return v_const, v_lin
-
-
 def _solve_cell(mesh: CellMesh, tensor: ElasticityTensor4, pair, kind: str,
                 dofmap: DofMap, op: SymmetricOperator, precond, tol: float) -> tuple:
     """One periodic, traction-free, zero-mean cell problem for the index pair
     (i, j); returns (FieldVector, relative residual).  The stretch problem
     is forced by M_ij, the bending one by -y3 M_ij; ``precond`` is passed to
     ``fem.solve_spd`` (None: Jacobi)."""
-    stress = tensor.apply(basis_matrix(*pair))
-    v_const, v_lin = _strain_load_vectors(mesh, dofmap, stress)
-    edofs = dofmap.element_dofs(mesh.elems)
-    if kind == "stretch":
-        local = np.broadcast_to(-v_const, edofs.shape)
-    else:
-        z0 = mesh.coords[mesh.elems[:, 0], 2]
-        local = z0[:, None] * v_const[None, :] + mesh.spacing[2] * v_lin[None, :]
-    rhs = fem.scatter_vector(local, edofs, dofmap.n_dofs)
+    stress = fem.sym_to_mandel(tensor.apply(basis_matrix(*pair)))
+    rhs = _field_rhs(mesh, dofmap, -_profile(mesh, kind) * stress)
     sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
     res = _relative_residual(op, sol, rhs)
     if res > max(100 * tol, 1e-8):
         raise SolverFailure(f"{kind} cell problem {pair} residual {res:.3e}")
     return FieldVector(mesh, dofmap, sol), res
+
+
+def _profile(mesh: CellMesh, kind: str):
+    """Factor of the forcing strain M_ij at the quadrature points: 1 for
+    stretching, -y3 of shape (E, n_q, 1) for bending."""
+    if kind == "stretch":
+        return 1.0
+    return -fem.quadrature_points(mesh)[:, :, 2:]
+
+
+def _field_rhs(mesh, dofmap, xi: np.ndarray) -> np.ndarray:
+    """Load vector of phi -> int xi : D(phi) for a Mandel quadrature-point
+    field ``xi``, (E, n_q, 6) or broadcastable to it."""
+    w = fem.hex_reference(mesh.spacing)[2]
+    wb = (w[:, None, None] * fem.strain_matrices(mesh.spacing)).reshape(-1, 24)
+    nq = w.shape[0]
+    xi = np.broadcast_to(xi, (mesh.n_elems, nq, 6)).reshape(mesh.n_elems, -1)
+    edofs = dofmap.element_dofs(mesh.elems)
+    return fem.scatter_vector(xi @ wb, edofs, dofmap.n_dofs)
 
 
 def _relative_residual(op, sol, rhs):
@@ -170,13 +171,13 @@ def _mandel_strains(sols: CellSolutionSet) -> np.ndarray:
     Mandel form, shape (6, E * n_q, 6): D(chi_ij) + M_ij (stretch) for the
     pairs of ``INDEX_PAIRS``, then D(chi^B_ij) - y3 M_ij (bending)."""
     mesh = sols.mesh
-    y3 = fem.quadrature_points(mesh)[:, :, 2, None, None]
-    out = np.empty((6, y3.size, 6))
-    fields = [(sols.stretch[ij], 1.0, ij) for ij in INDEX_PAIRS]
-    fields += [(sols.bending[ij], -y3, ij) for ij in INDEX_PAIRS]
-    for r, (chi, profile, ij) in enumerate(fields):
-        d = fem.gradient_decomposition(mesh, chi.nodal()).sym
-        out[r] = fem.sym_to_mandel(d + profile * basis_matrix(*ij)).reshape(-1, 6)
+    out = np.empty((6, fem.quadrature_weights(mesh).size, 6))
+    fields = [("stretch", sols.stretch[ij], ij) for ij in INDEX_PAIRS]
+    fields += [("bending", sols.bending[ij], ij) for ij in INDEX_PAIRS]
+    for r, (kind, chi, ij) in enumerate(fields):
+        d = fem.gradient_decomposition(mesh, chi.nodal())
+        m = fem.sym_to_mandel(basis_matrix(*ij))
+        out[r] = (d + _profile(mesh, kind) * m).reshape(-1, 6)
     return out
 
 
@@ -228,7 +229,8 @@ def voigt_bound(tensor: ElasticityTensor4, mesh: CellMesh) -> np.ndarray:
 @dataclass
 class HelmholtzSplit:
     """Orthogonal split of a symmetric field into a potential part D(p+q)
-    and a remainder orthogonal to every periodic symmetric gradient."""
+    and a remainder orthogonal to every periodic symmetric gradient, both
+    Mandel quadrature-point fields (E, n_q, 6)."""
 
     potential: np.ndarray
     solenoidal: np.ndarray
@@ -247,19 +249,10 @@ def _cell_boundary_nodes(mesh: CellMesh) -> np.ndarray:
     return np.nonzero(on)[0]
 
 
-def _field_rhs(mesh, dofmap, xi):
-    """Load vector of phi -> int xi : D(phi) for a quadrature-point field."""
-    w = fem.hex_reference(mesh.spacing)[2]
-    B = fem.strain_matrices(mesh.spacing)
-    xm = fem.sym_to_mandel(xi)
-    local = np.einsum("q,qid,eqi->ed", w, B, xm)
-    edofs = dofmap.element_dofs(mesh.elems)
-    return fem.scatter_vector(local, edofs, dofmap.n_dofs)
-
-
 def helmholtz_decompose(mesh: CellMesh, xi: np.ndarray,
                         tol: float = 1e-12) -> HelmholtzSplit:
-    """Split a symmetric quadrature-point field on the full cell.
+    """Split a symmetric quadrature-point field (E, n_q, 3, 3) on the full
+    cell into Mandel fields.
 
     ``p`` solves the zero-Dirichlet problem driven by the divergence of the
     input; ``q`` the periodic zero-mean problem absorbing the remaining
@@ -275,32 +268,29 @@ def helmholtz_decompose(mesh: CellMesh, xi: np.ndarray,
     if not np.allclose(xi, np.swapaxes(xi, -1, -2), atol=1e-12 * max(1.0, np.abs(xi).max())):
         raise AsymmetricInput("input field is not symmetric")
 
+    xi = fem.sym_to_mandel(xi)
     ident = ElasticityTensor4.identity()
 
     dm_dir = DofMap(mesh, ncomp=3, dirichlet_nodes=_cell_boundary_nodes(mesh))
     k_dir = fem.assemble_elasticity(mesh, ident, dm_dir)
-    rhs_p = _field_rhs(mesh, dm_dir, xi)
-    p_red = fem.solve_spd(k_dir, rhs_p, tol=tol)
-    p = FieldVector(mesh, dm_dir, p_red)
-    dp = fem.gradient_decomposition(mesh, p.nodal()).sym
+    p = FieldVector(mesh, dm_dir, fem.solve_spd(k_dir, _field_rhs(mesh, dm_dir, xi), tol=tol))
+    dp = fem.gradient_decomposition(mesh, p.nodal())
 
     dm_per = _periodic_dofmap(mesh)
     op_per = _cell_operator(mesh, ident, dm_per)
     rhs_q = _field_rhs(mesh, dm_per, xi - dp)
-    q_red = fem.solve_spd(op_per, rhs_q, tol=tol)
-    q = FieldVector(mesh, dm_per, q_red)
-    dq = fem.gradient_decomposition(mesh, q.nodal()).sym
+    q = FieldVector(mesh, dm_per, fem.solve_spd(op_per, rhs_q, tol=tol))
+    dq = fem.gradient_decomposition(mesh, q.nodal())
 
     potential = dp + dq
     return HelmholtzSplit(potential=potential, solenoidal=xi - potential, p=p, q=q)
 
 
-def gradient_pairing(mesh: CellMesh, xi: np.ndarray, dofmap: DofMap,
-                     nodal: np.ndarray) -> float:
-    """Discrete pairing <xi, D(phi)> for a nodal periodic test field."""
-    d = fem.gradient_decomposition(mesh, nodal).sym
+def gradient_pairing(mesh: CellMesh, xi: np.ndarray, dphi: np.ndarray) -> float:
+    """Discrete pairing <xi, D(phi)> of two Mandel quadrature-point fields,
+    ``dphi`` the symmetric gradient of a test field."""
     w = fem.quadrature_weights(mesh)
-    return float(np.einsum("eq,eqij,eqij->", w, xi, d))
+    return float(np.einsum("eq,eqi,eqi->", w, xi, dphi))
 
 
 # ---------------------------------------------------------------------------

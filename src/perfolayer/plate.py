@@ -411,27 +411,6 @@ def _solve_block(system: PlateSystem, op, r_b, r_m, tol, x0=None):
     return sol[:nb], sol[nb:], sol
 
 
-def static_solve(system: PlateSystem, loads: LoadModel, t: float = 0.0,
-                 tol: float = 1e-12, picard_tol: float = 1e-12,
-                 picard_max: int = 30) -> PlateState:
-    """Stationary solution of the coupled system (used for verification and
-    as the quasi-static membrane initializer)."""
-    op = _block_operator(system, 0.0)
-    w = np.zeros(system.bend_dofs.n_dofs)
-    m = np.zeros(system.memb_dofs.n_dofs)
-    guess = None
-    it = 0
-    for it in range(picard_max):
-        r_m, r_b = compute_loads(system, loads, w, t)
-        w_new, m, guess = _solve_block(system, op, r_b, r_m, tol, x0=guess)
-        delta = np.linalg.norm(w_new - w) / max(np.linalg.norm(w_new), 1e-30)
-        w = w_new
-        if delta <= picard_tol or not loads.f_depends_z:
-            break
-    state = zero_state(system)
-    return replace(state, w=w, m=m, picard_iters=it + 1)
-
-
 def newmark_step(state: PlateState, dt: float, loads: LoadModel,
                  beta: float = 0.25, gamma: float = 0.5,
                  picard_tol: float = 1e-10, picard_max: int = 30,

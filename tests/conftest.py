@@ -61,3 +61,19 @@ def box_cell_n4(box_geom, iso_tensor):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def sym_gradient(mesh, u, elems=None):
+    """Reference symmetric gradient (E, n_q, 3, 3) of a nodal field, built
+    from the shape-function gradients of ``hex_reference`` and independent
+    of the Mandel strain table behind ``fem.gradient_decomposition``."""
+    G = fem.hex_reference(mesh.spacing)[1]
+    el = mesh.elems if elems is None else elems
+    grad = np.einsum("eai,qaj->eqij", u[el], G)
+    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+
+
+def rigid_field(coords, coeffs):
+    """Nodal rigid displacement: the combination of ``fem.rigid_modes``
+    (three translations, then rotations about e1, e2, e3) with ``coeffs``."""
+    return np.tensordot(coeffs, fem.rigid_modes(coords), axes=1)

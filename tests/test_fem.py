@@ -13,7 +13,7 @@ from perfolayer import inequalities as inq
 from perfolayer import micro as pm
 from perfolayer.errors import IndefiniteDetected, SingularWithoutConstraints
 
-from conftest import SIGMA, rng
+from conftest import SIGMA, rigid_field, rng, sym_gradient
 
 
 def shear_tensor():
@@ -60,9 +60,7 @@ def test_elasticity_energy_rigid_is_zero():
     mesh = _cell_mesh(n=2)
     dm = fem.DofMap(mesh, 3)
     op = fem.assemble_elasticity(mesh, fem.ElasticityTensor4.isotropic(1.3, 0.7), dm)
-    rigid = fem.RigidDisplacement(b=[0.1, -0.2, 0.3],
-                                  a=[[0, 0.4, -0.1], [-0.4, 0, 0.2], [0.1, -0.2, 0]])
-    red = dm.restrict(rigid.evaluate(mesh.coords))
+    red = dm.restrict(rigid_field(mesh.coords, [0.1, -0.2, 0.3, -0.2, -0.1, -0.4]))
     bound = 1e-10 * dm.n_dofs * np.abs(op.matrix).max()
     assert op.quad(red) <= bound
 
@@ -149,13 +147,28 @@ def test_mean_zero_vectors_equal_mass_products():
             assert sigma == pytest.approx(s0 / np.dot(want, want), rel=1e-13)
 
 
+def test_scatter_vector_matches_add_at():
+    # the sums run in the order of np.add.at, so the result is bit-identical;
+    # eliminated (-1) dofs are dropped
+    lm = pg.build_layer_mesh(pg.build_cell_geometry("full", m=2), 1.0, SIGMA, 2)
+    dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+    edofs = dm.element_dofs(lm.elems)
+    assert (edofs < 0).any() and (edofs >= 0).any()
+    local = rng(4).standard_normal(edofs.shape)
+    want = np.zeros(dm.n_dofs)
+    keep = edofs >= 0
+    np.add.at(want, edofs[keep], local[keep])
+    assert np.array_equal(fem.scatter_vector(local, edofs, dm.n_dofs), want)
+
+
 def test_quadrature_contractions_match_plain_einsum():
     mesh = _cell_mesh(n=4, m=2)
     N, G, _, _ = fem.hex_reference(mesh.spacing)
     u = rng(5).standard_normal((mesh.n_nodes, 3))
-    grad = fem.element_gradients(mesh, u)
-    want = np.einsum("eai,qaj->eqij", u[mesh.elems], G)
-    assert np.abs(grad - want).max() <= 1e-13 * np.abs(want).max()
+    d = fem.gradient_decomposition(mesh, u)
+    want = fem.sym_to_mandel(sym_gradient(mesh, u))
+    assert d.shape == want.shape
+    assert np.abs(d - want).max() <= 1e-13 * np.abs(want).max()
     vals = fem.element_values(mesh, u)
     want = np.einsum("eac,qa->eqc", u[mesh.elems], N)
     assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
@@ -165,31 +178,15 @@ def test_gradient_decomposition_cases():
     mesh = _cell_mesh(n=2)
     a = np.array([[0, 0.3, -0.2], [-0.3, 0, 0.1], [0.2, -0.1, 0]])
     u = mesh.coords @ a.T
-    d = fem.gradient_decomposition(mesh, u)
-    assert np.abs(d.sym).max() < 1e-13
-    assert np.allclose(d.mean_skew, a, atol=1e-13)
+    assert np.abs(fem.gradient_decomposition(mesh, u)).max() < 1e-13
 
     d2 = fem.gradient_decomposition(mesh, mesh.coords.copy())
-    assert np.allclose(d2.sym, np.eye(3), atol=1e-13)
-    assert np.abs(d2.skew).max() < 1e-13
+    assert np.allclose(d2, [1, 1, 1, 0, 0, 0], atol=1e-13)
 
     u3 = np.zeros((mesh.n_nodes, 3))
-    u3[:, 0] = mesh.coords[:, 2]
-    d3 = fem.gradient_decomposition(mesh, u3, eps=0.5)
-    assert np.allclose(d3.sym[..., 0, 2], 0.5, atol=1e-13)
-    assert np.allclose(d3.weighted[..., 0, 2], 1.0, atol=1e-13)
-    assert np.abs(d3.weighted[..., 2, 2]).max() < 1e-12
-
-
-def test_mean_skew_volume_weighted():
-    mesh = _cell_mesh(n=2)
-    r = rng(11)
-    u = r.standard_normal((mesh.n_nodes, 3))
-    d = fem.gradient_decomposition(mesh, u)
-    w = fem.quadrature_weights(mesh)
-    manual = np.einsum("eq,eqij->ij", w, d.skew) / w.sum()
-    assert np.allclose(d.mean_skew, manual, atol=1e-14)
-    assert np.allclose(d.mean_skew, -d.mean_skew.T, atol=1e-14)
+    u3[:, 0] = mesh.coords[:, 2]  # D_13 = 1/2, Mandel 13 entry sqrt(2)/2
+    d3 = fem.gradient_decomposition(mesh, u3)
+    assert np.allclose(d3, [0, 0, 0, 0, np.sqrt(2.0) / 2.0, 0], atol=1e-13)
 
 
 def test_solve_spd_trivial():
@@ -256,7 +253,7 @@ def test_quadrature_gradient_first_order_convergence():
         d = fem.gradient_decomposition(mesh, u)
         pts = fem.quadrature_points(mesh)
         exact = np.pi * np.cos(np.pi * pts[..., 0]) * np.cos(pts[..., 2])
-        errs.append(np.abs(d.sym[..., 0, 0] - exact).max())
+        errs.append(np.abs(d[..., 0] - exact).max())
     assert errs[1] <= 0.6 * errs[0]
     assert errs[2] <= 0.6 * errs[1]
 

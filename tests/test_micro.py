@@ -8,7 +8,7 @@ from perfolayer import plate as pp
 from perfolayer.errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from perfolayer.loads import CellQuadrature, LoadModel, preset_load_model, _const
 
-from conftest import SIGMA, rng
+from conftest import SIGMA, rigid_field, rng, sym_gradient
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +47,7 @@ def test_micro_rigid_energy_zero_before_dirichlet(full_geom2, iso_tensor):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
     dm = fem.DofMap(lmesh, 3)  # no constraints
     k = fem.assemble_elasticity(lmesh, iso_tensor, dm)
-    rigid = fem.RigidDisplacement(b=[1.0, 2.0, -1.0],
-                                  a=[[0, 1, 0], [-1, 0, 2], [0, -2, 0]])
-    e = k.quad(dm.restrict(rigid.evaluate(lmesh.coords)))
+    e = k.quad(dm.restrict(rigid_field(lmesh.coords, [1.0, 2.0, -1.0, -2.0, 0.0, -1.0])))
     assert abs(e) <= 1e-10 * np.abs(k.matrix).max()
 
 
@@ -302,7 +300,7 @@ def test_element_fields_match_values_and_gradients(void_layers, name, eps):
         got = fem.element_fields(lmesh, u, elems)
         want = np.concatenate([
             fem.element_values(lmesh, u, elems),
-            fem.sym_to_mandel(fem.gradient_decomposition(lmesh, u, elems=elems).sym),
+            fem.sym_to_mandel(sym_gradient(lmesh, u, elems)),
         ], axis=-1)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -336,7 +334,7 @@ def test_transfer_orders_elements_by_cell_element(box_cell_n4, iso_tensor, cq):
     # bending 12 (coefficient H12 + H21): the corrector strain plus the
     # Mandel 12 entry of -y3 (M12 + M21) / 2
     chi = sols.bending[(1, 2)].nodal()
-    want = fem.sym_to_mandel(fem.gradient_decomposition(mesh, chi).sym)
+    want = fem.sym_to_mandel(sym_gradient(mesh, chi))
     want[..., 5] -= np.sqrt(2.0) / 2.0 * y3[:, 0]
     assert tr.limit_strain.shape == (mesh.n_elems, 8, 6, 6)
     assert np.abs(tr.limit_strain[:, :, 5] - want).max() <= 1e-13 * np.abs(want).max()
@@ -429,7 +427,7 @@ def _direct_two_scale(ms, ps, sols):
     system = ps.system
     u_nodal = ms.nodal()
     uq = fem.element_values(lmesh, u_nodal)
-    dq = fem.gradient_decomposition(lmesh, u_nodal).sym
+    dq = sym_gradient(lmesh, u_nodal)
     x = ops.quad_x
     E, Q = x.shape[:2]
     pts = x[..., :2].reshape(-1, 2)
@@ -451,8 +449,8 @@ def _direct_two_scale(ms, ps, sols):
                (1, 2): hess[:, 0, 1] + hess[:, 1, 0]}
     dy_u2 = np.zeros((E * Q, 3, 3))
     for ij in INDEX_PAIRS:
-        ds = fem.gradient_decomposition(sols.mesh, sols.stretch[ij].nodal()).sym
-        db = fem.gradient_decomposition(sols.mesh, sols.bending[ij].nodal()).sym
+        ds = sym_gradient(sols.mesh, sols.stretch[ij].nodal())
+        db = sym_gradient(sols.mesh, sols.bending[ij].nodal())
         dy_u2 += coeff_s[ij][:, None, None] * ds[cell_elem].reshape(E * Q, 3, 3)
         dy_u2 += coeff_b[ij][:, None, None] * db[cell_elem].reshape(E * Q, 3, 3)
     limit_strain = np.zeros((E * Q, 3, 3))

@@ -201,11 +201,13 @@ def test_static_limit_time_average(full_eff, cell_quad):
     pmesh = pg.build_plate_mesh(SIGMA, 4)
     system = pp.assemble_plate_system(pmesh, full_eff)
     loads = _loads("uniform_vertical", cell_quad)
-    static = pp.static_solve(system, loads)
+    assert not loads.f_depends_z  # one block solve is the stationary state
+    r_m, r_b = pp.compute_loads(system, loads, np.zeros(system.bend_dofs.n_dofs), 0.0)
+    static_w = pp._solve_block(system, pp._block_operator(system, 0.0), r_b, r_m, 1e-12)[0]
     traj = pp.run_plate(system, loads, dt=1.0 / 256.0, t_end=1.0, store_states=True)
     mean_w = np.mean([s.w for s in traj.states], axis=0)
-    num = np.sqrt((mean_w - static.w) @ (system.m_b @ (mean_w - static.w)))
-    den = np.sqrt(static.w @ (system.m_b @ static.w))
+    num = np.sqrt((mean_w - static_w) @ (system.m_b @ (mean_w - static_w)))
+    den = np.sqrt(static_w @ (system.m_b @ static_w))
     assert num <= 0.05 * den
 
 
