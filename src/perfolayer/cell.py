@@ -25,6 +25,10 @@ INDEX_PAIRS = ((1, 1), (2, 2), (1, 2))
 # the channel cell at n = 16, 20,304 dofs, and on the box cell at n = 16).
 MULTIGRID_MIN_DOFS = 15_000
 
+# Elements per block over which ``effective_tensors`` accumulates its Gram
+# matrix, so that no strain array spans the whole cell.
+_GRAM_BLOCK_ELEMS = 512
+
 
 def basis_matrix(i: int, j: int) -> np.ndarray:
     """Symmetric rank-one basis matrix (e_i (x) e_j + e_j (x) e_i) / 2."""
@@ -114,12 +118,13 @@ def _solve_cell(mesh: CellMesh, tensor: ElasticityTensor4, pair, kind: str,
     return FieldVector(mesh, dofmap, sol), res
 
 
-def _profile(mesh: CellMesh, kind: str):
-    """Factor of the forcing strain M_ij at the quadrature points: 1 for
-    stretching, -y3 of shape (E, n_q, 1) for bending."""
+def _profile(mesh: CellMesh, kind: str, elems=None):
+    """Factor of the forcing strain M_ij at the quadrature points of
+    ``elems`` (default all): 1 for stretching, -y3 of shape (E, n_q, 1) for
+    bending."""
     if kind == "stretch":
         return 1.0
-    return -fem.quadrature_points(mesh)[:, :, 2:]
+    return -fem.quadrature_points(mesh, elems)[:, :, 2:]
 
 
 def _field_rhs(mesh, dofmap, xi: np.ndarray) -> np.ndarray:
@@ -166,21 +171,6 @@ def solve_cell_problems(mesh: CellMesh, tensor: ElasticityTensor4,
     return sols
 
 
-def _mandel_strains(sols: CellSolutionSet) -> np.ndarray:
-    """Total strain fields at the quadrature points of the cell mesh in
-    Mandel form, shape (6, E * n_q, 6): D(chi_ij) + M_ij (stretch) for the
-    pairs of ``INDEX_PAIRS``, then D(chi^B_ij) - y3 M_ij (bending)."""
-    mesh = sols.mesh
-    out = np.empty((6, fem.quadrature_weights(mesh).size, 6))
-    fields = [("stretch", sols.stretch[ij], ij) for ij in INDEX_PAIRS]
-    fields += [("bending", sols.bending[ij], ij) for ij in INDEX_PAIRS]
-    for r, (kind, chi, ij) in enumerate(fields):
-        d = fem.gradient_decomposition(mesh, chi.nodal())
-        m = fem.sym_to_mandel(basis_matrix(*ij))
-        out[r] = (d + _profile(mesh, kind) * m).reshape(-1, 6)
-    return out
-
-
 def _block(g: np.ndarray) -> np.ndarray:
     """2x2x2x2 tensor whose (ab, cd) entry is g[slot(ab), slot(cd)], with
     slot the position of the pair in ``INDEX_PAIRS`` (either order)."""
@@ -197,16 +187,28 @@ def effective_tensors(mesh: CellMesh, tensor: ElasticityTensor4,
     The six total strains (three stretch, three bending) give one 6x6 Gram
     matrix G_rs = (1/|Y*|) int A e_r : e_s; a* is its stretch block, c* its
     bending block, and b* the block with bending rows and stretch columns,
-    so b* carries the bending strain on its first index pair.
+    so b* carries the bending strain on its first index pair.  G is summed
+    over blocks of ``_GRAM_BLOCK_ELEMS`` elements, one product per block.
     """
     if sols.mesh is not mesh:
         raise InconsistentMesh("solutions were computed on a different mesh")
     sols.require_complete()
-    strains = _mandel_strains(sols)
-    w = fem.quadrature_weights(mesh).reshape(-1)
+    fields = [(kind, getattr(sols, kind)[ij].nodal(), fem.sym_to_mandel(basis_matrix(*ij)))
+              for kind in ("stretch", "bending") for ij in INDEX_PAIRS]
+    w = fem.hex_reference(mesh.spacing)[2]
+    c = tensor.mandel()
+    g = np.zeros((6, 6))
+    for start in range(0, mesh.n_elems, _GRAM_BLOCK_ELEMS):
+        block = mesh.elems[start:start + _GRAM_BLOCK_ELEMS]
+        s = np.empty((6, block.shape[0], w.shape[0], 6))
+        for r, (kind, nodal, m) in enumerate(fields):
+            s[r] = fem.gradient_decomposition(mesh, nodal, block)
+            s[r] += _profile(mesh, kind, block) * m
+        cs = (s.reshape(-1, 6) @ c.T).reshape(s.shape)
+        cs *= w[:, None]
+        g += s.reshape(6, -1) @ cs.reshape(6, -1).T
     vol = mesh.geometry.solid_volume
-    g = np.einsum("p,rpi,ij,spj->rs", w, strains, tensor.mandel(), strains,
-                  optimize=True) / vol
+    g /= vol
     g = 0.5 * (g + g.T)
     return EffectiveModel(a_star=_block(g[:3, :3]), b_star=_block(g[3:, :3]),
                           c_star=_block(g[3:, 3:]), solid_volume=vol)

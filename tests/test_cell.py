@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,60 @@ def test_effective_tensors_match_pairing_reference(cell, iso_tensor, request):
     # a* and c* are blocks of one symmetric Gram matrix: exact major symmetry
     for t in (eff.a_star, eff.c_star):
         assert np.array_equal(t, t.transpose(2, 3, 0, 1))
+
+
+@pytest.fixture(scope="module")
+def channel_cell_n8(iso_tensor):
+    mesh = pg.build_cell_mesh(pg.build_cell_geometry(pg.channel_mask(4)), 8)
+    sols = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-12)
+    return mesh, sols, pc.effective_tensors(mesh, iso_tensor, sols)
+
+
+def _einsum_reference(mesh, tensor, sols):
+    """a*, b*, c* from the six total Mandel strains stacked as one
+    (6, E * n_q, 6) array and contracted over every quadrature point."""
+    fields = [("stretch", sols.stretch[ij], ij) for ij in pc.INDEX_PAIRS]
+    fields += [("bending", sols.bending[ij], ij) for ij in pc.INDEX_PAIRS]
+    y3 = fem.quadrature_points(mesh)[:, :, 2:]
+    strains = np.empty((6, fem.quadrature_weights(mesh).size, 6))
+    for r, (kind, chi, ij) in enumerate(fields):
+        profile = 1.0 if kind == "stretch" else -y3
+        m = fem.sym_to_mandel(pc.basis_matrix(*ij))
+        strains[r] = (fem.gradient_decomposition(mesh, chi.nodal()) + profile * m).reshape(-1, 6)
+    w = fem.quadrature_weights(mesh).reshape(-1)
+    g = np.einsum("p,rpi,ij,spj->rs", w, strains, tensor.mandel(), strains,
+                  optimize=True) / mesh.geometry.solid_volume
+    g = 0.5 * (g + g.T)
+    return {"a_star": pc._block(g[:3, :3]), "b_star": pc._block(g[3:, :3]),
+            "c_star": pc._block(g[3:, 3:])}
+
+
+@pytest.mark.parametrize("cell", ["box_cell_n8", "channel_cell_n8", "full_cell_n8"])
+@pytest.mark.parametrize("block", ["remainder", "single"])
+def test_blocked_gram_matches_einsum(cell, block, iso_tensor, request, monkeypatch):
+    mesh, sols, _ = request.getfixturevalue(cell)
+    size = 100 if block == "remainder" else mesh.n_elems
+    assert (mesh.n_elems % size != 0) == (block == "remainder")
+    monkeypatch.setattr(pc, "_GRAM_BLOCK_ELEMS", size)
+    eff = pc.effective_tensors(mesh, iso_tensor, sols)
+    ref = _einsum_reference(mesh, iso_tensor, sols)
+    scale = np.abs(ref["a_star"]).max()
+    for key, want in ref.items():
+        assert np.abs(getattr(eff, key) - want).max() <= 1e-13 * scale, key
+
+
+def test_blocked_gram_peak_memory(box_cell_n8, iso_tensor, monkeypatch):
+    # the traced peak stays below half of the (6, E * n_q, 6) strain stack
+    mesh, sols, _ = box_cell_n8
+    stack_bytes = 6 * fem.quadrature_weights(mesh).size * 6 * 8
+    monkeypatch.setattr(pc, "_GRAM_BLOCK_ELEMS", 64)
+    tracemalloc.start()
+    try:
+        pc.effective_tensors(mesh, iso_tensor, sols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2, (peak, stack_bytes)
 
 
 def test_voigt_keeps_asymmetric_coupling_block(iso_tensor):
