@@ -98,8 +98,7 @@ def _cell_multigrid(mesh: CellMesh, dofmap: DofMap, op: SymmetricOperator):
     if op.shape[0] < MULTIGRID_MIN_DOFS:
         return None
     n = mesh.resolution
-    grid = np.rint((mesh.coords - np.array([0.0, 0.0, -1.0])) * n).astype(np.int64)
-    return fem.GridMultigrid(op, dofmap.node_blocks, grid, (n, n, 2 * n),
+    return fem.GridMultigrid(op, dofmap.node_blocks, mesh.node_grid, (n, n, 2 * n),
                              (True, True, False))
 
 
@@ -241,14 +240,9 @@ class HelmholtzSplit:
 
 
 def _cell_boundary_nodes(mesh: CellMesh) -> np.ndarray:
-    c = mesh.coords
-    tol = 1e-12
-    on = (
-        (np.abs(c[:, 0]) < tol) | (np.abs(c[:, 0] - 1) < tol)
-        | (np.abs(c[:, 1]) < tol) | (np.abs(c[:, 1] - 1) < tol)
-        | (np.abs(c[:, 2] + 1) < tol) | (np.abs(c[:, 2] - 1) < tol)
-    )
-    return np.nonzero(on)[0]
+    n = mesh.resolution
+    g = mesh.node_grid
+    return np.nonzero(((g == 0) | (g == (n, n, 2 * n))).any(axis=1))[0]
 
 
 def helmholtz_decompose(mesh: CellMesh, xi: np.ndarray,

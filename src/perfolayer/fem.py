@@ -20,6 +20,7 @@ operator by one sparse-dense product of local blocks.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -122,9 +123,26 @@ def rigid_modes(coords: np.ndarray) -> np.ndarray:
 # reference-element tables
 # ---------------------------------------------------------------------------
 
-def _gauss_points_1d():
-    g = 1.0 / np.sqrt(3.0)
-    return np.array([-g, g]), np.array([1.0, 1.0])
+# 2-point Gauss abscissae on [-1, 1]; the weights are one
+_GAUSS = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
+
+
+def trilinear(xi):
+    """Trilinear shape values (P, 8) and reference derivatives (P, 8, 3) at
+    points ``xi`` (P, 3) of [-1, 1]^3, corners in ``HEX_CORNERS`` order."""
+    s = 2.0 * HEX_CORNERS - 1.0  # corners in {-1, +1}
+    f = 1 + s * np.asarray(xi, dtype=float)[:, None, :]
+    N = 0.125 * f[..., 0] * f[..., 1] * f[..., 2]
+    dN = np.empty(f.shape)
+    for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+        dN[..., i] = 0.125 * s[:, i] * f[..., j] * f[..., k]
+    return N, dN
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def hex_reference(spacing):
@@ -141,34 +159,28 @@ def hex_reference(spacing):
 
 @functools.lru_cache(maxsize=16)
 def _hex_reference(spacing: tuple):
-    hx, hy, hz = spacing
-    x1, w1 = _gauss_points_1d()
-    pts = []
-    wts = []
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                pts.append((x1[a], x1[b], x1[c]))
-                wts.append(w1[a] * w1[b] * w1[c])
-    pts = np.array(pts)
-    wts = np.array(wts)
-    signs = 2.0 * HEX_CORNERS - 1.0  # corners in {-1, +1}
-    nq = pts.shape[0]
-    N = np.empty((nq, 8))
-    G = np.empty((nq, 8, 3))
-    scale = np.array([2.0 / hx, 2.0 / hy, 2.0 / hz])
-    for q in range(nq):
-        xi = pts[q]
-        f = 0.125 * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 1] * xi[1]) * (1 + signs[:, 2] * xi[2])
-        N[q] = f
-        G[q, :, 0] = 0.125 * signs[:, 0] * (1 + signs[:, 1] * xi[1]) * (1 + signs[:, 2] * xi[2]) * scale[0]
-        G[q, :, 1] = 0.125 * signs[:, 1] * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 2] * xi[2]) * scale[1]
-        G[q, :, 2] = 0.125 * signs[:, 2] * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 1] * xi[1]) * scale[2]
-    jac = hx * hy * hz / 8.0
-    out = (N, G, wts * jac, (pts + 1.0) / 2.0)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    xi = np.array(list(itertools.product(_GAUSS, repeat=3)))
+    N, dN = trilinear(xi)
+    G = dN * (2.0 / np.array(spacing))
+    w = np.full(xi.shape[0], spacing[0] * spacing[1] * spacing[2] / 8.0)
+    return _read_only(N, G, w, (xi + 1.0) / 2.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _face_reference(spacing: tuple):
+    """Weights (6, 4), trilinear shape values (6, 4, 8) and [0,1]^3
+    reference points (6, 4, 3) of the 2x2 Gauss rule on each element face,
+    in ``HEX_FACES`` order (in-face axes ascending, the later one fastest).
+    Cached per spacing and read-only, like ``hex_reference``."""
+    xi = np.empty((len(HEX_FACES), 4, 3))
+    w = np.empty((len(HEX_FACES), 4))
+    for k, (axis, side) in enumerate(HEX_FACES):
+        inface = [d for d in range(3) if d != axis]
+        xi[k][:, inface] = list(itertools.product(_GAUSS, repeat=2))
+        xi[k, :, axis] = side
+        w[k] = spacing[inface[0]] * spacing[inface[1]] / 4.0
+    N = trilinear(xi.reshape(-1, 3))[0].reshape(len(HEX_FACES), 4, 8)
+    return _read_only(w, N, (xi + 1.0) / 2.0)
 
 
 def strain_matrices(spacing) -> np.ndarray:
@@ -225,7 +237,6 @@ class DofMap:
         self.ncomp = ncomp
         n_nodes = mesh.coords.shape[0]
         master = mesh.node_master if periodic else np.arange(n_nodes, dtype=np.int64)
-        self.node_master = master
         rep = master == np.arange(n_nodes)
         rep_index = -np.ones(n_nodes, dtype=np.int64)
         rep_index[rep] = np.arange(int(rep.sum()))
@@ -239,8 +250,6 @@ class DofMap:
         reduced = -np.ones(int(rep.sum()) * ncomp, dtype=np.int64)
         reduced[~constrained] = np.arange(int((~constrained).sum()))
 
-        self.node_slot = node_slot
-        self._slot_reduced = reduced
         self.n_dofs = int((~constrained).sum())
         # per-node dof table (n_nodes, ncomp), -1 where eliminated
         self.node_dofs = reduced[(ncomp * node_slot[:, None]
@@ -509,49 +518,12 @@ def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights, grad_weights,
     return _assemble(mesh, dofmap, elems, local)
 
 
-def face_quadrature(spacing, axis):
-    """2x2 Gauss rule on an element face normal to ``axis``.
-
-    Returns (Nf, wf, ref) where Nf (4 pts, 8 nodes) are the trilinear shape
-    values on the face (side fixed later via ``side_offset``), wf physical
-    weights, ref reference coordinates in [0,1]^2 of the in-face axes.
-    """
-    x1, w1 = _gauss_points_1d()
-    axes = [d for d in range(3) if d != axis]
-    h = [spacing[d] for d in axes]
-    jac = h[0] * h[1] / 4.0
-    pts = []
-    wts = []
-    for a in range(2):
-        for b in range(2):
-            pts.append((x1[a], x1[b]))
-            wts.append(w1[a] * w1[b] * jac)
-    return axes, np.array(pts), np.array(wts)
-
-
-def face_shape_values(axis, side, pts):
-    """Trilinear shape values at face quadrature points (n_pts, 8)."""
-    signs = 2.0 * HEX_CORNERS - 1.0
-    axes = [d for d in range(3) if d != axis]
-    nq = pts.shape[0]
-    vals = np.empty((nq, 8))
-    for q in range(nq):
-        xi = np.empty(3)
-        xi[axes[0]] = pts[q, 0]
-        xi[axes[1]] = pts[q, 1]
-        xi[axis] = float(side)
-        vals[q] = 0.125 * ((1 + signs[:, 0] * xi[0])
-                           * (1 + signs[:, 1] * xi[1])
-                           * (1 + signs[:, 2] * xi[2]))
-    return vals
-
-
 def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricOperator:
     """Operator of (u, v) -> int_S u . v over the given element faces."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     nc = dofmap.ncomp
     # one local matrix per (axis, side) on the four nodes of the face
-    w, nf = _face_tables(mesh.spacing)
+    w, nf, _ = _face_reference(tuple(mesh.spacing))
     nf = np.take_along_axis(nf, HEX_FACE_NODES[:, None, :], axis=2)
     local = np.einsum("kq,kqa,kqb->kab", w, nf, nf)
     kinds = _face_kinds(faces)
@@ -560,17 +532,6 @@ def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricO
     n = dofmap.n_dofs // nc
     plan = AssemblyPlan(blocks, blocks, (n, n), kinds=kinds, n_kinds=len(HEX_FACES))
     return SymmetricOperator(plan.fill(local[..., None, None] * np.eye(nc)))
-
-
-def _face_tables(spacing):
-    """Weights (6, 4) and trilinear shape values (6, 4, 8) of the face rule
-    for each (axis, side), in HEX_FACES order."""
-    w = np.empty((len(HEX_FACES), 4))
-    nf = np.empty((len(HEX_FACES), 4, 8))
-    for k, (axis, side) in enumerate(HEX_FACES):
-        _, pts, w[k] = face_quadrature(spacing, axis)
-        nf[k] = face_shape_values(axis, side, pts)
-    return w, nf
 
 
 def _face_kinds(faces: np.ndarray) -> np.ndarray:
@@ -584,23 +545,11 @@ def surface_quadrature(mesh, faces: np.ndarray):
     Returns (pts, w) of shapes (F*4, 3) and (F*4,); ordering follows the
     face list."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    h = np.asarray(mesh.spacing)
-    pts = np.empty((faces.shape[0], 4, 3))
-    wts = np.empty((faces.shape[0], 4))
-    for axis in range(3):
-        sel = faces[:, 1] == axis
-        if not sel.any():
-            continue
-        axes, ref, w = face_quadrature(mesh.spacing, axis)
-        origin = mesh.coords[mesh.elems[faces[sel, 0], 0]]
-        block = np.empty((origin.shape[0], 4, 3))
-        block[:, :, axes[0]] = origin[:, None, axes[0]] + (ref[:, 0] + 1.0) / 2.0 * h[axes[0]]
-        block[:, :, axes[1]] = origin[:, None, axes[1]] + (ref[:, 1] + 1.0) / 2.0 * h[axes[1]]
-        offset = np.where(faces[sel, 2] > 0, h[axis], 0.0)
-        block[:, :, axis] = (origin[:, axis] + offset)[:, None]
-        pts[sel] = block
-        wts[sel] = w
-    return pts.reshape(-1, 3), wts.reshape(-1)
+    w, _, ref = _face_reference(tuple(mesh.spacing))
+    kinds = _face_kinds(faces)
+    origin = mesh.coords[mesh.elems[faces[:, 0], 0]]
+    pts = origin[:, None, :] + ref[kinds] * np.asarray(mesh.spacing)
+    return pts.reshape(-1, 3), w[kinds].reshape(-1)
 
 
 def surface_load_vector(mesh, dofmap, faces: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -610,7 +559,7 @@ def surface_load_vector(mesh, dofmap, faces: np.ndarray, values: np.ndarray) -> 
     ``surface_quadrature``."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     vals = np.asarray(values).reshape(faces.shape[0], 4, dofmap.ncomp)
-    w, nf = _face_tables(mesh.spacing)
+    w, nf, _ = _face_reference(tuple(mesh.spacing))
     kinds = _face_kinds(faces)
     local = np.einsum("fq,fqa,fqc->fac", w[kinds], nf[kinds], vals)
     edofs = dofmap.element_dofs(mesh.elems[faces[:, 0]])
@@ -923,10 +872,10 @@ def _grid_coarsening(grid: np.ndarray, intervals: np.ndarray, periodic: np.ndarr
     hi = np.where(odd, lo + 1, lo)
     hi = np.where(periodic, hi % coarse_int, hi)
     w_hi = np.where(odd, 0.5, 0.0)
+    weights = trilinear(2.0 * w_hi - 1.0)[0]  # (n, 8): exact, powers of two
     extent = coarse_int + 1
     rows, keys, vals = [], [], []
-    for corner in HEX_CORNERS.astype(bool):
-        w = np.prod(np.where(corner, w_hi, 1.0 - w_hi), axis=1)
+    for corner, w in zip(HEX_CORNERS.astype(bool), weights.T):
         nz = np.nonzero(w)[0]
         c = np.where(corner, hi, lo)[nz]
         rows.append(nz)

@@ -82,8 +82,10 @@ class CellMesh:
 
     Nodes carry cell-unit coordinates; ``node_master`` identifies the lateral
     periodic pairs (y_i = 1 mapped onto y_i = 0).  ``voxels`` (E, 3) is the
-    voxel index of each element; ``gamma_faces`` are (element, axis, side)
-    triples of the interior solid surface.
+    voxel index of each element, ``voxel_elems`` (n, n, 2n) the element of
+    each voxel or -1, and ``node_grid`` (N, 3) the integer grid index of each
+    node; ``gamma_faces`` are (element, axis, side) triples of the interior
+    solid surface.
     """
 
     geometry: CellGeometry
@@ -92,6 +94,8 @@ class CellMesh:
     elems: np.ndarray
     spacing: tuple
     voxels: np.ndarray
+    voxel_elems: np.ndarray
+    node_grid: np.ndarray
     node_master: np.ndarray
     gamma_faces: np.ndarray
 
@@ -103,11 +107,6 @@ class CellMesh:
     def n_elems(self) -> int:
         return self.elems.shape[0]
 
-    @property
-    def n_periodic_nodes(self) -> int:
-        """Number of distinct nodes after periodic identification."""
-        return int(np.sum(self.node_master == np.arange(self.n_nodes)))
-
 
 @dataclass
 class LayerMesh:
@@ -118,7 +117,9 @@ class LayerMesh:
     surface faces.  With ``include_void`` the mesh also carries the void
     elements (``solid`` flags them), which is needed for extension and trace
     estimates on the complete layer.  ``voxels`` (E, 3) is the voxel index
-    of each element on the global grid of the layer.
+    of each element on the global grid of the layer, ``voxel_elems`` the
+    element of each voxel of that grid or -1, and ``node_grid`` (N, 3) the
+    integer grid index of each node.
     """
 
     geometry: CellGeometry
@@ -130,6 +131,8 @@ class LayerMesh:
     spacing: tuple
     solid: np.ndarray
     voxels: np.ndarray
+    voxel_elems: np.ndarray
+    node_grid: np.ndarray
     dirichlet_nodes: np.ndarray
     gamma_faces: np.ndarray
     lateral_faces: np.ndarray
@@ -171,10 +174,6 @@ class PlateMesh:
     @property
     def n_elems(self) -> int:
         return self.elems.shape[0]
-
-    @property
-    def n_bending_dofs(self) -> int:
-        return 4 * self.n_nodes
 
 
 def _six_connected(mask: np.ndarray) -> bool:
@@ -278,15 +277,18 @@ def _voxel_mesh(big: np.ndarray, include_void: bool = False):
     all of them with ``include_void``, in lexicographic voxel order (x3
     fastest).
 
-    Returns ``(voxels, solid, elems, nodes, lateral, gamma)``: the voxel
-    index (E, 3) and solid flag of every element, the connectivity over the
-    grid nodes that some element uses, the grid index (N, 3) of each used
+    Returns ``(voxels, voxel_elems, solid, elems, nodes, lateral, gamma)``:
+    the voxel index (E, 3) of every element and the element of every voxel
+    (-1 where none), the solid flag of every element, the connectivity over
+    the grid nodes that some element uses, the grid index (N, 3) of each used
     node (lexicographic), and per element face (E, 6, ``HEX_FACES`` order)
     whether it lies on the lateral grid boundary and whether it is a
     traction face: a solid element face, not lateral, whose neighbour is
     void or lies across the top or bottom of the grid.
     """
     voxels = np.argwhere(np.ones_like(big) if include_void else big)
+    voxel_elems = np.full(big.shape, -1, dtype=np.int64)
+    voxel_elems[tuple(voxels.T)] = np.arange(voxels.shape[0])
     solid = big[voxels[:, 0], voxels[:, 1], voxels[:, 2]]
     grid = tuple(s + 1 for s in big.shape)
     corners = (voxels[:, None, :] + HEX_CORNERS) @ np.array([grid[1] * grid[2], grid[2], 1])
@@ -301,7 +303,7 @@ def _voxel_mesh(big: np.ndarray, include_void: bool = False):
     nbr_solid = inside & big[nbr[..., 0], nbr[..., 1], nbr[..., 2]]
     lateral = (HEX_FACE_AXES < 2) & ~inside
     gamma = solid[:, None] & ~lateral & ~nbr_solid
-    return voxels, solid, elems, nodes, lateral, gamma
+    return voxels, voxel_elems, solid, elems, nodes, lateral, gamma
 
 
 def _face_list(mask: np.ndarray) -> np.ndarray:
@@ -313,7 +315,7 @@ def _face_list(mask: np.ndarray) -> np.ndarray:
 def build_cell_mesh(geom: CellGeometry, n: int) -> CellMesh:
     """Mesh the solid cell with n x n x 2n voxels (n a multiple of the mask
     resolution), with lateral periodic identification."""
-    voxels, _, elems, nodes, _, gamma = _voxel_mesh(_fine_mask(geom, n))
+    voxels, voxel_elems, _, elems, nodes, _, gamma = _voxel_mesh(_fine_mask(geom, n))
     coords = nodes / n
     coords[:, 2] -= 1.0
 
@@ -330,6 +332,8 @@ def build_cell_mesh(geom: CellGeometry, n: int) -> CellMesh:
         elems=elems,
         spacing=(1.0 / n, 1.0 / n, 1.0 / n),
         voxels=voxels,
+        voxel_elems=voxel_elems,
+        node_grid=nodes,
         node_master=node_master,
         gamma_faces=_face_list(gamma),
     )
@@ -359,7 +363,7 @@ def build_layer_mesh(geom: CellGeometry, eps: float, sigma, n: int,
         raise EpsilonNotReciprocalInteger("Sigma is not an integer number of cells")
 
     big = np.tile(_fine_mask(geom, n), (w1, w2, 1))
-    voxels, solid, elems, nodes, lateral, gamma = _voxel_mesh(big, include_void)
+    voxels, voxel_elems, solid, elems, nodes, lateral, gamma = _voxel_mesh(big, include_void)
     h = eps / n
     coords = nodes * h + np.array([a1, a2, -eps])
 
@@ -376,6 +380,8 @@ def build_layer_mesh(geom: CellGeometry, eps: float, sigma, n: int,
         spacing=(h, h, h),
         solid=solid,
         voxels=voxels,
+        voxel_elems=voxel_elems,
+        node_grid=nodes,
         dirichlet_nodes=dirichlet_nodes,
         gamma_faces=_face_list(gamma),
         lateral_faces=_face_list(lateral),

@@ -43,8 +43,7 @@ class ConstantSweep:
 
 
 def korn_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
-                  seed: int = 0, block: int = 3,
-                  max_iter: int = 400) -> ConstantEstimate:
+                  seed: int = 0, max_iter: int = 400) -> ConstantEstimate:
     """Best constant of the clamped Korn inequality on the perforated layer.
 
     The weighted norm carries eps^-2 on the in-plane components and in-plane
@@ -60,16 +59,14 @@ def korn_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     b_op = fem.assemble_anisotropic(lmesh, dofmap, mass_w, grad_w)
 
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
-                                tol=tol, seed=seed, block=block,
-                                max_iter=max_iter)
+                                tol=tol, seed=seed, max_iter=max_iter)
     constant = eps * float(np.sqrt(res.value))
     return ConstantEstimate("korn", eps, lmesh.resolution, constant,
                             res.residual, res.iterations)
 
 
 def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
-                   seed: int = 0, block: int = 3,
-                   max_iter: int = 400) -> ConstantEstimate:
+                   seed: int = 0, max_iter: int = 400) -> ConstantEstimate:
     """Constant of the lateral trace estimate on the complete layer.
 
     Requires a mesh built with the void elements included: the field lives
@@ -77,16 +74,14 @@ def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     and is measured on the entire lateral surface.  The reported constant is
     the norm ratio scaled by eps^-1/2.
     """
-    expected = lmesh.n_cells * 2 * lmesh.resolution**3
-    if lmesh.n_elems != expected:
+    if (lmesh.voxel_elems < 0).any():
         raise SolverFailure("trace estimate needs the mesh with voids included")
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     a_op = fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap)
     b_op = fem.assemble_surface_mass(lmesh, dofmap, lmesh.lateral_faces)
 
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
-                                tol=tol, seed=seed, block=block,
-                                max_iter=max_iter)
+                                tol=tol, seed=seed, max_iter=max_iter)
     constant = float(np.sqrt(max(res.value, 0.0))) / np.sqrt(eps)
     return ConstantEstimate("trace", eps, lmesh.resolution, constant,
                             res.residual, res.iterations)
@@ -109,10 +104,6 @@ class ExtensionProblem:
     solid_mass: sp.csr_matrix
     void_vv: sp.csr_matrix
     void_vs: sp.csr_matrix
-
-    @property
-    def has_void(self) -> bool:
-        return self.void_vv.shape[0] > 0 or bool((~self.lmesh.solid).any())
 
 
 def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
@@ -178,14 +169,14 @@ def _orthonormal_rigid(prob: ExtensionProblem) -> np.ndarray:
 
 
 def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
-                   block: int = 3, max_iter: int = 400) -> ConstantEstimate:
+                   max_iter: int = 400) -> ConstantEstimate:
     """Operator norm of the energy-minimizing extension on the quotient
     modulo rigid displacements: sup |D(Ev)| / |D(v)|.
 
     Exactly one on an unperforated layer (the extension is the identity).
     """
     lmesh = prob.lmesh
-    if not prob.has_void or prob.void_dofs.size == 0:
+    if prob.void_dofs.size == 0:
         return ConstantEstimate("extension", lmesh.eps, lmesh.resolution,
                                 1.0, 0.0, 0)
     rigid = _orthonormal_rigid(prob)
@@ -213,8 +204,8 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
     # kernel; on the projected iterates it equals the solid energy
     s_aug = SymmetricOperator(s, [(s.diagonal().mean(), m @ b) for b in rigid])
     res = fem.max_rayleigh_pair(apply_n, s_aug.matvec, s_aug.diagonal(),
-                                tol=tol, seed=seed, block=block,
-                                max_iter=max_iter, project=project)
+                                tol=tol, seed=seed, max_iter=max_iter,
+                                project=project)
     ratio = float(np.sqrt(max(res.value, 1.0)))
     return ConstantEstimate("extension", lmesh.eps, lmesh.resolution, ratio,
                             res.residual, res.iterations)

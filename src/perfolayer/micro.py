@@ -38,7 +38,6 @@ class MicroOperators:
     strain_energy: SymmetricOperator  # plain int |D(u)|^2, for norms
     quad_x: np.ndarray                # (E, Q, 3) physical points
     quad_y: np.ndarray                # (E, Q, 3) cell coordinates x/eps mod 1
-    quad_w: np.ndarray
     elem_dofs: np.ndarray             # (E, 24) reduced dofs, -1 = eliminated
     surface_rhs: np.ndarray           # fixed traction contribution
     # distinct in-plane coordinates of the quadrature points and, per point
@@ -100,7 +99,7 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
         raise InconsistentMesh("eps does not match the layer mesh")
     # before the assembly: its temporaries would otherwise add to the peak
     # memory of the first load vector
-    inplane = _inplane_points(lmesh, lmesh.elems)
+    inplane = _inplane_points(lmesh, np.arange(lmesh.n_elems))
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     mass = fem.assemble_mass(lmesh, dofmap)
     k = fem.assemble_elasticity(lmesh, tensor, dofmap)
@@ -111,7 +110,6 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
     quad_y = quad_x / eps
     quad_y[..., 0] %= 1.0
     quad_y[..., 1] %= 1.0
-    quad_w = np.array(fem.quadrature_weights(lmesh))
 
     surface_rhs = np.zeros(dofmap.n_dofs)
     if loads is not None and lmesh.gamma_faces.shape[0]:
@@ -128,7 +126,7 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
 
     return MicroOperators(lmesh=lmesh, dofmap=dofmap, eps=eps, mass=mass,
                           stiffness=stiffness, strain_energy=k_d,
-                          quad_x=quad_x, quad_y=quad_y, quad_w=quad_w,
+                          quad_x=quad_x, quad_y=quad_y,
                           elem_dofs=dofmap.element_dofs(lmesh.elems),
                           surface_rhs=surface_rhs, inplane=inplane)
 
@@ -168,7 +166,7 @@ def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
 
 def micro_rhs(ops: MicroOperators, loads: LoadModel, t: float,
               u_nodal: np.ndarray) -> np.ndarray:
-    u3_quad = fem.element_values(ops.lmesh, u_nodal)[..., 2]
+    u3_quad = fem.element_values(ops.lmesh, u_nodal[:, 2:])[..., 0]
     return _volume_rhs(ops, loads, t, u3_quad) + ops.surface_rhs
 
 
@@ -267,16 +265,6 @@ def apriori_check(traj: MicroTrajectory) -> dict:
 # vertical moments
 # ---------------------------------------------------------------------------
 
-def _voxel_element_map(lmesh: LayerMesh):
-    n = lmesh.resolution
-    (a1, b1, a2, b2) = lmesh.sigma
-    w1 = int(round((b1 - a1) / lmesh.eps))
-    w2 = int(round((b2 - a2) / lmesh.eps))
-    vox = -np.ones((w1 * n, w2 * n, 2 * n), dtype=np.int64)
-    vox[tuple(lmesh.voxels.T)] = np.arange(lmesh.n_elems)
-    return vox
-
-
 @dataclass
 class MomentColumns:
     """Vertical moment operator at fixed in-plane points.
@@ -293,7 +281,7 @@ class MomentColumns:
 
     @classmethod
     def build(cls, lmesh: LayerMesh, pts: np.ndarray) -> "MomentColumns":
-        vox = _voxel_element_map(lmesh)
+        vox = lmesh.voxel_elems
         (a1, b1, a2, b2) = lmesh.sigma
         h = lmesh.spacing[0]
         i1 = np.clip(((pts[:, 0] - a1) / h).astype(np.int64), 0, vox.shape[0] - 1)
@@ -396,33 +384,29 @@ def _cell_element_lookup(lmesh: LayerMesh, cmesh):
         raise InconsistentMesh("cell mesh resolution differs from the layer")
     if cmesh.geometry.digest() != lmesh.geometry.digest():
         raise InconsistentMesh("cell mesh geometry differs from the layer")
-    n = cmesh.resolution
-    lookup = -np.ones((n, n, 2 * n), dtype=np.int64)
-    lookup[tuple(cmesh.voxels.T)] = np.arange(cmesh.n_elems)
-    local = lmesh.voxels % np.array([n, n, 2 * n])
-    return lookup[tuple(local.T)]
+    local = lmesh.voxels % cmesh.voxel_elems.shape
+    return cmesh.voxel_elems[tuple(local.T)]
 
 
-def _inplane_points(lmesh: LayerMesh, elems: np.ndarray):
-    """Distinct in-plane coordinates of the quadrature points of ``elems``
-    and, per point (element-major), the index of its distinct point.
+def _inplane_points(lmesh: LayerMesh, order: np.ndarray):
+    """Distinct in-plane coordinates of the quadrature points of the
+    elements ``order`` (indices into the mesh elements) and, per point
+    (element-major), the index of its distinct point.
 
     The points of one vertical column of elements repeat their in-plane
-    coordinates, so each point is keyed by integers: its voxel column and
-    its in-plane Gauss index.  The keys sort like the coordinates, so the
-    result equals ``np.unique(axis=0)`` on the coordinate pairs.
+    coordinates, so each point is keyed by integers: its voxel column
+    (``lmesh.voxels``) and its in-plane Gauss index.  The keys sort like the
+    coordinates, so the result equals ``np.unique(axis=0)`` on the
+    coordinate pairs.
     """
     ref = fem.hex_reference(lmesh.spacing)[3]
-    a1, _, a2, _ = lmesh.sigma
-    corner = lmesh.coords[elems[:, 0]]
     keys = []
-    for axis, a in ((0, a1), (1, a2)):
-        column = np.rint((corner[:, axis] - a) / lmesh.spacing[axis]).astype(np.int64)
+    for axis in range(2):
         gauss, index = np.unique(ref[:, axis], return_inverse=True)
-        keys.append(column[:, None] * gauss.size + index)
+        keys.append(lmesh.voxels[order, axis, None] * gauss.size + index)
     _, first, inverse = np.unique(keys[0] * (keys[1].max() + 1) + keys[1],
                                   return_index=True, return_inverse=True)
-    pts = fem.quadrature_points(lmesh, elems)[..., :2].reshape(-1, 2)
+    pts = fem.quadrature_points(lmesh, lmesh.elems[order])[..., :2].reshape(-1, 2)
     return pts[first], inverse.reshape(-1)
 
 
@@ -461,8 +445,9 @@ class PlateTransfer:
         counts = np.bincount(cell_elem[cell_elem >= 0], minlength=cmesh.n_elems)
         if (cell_elem < 0).any() or (counts != lmesh.n_cells).any():
             raise InconsistentMesh("layer elements do not tile whole solid cells")
-        elems = lmesh.elems[np.argsort(cell_elem, kind="stable")]
-        distinct, inverse = _inplane_points(lmesh, elems)
+        order = np.argsort(cell_elem, kind="stable")
+        elems = lmesh.elems[order]
+        distinct, inverse = _inplane_points(lmesh, order)
         chis = [sols.stretch[ij] for ij in INDEX_PAIRS]
         chis += [sols.bending[ij] for ij in INDEX_PAIRS]
         limit = np.stack([fem.element_fields(cmesh, chi.nodal())[..., 3:]

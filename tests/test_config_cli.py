@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,11 +178,10 @@ def test_expression_trailing_whitespace_and_deep_nesting():
 def test_source_never_evaluates_text():
     # the expression reader must not fall back on eval, exec or compile
     import ast
-    import pathlib
 
     import perfolayer
 
-    for path in sorted(pathlib.Path(perfolayer.__file__).parent.glob("*.py")):
+    for path in sorted(Path(perfolayer.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -282,7 +282,7 @@ def test_cli_homogenize_and_exit_codes(tmp_path):
     out = str(tmp_path / "out")
     rc = run_command(["homogenize", "--config", cfg, "--out", out])
     assert rc == 0
-    text = open(os.path.join(out, "effective_tensors.txt")).read()
+    text = Path(out, "effective_tensors.txt").read_text()
     assert "a_star[1][1][1][1] = 2.66" in text
     assert "geometry_hash" in text
 
@@ -299,7 +299,7 @@ def test_cli_plate_run_zero_loads(tmp_path):
     out = str(tmp_path / "out")
     rc = run_command(["plate-run", "--config", cfg, "--out", out])
     assert rc == 0
-    lines = open(os.path.join(out, "plate_trajectory.csv")).read().splitlines()
+    lines = Path(out, "plate_trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t,norm_u03,norm_u1,energy,picard_iters,probe_")
     data = np.array([row.split(",") for row in lines[1:]], dtype=float)
     assert np.abs(data[:, 1:4]).max() == 0.0
@@ -312,11 +312,11 @@ def test_cli_determinism(tmp_path):
     out2 = str(tmp_path / "o2")
     assert run_command(["plate-run", "--config", cfg, "--out", out1]) == 0
     assert run_command(["plate-run", "--config", cfg, "--out", out2]) == 0
-    b1 = open(os.path.join(out1, "plate_trajectory.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "plate_trajectory.csv"), "rb").read()
+    b1 = Path(out1, "plate_trajectory.csv").read_bytes()
+    b2 = Path(out2, "plate_trajectory.csv").read_bytes()
     assert b1 == b2
-    t1 = open(os.path.join(out1, "effective_tensors.txt"), "rb").read()
-    t2 = open(os.path.join(out2, "effective_tensors.txt"), "rb").read()
+    t1 = Path(out1, "effective_tensors.txt").read_bytes()
+    t2 = Path(out2, "effective_tensors.txt").read_bytes()
     assert t1 == t2
 
 
@@ -339,7 +339,7 @@ def test_cli_helmholtz_check(tmp_path):
     out = str(tmp_path / "out")
     rc = run_command(["helmholtz-check", "--config", cfg, "--out", out])
     assert rc == 0
-    lines = open(os.path.join(out, "helmholtz.csv")).read().splitlines()
+    lines = Path(out, "helmholtz.csv").read_text().splitlines()
     assert lines[0] == "field,reconstruction,orthogonality"
     data = np.array([row.split(",") for row in lines[1:]], dtype=float)
     assert data[:, 1].max() <= 1e-8
@@ -351,7 +351,7 @@ def test_cli_korn_sweep(tmp_path):
     out = str(tmp_path / "out")
     rc = run_command(["korn", "--config", cfg, "--out", out])
     assert rc == 0
-    lines = open(os.path.join(out, "constants_korn.csv")).read().splitlines()
+    lines = Path(out, "constants_korn.csv").read_text().splitlines()
     assert lines[0] == "inequality,eps,n,constant,residual"
     assert lines[1].startswith("korn,0.5,4,")
 
@@ -365,7 +365,7 @@ def test_cli_dump_fields(tmp_path):
     assert rc == 0
     dumps = [f for f in os.listdir(out) if f.startswith("plate_t") and f.endswith(".field")]
     assert len(dumps) == 1
-    lines = open(os.path.join(out, dumps[0])).read().splitlines()
+    lines = Path(out, dumps[0]).read_text().splitlines()
     assert lines[0] == "PERFOLAYER-FIELD v1"
 
 
@@ -381,7 +381,7 @@ def test_effective_document_complete(tmp_path):
     cfg = _write(tmp_path, "geometry:\n  type: full\nepsilons: [0.5]\n")
     out = str(tmp_path / "out")
     assert run_command(["homogenize", "--config", cfg, "--out", out]) == 0
-    text = open(os.path.join(out, "effective_tensors.txt")).read().splitlines()
+    text = Path(out, "effective_tensors.txt").read_text().splitlines()
     for name in ("a_star", "b_star", "c_star"):
         entries = [ln for ln in text if ln.startswith(name)]
         assert len(entries) == 16
@@ -404,11 +404,11 @@ def test_cli_converge_pipeline(tmp_path):
                  "micro_trajectory_eps2.csv", "micro_trajectory_eps4.csv",
                  "effective_tensors.txt"):
         assert os.path.exists(os.path.join(out, name)), name
-    lines = open(os.path.join(out, "twoscale_trend.csv")).read().splitlines()
+    lines = Path(out, "twoscale_trend.csv").read_text().splitlines()
     data = np.array([r.split(",") for r in lines[1:]], dtype=float)
     # err_u3 decreases from eps = 1/2 to eps = 1/4
     assert data[0, 1] > data[1, 1]
-    cons = open(os.path.join(out, "constants.csv")).read().splitlines()
+    cons = Path(out, "constants.csv").read_text().splitlines()
     kinds = {r.split(",")[0] for r in cons[1:]}
     assert kinds == {"korn", "extension", "trace"}
 
@@ -440,7 +440,7 @@ def test_cli_expression_loads_pipeline(tmp_path):
                  "loads:\n  expressions:\n    f3: sin(pi*x1)*sin(pi*x2)\n")
     out = str(tmp_path / "out")
     assert run_command(["plate-run", "--config", cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "plate_trajectory.csv")).read().splitlines()
+    lines = Path(out, "plate_trajectory.csv").read_text().splitlines()
     data = np.array([r.split(",") for r in lines[1:]], dtype=float)
     assert data[-1, 1] > 0  # nonzero response
 
@@ -453,7 +453,7 @@ def test_cli_bad_dump_fields_fails_before_compute(tmp_path, value):
                       "--dump-fields", value])
     assert rc == 2
     assert set(os.listdir(out)) <= {"error.json", "config_echo.yaml"}
-    record = json.load(open(os.path.join(out, "error.json")))
+    record = json.loads(Path(out, "error.json").read_text())
     assert record["error"] == "ValidationError"
     assert value in record["message"]
 
@@ -490,7 +490,7 @@ def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
     rc = run_command(["homogenize", "--config", cfg, "--out", out])
     assert rc == 2
     assert set(os.listdir(out)) <= {"error.json", "config_echo.yaml"}
-    record = json.load(open(os.path.join(out, "error.json")))
+    record = json.loads(Path(out, "error.json").read_text())
     assert record["error"] == "ValidationError"
     assert record["message"].startswith(key + ":")
 
@@ -501,7 +501,7 @@ def test_cli_unwritable_output_is_exit_2(tmp_path):
     (out / "cell_residuals.csv").mkdir(parents=True)
     rc = run_command(["cell-solve", "--config", cfg, "--out", str(out)])
     assert rc == 2
-    record = json.load(open(out / "error.json"))
+    record = json.loads((out / "error.json").read_text())
     assert record["error"] == "IsADirectoryError"
     assert "cell_residuals.csv" in record["message"]
 
@@ -517,7 +517,7 @@ def test_cli_value_error_in_solve_is_not_a_config_error(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     with pytest.raises(ValueError, match="injected"):
         run_command(["cell-solve", "--config", cfg, "--out", out])
-    record = json.load(open(os.path.join(out, "error.json")))
+    record = json.loads(Path(out, "error.json").read_text())
     assert record == {"error": "ValueError", "message": "injected"}
 
 
@@ -532,7 +532,7 @@ def test_cli_unexpected_exception_leaves_error_record(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     with pytest.raises(RuntimeError, match="injected"):
         run_command(["cell-solve", "--config", cfg, "--out", out])
-    record = json.load(open(os.path.join(out, "error.json")))
+    record = json.loads(Path(out, "error.json").read_text())
     assert record == {"error": "RuntimeError", "message": "injected"}
 
 
@@ -545,6 +545,6 @@ def test_cli_converge_determinism(tmp_path):
     for out in outs:
         assert run_command(["converge", "--config", cfg, "--out", out]) == 0
     for name in ("twoscale.csv", "twoscale_trend.csv", "moments.csv"):
-        b1, b2 = (open(os.path.join(out, name), "rb").read() for out in outs)
+        b1, b2 = (Path(out, name).read_bytes() for out in outs)
         assert b1 == b2, name
         assert len(b1.splitlines()) >= 2

@@ -258,13 +258,40 @@ def test_quadrature_gradient_first_order_convergence():
     assert errs[2] <= 0.6 * errs[1]
 
 
+def _face_rule_loop(spacing, axis, side):
+    """The former per-face construction of the 2x2 Gauss rule: in-face axes,
+    reference points in [-1, 1]^2, physical weights and the trilinear shape
+    values (4, 8) on the face (axis, side)."""
+    g = 1.0 / np.sqrt(3.0)
+    x1, w1 = np.array([-g, g]), np.array([1.0, 1.0])
+    axes = [d for d in range(3) if d != axis]
+    jac = spacing[axes[0]] * spacing[axes[1]] / 4.0
+    pts, wts = [], []
+    for a in range(2):
+        for b in range(2):
+            pts.append((x1[a], x1[b]))
+            wts.append(w1[a] * w1[b] * jac)
+    pts = np.array(pts)
+    signs = 2.0 * pg.HEX_CORNERS - 1.0
+    vals = np.empty((4, 8))
+    for q in range(4):
+        xi = np.empty(3)
+        xi[axes[0]] = pts[q, 0]
+        xi[axes[1]] = pts[q, 1]
+        xi[axis] = float(side)
+        vals[q] = 0.125 * ((1 + signs[:, 0] * xi[0])
+                           * (1 + signs[:, 1] * xi[1])
+                           * (1 + signs[:, 2] * xi[2]))
+    return axes, pts, np.array(wts), vals
+
+
 def _per_face_surface(mesh, dofmap, faces, values):
     """Surface points, weights and load vector assembled face by face."""
     h = np.asarray(mesh.spacing)
-    pts, wts = [], []
+    pts, wts = [np.zeros((0, 3))], [np.zeros(0)]
     load = np.zeros(dofmap.n_dofs)
     for f, (e, axis, side) in enumerate(faces):
-        axes, ref, w = fem.face_quadrature(mesh.spacing, int(axis))
+        axes, ref, w, Nf = _face_rule_loop(mesh.spacing, int(axis), int(side))
         origin = mesh.coords[mesh.elems[e, 0]]
         phys = np.empty((4, 3))
         phys[:, axes[0]] = origin[axes[0]] + (ref[:, 0] + 1.0) / 2.0 * h[axes[0]]
@@ -272,7 +299,6 @@ def _per_face_surface(mesh, dofmap, faces, values):
         phys[:, axis] = origin[axis] + (h[axis] if side > 0 else 0.0)
         pts.append(phys)
         wts.append(w)
-        Nf = fem.face_shape_values(int(axis), int(side), ref)
         local = np.einsum("q,qa,qc->ac", w, Nf, values[4 * f:4 * f + 4]).reshape(-1)
         edofs = dofmap.element_dofs(mesh.elems[int(e)][None, :])[0]
         keep = edofs >= 0
@@ -280,30 +306,41 @@ def _per_face_surface(mesh, dofmap, faces, values):
     return np.concatenate(pts), np.concatenate(wts), load
 
 
-@pytest.mark.parametrize("eps", [0.5, 0.25])
-def test_surface_quadrature_and_load_match_per_face_loop(box_geom, eps):
-    lmesh = pg.build_layer_mesh(box_geom, eps, SIGMA, 4)
-    dm = fem.DofMap(lmesh, 3, dirichlet_nodes=lmesh.dirichlet_nodes)
-    faces = lmesh.gamma_faces
-    groups = {(int(a), int(s)) for _, a, s in faces}
-    assert groups == {(a, s) for a in range(3) for s in (-1, 1)}
+@pytest.fixture(scope="module")
+def face_lists(box_geom):
+    """(mesh, dof map, faces) for the gamma faces of the solid layer at eps
+    1/2 and 1/4, the lateral faces of the complete channel layer and an
+    empty list."""
+    cases = {}
+    for eps in (0.5, 0.25):
+        lm = pg.build_layer_mesh(box_geom, eps, SIGMA, 4)
+        dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+        cases[f"gamma{eps}"] = (lm, dm, lm.gamma_faces)
+    geom = pg.build_cell_geometry(pg.channel_mask(4), m=4)
+    lm = pg.build_layer_mesh(geom, 0.5, SIGMA, 4, include_void=True)
+    dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+    cases["lateral"] = (lm, dm, lm.lateral_faces)
+    cases["empty"] = (lm, dm, np.zeros((0, 3), dtype=np.int64))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["gamma0.5", "gamma0.25", "lateral", "empty"])
+def test_surface_quadrature_and_load_match_per_face_loop(face_lists, case):
+    lmesh, dm, faces = face_lists[case]
+    kinds = {(int(a), int(s)) for _, a, s in faces}
+    if case.startswith("gamma"):
+        assert kinds == {(a, s) for a in range(3) for s in (-1, 1)}
+    elif case == "lateral":
+        assert kinds == {(a, s) for a in (0, 1) for s in (-1, 1)}
     values = rng(4).standard_normal((4 * faces.shape[0], 3))
     pts, w = fem.surface_quadrature(lmesh, faces)
     load = fem.surface_load_vector(lmesh, dm, faces, values)
     want_pts, want_w, want_load = _per_face_surface(lmesh, dm, faces, values)
+    assert pts.shape == (4 * faces.shape[0], 3) and w.shape == (4 * faces.shape[0],)
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(w, want_w)
     assert np.array_equal(load, want_load)
-
-
-def test_surface_quadrature_empty_face_list(box_geom):
-    lmesh = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
-    dm = fem.DofMap(lmesh, 3)
-    none = np.zeros((0, 3), dtype=np.int64)
-    pts, w = fem.surface_quadrature(lmesh, none)
-    assert pts.shape == (0, 3) and w.shape == (0,)
-    load = fem.surface_load_vector(lmesh, dm, none, np.zeros((0, 3)))
-    assert load.shape == (dm.n_dofs,) and not load.any()
+    assert load.any() == (faces.shape[0] > 0)
 
 
 def _element_loop(local, rows, cols, shape):
@@ -367,21 +404,40 @@ def test_volume_assembly_matches_element_loop(box_geom):
     _assert_matches_loop(b, _element_loop(local, edofs, edofs, (dm.n_dofs,) * 2))
 
 
-def test_surface_mass_matches_face_loop():
-    geom = pg.build_cell_geometry(pg.channel_mask(4), m=4)
-    lm = pg.build_layer_mesh(geom, 0.5, SIGMA, 4, include_void=True)
-    dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
-    faces = lm.lateral_faces
-    assert {(int(a), int(s)) for _, a, s in faces} == {(a, s) for a in (0, 1) for s in (-1, 1)}
-    locals_ = np.empty((faces.shape[0], 24, 24))
-    for f, (e, axis, side) in enumerate(faces):
-        _, pts, w = fem.face_quadrature(lm.spacing, int(axis))
-        Nf = fem.face_shape_values(int(axis), int(side), pts)
-        locals_[f] = np.kron(np.einsum("q,qa,qb->ab", w, Nf, Nf), np.eye(3))
-    edofs = dm.element_dofs(lm.elems[faces[:, 0]])
-    want = _element_loop(locals_, edofs, edofs, (dm.n_dofs, dm.n_dofs))
-    assert np.count_nonzero(want)
-    _assert_matches_loop(fem.assemble_surface_mass(lm, dm, faces).matrix, want)
+def _face_mass_loop(mesh, dofmap, faces):
+    """Sparse surface mass summed face by face from ``_face_rule_loop``."""
+    rows, cols, vals = [], [], []
+    for e, axis, side in faces:
+        _, _, w, Nf = _face_rule_loop(mesh.spacing, int(axis), int(side))
+        local = np.kron(np.einsum("q,qa,qb->ab", w, Nf, Nf), np.eye(3))
+        edofs = dofmap.element_dofs(mesh.elems[int(e)][None, :])[0]
+        r, c = np.meshgrid(edofs, edofs, indexing="ij")
+        keep = (r >= 0) & (c >= 0) & (local != 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(local[keep])
+    n = dofmap.n_dofs
+    if not rows:
+        return sp.csr_matrix((n, n))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))), shape=(n, n))
+
+
+@pytest.mark.parametrize("case", ["gamma0.5", "gamma0.25", "lateral", "empty"])
+def test_surface_mass_matches_face_loop(face_lists, case):
+    lm, dm, faces = face_lists[case]
+    got = fem.assemble_surface_mass(lm, dm, faces).matrix
+    want = _face_mass_loop(lm, dm, faces)
+    assert got.nnz == np.count_nonzero(got.data)  # no stored zeros
+    assert got.nnz == want.nnz
+    # one face of each (axis, side): every entry has one term, bit for bit
+    for kind in np.unique(2 * faces[:, 1] + (faces[:, 2] > 0)):
+        one = faces[np.argmax(2 * faces[:, 1] + (faces[:, 2] > 0) == kind)][None, :]
+        diff = fem.assemble_surface_mass(lm, dm, one).matrix - _face_mass_loop(lm, dm, one)
+        assert diff.count_nonzero() == 0
+    # the whole list sums up to four terms per entry in another order
+    if want.nnz:
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
@@ -412,6 +468,53 @@ def test_hex_reference_cached_read_only():
         with pytest.raises(ValueError):
             arr[...] = 0.0
     assert fem.hex_reference((0.5, 0.5, 0.5))[2][0] == pytest.approx(8.0 * a[2][0], rel=1e-15)
+
+
+def _hex_reference_loop(spacing):
+    """The former per-point construction of the 2x2x2 Gauss tables."""
+    hx, hy, hz = spacing
+    g = 1.0 / np.sqrt(3.0)
+    x1, w1 = np.array([-g, g]), np.array([1.0, 1.0])
+    pts, wts = [], []
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                pts.append((x1[a], x1[b], x1[c]))
+                wts.append(w1[a] * w1[b] * w1[c])
+    pts, wts = np.array(pts), np.array(wts)
+    signs = 2.0 * pg.HEX_CORNERS - 1.0
+    N = np.empty((8, 8))
+    G = np.empty((8, 8, 3))
+    scale = np.array([2.0 / hx, 2.0 / hy, 2.0 / hz])
+    for q in range(8):
+        xi = pts[q]
+        N[q] = 0.125 * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 1] * xi[1]) * (1 + signs[:, 2] * xi[2])
+        G[q, :, 0] = 0.125 * signs[:, 0] * (1 + signs[:, 1] * xi[1]) * (1 + signs[:, 2] * xi[2]) * scale[0]
+        G[q, :, 1] = 0.125 * signs[:, 1] * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 2] * xi[2]) * scale[1]
+        G[q, :, 2] = 0.125 * signs[:, 2] * (1 + signs[:, 0] * xi[0]) * (1 + signs[:, 1] * xi[1]) * scale[2]
+    return N, G, wts * (hx * hy * hz / 8.0), (pts + 1.0) / 2.0
+
+
+@pytest.mark.parametrize("spacing", [(0.25,) * 3, (1.0 / 32,) * 3, (0.1, 0.2, 0.3)])
+def test_hex_reference_equals_former_loop(spacing):
+    for got, want in zip(fem.hex_reference(spacing), _hex_reference_loop(spacing)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_trilinear_basis():
+    xi = rng(11).uniform(-1.0, 1.0, (50, 3))
+    N, dN = fem.trilinear(xi)
+    assert N.shape == (50, 8) and dN.shape == (50, 8, 3)
+    assert np.abs(N.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(dN.sum(axis=1)).max() <= 1e-15
+    # nodal interpolation reproduces affine fields and their gradients
+    a = rng(12).standard_normal((4, 2))
+    corners = 2.0 * pg.HEX_CORNERS - 1.0
+    nodal = a[0] + corners @ a[1:]
+    assert np.abs(N @ nodal - (a[0] + xi @ a[1:])).max() <= 1e-14
+    assert np.abs(np.einsum("pac,ak->pck", dN, nodal) - a[1:]).max() <= 1e-14
+    # the corners themselves: N is the identity there
+    assert np.array_equal(fem.trilinear(corners)[0], np.eye(8))
 
 
 def _strain_matrices_loop(G):

@@ -44,7 +44,7 @@ def test_cell_mesh_counts():
     geom = pg.build_cell_geometry("full", m=2)
     mesh = pg.build_cell_mesh(geom, 2)
     assert mesh.n_elems == 16
-    assert mesh.n_periodic_nodes == 20
+    assert np.sum(mesh.node_master == np.arange(mesh.n_nodes)) == 20  # after identification
     mesh4 = pg.build_cell_mesh(geom, 4)
     assert mesh4.n_elems == 4 * 4 * 8  # n x n x 2n voxels
 
@@ -93,7 +93,7 @@ def test_plate_mesh_counts_and_clamping():
     pm = pg.build_plate_mesh(SIGMA, 2)
     assert pm.n_elems == 4
     assert pm.n_nodes == 9
-    assert pm.n_bending_dofs == 36
+    assert 4 * pm.n_nodes == 36  # four Hermite dofs per node
     assert len(pm.clamped_nodes) == 8
     pm2 = pg.build_plate_mesh(((0, 2), (0, 1)), 2)
     assert pm2.n_elems == 8
@@ -275,11 +275,25 @@ def test_element_corners_follow_voxels(box_geom):
     # n = 12: the cell's i / n and the voxel's i * h may differ in the last bit
     cm = pg.build_cell_mesh(box_geom, 12)
     lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 12, include_void=True)
-    for mesh, origin in ((cm, [0.0, 0.0, -1.0]), (lm, [SIGMA[0][0], SIGMA[1][0], -0.5])):
+    lm_solid = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 12)
+    cases = ((cm, [0.0, 0.0, -1.0], cm.node_grid / 12),
+             (lm, [SIGMA[0][0], SIGMA[1][0], -0.5], lm.node_grid * lm.spacing[0]),
+             (lm_solid, [SIGMA[0][0], SIGMA[1][0], -0.5], lm_solid.node_grid * lm.spacing[0]))
+    for mesh, origin, scaled in cases:
         assert mesh.voxels.shape == (mesh.n_elems, 3)
         np.testing.assert_allclose(mesh.coords[mesh.elems[:, 0]],
                                    np.array(origin) + mesh.voxels * mesh.spacing[0],
                                    rtol=0, atol=1e-14)
+        # the node coordinates are the scaled integer grid indices, exactly
+        assert mesh.node_grid.shape == (mesh.n_nodes, 3)
+        assert np.array_equal(mesh.coords, scaled + np.array(origin))
+        assert np.array_equal(mesh.node_grid[mesh.elems[:, 0]], mesh.voxels)
+        # voxel_elems inverts voxels: every element once, -1 elsewhere
+        assert mesh.voxel_elems.shape == tuple(mesh.voxels.max(axis=0) + 1)
+        assert np.array_equal(mesh.voxel_elems[tuple(mesh.voxels.T)],
+                              np.arange(mesh.n_elems))
+        assert np.count_nonzero(mesh.voxel_elems >= 0) == mesh.n_elems
+    assert (lm.voxel_elems >= 0).all() and (lm_solid.voxel_elems < 0).any()
 
 
 @pytest.mark.parametrize("descriptor", ["full", BOX_HOLE, "channel", "random2"])
@@ -287,5 +301,5 @@ def test_cell_mesh_is_the_one_cell_layer(descriptor):
     geom = pg.build_cell_geometry(_descriptor(descriptor), m=4)
     cm = pg.build_cell_mesh(geom, 8)
     lm = pg.build_layer_mesh(geom, 1.0, ((0, 1), (0, 1)), 8)
-    for name in ("elems", "gamma_faces", "voxels"):
+    for name in ("elems", "gamma_faces", "voxels", "voxel_elems", "node_grid"):
         assert np.array_equal(getattr(cm, name), getattr(lm, name)), name

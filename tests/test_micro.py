@@ -311,10 +311,10 @@ def test_element_fields_match_values_and_gradients(void_layers, name, eps):
 def test_inplane_points_equal_float_unique(void_layers, name, eps):
     lmesh = void_layers[name, eps]
     r = rng(8)
-    for elems in (lmesh.elems, lmesh.elems[r.permutation(lmesh.n_elems)]):
-        pts = fem.quadrature_points(lmesh, elems)[..., :2].reshape(-1, 2)
+    for order in (np.arange(lmesh.n_elems), r.permutation(lmesh.n_elems)):
+        pts = fem.quadrature_points(lmesh, lmesh.elems[order])[..., :2].reshape(-1, 2)
         want, want_inv = np.unique(pts, axis=0, return_inverse=True)
-        got, got_inv = pm._inplane_points(lmesh, elems)
+        got, got_inv = pm._inplane_points(lmesh, order)
         assert np.array_equal(got, want)
         assert np.array_equal(got_inv, want_inv.reshape(-1))
 
@@ -432,7 +432,7 @@ def _direct_two_scale(ms, ps, sols):
     E, Q = x.shape[:2]
     pts = x[..., :2].reshape(-1, 2)
     y3 = (x[..., 2] / eps).reshape(-1)
-    flat_w = ops.quad_w.reshape(-1)
+    flat_w = fem.quadrature_weights(lmesh).reshape(-1)
     wvals, grad, hess = pp.evaluate_deflection(system, ps.w, pts, derivatives=True)
     u1, strain = pp.evaluate_membrane(system, ps.m, pts, derivatives=True)
 
@@ -462,8 +462,8 @@ def _direct_two_scale(ms, ps, sols):
 
 
 def _direct_plate_moments(lmesh, u_nodal, eps, pts):
-    """Vertical moments with the voxel map and shape values built per call."""
-    vox = pm._voxel_element_map(lmesh)
+    """Vertical moments with the shape values built per call."""
+    vox = lmesh.voxel_elems
     (a1, b1, a2, b2) = lmesh.sigma
     h = lmesh.spacing[0]
     i1 = np.clip(((pts[:, 0] - a1) / h).astype(np.int64), 0, vox.shape[0] - 1)
