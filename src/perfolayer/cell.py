@@ -20,9 +20,10 @@ from .geometry import CellMesh
 INDEX_PAIRS = ((1, 1), (2, 2), (1, 2))
 
 # Operator size from which the cell problems are preconditioned by the grid
-# multigrid V-cycle instead of Jacobi (six solves with set-up, one BLAS
-# thread: Jacobi wins on the box cell at n = 12, 9,975 dofs; multigrid on
-# the channel cell at n = 16, 20,304 dofs, and on the box cell at n = 16).
+# multigrid V-cycle instead of Jacobi (one block solve of the six problems
+# with set-up, one BLAS thread: Jacobi wins or ties on every cell up to
+# n = 12, 10,800 dofs; multigrid on the channel cell at n = 16, 20,304 dofs,
+# and on the box cell at n = 16; README, "How the cell problems are solved").
 MULTIGRID_MIN_DOFS = 15_000
 
 # Elements per block over which ``effective_tensors`` accumulates its Gram
@@ -102,21 +103,6 @@ def _cell_multigrid(mesh: CellMesh, dofmap: DofMap, op: SymmetricOperator):
                              (True, True, False))
 
 
-def _solve_cell(mesh: CellMesh, tensor: ElasticityTensor4, pair, kind: str,
-                dofmap: DofMap, op: SymmetricOperator, precond, tol: float) -> tuple:
-    """One periodic, traction-free, zero-mean cell problem for the index pair
-    (i, j); returns (FieldVector, relative residual).  The stretch problem
-    is forced by M_ij, the bending one by -y3 M_ij; ``precond`` is passed to
-    ``fem.solve_spd`` (None: Jacobi)."""
-    stress = fem.sym_to_mandel(tensor.apply(basis_matrix(*pair)))
-    rhs = _field_rhs(mesh, dofmap, -_profile(mesh, kind) * stress)
-    sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
-    res = _relative_residual(op, sol, rhs)
-    if res > max(100 * tol, 1e-8):
-        raise SolverFailure(f"{kind} cell problem {pair} residual {res:.3e}")
-    return FieldVector(mesh, dofmap, sol), res
-
-
 def _profile(mesh: CellMesh, kind: str, elems=None):
     """Factor of the forcing strain M_ij at the quadrature points of
     ``elems`` (default all): 1 for stretching, -y3 of shape (E, n_q, 1) for
@@ -137,36 +123,42 @@ def _field_rhs(mesh, dofmap, xi: np.ndarray) -> np.ndarray:
     return fem.scatter_vector(xi @ wb, edofs, dofmap.n_dofs)
 
 
-def _relative_residual(op, sol, rhs):
-    nrm = np.linalg.norm(rhs)
-    if nrm == 0:
-        return 0.0
-    return float(np.linalg.norm(op.matvec(sol) - rhs) / nrm)
-
-
 def solve_cell_problems(mesh: CellMesh, tensor: ElasticityTensor4,
                         tol: float = 1e-10, workers: int = 1,
                         full_index: bool = False) -> CellSolutionSet:
-    """The in-plane cell problems (three stretching, three bending).
+    """The periodic, traction-free, zero-mean cell problems (three
+    stretching, three bending).
 
     The macroscopic model uses only (i, j) in {1, 2}^2; ``full_index`` also
-    solves the out-of-plane pairs.  The solves share one operator and, from
-    ``MULTIGRID_MIN_DOFS`` on, one grid multigrid preconditioner, and run in
-    a fixed order.  ``workers`` is accepted and ignored.
+    solves the out-of-plane pairs.  The stretch problem is forced by M_ij,
+    the bending one by -y3 M_ij.  The problems share one operator and are
+    solved as the columns of one block by ``fem.solve_spd``, preconditioned
+    by the grid multigrid V-cycle from ``MULTIGRID_MIN_DOFS`` on.  A column
+    whose relative residual exceeds max(100 tol, 1e-8) raises
+    SolverFailure.  ``workers`` is accepted and ignored.
     """
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, tensor, dofmap)
     precond = _cell_multigrid(mesh, dofmap, op)
-    sols = CellSolutionSet(mesh=mesh, dofmap=dofmap, tensor=tensor)
-
     pairs = list(INDEX_PAIRS)
     if full_index:
         pairs += [(1, 3), (2, 3), (3, 3)]
-    for kind in ("stretch", "bending"):
-        for ij in pairs:
-            fvec, res = _solve_cell(mesh, tensor, ij, kind, dofmap, op, precond, tol)
-            getattr(sols, kind)[ij] = fvec
-            sols.residuals[(kind, ij)] = res
+    problems = [(kind, ij) for kind in ("stretch", "bending") for ij in pairs]
+    rhs = np.empty((dofmap.n_dofs, len(problems)))
+    for c, (kind, ij) in enumerate(problems):
+        stress = fem.sym_to_mandel(tensor.apply(basis_matrix(*ij)))
+        rhs[:, c] = _field_rhs(mesh, dofmap, -_profile(mesh, kind) * stress)
+    sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
+    bnorm = np.linalg.norm(rhs, axis=0)
+    rnorm = np.linalg.norm(op.matvec(sol) - rhs, axis=0)
+    res = np.divide(rnorm, bnorm, out=np.zeros_like(rnorm), where=bnorm > 0)
+    columns = np.ascontiguousarray(sol.T)
+    sols = CellSolutionSet(mesh=mesh, dofmap=dofmap, tensor=tensor)
+    for (kind, ij), values, r in zip(problems, columns, res):
+        if r > max(100 * tol, 1e-8):
+            raise SolverFailure(f"{kind} cell problem {ij} residual {r:.3e}")
+        getattr(sols, kind)[ij] = FieldVector(mesh, dofmap, values)
+        sols.residuals[(kind, ij)] = float(r)
     return sols
 
 

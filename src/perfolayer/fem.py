@@ -3,9 +3,9 @@
 Trilinear hexahedra with 2x2x2 Gauss quadrature (reference tables cached per
 spacing), periodic master/slave identification, Dirichlet elimination,
 mean-zero constraints via symmetric rank-one augmentation, preconditioned
-conjugate gradients (Jacobi, or a geometric multigrid V-cycle on the
-background voxel grid), and a Jacobi-preconditioned block LOBPCG for
-extremal generalized eigenvalues.
+conjugate gradients on one right-hand side or on a block of them in lockstep
+(Jacobi, or a geometric multigrid V-cycle on the background voxel grid), and
+a Jacobi-preconditioned block LOBPCG for extremal generalized eigenvalues.
 
 Large sparse products are split by rows across the cores the process may
 run on (``RowSplitProduct``); each row is summed by the same kernel in the
@@ -304,6 +304,10 @@ class SymmetricOperator:
     def __init__(self, matrix: sp.csr_matrix, augmentations=()):
         self.matrix = matrix.tocsr()
         self.augmentations = [(float(s), np.asarray(v)) for s, v in augmentations]
+        # the same terms as columns (n, m) with weights (m,), or None
+        self.aug_vectors = (np.stack([v for _, v in self.augmentations], axis=1)
+                            if self.augmentations else None)
+        self.aug_weights = np.array([s for s, _ in self.augmentations])
         self._diagonal = None
         self._product = RowSplitProduct(self.matrix)
 
@@ -312,8 +316,13 @@ class SymmetricOperator:
         return self.matrix.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a vector or to each column of an (n, k) block."""
+        """Apply to a vector (one term after another) or to each column of
+        an (n, k) block (all terms in one product)."""
         y = self._product(x)
+        if x.ndim == 2 and self.aug_vectors is not None:
+            vs = self.aug_vectors
+            y += vs @ (self.aug_weights * (x.T @ vs)).T
+            return y
         for s, v in self.augmentations:
             y += np.multiply.outer(v, s * (v @ x))
         return y
@@ -342,6 +351,10 @@ class SymmetricOperator:
 # thread costs more than the second core gains, and a floor of 100,000 gained
 # nothing end to end (measured; README, "How sparse products are applied")
 SPLIT_MIN_NNZ = 200_000
+# widest block applied column by column: scipy's block kernel is slower than
+# its vector kernel on one or two columns (README, "How sparse products are
+# applied"); both sum each row in the same order
+NARROW_BLOCK = 2
 _pool = None  # threads of the row blocks after the first, made on first use
 
 
@@ -382,7 +395,9 @@ class RowSplitProduct:
     pool; the kernel releases the GIL.  Every row is summed by the same
     kernel in the same order as in ``A @ x``, so the result is bit-identical
     to it, for a vector or an (n, k) block.  With one block, or another
-    dtype than A's, the product is ``A @ x``.
+    dtype than A's, the product is ``A @ x``.  A block of at most
+    ``NARROW_BLOCK`` columns is applied column by column through the vector
+    kernel, which sums each row in the same order as the block kernel.
     """
 
     def __init__(self, matrix: sp.csr_matrix):
@@ -395,6 +410,8 @@ class RowSplitProduct:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         a = self.matrix
+        if x.ndim == 2 and 0 < x.shape[1] <= NARROW_BLOCK:
+            return np.column_stack([self(c) for c in x.T])
         if len(self.blocks) < 2 or x.dtype != a.dtype:
             return a @ x
         x = np.ascontiguousarray(x)
@@ -668,16 +685,34 @@ def jacobi(diagonal: np.ndarray):
     return lambda r: (inv_d if r.ndim == 1 else inv_col) * r
 
 
+def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the matching columns of two (n, k) blocks."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _column_norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_column_dot(a, a))
+
+
 def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
               x0: np.ndarray | None = None, max_iter: int | None = None,
               precond=None) -> np.ndarray:
-    """Preconditioned conjugate gradients with a fixed iteration order.
+    """Preconditioned conjugate gradients with a fixed iteration order, for a
+    right-hand side b of shape (n,) or (n, k) and ``x0`` of the same shape.
 
-    ``precond`` maps a residual r to z = B r for a symmetric positive
-    definite B; the default is ``jacobi(op.diagonal())``.  Stops at relative
-    residual |r| <= tol |b|; raises MaxIterationsExceeded beyond the cap
-    20 sqrt(n) + 200, and IndefiniteDetected on a nonpositive curvature
-    direction or a nonpositive r . z (an indefinite preconditioner).
+    A block runs k independent recurrences in lockstep: column j has its own
+    step lengths and r . z and stops at |r_j| <= tol |b_j|; each iteration
+    makes one ``op.matvec`` and one ``precond`` call on the columns still
+    active.  A converged column is frozen, and a zero column returns zeros.
+    A vector b is reduced by ``np.dot`` and ``np.linalg.norm``, a block by
+    column sums.
+
+    ``precond`` maps a residual r (a vector or a block) to z = B r for a
+    symmetric positive definite B; the default is ``jacobi(op.diagonal())``.
+    Raises MaxIterationsExceeded beyond the cap 20 sqrt(n) + 200, naming
+    the columns of a block that stalled, and IndefiniteDetected on a
+    nonpositive curvature direction or a nonpositive r . z (an indefinite
+    preconditioner) in an active column.
     """
     n = rhs.shape[0]
     if n == 0:
@@ -686,37 +721,60 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
         max_iter = int(20 * np.sqrt(n) + 200)
     if precond is None:
         precond = jacobi(op.diagonal())
-    x = np.zeros(n) if x0 is None else x0.copy()
+    block = rhs.ndim == 2
+    # a vector's tests are on scalars, where bool() is much cheaper than np.any
+    if block:
+        dot, norm, anyof = _column_dot, _column_norm, np.any
+    else:
+        dot, norm, anyof = np.dot, np.linalg.norm, bool
+    out = np.zeros(rhs.shape)
+    bnorm = norm(rhs)
+    if block:  # the active columns; the zero ones are solved already
+        cols = np.flatnonzero(bnorm)
+        if cols.size < bnorm.size:
+            rhs, bnorm = rhs[:, cols], bnorm[cols]
+            x0 = None if x0 is None else x0[:, cols]
+    if not anyof(bnorm):
+        return out
+    x = np.zeros(rhs.shape) if x0 is None else x0.copy()
     r = rhs - op.matvec(x) if x0 is not None else rhs.copy()
-    bnorm = np.linalg.norm(rhs)
-    if bnorm == 0.0:
-        return np.zeros(n)
     z = precond(r)
     p = z.copy()
-    rz = np.dot(r, z)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        if rz <= 0:
+    rz = dot(r, z)
+    for it in range(max_iter + 1):
+        done = norm(r) <= tol * bnorm
+        if anyof(done):
+            if not block:
+                return x
+            out[:, cols[done]] = x[:, done]
+            if np.all(done):
+                return out
+            live = ~done
+            cols, bnorm, rz = cols[live], bnorm[live], rz[live]
+            x, r, p = x[:, live], r[:, live], p[:, live]
+        if it == max_iter:
+            break
+        if anyof(rz <= 0):
             raise IndefiniteDetected(
-                f"nonpositive r.z = {rz:.3e}: the preconditioner is not positive definite")
+                f"nonpositive r.z = {np.min(rz):.3e}: the preconditioner is not positive definite")
         ap = op.matvec(p)
-        pap = np.dot(p, ap)
-        if pap <= 0:
+        pap = dot(p, ap)
+        if anyof(pap <= 0):
             raise IndefiniteDetected(
-                f"nonpositive curvature p.Ap = {pap:.3e} in conjugate gradients")
+                f"nonpositive curvature p.Ap = {np.min(pap):.3e} in conjugate gradients")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
+        del ap, z  # free large block arrays before the preconditioner runs
         z = precond(r)
-        rz_new = np.dot(r, z)
+        rz_new = dot(r, z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
-    if np.linalg.norm(r) <= tol * bnorm:
-        return x
+        p *= beta
+        p += z
+    stalled = f" in columns {cols.tolist()}" if block else ""
     raise MaxIterationsExceeded(
-        f"CG stalled at relative residual {np.linalg.norm(r) / bnorm:.3e} "
+        f"CG stalled{stalled} at relative residual {np.max(norm(r) / bnorm):.3e} "
         f"after {max_iter} iterations")
 
 
@@ -762,8 +820,7 @@ class GridMultigrid:
         grid = np.empty((n_blocks, 3), dtype=np.int64)
         grid[node_blocks[keep]] = np.where(periodic, node_grid % intervals,
                                            node_grid)[keep]
-        vs = np.stack([v for _, v in op.augmentations], axis=1) if op.augmentations else None
-        sig = np.array([s for s, _ in op.augmentations])
+        vs, sig = op.aug_vectors, op.aug_weights
         levels = [_GridLevel(op.matrix, vs, sig, grid)]
         while (levels[-1].matrix.shape[0] > coarsest
                and np.any((intervals % 2 == 0) & (intervals > 2))):
@@ -792,6 +849,7 @@ class GridMultigrid:
             lv.setup_smoother()
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        """One V-cycle on a vector or on each column of an (n, k) block."""
         return self._cycle(0, r)
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
@@ -822,9 +880,10 @@ class _GridLevel:
         self.prolong = self.restrict = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x plus the augmentations, for a vector or an (n, k) block."""
         y = self.product(x)
         if self.vs is not None:
-            y += self.vs @ (self.sig * (x @ self.vs))
+            y += self.vs @ (self.sig * (x.T @ self.vs)).T
         return y
 
     def setup_smoother(self):

@@ -195,9 +195,8 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
         full = np.zeros((prob.dofmap.n_dofs, V.shape[1]))
         full[prob.solid_dofs] = V
         rhs = -(prob.void_vs @ V)
-        full[prob.void_dofs] = np.column_stack([
-            fem.solve_spd(void_op, r, tol=1e-12, max_iter=void_iter)
-            for r in rhs.T])
+        full[prob.void_dofs] = fem.solve_spd(void_op, rhs, tol=1e-12,
+                                             max_iter=void_iter)
         return (f @ full)[prob.solid_dofs]
 
     # rank-6 augmentation keeps the Gram matrices definite across the rigid

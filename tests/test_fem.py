@@ -11,7 +11,8 @@ from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer import inequalities as inq
 from perfolayer import micro as pm
-from perfolayer.errors import IndefiniteDetected, SingularWithoutConstraints
+from perfolayer.errors import (IndefiniteDetected, MaxIterationsExceeded,
+                               SingularWithoutConstraints)
 
 from conftest import SIGMA, rigid_field, rng, sym_gradient
 
@@ -200,13 +201,15 @@ def test_solve_spd_trivial():
     assert np.allclose(x, [1.0, 1.0])
 
 
-def test_solve_spd_vs_dense():
-    mesh = _cell_mesh(n=2)
-    geom = mesh.geometry
-    lm = pg.build_layer_mesh(geom, 1.0, SIGMA, 2)
+def _layer_operator():
+    lm = pg.build_layer_mesh(_cell_mesh(n=2).geometry, 1.0, SIGMA, 2)
     dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
-    op = fem.assemble_elasticity(lm, shear_tensor(), dm)
-    r = rng(5).standard_normal(dm.n_dofs)
+    return fem.assemble_elasticity(lm, shear_tensor(), dm)
+
+
+def test_solve_spd_vs_dense():
+    op = _layer_operator()
+    r = rng(5).standard_normal(op.shape[0])
     tol = 1e-11
     x = fem.solve_spd(op, r, tol=tol)
     x_dense = np.linalg.solve(op.dense(), r)
@@ -219,6 +222,90 @@ def test_solve_spd_indefinite_detected():
     bad = fem.SymmetricOperator(sp.diags([1.0, -1.0]).tocsr())
     with pytest.raises(IndefiniteDetected):
         fem.solve_spd(bad, np.array([1.0, 1.0]), tol=1e-12)
+
+
+def _widths(op, rhs, **kw):
+    """Block solve recording the width of every preconditioner call."""
+    jac = fem.jacobi(op.diagonal())
+    widths = []
+
+    def record(r):
+        widths.append(r.shape[1])
+        return jac(r)
+
+    return fem.solve_spd(op, rhs, precond=record, **kw), widths
+
+
+def test_augmented_matvec_applies_blocks_in_one_product(box_geom):
+    mesh = pg.build_cell_mesh(box_geom, 4)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
+    assert op.aug_vectors.shape == (op.shape[0], 3)
+    x = rng(10).standard_normal((op.shape[0], 5))
+    got = op.matvec(x)
+    want = np.column_stack([op.matvec(c) for c in x.T])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(got - op.dense() @ x).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_block_solve_spd_columns_against_dense():
+    # a column b = D v, v an eigenvector of D^-1 A, converges in one Jacobi
+    # step and a mix of three in three; the scales are far apart, a zero
+    # column returns zeros, and the other columns run on without them
+    op = _layer_operator()
+    a, d = op.dense(), op.diagonal()
+    vecs = sla.eigh(a, np.diag(d))[1]
+    r = rng(11)
+    rhs = np.column_stack([1e6 * d * vecs[:, 3], np.zeros(op.shape[0]),
+                           1e-6 * d * (vecs[:, [0, 5, 9]] @ [1.0, -2.0, 0.5]),
+                           r.standard_normal(op.shape[0])])
+    tol = 1e-11
+    x, widths = _widths(op, rhs, tol=tol)
+    assert widths[:2] == [3, 3] and widths[2:4] == [2, 2] and widths[-1] == 1
+    want = np.linalg.solve(a, rhs)
+    for j in (0, 2, 3):
+        assert np.linalg.norm(x[:, j] - want[:, j]) <= 10 * tol * np.linalg.norm(want[:, j])
+    assert not np.any(x[:, 1]) and not np.signbit(x[:, 1]).any()
+    zeros = np.zeros((op.shape[0], 2))
+    assert np.array_equal(fem.solve_spd(op, zeros), zeros)
+
+
+def test_block_solve_spd_starts_from_block_x0():
+    op = _layer_operator()
+    r = rng(12)
+    rhs = r.standard_normal((op.shape[0], 3))
+    want = np.linalg.solve(op.dense(), rhs)
+    x0 = r.standard_normal(rhs.shape)
+    x0[:, 1] = want[:, 1]  # converged on entry: returned as given
+    x0[:, 2] = want[:, 2] + 1e-3 * r.standard_normal(op.shape[0])
+    tol = 1e-11
+    x, widths = _widths(op, rhs, tol=tol, x0=x0)
+    assert widths[0] == 3 and set(widths[1:]) == {2}
+    assert np.array_equal(x[:, 1], x0[:, 1])
+    for j in (0, 2):
+        assert np.linalg.norm(x[:, j] - want[:, j]) <= 10 * tol * np.linalg.norm(want[:, j])
+    assert np.array_equal(x0[:, 1], want[:, 1])  # x0 itself is not written
+
+
+def test_block_solve_spd_guards_each_column():
+    op = fem.SymmetricOperator(sp.diags([1.0, 2.0, -1.0, 3.0]).tocsr())
+    eye = np.eye(4)
+    x = fem.solve_spd(op, eye[:, [0, 1, 3]], precond=lambda r: r.copy())
+    assert np.allclose(x, eye[:, [0, 1, 3]] / [1.0, 2.0, 3.0])
+    with pytest.raises(IndefiniteDetected):
+        fem.solve_spd(op, eye[:, [0, 2]], precond=lambda r: r.copy())
+
+
+def test_block_solve_spd_names_stalled_columns():
+    op = _layer_operator()
+    d = op.diagonal()
+    v = sla.eigh(op.dense(), np.diag(d))[1][:, 2]
+    rhs = np.column_stack([rng(13).standard_normal(op.shape[0]), d * v,
+                           rng(14).standard_normal(op.shape[0])])
+    with pytest.raises(MaxIterationsExceeded, match=r"in columns \[0, 2\] .* after 2 iter"):
+        fem.solve_spd(op, rhs, tol=1e-11, max_iter=2)
+    with pytest.raises(MaxIterationsExceeded, match=r"^CG stalled at relative residual"):
+        fem.solve_spd(op, rhs[:, 0], tol=1e-11, max_iter=2)
 
 
 def test_max_rayleigh_pair_vs_dense():
@@ -581,7 +668,8 @@ def test_row_split_product_equals_matrix_product(n_blocks, monkeypatch):
     assert bounds[0] == 0 and bounds[-1] == a.shape[0]
     assert np.all(bounds[1:-1:2] == bounds[2:-1:2])  # contiguous blocks
     r = rng(6)
-    for x in (r.standard_normal(45), r.standard_normal((45, 4))):
+    for shape in (45, (45, 1), (45, 2), (45, 4)):
+        x = r.standard_normal(shape)
         assert np.array_equal(prod(x), a @ x)
 
 
@@ -595,7 +683,8 @@ def test_row_split_product_bits_on_layer_operator(box_geom, n_blocks, monkeypatc
     nnz = np.array([a.indptr[r1] - a.indptr[r0] for r0, r1 in prod.blocks])
     assert nnz.sum() == a.nnz and nnz.max() - nnz.min() <= 2 * np.diff(a.indptr).max()
     r = rng(8)
-    for x in (r.standard_normal(a.shape[0]), r.standard_normal((a.shape[0], 3))):
+    for width in (None, 1, 2, 3):
+        x = r.standard_normal(a.shape[0] if width is None else (a.shape[0], width))
         assert np.array_equal(prod(x), a @ x)
     # the blocks read the matrix's own arrays, not copies made at the cut
     a.data *= 1.5
@@ -654,13 +743,14 @@ def _recorded_solve(op, rhs, precond):
     return fem.solve_spd(op, rhs, tol=1e-10, precond=record), seen
 
 
-@pytest.mark.parametrize("multigrid", [False, True])
-def test_split_products_keep_cg_iterates(box_geom, multigrid, monkeypatch):
+@pytest.mark.parametrize("multigrid, width", [(False, None), (True, None), (False, 3), (True, 3)],
+                         ids=["False", "True", "False-block", "True-block"])
+def test_split_products_keep_cg_iterates(box_geom, multigrid, width, monkeypatch):
     monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
     monkeypatch.setattr(fem, "_pool", None)
     mesh = pg.build_cell_mesh(box_geom, 8)
     dm = fem.DofMap(mesh, 3, periodic=True)
-    rhs = rng(4).standard_normal(dm.n_dofs)
+    rhs = rng(4).standard_normal(dm.n_dofs if width is None else (dm.n_dofs, width))
     runs = []
     for floor, cores in ((10**12, 1), (1, 3)):
         monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", floor)
@@ -776,3 +866,15 @@ def test_grid_vcycle_symmetric_positive(box_geom, n, coarsest, monkeypatch):
         b = np.stack([mg(e) for e in np.eye(op.shape[0])], axis=1)
         assert np.abs(b - b.T).max() <= 1e-12 * np.abs(b).max()
         assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0
+
+
+def test_grid_vcycle_applies_to_blocks(box_geom, monkeypatch):
+    # the periodic cell operator with its three mean-zero augmentations, on
+    # three levels and a dense coarsest one
+    op, mg = _cell_multigrid(box_geom, 8, 50, monkeypatch)
+    assert len(op.augmentations) == 3 and len(mg.levels) == 4
+    assert mg._coarse_inverse is not None
+    b = rng(9).standard_normal((op.shape[0], 4))
+    got = mg(b)
+    want = np.column_stack([mg(c) for c in b.T])
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
