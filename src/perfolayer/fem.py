@@ -304,10 +304,6 @@ class SymmetricOperator:
     def __init__(self, matrix: sp.csr_matrix, augmentations=()):
         self.matrix = matrix.tocsr()
         self.augmentations = [(float(s), np.asarray(v)) for s, v in augmentations]
-        # the same terms as columns (n, m) with weights (m,), or None
-        self.aug_vectors = (np.stack([v for _, v in self.augmentations], axis=1)
-                            if self.augmentations else None)
-        self.aug_weights = np.array([s for s, _ in self.augmentations])
         self._diagonal = None
         self._product = RowSplitProduct(self.matrix)
 
@@ -316,13 +312,8 @@ class SymmetricOperator:
         return self.matrix.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a vector (one term after another) or to each column of
-        an (n, k) block (all terms in one product)."""
+        """Apply to a vector or to each column of an (n, k) block."""
         y = self._product(x)
-        if x.ndim == 2 and self.aug_vectors is not None:
-            vs = self.aug_vectors
-            y += vs @ (self.aug_weights * (x.T @ vs)).T
-            return y
         for s, v in self.augmentations:
             y += np.multiply.outer(v, s * (v @ x))
         return y
@@ -351,10 +342,6 @@ class SymmetricOperator:
 # thread costs more than the second core gains, and a floor of 100,000 gained
 # nothing end to end (measured; README, "How sparse products are applied")
 SPLIT_MIN_NNZ = 200_000
-# widest block applied column by column: scipy's block kernel is slower than
-# its vector kernel on one or two columns (README, "How sparse products are
-# applied"); both sum each row in the same order
-NARROW_BLOCK = 2
 _pool = None  # threads of the row blocks after the first, made on first use
 
 
@@ -395,9 +382,7 @@ class RowSplitProduct:
     pool; the kernel releases the GIL.  Every row is summed by the same
     kernel in the same order as in ``A @ x``, so the result is bit-identical
     to it, for a vector or an (n, k) block.  With one block, or another
-    dtype than A's, the product is ``A @ x``.  A block of at most
-    ``NARROW_BLOCK`` columns is applied column by column through the vector
-    kernel, which sums each row in the same order as the block kernel.
+    dtype than A's, the product is ``A @ x``.
     """
 
     def __init__(self, matrix: sp.csr_matrix):
@@ -410,8 +395,6 @@ class RowSplitProduct:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         a = self.matrix
-        if x.ndim == 2 and 0 < x.shape[1] <= NARROW_BLOCK:
-            return np.column_stack([self(c) for c in x.T])
         if len(self.blocks) < 2 or x.dtype != a.dtype:
             return a @ x
         x = np.ascontiguousarray(x)
@@ -820,7 +803,8 @@ class GridMultigrid:
         grid = np.empty((n_blocks, 3), dtype=np.int64)
         grid[node_blocks[keep]] = np.where(periodic, node_grid % intervals,
                                            node_grid)[keep]
-        vs, sig = op.aug_vectors, op.aug_weights
+        vs = np.stack([v for _, v in op.augmentations], axis=1) if op.augmentations else None
+        sig = np.array([s for s, _ in op.augmentations])
         levels = [_GridLevel(op.matrix, vs, sig, grid)]
         while (levels[-1].matrix.shape[0] > coarsest
                and np.any((intervals % 2 == 0) & (intervals > 2))):
