@@ -274,6 +274,10 @@ class DofMap:
             self._plan = (elems, AssemblyPlan(blocks, blocks, (n, n)))
         return self._plan[1]
 
+    def release_plan(self):
+        """Forget the kept plan; the next operator builds its own."""
+        self._plan = None
+
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Reduced coefficients -> nodal array (n_nodes, ncomp), zeros on
         Dirichlet dofs, slaves copied from masters."""
@@ -474,14 +478,16 @@ def scatter_vector(local: np.ndarray, edofs: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(edofs[keep], weights=local[keep], minlength=n)
 
 
+def elasticity_element(spacing, tensor: ElasticityTensor4) -> np.ndarray:
+    """(24, 24) matrix of (u, v) -> int A D(u) : D(v) on one element."""
+    B = strain_matrices(spacing)
+    return np.einsum("q,qia,ij,qjb->ab", hex_reference(spacing)[2], B, tensor.mandel(), B)
+
+
 def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
                         elems=None) -> SymmetricOperator:
     """Operator of (u, v) -> int A D(u) : D(v) over the mesh elements."""
-    w = hex_reference(mesh.spacing)[2]
-    B = strain_matrices(mesh.spacing)
-    Am = tensor.mandel()
-    local = np.einsum("q,qia,ij,qjb->ab", w, B, Am, B)
-    return _assemble(mesh, dofmap, elems, local)
+    return _assemble(mesh, dofmap, elems, elasticity_element(mesh.spacing, tensor))
 
 
 def assemble_mass(mesh, dofmap: DofMap, weight: float = 1.0,

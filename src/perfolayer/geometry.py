@@ -402,12 +402,8 @@ def build_plate_mesh(sigma, n_sigma: int) -> PlateMesh:
     xs = a1 + np.arange(n1 + 1) * h1
     ys = a2 + np.arange(n2 + 1) * h2
     coords = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    quads = []
-    for i in range(n1):
-        for j in range(n2):
-            quads.append((node_ids[i, j], node_ids[i + 1, j],
-                          node_ids[i + 1, j + 1], node_ids[i, j + 1]))
-    elems = np.array(quads, dtype=np.int64)
+    elems = np.stack([node_ids[:-1, :-1], node_ids[1:, :-1], node_ids[1:, 1:],
+                      node_ids[:-1, 1:]], axis=-1).reshape(-1, 4)
     boundary = np.zeros((n1 + 1, n2 + 1), dtype=bool)
     boundary[0, :] = boundary[-1, :] = True
     boundary[:, 0] = boundary[:, -1] = True

@@ -35,7 +35,7 @@ class MicroOperators:
     eps: float
     mass: SymmetricOperator
     stiffness: SymmetricOperator      # eps^-2 int A_eps D(u):D(phi)
-    strain_energy: SymmetricOperator  # plain int |D(u)|^2, for norms
+    strain_element: np.ndarray        # (24, 24) plain int D(u):D(phi), for norms
     quad_x: np.ndarray                # (E, Q, 3) physical points
     quad_y: np.ndarray                # (E, Q, 3) cell coordinates x/eps mod 1
     elem_dofs: np.ndarray             # (E, 24) reduced dofs, -1 = eliminated
@@ -79,7 +79,9 @@ class MicroState:
 
     @functools.cached_property
     def _u_strain_u(self) -> float:
-        return float(self.u @ self.ops.strain_energy.matvec(self.u))
+        """Plain int |D(u)|^2, summed element by element."""
+        ue = np.append(self.u, 0.0)[self.ops.elem_dofs]  # -1 reads the 0
+        return float(np.einsum("ea,ea->", ue @ self.ops.strain_element, ue))
 
     def scaled_velocity_norm(self) -> float:
         return float(np.sqrt(max(self._v_mass_v, 0.0)) / np.sqrt(self.eps))
@@ -102,30 +104,27 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
     inplane = _inplane_points(lmesh, np.arange(lmesh.n_elems))
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     mass = fem.assemble_mass(lmesh, dofmap)
-    k = fem.assemble_elasticity(lmesh, tensor, dofmap)
-    stiffness = SymmetricOperator(k.matrix * (1.0 / eps**2))
-    k_d = fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap)
+    stiffness = fem.assemble_elasticity(lmesh, tensor, dofmap)
+    stiffness.matrix.data *= 1.0 / eps**2
+    dofmap.release_plan()
 
     quad_x = fem.quadrature_points(lmesh)
     quad_y = quad_x / eps
-    quad_y[..., 0] %= 1.0
-    quad_y[..., 1] %= 1.0
+    quad_y[..., :2] %= 1.0
 
     surface_rhs = np.zeros(dofmap.n_dofs)
     if loads is not None and lmesh.gamma_faces.shape[0]:
         spts, sw = fem.surface_quadrature(lmesh, lmesh.gamma_faces)
         sy = spts / eps
-        sy[:, 0] %= 1.0
-        sy[:, 1] %= 1.0
-        tract = np.stack([
-            loads.eval_g(0, spts[:, 0], spts[:, 1], sy[:, 0], sy[:, 1], sy[:, 2]),
-            loads.eval_g(1, spts[:, 0], spts[:, 1], sy[:, 0], sy[:, 1], sy[:, 2]),
-            eps * loads.eval_g(2, spts[:, 0], spts[:, 1], sy[:, 0], sy[:, 1], sy[:, 2]),
-        ], axis=-1)
+        sy[:, :2] %= 1.0
+        tract = np.stack([loads.eval_g(i, spts[:, 0], spts[:, 1], *sy.T)
+                          for i in range(3)], axis=-1)
+        tract[:, 2] *= eps
         surface_rhs = -fem.surface_load_vector(lmesh, dofmap, lmesh.gamma_faces, tract)
 
     return MicroOperators(lmesh=lmesh, dofmap=dofmap, eps=eps, mass=mass,
-                          stiffness=stiffness, strain_energy=k_d,
+                          stiffness=stiffness, strain_element=fem.elasticity_element(
+                              lmesh.spacing, ElasticityTensor4.identity()),
                           quad_x=quad_x, quad_y=quad_y,
                           elem_dofs=dofmap.element_dofs(lmesh.elems),
                           surface_rhs=surface_rhs, inplane=inplane)
@@ -157,8 +156,7 @@ def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
         for i in range(3):
             vals = loads.eval_f(i, t, pts[:, 0], pts[:, 1], 0.0, 0.0, 0.0, 0.0)
             fvals[..., i] = vals[index].reshape(E, Q)
-    fvals[..., 0] /= eps
-    fvals[..., 1] /= eps
+    fvals[..., :2] /= eps
     N, _, w, _ = fem.hex_reference(ops.lmesh.spacing)
     local = ((w[:, None] * N).T @ fvals).reshape(E, -1)  # sum_q w_q N_a(q) f_c(q)
     return fem.scatter_vector(local, ops.elem_dofs, ops.dofmap.n_dofs)
@@ -171,17 +169,15 @@ def micro_rhs(ops: MicroOperators, loads: LoadModel, t: float,
 
 
 def micro_step(state: MicroState, dt: float, loads: LoadModel,
-               beta: float = 0.25, gamma: float = 0.5,
+               k_eff: SymmetricOperator, beta: float = 0.25, gamma: float = 0.5,
                picard_tol: float = 1e-10, picard_max: int = 30,
-               tol: float = 1e-11, k_eff: SymmetricOperator | None = None) -> MicroState:
+               tol: float = 1e-11) -> MicroState:
     """One Newmark step of the scaled micro model with Picard resolution of
-    the semi-linear volume force."""
+    the semi-linear volume force, on the caller's ``effective_operator``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     ops = state.ops
     t_new = state.t + dt
-    if k_eff is None:
-        k_eff = effective_operator(ops, dt, beta)
     u_pred = state.u + dt * state.v + dt * dt * (0.5 - beta) * state.a
     ku_pred = ops.stiffness.matvec(u_pred)
 
@@ -204,8 +200,20 @@ def micro_step(state: MicroState, dt: float, loads: LoadModel,
                       picard_iters=iters, picard_converged=converged)
 
 
-def effective_operator(ops: MicroOperators, dt: float, beta: float = 0.25):
-    return SymmetricOperator(ops.mass.matrix + (beta * dt * dt) * ops.stiffness.matrix)
+def effective_operator(ops: MicroOperators, dt: float,
+                       beta: float = 0.25) -> SymmetricOperator:
+    """M + beta dt^2 K on the stiffness pattern (sharing its indices), the mass
+    added at its positions there, which scipy's elementwise product of the
+    sorted patterns finds (1-based: the product drops zeros)."""
+    k, m = ops.stiffness.matrix, ops.mass.matrix
+    at_mass = sp.csr_matrix(
+        (np.arange(1, k.nnz + 1, dtype=k.indptr.dtype), k.indices, k.indptr), k.shape
+    ).multiply(sp.csr_matrix((np.ones_like(m.indices), m.indices, m.indptr), m.shape)).data
+    if at_mass.size != m.nnz:
+        raise InconsistentMesh("mass entries outside the stiffness pattern")
+    data = (beta * dt * dt) * k.data
+    np.add.at(data, at_mass - 1, m.data)
+    return SymmetricOperator(sp.csr_matrix((data, k.indices, k.indptr), shape=k.shape))
 
 
 @dataclass
@@ -241,9 +249,8 @@ def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
 
     record(state)
     for _ in range(int(round(t_end / dt))):
-        state = micro_step(state, dt, loads, beta=beta, gamma=gamma,
-                           picard_tol=picard_tol, picard_max=picard_max,
-                           tol=tol, k_eff=k_eff)
+        state = micro_step(state, dt, loads, k_eff, beta=beta, gamma=gamma,
+                           picard_tol=picard_tol, picard_max=picard_max, tol=tol)
         record(state)
     traj.final = state
     return traj
@@ -284,10 +291,9 @@ class MomentColumns:
         vox = lmesh.voxel_elems
         (a1, b1, a2, b2) = lmesh.sigma
         h = lmesh.spacing[0]
-        i1 = np.clip(((pts[:, 0] - a1) / h).astype(np.int64), 0, vox.shape[0] - 1)
-        i2 = np.clip(((pts[:, 1] - a2) / h).astype(np.int64), 0, vox.shape[1] - 1)
-        xi1 = (pts[:, 0] - a1) / h - i1
-        xi2 = (pts[:, 1] - a2) / h - i2
+        s = (pts - np.array([a1, a2])) / h  # grid coordinates
+        i = np.clip(s.astype(np.int64), 0, np.array(vox.shape[:2]) - 1)
+        (i1, i2), (xi1, xi2) = i.T, (s - i).T
         elem = vox[i1, i2]  # (P, layers)
         point, l3 = np.nonzero(elem >= 0)
         hits = np.bincount(point, minlength=pts.shape[0])
@@ -448,16 +454,13 @@ class PlateTransfer:
         order = np.argsort(cell_elem, kind="stable")
         elems = lmesh.elems[order]
         distinct, inverse = _inplane_points(lmesh, order)
-        chis = [sols.stretch[ij] for ij in INDEX_PAIRS]
-        chis += [sols.bending[ij] for ij in INDEX_PAIRS]
+        chis = [sol[ij] for sol in (sols.stretch, sols.bending) for ij in INDEX_PAIRS]
         limit = np.stack([fem.element_fields(cmesh, chi.nodal())[..., 3:]
                           for chi in chis], axis=2)
         y3 = fem.quadrature_points(cmesh)[..., 2]
-        limit[..., 0, 0] += 1.0
-        limit[..., 1, 1] += 1.0
+        limit[..., [0, 1], [0, 1]] += 1.0
         limit[..., 2, 5] += np.sqrt(0.5)  # Mandel 12 entry: sqrt(2) (12 + 21) / 2
-        limit[..., 3, 0] -= y3
-        limit[..., 4, 1] -= y3
+        limit[..., [3, 4], [0, 1]] -= y3[..., None]
         limit[..., 5, 5] -= np.sqrt(0.5) * y3
         return cls(
             system=system, sols=sols,
@@ -499,8 +502,7 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
         strain[:, 0, 0], strain[:, 1, 1], strain[:, 0, 1] + strain[:, 1, 0],
         hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1] + hess[:, 1, 0],
     ])[tr.inverse]
-    y3 = tr.y3
-    flat_w = tr.flat_w
+    y3, flat_w = tr.y3, tr.flat_w
 
     du3 = fields[:, 2] - plate[:, 0]
     err_u3 = float(np.sqrt(flat_w @ du3**2 / eps))

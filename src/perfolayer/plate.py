@@ -170,8 +170,7 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     gy, gwy = _gauss_1d()
     XI, ETA = np.meshgrid(gx, gy, indexing="ij")
     WQ = np.outer(gwx, gwy).ravel()
-    xi = XI.ravel()
-    eta = ETA.ravel()
+    xi, eta = XI.ravel(), ETA.ravel()
     h1, h2 = pmesh.spacing
     w_phys = WQ * h1 * h2
 
@@ -185,9 +184,7 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     strain[:, :, 0::2] = _mandel2(mb_dx, zeros, 0.5 * mb_dy)
     strain[:, :, 1::2] = _mandel2(zeros, mb_dy, 0.5 * mb_dx)
 
-    va = eff.voigt(eff.a_star)
-    vb = eff.voigt(eff.b_star)
-    vc = eff.voigt(eff.c_star)
+    va, vb, vc = (eff.voigt(t) for t in (eff.a_star, eff.b_star, eff.c_star))
 
     k_bb_loc = np.einsum("q,qri,rs,qsj->ij", w_phys, hess, vc, hess)
     k_aa_loc = np.einsum("q,qri,rs,qsj->ij", w_phys, strain, va, strain)
@@ -224,8 +221,7 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
 
 
 def zero_state(system: PlateSystem) -> PlateState:
-    nb = system.bend_dofs.n_dofs
-    nm = system.memb_dofs.n_dofs
+    nb, nm = system.bend_dofs.n_dofs, system.memb_dofs.n_dofs
     return PlateState(system=system, t=0.0, w=np.zeros(nb), v=np.zeros(nb),
                       a=np.zeros(nb), m=np.zeros(nm))
 

@@ -538,7 +538,7 @@ def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
     monkeypatch.setattr(fem, "AssemblyPlan", CountingPlan)
     lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
     ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.5)
-    assert built == [lm.elems.shape]  # mass, stiffness and strain energy
+    assert built == [lm.elems.shape]  # mass and stiffness
     assert ops.mass.matrix.nnz < ops.stiffness.matrix.nnz
     # a new DofMap builds its own plan, and so does another element array
     full = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4, include_void=True)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from perfolayer import fem
 from perfolayer import geometry as pg
@@ -63,7 +66,8 @@ def test_micro_single_picard_z_independent(full_geom2, iso_tensor, cq):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
     loads = _loads("uniform_vertical", cq)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, loads)
-    state = pm.micro_step(pm.zero_micro_state(ops), 0.05, loads)
+    state = pm.micro_step(pm.zero_micro_state(ops), 0.05, loads,
+                          pm.effective_operator(ops, 0.05))
     assert state.picard_iters == 1
 
 
@@ -72,7 +76,7 @@ def test_micro_picard_linear_z(full_geom2, iso_tensor, cq):
     loads = _loads("linear_z", cq, {"slope": 0.2})
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, loads)
     state = pm.micro_step(pm.zero_micro_state(ops), 0.05, loads,
-                          picard_tol=1e-12)
+                          pm.effective_operator(ops, 0.05), picard_tol=1e-12)
     assert state.picard_converged
     assert state.picard_iters <= 10
 
@@ -110,12 +114,13 @@ def test_micro_no_energy_growth_zero_loads(full_geom2, iso_tensor, cq):
     ops = pm.assemble_micro(lmesh, iso_tensor, eps, loads)
     r = rng(5)
     for dt in (0.02, 0.1, 0.5):
+        k_eff = pm.effective_operator(ops, dt)
         state = pm.zero_micro_state(ops)
         v0 = r.standard_normal(ops.dofmap.n_dofs)
         state = pm.MicroState(ops=ops, t=0.0, u=state.u, v=v0, a=state.a)
         e0 = sum(state.energies())
         for _ in range(10):
-            state = pm.micro_step(state, dt, loads, tol=1e-13)
+            state = pm.micro_step(state, dt, loads, k_eff, tol=1e-13)
         assert sum(state.energies()) <= e0 * (1 + 1e-9)
 
 
@@ -291,6 +296,29 @@ def void_layers(box_geom):
 
 @pytest.mark.parametrize("name", ["box", "channel"])
 @pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_micro_operators_equal_scaled_copies_and_sum(void_layers, iso_tensor, name, eps):
+    lmesh = void_layers[name, eps]
+    ops = pm.assemble_micro(lmesh, iso_tensor, eps)
+    # only the operators of the time loop are kept, and the plan is released
+    assert "strain_energy" not in {f.name for f in dataclasses.fields(ops)}
+    assert ops.dofmap._plan is None
+    k, m = ops.stiffness.matrix, ops.mass.matrix
+    scaled = fem.assemble_elasticity(lmesh, iso_tensor, ops.dofmap).matrix * (1.0 / eps**2)
+    c = 0.25 * (eps / 8) ** 2
+    k_eff = pm.effective_operator(ops, eps / 8).matrix
+    for got, want in ((k, scaled), (k_eff, m + c * k)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+    assert np.shares_memory(k_eff.indices, k.indices)
+    assert np.shares_memory(k_eff.indptr, k.indptr)
+    # a mass entry outside the stiffness pattern is refused, not merged
+    upper = dataclasses.replace(ops, stiffness=fem.SymmetricOperator(sp.triu(k, format="csr")))
+    with pytest.raises(InconsistentMesh, match="outside the stiffness pattern"):
+        pm.effective_operator(upper, eps / 8)
+
+
+@pytest.mark.parametrize("name", ["box", "channel"])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_element_fields_match_values_and_gradients(void_layers, name, eps):
     lmesh = void_layers[name, eps]
     assert lmesh.n_elems < lmesh.n_cells * 4 * 4 * 8  # the cell has voids
@@ -390,6 +418,19 @@ def test_volume_rhs_of_inplane_load_evaluates_distinct_points(void_layers, iso_t
         assert np.any(got) and np.array_equal(got, want)
 
 
+class _Products:
+    """Stands for a matrix on the right of ``@`` and counts the products."""
+
+    __array_ufunc__ = None  # numpy defers ``x @ self`` to __rmatmul__
+
+    def __init__(self, matrix, calls):
+        self.matrix, self.calls = matrix, calls
+
+    def __rmatmul__(self, x):
+        self.calls.append(1)
+        return x @ self.matrix
+
+
 def test_micro_state_forms_computed_once(full_geom2, iso_tensor, cq, monkeypatch):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, _loads("zero", cq))
@@ -397,19 +438,23 @@ def test_micro_state_forms_computed_once(full_geom2, iso_tensor, cq, monkeypatch
     state = pm.MicroState(ops=ops, t=0.0, u=r.standard_normal(ops.dofmap.n_dofs),
                           v=r.standard_normal(ops.dofmap.n_dofs),
                           a=np.zeros(ops.dofmap.n_dofs))
+    # the strain form is summed element by element; against the assembled
+    # identity-tensor operator it agrees to rounding
+    unit = fem.assemble_elasticity(lmesh, fem.ElasticityTensor4.identity(), ops.dofmap)
     want = (state.ops.mass.quad(state.v), state.ops.stiffness.quad(state.u),
-            state.ops.strain_energy.quad(state.u))
+            unit.quad(state.u))
     calls = []
-    for op in (ops.mass, ops.stiffness, ops.strain_energy):
+    for op in (ops.mass, ops.stiffness):
         monkeypatch.setattr(op, "matvec",
                             lambda x, f=op.matvec: calls.append(1) or f(x))
+    monkeypatch.setattr(ops, "strain_element", _Products(ops.strain_element, calls))
     for _ in range(2):
         kin, ela = state.energies()
         vel, strain = state.scaled_velocity_norm(), state.scaled_strain_norm()
     assert len(calls) == 3
     assert (kin, ela) == (0.5 * want[0], 0.5 * want[1])
     assert vel == np.sqrt(want[0]) / np.sqrt(0.5)
-    assert strain == np.sqrt(want[2]) / 0.5**1.5
+    assert strain == pytest.approx(np.sqrt(want[2]) / 0.5**1.5, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
