@@ -2,8 +2,8 @@
 
 Solves the in-plane stretching and bending cell problems on the solid
 reference cell, averages them into the effective tensors of the homogenized
-plate model, provides the symmetric periodic Helmholtz decomposition on the
-unperforated cell, and reconstructs the cell-scale corrector field.
+plate model, and provides the symmetric periodic Helmholtz decomposition on
+the unperforated cell.
 """
 
 from __future__ import annotations
@@ -90,17 +90,15 @@ def _periodic_dofmap(mesh: CellMesh) -> DofMap:
 
 def _cell_operator(mesh, tensor, dofmap) -> SymmetricOperator:
     k = fem.assemble_elasticity(mesh, tensor, dofmap)
-    return SymmetricOperator(k.matrix, fem.mean_zero_augmentations(mesh, dofmap, k))
+    return SymmetricOperator(k.matrix, *fem.mean_zero_augmentations(mesh, dofmap, k))
 
 
-def _cell_multigrid(mesh: CellMesh, dofmap: DofMap, op: SymmetricOperator):
+def _cell_multigrid(op: SymmetricOperator, dofmap: DofMap):
     """Grid multigrid preconditioner of the periodic cell operator, or None
     (Jacobi) below ``MULTIGRID_MIN_DOFS``."""
     if op.shape[0] < MULTIGRID_MIN_DOFS:
         return None
-    n = mesh.resolution
-    return fem.GridMultigrid(op, dofmap.node_blocks, mesh.node_grid, (n, n, 2 * n),
-                             (True, True, False))
+    return fem.GridMultigrid(op, dofmap)
 
 
 def _profile(mesh: CellMesh, kind: str, elems=None):
@@ -139,7 +137,7 @@ def solve_cell_problems(mesh: CellMesh, tensor: ElasticityTensor4,
     """
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, tensor, dofmap)
-    precond = _cell_multigrid(mesh, dofmap, op)
+    precond = _cell_multigrid(op, dofmap)
     pairs = list(INDEX_PAIRS)
     if full_index:
         pairs += [(1, 3), (2, 3), (3, 3)]
@@ -232,9 +230,8 @@ class HelmholtzSplit:
 
 
 def _cell_boundary_nodes(mesh: CellMesh) -> np.ndarray:
-    n = mesh.resolution
     g = mesh.node_grid
-    return np.nonzero(((g == 0) | (g == (n, n, 2 * n))).any(axis=1))[0]
+    return np.nonzero(((g == 0) | (g == mesh.voxel_elems.shape)).any(axis=1))[0]
 
 
 def helmholtz_decompose(mesh: CellMesh, xi: np.ndarray,
@@ -279,34 +276,3 @@ def gradient_pairing(mesh: CellMesh, xi: np.ndarray, dphi: np.ndarray) -> float:
     ``dphi`` the symmetric gradient of a test field."""
     w = fem.quadrature_weights(mesh)
     return float(np.einsum("eq,eqi,eqi->", w, xi, dphi))
-
-
-# ---------------------------------------------------------------------------
-# corrector
-# ---------------------------------------------------------------------------
-
-def combine_corrector(sols: CellSolutionSet, membrane_strain: np.ndarray,
-                      hessian: np.ndarray) -> np.ndarray:
-    """Nodal corrector field sum_ij [ Dm_ij chi_ij + Hw_ij chi^B_ij ]."""
-    sols.require_complete()
-    dm = np.asarray(membrane_strain, dtype=float)
-    hw = np.asarray(hessian, dtype=float)
-    out = np.zeros((sols.mesh.n_nodes, 3))
-    for (i, j) in INDEX_PAIRS:
-        if i == j:
-            cs, cb = dm[i - 1, j - 1], hw[i - 1, j - 1]
-        else:
-            cs = dm[i - 1, j - 1] + dm[j - 1, i - 1]
-            cb = hw[i - 1, j - 1] + hw[j - 1, i - 1]
-        out += cs * sols.stretch[(i, j)].nodal()
-        out += cb * sols.bending[(i, j)].nodal()
-    return out
-
-
-def reconstruct_corrector(sols: CellSolutionSet, plate_state, x_bar) -> np.ndarray:
-    """Corrector field on the cell for the plate state at the point x_bar."""
-    from .plate import membrane_strain_at, hessian_at
-
-    dm = membrane_strain_at(plate_state, x_bar)
-    hw = hessian_at(plate_state, x_bar)
-    return combine_corrector(sols, dm, hw)

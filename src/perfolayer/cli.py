@@ -92,7 +92,7 @@ class Pipeline:
             self._eff = cell_mod.effective_tensors(self.cmesh, self.tensor, sols)
             reporting.write_effective_model(
                 os.path.join(self.outdir, "effective_tensors.txt"),
-                self._eff, self.geom.digest(), self.n, sols.residuals)
+                self._eff, self.geom.digest(), self.n)
         return self._eff
 
     def plate_system(self):

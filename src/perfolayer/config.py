@@ -59,7 +59,6 @@ _DEFAULTS = {
     },
     "output_dir": "out",
     "probes": [[0.5, 0.5]],
-    "p": 2.0,
 }
 
 
@@ -266,10 +265,6 @@ def validate_tree(tree: dict) -> dict:
         raise ValidationError("dt must be positive", key="time.dt")
 
     _check_time_grid(SimConfig(merged))
-
-    p = merged["p"]
-    if not (isinstance(p, (int, float)) and 1.0 < p < np.inf):
-        raise ValidationError("norm order must lie in (1, inf)", key="p")
 
     g = merged["geometry"]
     if g["type"] not in ("full", "box", "channel", "mask"):

@@ -56,7 +56,7 @@ class InconsistentMesh(PerfolayerError):
 
 
 class MissingSolutions(PerfolayerError):
-    """Cell solutions required for the corrector are absent."""
+    """Cell solutions required by the effective tensors are absent."""
 
 
 class AsymmetricInput(PerfolayerError):

@@ -137,20 +137,22 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
     )
 
 
-def extend_field(prob: ExtensionProblem, nodal: np.ndarray,
-                 tol: float = 1e-11) -> np.ndarray:
-    """Fill the void nodes by minimizing the void strain energy with the
-    solid values as Dirichlet data; solid values are returned unchanged."""
-    full = np.asarray(nodal, dtype=float).reshape(-1).copy()
-    if prob.void_dofs.size == 0:
-        return full.reshape(-1, 3)
-    vs = full[prob.solid_dofs]
-    rhs = -prob.void_vs @ vs
-    op = SymmetricOperator(prob.void_vv)
-    w = fem.solve_spd(op, rhs, tol=tol,
-                      max_iter=max(4000, 40 * int(np.sqrt(max(rhs.shape[0], 1))) + 200))
-    full[prob.void_dofs] = w
-    return full.reshape(-1, 3)
+def extend_field(prob: ExtensionProblem, solid: np.ndarray) -> np.ndarray:
+    """Energy-minimizing extension of solid values into the void.
+
+    ``solid`` holds values on the solid dofs, (n_solid,) or a block
+    (n_solid, k); the result holds the full-layer dofs, (n_dofs,) or
+    (n_dofs, k), with the solid values unchanged and the void values
+    minimizing the void strain energy with the solid values as Dirichlet
+    data (one block solve, to a relative residual of 1e-12)."""
+    full = np.zeros((prob.dofmap.n_dofs,) + solid.shape[1:])
+    full[prob.solid_dofs] = solid
+    if prob.void_dofs.size:
+        cap = max(4000, 60 * int(np.sqrt(prob.void_dofs.size)) + 200)
+        full[prob.void_dofs] = fem.solve_spd(SymmetricOperator(prob.void_vv),
+                                             -(prob.void_vs @ solid), tol=1e-12,
+                                             max_iter=cap)
+    return full
 
 
 def _orthonormal_rigid(prob: ExtensionProblem) -> np.ndarray:
@@ -183,8 +185,6 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
     m = prob.solid_mass
     s = prob.solid_energy
     f = prob.full_energy
-    void_op = SymmetricOperator(prob.void_vv)
-    void_iter = max(4000, 60 * int(np.sqrt(prob.void_dofs.size)) + 200)
 
     def project(V):
         return V - rigid.T @ (rigid @ (m @ V))
@@ -192,16 +192,11 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
     def apply_n(V):
         # the extension zeroes the void rows of f E V, so its solid rows are
         # the Schur complement of the void block applied to V
-        full = np.zeros((prob.dofmap.n_dofs, V.shape[1]))
-        full[prob.solid_dofs] = V
-        rhs = -(prob.void_vs @ V)
-        full[prob.void_dofs] = fem.solve_spd(void_op, rhs, tol=1e-12,
-                                             max_iter=void_iter)
-        return (f @ full)[prob.solid_dofs]
+        return (f @ extend_field(prob, V))[prob.solid_dofs]
 
     # rank-6 augmentation keeps the Gram matrices definite across the rigid
     # kernel; on the projected iterates it equals the solid energy
-    s_aug = SymmetricOperator(s, [(s.diagonal().mean(), m @ b) for b in rigid])
+    s_aug = SymmetricOperator(s, m @ rigid.T, np.full(rigid.shape[0], s.diagonal().mean()))
     res = fem.max_rayleigh_pair(apply_n, s_aug.matvec, s_aug.diagonal(),
                                 tol=tol, seed=seed, max_iter=max_iter,
                                 project=project)

@@ -369,18 +369,6 @@ def deflection_at_quad(system: PlateSystem, w_red: np.ndarray) -> np.ndarray:
     return coeff @ system.basis.val.T  # (E, Q)
 
 
-def membrane_strain_at(state: PlateState, x_bar) -> np.ndarray:
-    _, strain = evaluate_membrane(state.system, state.m, np.atleast_2d(x_bar),
-                                  derivatives=True)
-    return strain[0]
-
-
-def hessian_at(state: PlateState, x_bar) -> np.ndarray:
-    _, _, hess = evaluate_deflection(state.system, state.w, np.atleast_2d(x_bar),
-                                     derivatives=True)
-    return hess[0]
-
-
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------

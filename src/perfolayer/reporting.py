@@ -53,7 +53,7 @@ def write_summary(path, tree) -> None:
             f.write(line + "\n")
 
 
-def effective_model_lines(eff, digest: str, resolution: int, residuals) -> list:
+def effective_model_lines(eff, digest: str, resolution: int) -> list:
     """Text document for the homogenized tensors (1-based tensor indices)."""
     lines = [
         "PERFOLAYER-EFFECTIVE v1",
@@ -70,14 +70,12 @@ def effective_model_lines(eff, digest: str, resolution: int, residuals) -> list:
                         lines.append(
                             f"{name}[{i + 1}][{j + 1}][{k + 1}][{l + 1}] = "
                             f"{_fmt(float(tensor[i, j, k, l]))}")
-    for key in sorted(residuals, key=str):
-        lines.append(f"residual[{key}] = {_fmt(float(residuals[key]))}")
     return lines
 
 
-def write_effective_model(path, eff, digest, resolution, residuals) -> None:
+def write_effective_model(path, eff, digest, resolution) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in effective_model_lines(eff, digest, resolution, residuals):
+        for line in effective_model_lines(eff, digest, resolution):
             f.write(line + "\n")
 
 

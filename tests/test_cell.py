@@ -334,28 +334,11 @@ def test_helmholtz_requires_full_cell(box_cell_n4):
         pc.helmholtz_decompose(mesh, np.zeros((mesh.n_elems, nq, 3, 3)))
 
 
-# ---------------------------------------------------------------------------
-# corrector
-# ---------------------------------------------------------------------------
-
-def test_corrector_combinations(box_cell_n4):
-    mesh, sols, _ = box_cell_n4
-    zero = pc.combine_corrector(sols, np.zeros((2, 2)), np.zeros((2, 2)))
-    assert np.abs(zero).max() == 0.0
-    u2 = pc.combine_corrector(sols, np.array([[1.0, 0.0], [0.0, 0.0]]),
-                              np.zeros((2, 2)))
-    assert np.allclose(u2, sols.stretch[(1, 1)].nodal())
-    mixed = pc.combine_corrector(sols, np.array([[1.0, 0.0], [0.0, 0.0]]),
-                                 np.array([[0.0, 0.0], [0.0, 2.0]]))
-    expected = sols.stretch[(1, 1)].nodal() + 2.0 * sols.bending[(2, 2)].nodal()
-    assert np.allclose(mixed, expected)
-
-
 def test_corrector_missing_solutions(box_cell_n4, iso_tensor):
     mesh, sols, _ = box_cell_n4
     incomplete = pc.CellSolutionSet(mesh=mesh, dofmap=sols.dofmap, tensor=iso_tensor)
     with pytest.raises(MissingSolutions):
-        pc.combine_corrector(incomplete, np.zeros((2, 2)), np.zeros((2, 2)))
+        pc.effective_tensors(mesh, iso_tensor, incomplete)
 
 
 def test_full_index_cell_solves(full_geom, iso_tensor):
@@ -396,11 +379,44 @@ def test_multigrid_cell_solves_take_few_iterations(kind, n, iso_tensor, monkeypa
     assert max(sols.residuals.values()) <= 1e-10
 
 
+def test_multigrid_block_solve_one_matvec_per_iteration(box_geom, iso_tensor, monkeypatch):
+    # the benchmark counts SymmetricOperator.matvec calls inside solve_spd as
+    # CG iterations, so the V-cycle must apply its levels through ``apply``
+    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+    inside, matvecs, vcycles = [], [], []
+    solve, matvec, build = fem.solve_spd, fem.SymmetricOperator.matvec, pc._cell_multigrid
+
+    def solving(*args, **kw):
+        inside.append(1)
+        try:
+            return solve(*args, **kw)
+        finally:
+            inside.pop()
+
+    def counting(self, x):
+        if inside:
+            matvecs.append(x.shape)
+        return matvec(self, x)
+
+    def multigrid(op, dofmap):
+        mg = build(op, dofmap)
+        assert isinstance(mg, fem.GridMultigrid)
+        return lambda r: vcycles.append(1) or mg(r)
+
+    monkeypatch.setattr(fem, "solve_spd", solving)
+    monkeypatch.setattr(fem.SymmetricOperator, "matvec", counting)
+    monkeypatch.setattr(pc, "_cell_multigrid", multigrid)
+    pc.solve_cell_problems(pg.build_cell_mesh(box_geom, 8), iso_tensor)
+    # one V-cycle before the first iteration, then one per iteration
+    assert len(matvecs) == len(vcycles) - 1 >= 5
+    assert all(shape[1] == 6 for shape in matvecs)
+
+
 def test_multigrid_tensors_match_jacobi(box_geom, iso_tensor, monkeypatch):
     mesh = pg.build_cell_mesh(box_geom, 16)
     dm = fem.DofMap(mesh, 3, periodic=True)
     op = pc._cell_operator(mesh, iso_tensor, dm)
-    assert isinstance(pc._cell_multigrid(mesh, dm, op), fem.GridMultigrid)
+    assert isinstance(pc._cell_multigrid(op, dm), fem.GridMultigrid)
     mg = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))
     monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", np.inf)
     jac = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))

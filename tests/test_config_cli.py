@@ -258,8 +258,6 @@ def test_config_dt_rules():
     assert cfg2.dt_for(0.5) == 0.01
     with pytest.raises(ValidationError):
         validate_tree({"time": {"dt": "eps*2"}})
-    with pytest.raises(ValidationError):
-        validate_tree({"p": 1.0})
 
 
 def test_unknown_preset_rejected():
@@ -493,6 +491,16 @@ def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
     record = json.loads(Path(out, "error.json").read_text())
     assert record["error"] == "ValidationError"
     assert record["message"].startswith(key + ":")
+
+
+def test_cli_norm_order_key_is_unknown(tmp_path):
+    # the top-level ``p`` (a norm order nothing read) is no longer a key
+    cfg = _write(tmp_path, "geometry:\n  type: full\nepsilons: [0.5]\np: 2.0\n")
+    out = str(tmp_path / "out")
+    assert run_command(["homogenize", "--config", cfg, "--out", out]) == 2
+    record = json.loads(Path(out, "error.json").read_text())
+    assert record["error"] == "ValidationError"
+    assert record["message"] == "p: unknown key"
 
 
 def test_cli_unwritable_output_is_exit_2(tmp_path):

@@ -138,9 +138,9 @@ def test_mean_zero_vectors_equal_mass_products():
         k = fem.assemble_elasticity(m, shear_tensor(), dm)
         mass = fem.assemble_mass(m, dm)
         s0 = k.matrix.diagonal().mean()
-        aug = fem.mean_zero_augmentations(m, dm, k)
-        assert len(aug) == 3
-        for c, (sigma, m_c) in enumerate(aug):
+        vs, sig = fem.mean_zero_augmentations(m, dm, k)
+        assert vs.shape == (dm.n_dofs, 3) and sig.shape == (3,)
+        for c, (sigma, m_c) in enumerate(zip(sig, vs.T)):
             ones = np.zeros((m.n_nodes, 3))
             ones[:, c] = 1.0
             want = mass.matvec(dm.restrict(ones))
@@ -240,7 +240,7 @@ def test_augmented_matvec_applies_to_blocks(box_geom):
     mesh = pg.build_cell_mesh(box_geom, 4)
     dm = fem.DofMap(mesh, 3, periodic=True)
     op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
-    assert len(op.augmentations) == 3
+    assert op.vs.shape == (op.shape[0], 3)
     x = rng(10).standard_normal((op.shape[0], 5))
     got = op.matvec(x)
     want = np.column_stack([op.matvec(c) for c in x.T])
@@ -630,7 +630,7 @@ def test_symmetric_operator_diagonal_computed_once():
     r = rng(4)
     a = r.standard_normal((6, 6))
     v = r.standard_normal(6)
-    op = fem.SymmetricOperator(sp.csr_matrix(a @ a.T), [(2.0, v)])
+    op = fem.SymmetricOperator(sp.csr_matrix(a @ a.T), v[:, None], [2.0])
     d = op.diagonal()
     assert np.array_equal(d, np.diag(a @ a.T) + 2.0 * v * v)
     assert op.diagonal() is d
@@ -757,10 +757,11 @@ def test_split_products_keep_cg_iterates(box_geom, multigrid, width, monkeypatch
         monkeypatch.setattr(fem, "_cores", lambda cores=cores: cores)
         op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
         assert len(op._product.blocks) == cores and op._product.matrix is op.matrix
-        precond = pc._cell_multigrid(mesh, dm, op) if multigrid else fem.jacobi(op.diagonal())
+        precond = pc._cell_multigrid(op, dm) if multigrid else fem.jacobi(op.diagonal())
         if multigrid:
-            assert all(len(lv.product.blocks) == cores and lv.product.matrix is lv.matrix
-                       for lv in precond.levels)
+            assert precond.levels[0].op is op
+            assert all(len(lv.op._product.blocks) == cores
+                       and lv.op._product.matrix is lv.op.matrix for lv in precond.levels)
         runs.append(_recorded_solve(op, rhs, precond))
     (x_off, seen_off), (x_on, seen_on) = runs
     assert len(seen_off) == len(seen_on) > 5
@@ -795,7 +796,29 @@ def _cell_multigrid(geom, n, coarsest, monkeypatch):
     mesh = pg.build_cell_mesh(geom, n)
     dm = fem.DofMap(mesh, 3, periodic=True)
     op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
-    return op, pc._cell_multigrid(mesh, dm, op)
+    return op, pc._cell_multigrid(op, dm)
+
+
+def test_grid_multigrid_on_clamped_korn_layer(box_geom):
+    # the Korn operator: clamped (eliminated node blocks), not periodic, and
+    # perforated (nodes missing from the background grid)
+    lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
+    dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+    op = fem.assemble_elasticity(lm, fem.ElasticityTensor4.identity(), dm)
+    assert not dm.periodic and (dm.node_blocks < 0).any()
+    assert (lm.voxel_elems < 0).any()
+    mg = fem.GridMultigrid(op, dm)
+    assert len(mg.levels) >= 2 and mg.levels[0].op is op
+    b = rng(5).standard_normal(op.shape[0])
+    iters = []
+    for precond in (fem.jacobi(op.diagonal()), mg):
+        calls = []
+        x = fem.solve_spd(op, b, tol=1e-10,
+                          precond=lambda r, f=precond: calls.append(1) or f(r))
+        assert np.linalg.norm(op.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
+        iters.append(len(calls) - 1)  # one call before the first iteration
+    jac, vcycle = iters
+    assert vcycle < jac / 2
 
 
 def _interpolate_periodic(values, t):
@@ -832,20 +855,13 @@ def test_grid_prolongation_reproduces_trilinear_fields(box_geom, n, monkeypatch)
         assert np.all(abs(fine.prolong).sum(axis=0) > 0)  # no zero column
 
 
-def _dense(level):
-    a = level.matrix.toarray()
-    if level.vs is not None:
-        a += (level.vs * level.sig) @ level.vs.T
-    return a
-
-
 def test_grid_coarse_operators_are_galerkin_and_spd(box_geom, monkeypatch):
     op, mg = _cell_multigrid(box_geom, 4, 30, monkeypatch)
-    assert np.abs(_dense(mg.levels[0]) - op.dense()).max() <= 1e-15 * np.abs(op.dense()).max()
+    assert mg.levels[0].op is op
     for fine, coarse in zip(mg.levels[:-1], mg.levels[1:]):
         p = fine.prolong.toarray()
-        a = _dense(coarse)
-        galerkin = p.T @ _dense(fine) @ p
+        a = coarse.op.dense()
+        galerkin = p.T @ fine.op.dense() @ p
         assert np.abs(a - galerkin).max() <= 1e-13 * np.abs(galerkin).max()
         assert np.abs(a - a.T).max() <= 1e-13 * np.abs(a).max()
         assert np.linalg.eigvalsh(a).min() > 0
@@ -872,7 +888,7 @@ def test_grid_vcycle_applies_to_blocks(box_geom, monkeypatch):
     # the periodic cell operator with its three mean-zero augmentations, on
     # three levels and a dense coarsest one
     op, mg = _cell_multigrid(box_geom, 8, 50, monkeypatch)
-    assert len(op.augmentations) == 3 and len(mg.levels) == 4
+    assert op.vs.shape[1] == 3 and len(mg.levels) == 4
     assert mg._coarse_inverse is not None
     b = rng(9).standard_normal((op.shape[0], 4))
     got = mg(b)

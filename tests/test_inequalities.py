@@ -119,10 +119,15 @@ def box_problem(box_geom):
     return pi.extension_problem(lmesh)
 
 
+def _extend(prob, nodal):
+    """The extension of the solid values of a nodal field, as a nodal field."""
+    return pi.extend_field(prob, nodal.reshape(-1)[prob.solid_dofs]).reshape(-1, 3)
+
+
 def test_extend_rigid_is_rigid(box_problem):
     prob = box_problem
     v = rigid_field(prob.lmesh.coords, [0.2, -0.1, 0.3, -0.1, -0.2, -0.5])
-    ext = pi.extend_field(prob, v)
+    ext = _extend(prob, v)
     assert np.allclose(ext, v, atol=1e-9)
     void_elems = prob.lmesh.elems[~prob.lmesh.solid]
     d = fem.gradient_decomposition(prob.lmesh, ext, elems=void_elems)
@@ -130,7 +135,7 @@ def test_extend_rigid_is_rigid(box_problem):
 
 
 def test_extend_zero_is_zero(box_problem):
-    ext = pi.extend_field(box_problem, np.zeros((box_problem.lmesh.n_nodes, 3)))
+    ext = _extend(box_problem, np.zeros((box_problem.lmesh.n_nodes, 3)))
     assert np.abs(ext).max() == 0.0
 
 
@@ -138,9 +143,20 @@ def test_extend_solid_values_unchanged(box_problem):
     prob = box_problem
     r = rng(9)
     v = r.standard_normal((prob.lmesh.n_nodes, 3))
-    ext = pi.extend_field(prob, v)
+    ext = _extend(prob, v)
     flat = v.reshape(-1)
     assert np.allclose(ext.reshape(-1)[prob.solid_dofs], flat[prob.solid_dofs])
+
+
+def test_extend_block_columns_match_vectors(box_problem):
+    prob = box_problem
+    v = rng(10).standard_normal((prob.solid_dofs.size, 3))
+    block = pi.extend_field(prob, v)
+    assert block.shape == (prob.dofmap.n_dofs, 3)
+    for col, vj in zip(block.T, v.T):
+        want = pi.extend_field(prob, vj)
+        assert np.array_equal(col[prob.solid_dofs], vj)
+        assert np.linalg.norm(col - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_extension_minimality(box_problem):
@@ -152,7 +168,7 @@ def test_extension_minimality(box_problem):
     w = fem.quadrature_weights(lmesh, void_elems.shape[0])
     r = rng(11)
     v = r.standard_normal((lmesh.n_nodes, 3))
-    ext = pi.extend_field(prob, v)
+    ext = _extend(prob, v)
 
     def void_energy(field):
         d = fem.gradient_decomposition(lmesh, field, elems=void_elems)

@@ -259,29 +259,6 @@ def test_two_scale_kirchhoff_love_ansatz_exact(box_cell_n4, iso_tensor, cq, eps)
     assert max(rep.err_u1) <= 1e-10
 
 
-def test_reconstruct_corrector_from_plate_state(box_cell_n4):
-    from perfolayer.cell import combine_corrector, reconstruct_corrector
-
-    mesh, sols, eff = box_cell_n4
-    system = _free_plate_system(eff)
-    coords = system.pmesh.coords
-    nodal_w = np.zeros((system.pmesh.n_nodes, 4))
-    nodal_w[:, 0] = 0.5 * coords[:, 0] ** 2  # hessian = diag(1, 0)
-    nodal_w[:, 1] = coords[:, 0]
-    nodal_m = np.zeros((system.pmesh.n_nodes, 2))
-    nodal_m[:, 0] = coords[:, 0]  # membrane strain = M_11
-    base = pp.zero_state(system)
-    pstate = pp.PlateState(system=system, t=0.0,
-                           w=system.bend_dofs.restrict(nodal_w),
-                           v=base.v, a=base.a,
-                           m=system.memb_dofs.restrict(nodal_m))
-    x_bar = (0.4, 0.6)
-    got = reconstruct_corrector(sols, pstate, x_bar)
-    want = combine_corrector(sols, np.array([[1.0, 0.0], [0.0, 0.0]]),
-                             np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert np.allclose(got, want, atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # fused per-step kernels
 # ---------------------------------------------------------------------------
