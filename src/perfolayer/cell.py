@@ -122,26 +122,21 @@ def _field_rhs(mesh, dofmap, xi: np.ndarray) -> np.ndarray:
 
 
 def solve_cell_problems(mesh: CellMesh, tensor: ElasticityTensor4,
-                        tol: float = 1e-10, workers: int = 1,
-                        full_index: bool = False) -> CellSolutionSet:
+                        tol: float = 1e-10, workers: int = 1) -> CellSolutionSet:
     """The periodic, traction-free, zero-mean cell problems (three
-    stretching, three bending).
+    stretching, three bending) for the in-plane pairs (i, j) in {1, 2}^2.
 
-    The macroscopic model uses only (i, j) in {1, 2}^2; ``full_index`` also
-    solves the out-of-plane pairs.  The stretch problem is forced by M_ij,
-    the bending one by -y3 M_ij.  The problems share one operator and are
-    solved as the columns of one block by ``fem.solve_spd``, preconditioned
-    by the grid multigrid V-cycle from ``MULTIGRID_MIN_DOFS`` on.  A column
-    whose relative residual exceeds max(100 tol, 1e-8) raises
-    SolverFailure.  ``workers`` is accepted and ignored.
+    The stretch problem is forced by M_ij, the bending one by -y3 M_ij.  The
+    problems share one operator and are solved as the columns of one block
+    by ``fem.solve_spd``, preconditioned by the grid multigrid V-cycle from
+    ``MULTIGRID_MIN_DOFS`` on.  A column whose relative residual exceeds
+    max(100 tol, 1e-8) raises SolverFailure.  ``workers`` is accepted and
+    ignored.
     """
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, tensor, dofmap)
     precond = _cell_multigrid(op, dofmap)
-    pairs = list(INDEX_PAIRS)
-    if full_index:
-        pairs += [(1, 3), (2, 3), (3, 3)]
-    problems = [(kind, ij) for kind in ("stretch", "bending") for ij in pairs]
+    problems = [(kind, ij) for kind in ("stretch", "bending") for ij in INDEX_PAIRS]
     rhs = np.empty((dofmap.n_dofs, len(problems)))
     for c, (kind, ij) in enumerate(problems):
         stress = fem.sym_to_mandel(tensor.apply(basis_matrix(*ij)))
@@ -201,16 +196,6 @@ def effective_tensors(mesh: CellMesh, tensor: ElasticityTensor4,
     g = 0.5 * (g + g.T)
     return EffectiveModel(a_star=_block(g[:3, :3]), b_star=_block(g[3:, :3]),
                           c_star=_block(g[3:, 3:]), solid_volume=vol)
-
-
-def voigt_bound(tensor: ElasticityTensor4, mesh: CellMesh) -> np.ndarray:
-    """Stretch tensor obtained with zero cell correction (upper bound in the
-    Loewner order on symmetric 2x2 inputs)."""
-    w = fem.quadrature_weights(mesh)
-    vol = mesh.geometry.solid_volume
-    m = fem.sym_to_mandel(np.stack([basis_matrix(*ij) for ij in INDEX_PAIRS]))
-    g = w.sum() / vol * (m @ tensor.mandel() @ m.T)
-    return _block(0.5 * (g + g.T))
 
 
 # ---------------------------------------------------------------------------

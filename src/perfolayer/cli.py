@@ -112,8 +112,8 @@ class Pipeline:
         header = traj.header(len(cfg.probes))
         reporting.write_csv(os.path.join(self.outdir, "plate_trajectory.csv"),
                             header, traj.rows)
-        self._dump_states(
-            "plate", [(s.t, system.bend_dofs.expand(s.w)[:, 0]) for s in traj.states])
+        self._dump_states("plate", traj.states,
+                          lambda s: system.bend_dofs.expand(s.w)[:, 0])
         return traj
 
     def micro_run(self, eps):
@@ -130,8 +130,7 @@ class Pipeline:
         reporting.write_csv(
             os.path.join(self.outdir, f"micro_trajectory_eps{k}.csv"),
             micro.MicroTrajectory.HEADER, traj.rows)
-        self._dump_states(
-            f"micro_eps{k}", [(s.t, s.nodal()) for s in traj.states])
+        self._dump_states(f"micro_eps{k}", traj.states, lambda s: s.nodal())
         return lmesh, ops, traj
 
     def converge(self):
@@ -259,18 +258,19 @@ class Pipeline:
         reporting.write_report({"summary": summary, "series": series}, self.outdir)
 
     # --- helpers -----------------------------------------------------------
-    def _dump_states(self, prefix, states):
+    def _dump_states(self, prefix, states, nodal):
+        """Write ``nodal(state)`` for the states that --dump-fields picks;
+        no other state is expanded to a nodal array."""
         if self.dump == "none":
             return
         if self.dump == "final":
             picks = [len(states) - 1]
         else:
-            picks = list(range(0, len(states), self.dump_stride))
+            picks = range(0, len(states), self.dump_stride)
         for idx in picks:
-            t, values = states[idx]
             geometry.dump_field(
                 os.path.join(self.outdir, f"{prefix}_t{idx:05d}.field"),
-                np.asarray(values))
+                nodal(states[idx]))
 
 
 def _dump_stride(dump: str):

@@ -55,7 +55,6 @@ _DEFAULTS = {
         "preset": "smooth",
         "params": {},
         "expressions": None,
-        "lipschitz": 0.0,
     },
     "output_dir": "out",
     "probes": [[0.5, 0.5]],
@@ -138,14 +137,12 @@ class SimConfig:
 
     def material_tensor(self) -> ElasticityTensor4:
         m = self.tree["material"]
-        if "components" in m and m.get("components") is not None:
-            return ElasticityTensor4(np.asarray(m["components"], dtype=float))
         return ElasticityTensor4.isotropic(float(m["lambda"]), float(m["mu"]))
 
     def build_loads(self):
         l = self.tree["loads"]
         if l.get("expressions"):
-            return expression_load_model(l["expressions"], float(l["lipschitz"]))
+            return expression_load_model(l["expressions"])
         return preset_load_model(l["preset"], l.get("params"))
 
     def echo(self) -> dict:

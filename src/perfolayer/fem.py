@@ -333,9 +333,6 @@ class SymmetricOperator:
     # inside a solve as CG iterations, so the V-cycle calls ``apply`` instead
     matvec = apply
 
-    def quad(self, x: np.ndarray) -> float:
-        return float(np.dot(x, self.matvec(x)))
-
     def diagonal(self) -> np.ndarray:
         """Diagonal with the augmentations, computed once and read-only."""
         if self._diagonal is None:
@@ -501,13 +498,10 @@ def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
     return _assemble(mesh, dofmap, elems, elasticity_element(mesh.spacing, tensor))
 
 
-def assemble_mass(mesh, dofmap: DofMap, weight: float = 1.0,
-                  elems=None) -> SymmetricOperator:
-    """Operator of (u, v) -> weight * int u . v (vector or scalar arity)."""
-    if weight <= 0:
-        raise ValueError("mass weight must be positive")
+def assemble_mass(mesh, dofmap: DofMap, elems=None) -> SymmetricOperator:
+    """Operator of (u, v) -> int u . v (vector or scalar arity)."""
     N, G, w, _ = hex_reference(mesh.spacing)
-    nn = np.einsum("q,qa,qb->ab", w, N, N) * weight
+    nn = np.einsum("q,qa,qb->ab", w, N, N)
     nc = dofmap.ncomp
     local = np.zeros((8 * nc, 8 * nc))
     for c in range(nc):

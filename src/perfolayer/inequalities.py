@@ -8,7 +8,7 @@ with the mesh resolution; no continuum extrapolation is claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,9 +31,7 @@ class ConstantEstimate:
 
 @dataclass
 class ConstantSweep:
-    inequality: str
-    geometry_digest: str
-    rows: list = field(default_factory=list)
+    rows: list
 
     HEADER = ["inequality", "eps", "n", "constant", "residual"]
 
@@ -212,7 +210,6 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
 def constant_sweep(kind: str, geom, sigma, eps_list, n: int, tol: float = 1e-8,
                    seed: int = 0) -> ConstantSweep:
     """Estimate one inequality constant for every eps in the list."""
-    sweep = ConstantSweep(inequality=kind, geometry_digest=geom.digest())
 
     def job(eps):
         if kind == "korn":
@@ -226,5 +223,4 @@ def constant_sweep(kind: str, geom, sigma, eps_list, n: int, tol: float = 1e-8,
             return extension_norm(extension_problem(lmesh), tol=tol, seed=seed)
         raise ValueError(f"unknown inequality {kind!r}")
 
-    sweep.rows = [job(e) for e in eps_list]
-    return sweep
+    return ConstantSweep([job(e) for e in eps_list])

@@ -115,25 +115,21 @@ class CellQuadrature:
 class LoadModel:
     """Volume forces f^i(t, xbar, y, z) and surface tractions g^i(xbar, y).
 
-    ``lipschitz`` is the recorded Lipschitz constant with respect to z.  The
-    scale factors of the thin-layer problem (the vertical components carry an
-    extra eps) are applied by the consumers, not stored here.
+    The scale factors of the thin-layer problem (the vertical components
+    carry an extra eps) are applied by the consumers, not stored here.
     """
 
-    def __init__(self, f, g, lipschitz: float = 0.0, depends_y: bool = True,
-                 depends_z: bool = True, cell_quad: CellQuadrature | None = None):
+    def __init__(self, f, g, depends_y: bool = True, depends_z: bool = True,
+                 cell_quad: CellQuadrature | None = None):
         self.f = tuple(f)
         self.g = tuple(g)
-        self.lipschitz = float(lipschitz)
-        if not np.isfinite(self.lipschitz):
-            raise ValidationError("Lipschitz constant must be finite")
         self.f_depends_y = depends_y
         self.f_depends_z = depends_z
         self.cell_quad = cell_quad
 
     def with_cell_quadrature(self, cell_quad: CellQuadrature) -> "LoadModel":
-        return LoadModel(self.f, self.g, self.lipschitz, self.f_depends_y,
-                         self.f_depends_z, cell_quad)
+        return LoadModel(self.f, self.g, self.f_depends_y, self.f_depends_z,
+                         cell_quad)
 
     def eval_f(self, i: int, t, x1, x2, y1, y2, y3, z):
         return np.broadcast_to(
@@ -195,12 +191,11 @@ def preset_load_model(name: str, params=None) -> LoadModel:
     """Built-in load presets (all reproducible without expression strings)."""
     params = dict(params or {})
     if name == "zero":
-        return LoadModel(ZERO3_F, ZERO3_G, lipschitz=0.0,
-                         depends_y=False, depends_z=False)
+        return LoadModel(ZERO3_F, ZERO3_G, depends_y=False, depends_z=False)
     if name == "uniform_vertical":
         amp = float(params.pop("amplitude", 1.0))
         f = (_const(0.0), _const(0.0), lambda t, x1, x2, y1, y2, y3, z: amp * np.ones_like(np.asarray(x1, dtype=float)))
-        return LoadModel(f, ZERO3_G, lipschitz=0.0, depends_y=False, depends_z=False)
+        return LoadModel(f, ZERO3_G, depends_y=False, depends_z=False)
     if name in ("smooth", "linear"):
         # both are smooth in-plane/vertical sines with a C^4 time ramp; the
         # ramp keeps the fast micro modes adiabatic so that their ringing
@@ -223,8 +218,8 @@ def preset_load_model(name: str, params=None) -> LoadModel:
         def f3(t, x1, x2, y1, y2, y3, z):
             return b * ramp(t) * np.sin(np.pi * x1) * np.sin(np.pi * x2)
 
-        return LoadModel((f1, _const(0.0), f3), ZERO3_G, lipschitz=0.0,
-                         depends_y=False, depends_z=False)
+        return LoadModel((f1, _const(0.0), f3), ZERO3_G, depends_y=False,
+                         depends_z=False)
     if name == "linear_z":
         slope = float(params.pop("slope", 0.2))
 
@@ -232,7 +227,7 @@ def preset_load_model(name: str, params=None) -> LoadModel:
             return 1.0 + slope * z
 
         return LoadModel((_const(0.0), _const(0.0), f3), ZERO3_G,
-                         lipschitz=abs(slope), depends_y=False, depends_z=True)
+                         depends_y=False, depends_z=True)
     if name == "pulse":
         t0 = float(params.pop("t0", 0.1))
         amp = float(params.pop("amplitude", 1.0))
@@ -242,15 +237,15 @@ def preset_load_model(name: str, params=None) -> LoadModel:
             return on * np.ones_like(np.asarray(x1, dtype=float))
 
         return LoadModel((_const(0.0), _const(0.0), f3), ZERO3_G,
-                         lipschitz=0.0, depends_y=False, depends_z=False)
+                         depends_y=False, depends_z=False)
     if name == "surface_pressure":
         amp = float(params.pop("amplitude", 1.0))
         g = (_const(0.0), _const(0.0), _const(amp))
-        return LoadModel(ZERO3_F, g, lipschitz=0.0, depends_y=False, depends_z=False)
+        return LoadModel(ZERO3_F, g, depends_y=False, depends_z=False)
     raise ValidationError(f"unknown load preset {name!r}", key="loads.preset")
 
 
-def expression_load_model(exprs: dict, lipschitz: float) -> LoadModel:
+def expression_load_model(exprs: dict) -> LoadModel:
     """Load model from expression strings f1, f2, f3, g1, g2, g3."""
     f = []
     depends_y = False
@@ -273,5 +268,4 @@ def expression_load_model(exprs: dict, lipschitz: float) -> LoadModel:
             return lambda x1, x2, y1, y2, y3: e(x1=x1, x2=x2, y1=y1, y2=y2, y3=y3)
 
         g.append(make_g(expr))
-    return LoadModel(tuple(f), tuple(g), lipschitz=lipschitz,
-                     depends_y=depends_y, depends_z=depends_z)
+    return LoadModel(tuple(f), tuple(g), depends_y=depends_y, depends_z=depends_z)

@@ -252,20 +252,7 @@ def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
         state = micro_step(state, dt, loads, k_eff, beta=beta, gamma=gamma,
                            picard_tol=picard_tol, picard_max=picard_max, tol=tol)
         record(state)
-    traj.final = state
     return traj
-
-
-def apriori_check(traj: MicroTrajectory) -> dict:
-    """Per-step scaled quantities of the energy estimate and their maxima."""
-    rows = np.asarray(traj.rows, dtype=float)
-    return {
-        "t": rows[:, 0],
-        "apriori_v": rows[:, 1],
-        "apriori_D": rows[:, 2],
-        "max_apriori_v": float(rows[:, 1].max()),
-        "max_apriori_D": float(rows[:, 2].max()),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +509,3 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
         apriori_v=micro_state.scaled_velocity_norm(),
         apriori_D=micro_state.scaled_strain_norm(),
     )
-
-
-def kirchhoff_love_field(lmesh: LayerMesh, plate_state: PlateState,
-                         eps: float) -> np.ndarray:
-    """Nodal micro field of the exact Kirchhoff-Love ansatz
-    u3 = w(xbar), u_alpha = eps u1_alpha - x3 d_alpha w."""
-    system = plate_state.system
-    pts = lmesh.coords[:, :2]
-    x3 = lmesh.coords[:, 2]
-    wvals, grad, _ = evaluate_deflection(system, plate_state.w, pts,
-                                         derivatives=True)
-    u1 = evaluate_membrane(system, plate_state.m, pts)
-    out = np.empty((lmesh.n_nodes, 3))
-    out[:, 0] = eps * u1[:, 0] - x3 * grad[:, 0]
-    out[:, 1] = eps * u1[:, 1] - x3 * grad[:, 1]
-    out[:, 2] = wvals
-    return out

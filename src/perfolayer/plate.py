@@ -459,21 +459,15 @@ def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
               beta: float = 0.25, gamma: float = 0.5,
               picard_tol: float = 1e-10, picard_max: int = 30,
               tol: float = 1e-12, probes=(), store_states: bool = False,
-              on_state=None, initial=None) -> PlateTrajectory:
+              on_state=None) -> PlateTrajectory:
     """Integrate the plate from zero initial data and record norms,
     energies and probe values per step.
 
     The membrane starts from its stationary equation at t = 0; the initial
-    bending acceleration is consistent with the loads at t = 0.  Nonzero
-    initial data (w0, v0) can be supplied through ``initial`` (extension
-    beyond the zero initial conditions of the model).
+    bending acceleration is consistent with the loads at t = 0.
     """
     traj = PlateTrajectory(system=system)
     state = zero_state(system)
-    if initial is not None:
-        w0, v0 = initial
-        state = replace(state, w=np.asarray(w0, dtype=float),
-                        v=np.asarray(v0, dtype=float))
     r_m, r_b = compute_loads(system, loads, state.w, 0.0)
     m0 = fem.solve_spd(fem.SymmetricOperator(system.k_aa),
                        r_m - system.k_ab @ state.w, tol=tol,

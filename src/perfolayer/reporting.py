@@ -80,14 +80,11 @@ def write_effective_model(path, eff, digest, resolution) -> None:
 
 
 def write_report(results: dict, outdir) -> None:
-    """Emit tables, a summary tree and plot-data series for a results dict.
+    """Emit a summary tree and plot-data series for a results dict.
 
-    Recognized keys: ``tables`` {name: (header, rows)}, ``summary`` (tree),
-    ``series`` {name: (xs, ys)}.
+    Recognized keys: ``summary`` (tree), ``series`` {name: (xs, ys)}.
     """
     os.makedirs(outdir, exist_ok=True)
-    for name, (header, rows) in results.get("tables", {}).items():
-        write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
     if "summary" in results:
         write_summary(os.path.join(outdir, "summary.txt"), results["summary"])
     series = results.get("series", {})

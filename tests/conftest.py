@@ -7,6 +7,7 @@ import pytest
 from perfolayer import cell as pc
 from perfolayer import fem
 from perfolayer import geometry as pg
+from perfolayer import plate as pp
 
 BOX_HOLE = ("box", ((0.25, 0.75), (0.25, 0.75), (-0.5, 0.5)))
 SIGMA = ((0, 1), (0, 1))
@@ -77,3 +78,29 @@ def rigid_field(coords, coeffs):
     """Nodal rigid displacement: the combination of ``fem.rigid_modes``
     (three translations, then rotations about e1, e2, e3) with ``coeffs``."""
     return np.tensordot(coeffs, fem.rigid_modes(coords), axes=1)
+
+
+def voigt_bound(tensor, mesh):
+    """Stretch tensor obtained with zero cell correction (upper bound in the
+    Loewner order on symmetric 2x2 inputs)."""
+    w = fem.quadrature_weights(mesh)
+    vol = mesh.geometry.solid_volume
+    m = fem.sym_to_mandel(np.stack([pc.basis_matrix(*ij) for ij in pc.INDEX_PAIRS]))
+    g = w.sum() / vol * (m @ tensor.mandel() @ m.T)
+    return pc._block(0.5 * (g + g.T))
+
+
+def kirchhoff_love_field(lmesh, plate_state, eps):
+    """Nodal micro field of the exact Kirchhoff-Love ansatz
+    u3 = w(xbar), u_alpha = eps u1_alpha - x3 d_alpha w."""
+    system = plate_state.system
+    pts = lmesh.coords[:, :2]
+    x3 = lmesh.coords[:, 2]
+    wvals, grad, _ = pp.evaluate_deflection(system, plate_state.w, pts,
+                                            derivatives=True)
+    u1 = pp.evaluate_membrane(system, plate_state.m, pts)
+    out = np.empty((lmesh.n_nodes, 3))
+    out[:, 0] = eps * u1[:, 0] - x3 * grad[:, 0]
+    out[:, 1] = eps * u1[:, 1] - x3 * grad[:, 1]
+    out[:, 2] = wvals
+    return out

@@ -18,7 +18,7 @@ from perfolayer import micro as pm
 from perfolayer import plate as pp
 from perfolayer.loads import CellQuadrature, preset_load_model
 
-from conftest import SIGMA, sym_gradient
+from conftest import SIGMA, kirchhoff_love_field, sym_gradient, voigt_bound
 
 EPS_LIST = (0.5, 0.25, 0.125)
 
@@ -112,7 +112,7 @@ def test_criterion_02_tensor_structure(box_cell_n8, iso_tensor):
     assert abs(eff.a_star[0, 0, 0, 0] - eff.a_star[1, 1, 1, 1]) <= 1e-10 * max(1.0, scale)
     assert np.linalg.eigvalsh(eff.voigt(eff.a_star)).min() > 0
     assert np.linalg.eigvalsh(eff.voigt(eff.c_star)).min() > 0
-    bound = pc.voigt_bound(iso_tensor, mesh)
+    bound = voigt_bound(iso_tensor, mesh)
     gap = eff.voigt(bound) - eff.voigt(eff.a_star)
     assert np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() >= -1e-10 * scale
     elapsed = time.time() - t0
@@ -300,8 +300,8 @@ def test_criterion_09_micro_apriori(box_geom, iso_tensor, smooth_loads):
         lmesh = pg.build_layer_mesh(box_geom, eps, SIGMA, 4)
         ops = pm.assemble_micro(lmesh, iso_tensor, eps, smooth_loads)
         traj = pm.run_micro(ops, smooth_loads, dt=eps / 8, t_end=0.25)
-        check = pm.apriori_check(traj)
-        maxima[eps] = (check["max_apriori_v"], check["max_apriori_D"])
+        # columns 1-2 of the rows: apriori_v, apriori_D (MicroTrajectory.HEADER)
+        maxima[eps] = tuple(np.asarray(traj.rows)[:, 1:3].max(axis=0))
     for comp in (0, 1):
         hi = max(maxima[0.25][comp], maxima[0.125][comp])
         lo = min(maxima[0.25][comp], maxima[0.125][comp])
@@ -352,7 +352,7 @@ def test_criterion_10_two_scale_trend(coupled_runs, box_cell_n4, iso_tensor,
     for eps in EPS_LIST:
         lmesh = pg.build_layer_mesh(mesh.geometry, eps, SIGMA, 4)
         ops = pm.assemble_micro(lmesh, iso_tensor, eps, smooth_loads)
-        u_nodal = pm.kirchhoff_love_field(lmesh, pstate, eps)
+        u_nodal = kirchhoff_love_field(lmesh, pstate, eps)
         mstate = pm.zero_micro_state(ops)
         mstate.nodal = lambda u=u_nodal: u
         rep = pm.two_scale_errors(mstate, pstate, sols)

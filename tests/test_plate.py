@@ -153,9 +153,10 @@ def test_newmark_single_picard_when_z_independent(full_eff, cell_quad):
 def test_picard_contraction_small_lipschitz(full_eff, cell_quad):
     pmesh = pg.build_plate_mesh(SIGMA, 4)
     system = pp.assemble_plate_system(pmesh, full_eff)
-    loads = _loads("linear_z", cell_quad, {"slope": 0.2})
+    slope = 0.2  # the Lipschitz constant of the load in z
+    loads = _loads("linear_z", cell_quad, {"slope": slope})
     dt = 0.05
-    assert loads.lipschitz * dt**2 < 1.0
+    assert slope * dt**2 < 1.0
     state = pp.newmark_step(pp.zero_state(system), dt, loads,
                             picard_tol=1e-12, picard_max=30)
     assert state.picard_converged
@@ -231,10 +232,12 @@ def test_energy_conserved_from_velocity_kick(full_eff, cell_quad):
     loads = _loads("zero", cell_quad)
     r = rng(21)
     v0 = r.standard_normal(system.bend_dofs.n_dofs)
-    traj = pp.run_plate(system, loads, dt=1.0 / 128.0, t_end=0.25, tol=1e-13,
-                        store_states=True,
-                        initial=(np.zeros(system.bend_dofs.n_dofs), v0))
-    energies = [pp.energy(s) for s in traj.states]
+    # zero loads and w0 = 0 give m0 = a0 = 0: the zero state with velocity v0
+    state = replace(pp.zero_state(system), v=v0)
+    energies = [pp.energy(state)]
+    for _ in range(32):
+        state = pp.newmark_step(state, 1.0 / 128.0, loads, tol=1e-13)
+        energies.append(pp.energy(state))
     e0 = energies[0]
     assert e0 > 0
     for e1, e2 in zip(energies, energies[1:]):

@@ -1,0 +1,59 @@
+"""Every public name of the package has a reader in a run.
+
+A public module-level function or class, or a public method, that nothing in
+``src/perfolayer`` or ``perfbench/`` reads is code that only the tests reach.
+It belongs in the tests that use it, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "perfolayer"
+
+
+def _trees():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+    return {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text(encoding="utf-8"))
+            for p in files}
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of the public module-level functions and
+    classes and the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _references(tree):
+    """(name, node) of every Name, Attribute and imported name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node
+
+
+def test_every_public_name_has_a_reader():
+    trees = _trees()
+    refs = [(name, node) for tree in trees.values() for name, node in _references(tree)]
+    unread = []
+    for path, tree in trees.items():
+        if not path.startswith("src/"):
+            continue
+        for qualname, definition in _public_definitions(tree):
+            own = {id(n) for n in ast.walk(definition)}
+            name = qualname.rsplit(".", 1)[-1]
+            if not any(ref == name and id(node) not in own for ref, node in refs):
+                unread.append(f"{path}: {qualname}")
+    assert not unread, "public names without a reader outside the tests:\n" + "\n".join(unread)
