@@ -8,16 +8,20 @@ the unperforated cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem
-from .errors import AsymmetricInput, InconsistentMesh, MissingSolutions, SolverFailure
-from .fem import DofMap, ElasticityTensor4, FieldVector, SymmetricOperator
-from .geometry import CellMesh
+from .errors import AsymmetricInput, InconsistentMesh, SolverFailure
+from .fem import DofMap, ElasticityTensor4, SymmetricOperator
+from .geometry import LayerMesh
 
 INDEX_PAIRS = ((1, 1), (2, 2), (1, 2))
+
+# The six cell problems in column order: stretch, then bending, each over
+# ``INDEX_PAIRS``.
+PROBLEMS = tuple((kind, ij) for kind in ("stretch", "bending") for ij in INDEX_PAIRS)
 
 # Operator size from which the cell problems are preconditioned by the grid
 # multigrid V-cycle instead of Jacobi (one block solve of the six problems
@@ -43,21 +47,21 @@ def basis_matrix(i: int, j: int) -> np.ndarray:
 class CellSolutionSet:
     """Periodic solutions of the six cell problems with solver residuals.
 
-    ``stretch[(i, j)]`` relaxes the in-plane unit strain, ``bending[(i, j)]``
-    the unit-curvature strain -y3 M_ij; both have zero mean per component.
+    Column c of ``values`` (n_dofs, 6) holds the reduced solution of
+    ``PROBLEMS[c]``, and ``residuals[c]`` its relative residual.  A stretch
+    problem (i, j) relaxes the in-plane unit strain M_ij, a bending problem
+    the unit-curvature strain -y3 M_ij; every solution has zero mean per
+    component.
     """
 
-    mesh: CellMesh
+    mesh: LayerMesh
     dofmap: DofMap
-    tensor: ElasticityTensor4
-    stretch: dict = field(default_factory=dict)
-    bending: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
+    values: np.ndarray
+    residuals: np.ndarray
 
-    def require_complete(self):
-        for ij in INDEX_PAIRS:
-            if ij not in self.stretch or ij not in self.bending:
-                raise MissingSolutions(f"cell solution for pair {ij} missing")
+    def nodal(self, c: int) -> np.ndarray:
+        """Nodal array (n_nodes, 3) of the solution in column c."""
+        return self.dofmap.expand(self.values[:, c])
 
 
 @dataclass
@@ -84,7 +88,7 @@ class EffectiveModel:
         return out
 
 
-def _periodic_dofmap(mesh: CellMesh) -> DofMap:
+def _periodic_dofmap(mesh: LayerMesh) -> DofMap:
     return DofMap(mesh, ncomp=3, periodic=True)
 
 
@@ -101,7 +105,7 @@ def _cell_multigrid(op: SymmetricOperator, dofmap: DofMap):
     return fem.GridMultigrid(op, dofmap)
 
 
-def _profile(mesh: CellMesh, kind: str, elems=None):
+def _profile(mesh: LayerMesh, kind: str, elems=None):
     """Factor of the forcing strain M_ij at the quadrature points of
     ``elems`` (default all): 1 for stretching, -y3 of shape (E, n_q, 1) for
     bending."""
@@ -121,38 +125,33 @@ def _field_rhs(mesh, dofmap, xi: np.ndarray) -> np.ndarray:
     return fem.scatter_vector(xi @ wb, edofs, dofmap.n_dofs)
 
 
-def solve_cell_problems(mesh: CellMesh, tensor: ElasticityTensor4,
+def solve_cell_problems(mesh: LayerMesh, tensor: ElasticityTensor4,
                         tol: float = 1e-10, workers: int = 1) -> CellSolutionSet:
     """The periodic, traction-free, zero-mean cell problems (three
     stretching, three bending) for the in-plane pairs (i, j) in {1, 2}^2.
 
     The stretch problem is forced by M_ij, the bending one by -y3 M_ij.  The
-    problems share one operator and are solved as the columns of one block
-    by ``fem.solve_spd``, preconditioned by the grid multigrid V-cycle from
-    ``MULTIGRID_MIN_DOFS`` on.  A column whose relative residual exceeds
+    problems share one operator and are solved as the columns of one block,
+    in ``PROBLEMS`` order, by ``fem.solve_spd``, preconditioned by the grid
+    multigrid V-cycle from ``MULTIGRID_MIN_DOFS`` on.  A column whose relative residual exceeds
     max(100 tol, 1e-8) raises SolverFailure.  ``workers`` is accepted and
     ignored.
     """
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, tensor, dofmap)
     precond = _cell_multigrid(op, dofmap)
-    problems = [(kind, ij) for kind in ("stretch", "bending") for ij in INDEX_PAIRS]
-    rhs = np.empty((dofmap.n_dofs, len(problems)))
-    for c, (kind, ij) in enumerate(problems):
+    rhs = np.empty((dofmap.n_dofs, len(PROBLEMS)))
+    for c, (kind, ij) in enumerate(PROBLEMS):
         stress = fem.sym_to_mandel(tensor.apply(basis_matrix(*ij)))
         rhs[:, c] = _field_rhs(mesh, dofmap, -_profile(mesh, kind) * stress)
     sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
     bnorm = np.linalg.norm(rhs, axis=0)
     rnorm = np.linalg.norm(op.matvec(sol) - rhs, axis=0)
     res = np.divide(rnorm, bnorm, out=np.zeros_like(rnorm), where=bnorm > 0)
-    columns = np.ascontiguousarray(sol.T)
-    sols = CellSolutionSet(mesh=mesh, dofmap=dofmap, tensor=tensor)
-    for (kind, ij), values, r in zip(problems, columns, res):
+    for (kind, ij), r in zip(PROBLEMS, res):
         if r > max(100 * tol, 1e-8):
             raise SolverFailure(f"{kind} cell problem {ij} residual {r:.3e}")
-        getattr(sols, kind)[ij] = FieldVector(mesh, dofmap, values)
-        sols.residuals[(kind, ij)] = float(r)
-    return sols
+    return CellSolutionSet(mesh=mesh, dofmap=dofmap, values=sol, residuals=res)
 
 
 def _block(g: np.ndarray) -> np.ndarray:
@@ -164,11 +163,11 @@ def _block(g: np.ndarray) -> np.ndarray:
     return g[slot[:, :, None, None], slot[None, None, :, :]]
 
 
-def effective_tensors(mesh: CellMesh, tensor: ElasticityTensor4,
+def effective_tensors(mesh: LayerMesh, tensor: ElasticityTensor4,
                       sols: CellSolutionSet) -> EffectiveModel:
     """Energy averages of the cell strains over the solid cell.
 
-    The six total strains (three stretch, three bending) give one 6x6 Gram
+    The six total strains (``PROBLEMS`` order) give one 6x6 Gram
     matrix G_rs = (1/|Y*|) int A e_r : e_s; a* is its stretch block, c* its
     bending block, and b* the block with bending rows and stretch columns,
     so b* carries the bending strain on its first index pair.  G is summed
@@ -176,9 +175,8 @@ def effective_tensors(mesh: CellMesh, tensor: ElasticityTensor4,
     """
     if sols.mesh is not mesh:
         raise InconsistentMesh("solutions were computed on a different mesh")
-    sols.require_complete()
-    fields = [(kind, getattr(sols, kind)[ij].nodal(), fem.sym_to_mandel(basis_matrix(*ij)))
-              for kind in ("stretch", "bending") for ij in INDEX_PAIRS]
+    fields = [(kind, sols.nodal(c), fem.sym_to_mandel(basis_matrix(*ij)))
+              for c, (kind, ij) in enumerate(PROBLEMS)]
     w = fem.hex_reference(mesh.spacing)[2]
     c = tensor.mandel()
     g = np.zeros((6, 6))
@@ -210,22 +208,20 @@ class HelmholtzSplit:
 
     potential: np.ndarray
     solenoidal: np.ndarray
-    p: FieldVector
-    q: FieldVector
 
 
-def _cell_boundary_nodes(mesh: CellMesh) -> np.ndarray:
+def _cell_boundary_nodes(mesh: LayerMesh) -> np.ndarray:
     g = mesh.node_grid
     return np.nonzero(((g == 0) | (g == mesh.voxel_elems.shape)).any(axis=1))[0]
 
 
-def helmholtz_decompose(mesh: CellMesh, xi: np.ndarray,
+def helmholtz_decompose(mesh: LayerMesh, xi: np.ndarray,
                         tol: float = 1e-12) -> HelmholtzSplit:
     """Split a symmetric quadrature-point field (E, n_q, 3, 3) on the full
     cell into Mandel fields.
 
-    ``p`` solves the zero-Dirichlet problem driven by the divergence of the
-    input; ``q`` the periodic zero-mean problem absorbing the remaining
+    p solves the zero-Dirichlet problem driven by the divergence of the
+    input; q the periodic zero-mean problem absorbing the remaining
     top/bottom flux.  The remainder is orthogonal to all discrete periodic
     symmetric gradients.
     """
@@ -243,20 +239,20 @@ def helmholtz_decompose(mesh: CellMesh, xi: np.ndarray,
 
     dm_dir = DofMap(mesh, ncomp=3, dirichlet_nodes=_cell_boundary_nodes(mesh))
     k_dir = fem.assemble_elasticity(mesh, ident, dm_dir)
-    p = FieldVector(mesh, dm_dir, fem.solve_spd(k_dir, _field_rhs(mesh, dm_dir, xi), tol=tol))
-    dp = fem.gradient_decomposition(mesh, p.nodal())
+    p = fem.solve_spd(k_dir, _field_rhs(mesh, dm_dir, xi), tol=tol)
+    dp = fem.gradient_decomposition(mesh, dm_dir.expand(p))
 
     dm_per = _periodic_dofmap(mesh)
     op_per = _cell_operator(mesh, ident, dm_per)
     rhs_q = _field_rhs(mesh, dm_per, xi - dp)
-    q = FieldVector(mesh, dm_per, fem.solve_spd(op_per, rhs_q, tol=tol))
-    dq = fem.gradient_decomposition(mesh, q.nodal())
+    q = fem.solve_spd(op_per, rhs_q, tol=tol)
+    dq = fem.gradient_decomposition(mesh, dm_per.expand(q))
 
     potential = dp + dq
-    return HelmholtzSplit(potential=potential, solenoidal=xi - potential, p=p, q=q)
+    return HelmholtzSplit(potential=potential, solenoidal=xi - potential)
 
 
-def gradient_pairing(mesh: CellMesh, xi: np.ndarray, dphi: np.ndarray) -> float:
+def gradient_pairing(mesh: LayerMesh, xi: np.ndarray, dphi: np.ndarray) -> float:
     """Discrete pairing <xi, D(phi)> of two Mandel quadrature-point fields,
     ``dphi`` the symmetric gradient of a test field."""
     w = fem.quadrature_weights(mesh)

@@ -69,21 +69,17 @@ class Pipeline:
         if self._sols is None:
             self._sols = cell_mod.solve_cell_problems(
                 self.cmesh, self.tensor, tol=self.tol["linear"])
-            rows = [[kind, f"{i}{j}", res]
-                    for (kind, (i, j)), res in sorted(self._sols.residuals.items())]
+            rows = [[kind, f"{i}{j}", float(res)] for (kind, (i, j)), res
+                    in sorted(zip(cell_mod.PROBLEMS, self._sols.residuals))]
             reporting.write_csv(os.path.join(self.outdir, "cell_residuals.csv"),
                                 ["problem", "pair", "residual"], rows)
             if self.dump != "none":
                 geometry.dump_mesh(os.path.join(self.outdir, "cell_mesh.txt"),
                                    self.cmesh.coords, self.cmesh.elems)
-                for (i, j), f in self._sols.stretch.items():
+                for c, (kind, (i, j)) in enumerate(cell_mod.PROBLEMS):
                     geometry.dump_field(
-                        os.path.join(self.outdir, f"cell_stretch_{i}{j}.field"),
-                        f.nodal())
-                for (i, j), f in self._sols.bending.items():
-                    geometry.dump_field(
-                        os.path.join(self.outdir, f"cell_bending_{i}{j}.field"),
-                        f.nodal())
+                        os.path.join(self.outdir, f"cell_{kind}_{i}{j}.field"),
+                        self._sols.nodal(c))
         return self._sols
 
     def homogenize(self):
@@ -100,15 +96,15 @@ class Pipeline:
         pmesh = geometry.build_plate_mesh(self.cfg.sigma, self.n_sigma)
         return plate.assemble_plate_system(pmesh, eff)
 
-    def plate_run(self, dt=None, system=None):
+    def plate_run(self):
         cfg = self.cfg
-        system = system or self.plate_system()
+        system = self.plate_system()
         beta, gamma = cfg.newmark
-        dt = dt or cfg.macro_dt()
         traj = plate.run_plate(
-            system, self.loads, dt=dt, t_end=cfg.t_end, beta=beta, gamma=gamma,
-            picard_tol=self.tol["picard"], picard_max=self.tol["picard_max"],
-            tol=self.tol["linear"], probes=cfg.probes, store_states=True)
+            system, self.loads, dt=cfg.macro_dt(), t_end=cfg.t_end, beta=beta,
+            gamma=gamma, picard_tol=self.tol["picard"],
+            picard_max=self.tol["picard_max"], tol=self.tol["linear"],
+            probes=cfg.probes, store_states=True)
         header = traj.header(len(cfg.probes))
         reporting.write_csv(os.path.join(self.outdir, "plate_trajectory.csv"),
                             header, traj.rows)
@@ -136,38 +132,31 @@ class Pipeline:
     def converge(self):
         cfg = self.cfg
         sols = self.cell_solve()
-        system = self.plate_system()
         dt_macro = cfg.macro_dt()
-        ptraj = self.plate_run(dt=dt_macro, system=system)
+        ptraj = self.plate_run()
 
-        def eps_job(eps):
-            lmesh, ops, mtraj = self.micro_run(eps)
+        ts_rows = []
+        trend_rows = []
+        moment_rows = []
+        for eps in cfg.epsilons:
+            lmesh, _, mtraj = self.micro_run(eps)
             dt = cfg.dt_for(eps)
             stride = int(round(dt / dt_macro))
-            rows = []
             agg = np.zeros(4)
             agg_u = 0.0
             agg_r = 0.0
             for k, ms in enumerate(mtraj.states[1:], start=1):
                 ps = ptraj.states[k * stride]
                 rep = micro.two_scale_errors(ms, ps, sols)
-                rows.append(rep.row())
+                ts_rows.append(rep.row())
                 agg += dt * np.array([rep.err_u3**2, rep.err_u1[0]**2,
                                       rep.err_u1[1]**2, rep.err_symgrad**2])
                 e_u, e_r = micro.moment_errors(ps, lmesh, ms.nodal(), eps)
                 agg_u += dt * e_u**2
                 agg_r += dt * e_r**2
             agg = np.sqrt(agg)
-            return (rows, [eps, agg[0], agg[1], agg[2], agg[3]],
-                    [eps, float(np.sqrt(agg_u)), float(np.sqrt(agg_r))])
-
-        ts_rows = []
-        trend_rows = []
-        moment_rows = []
-        for rows, trend, moment in map(eps_job, cfg.epsilons):
-            ts_rows.extend(rows)
-            trend_rows.append(trend)
-            moment_rows.append(moment)
+            trend_rows.append([eps, agg[0], agg[1], agg[2], agg[3]])
+            moment_rows.append([eps, float(np.sqrt(agg_u)), float(np.sqrt(agg_r))])
 
         reporting.write_csv(os.path.join(self.outdir, "twoscale.csv"),
                             micro.TwoScaleReport.HEADER, ts_rows)

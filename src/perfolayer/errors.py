@@ -55,10 +55,6 @@ class InconsistentMesh(PerfolayerError):
     """Fields were produced on a different mesh than the one supplied."""
 
 
-class MissingSolutions(PerfolayerError):
-    """Cell solutions required by the effective tensors are absent."""
-
-
 class AsymmetricInput(PerfolayerError):
     """A tensor field that must be symmetric is not."""
 

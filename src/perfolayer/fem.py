@@ -230,6 +230,9 @@ class DofMap:
 
     Nodal field layout is node-major: dof = ncomp * node + comp.  Slave nodes
     share the reduced dof of their periodic master; Dirichlet dofs map to -1.
+    With ``periodic`` the two lateral axes of a voxel mesh wrap: the master
+    of a node is the node at its grid index ``mesh.node_grid`` taken modulo
+    the lateral interval counts ``mesh.voxel_elems.shape[:2]``.
     """
 
     def __init__(self, mesh, ncomp: int = 3, dirichlet_nodes=None, periodic: bool = False):
@@ -237,7 +240,7 @@ class DofMap:
         self.ncomp = ncomp
         self.periodic = periodic  # the two lateral axes wrap
         n_nodes = mesh.coords.shape[0]
-        master = mesh.node_master if periodic else np.arange(n_nodes, dtype=np.int64)
+        master = _periodic_masters(mesh) if periodic else np.arange(n_nodes, dtype=np.int64)
         rep = master == np.arange(n_nodes)
         rep_index = -np.ones(n_nodes, dtype=np.int64)
         rep_index[rep] = np.arange(int(rep.sum()))
@@ -296,6 +299,16 @@ class DofMap:
         mask = self.node_dofs >= 0
         reduced[self.node_dofs[mask]] = nodal[mask]
         return reduced
+
+
+def _periodic_masters(mesh) -> np.ndarray:
+    """Node of each node's grid index with i1 = n1 and i2 = n2 wrapped to 0
+    (the grid nodes are in lexicographic order, so one search finds them)."""
+    intervals = np.array(mesh.voxel_elems.shape, dtype=np.int64)
+    strides = np.array([(intervals[1] + 1) * (intervals[2] + 1), intervals[2] + 1, 1])
+    wrapped = mesh.node_grid.copy()
+    wrapped[:, :2] %= intervals[:2]
+    return np.searchsorted(mesh.node_grid @ strides, wrapped @ strides)
 
 
 # ---------------------------------------------------------------------------
@@ -601,22 +614,6 @@ def mean_zero_augmentations(mesh, dofmap: DofMap, scale_from: SymmetricOperator)
 # ---------------------------------------------------------------------------
 # fields and the symmetric gradient
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FieldVector:
-    """Reduced DOF coefficients bound to a mesh and its dof map."""
-
-    mesh: object
-    dofmap: DofMap
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.dofmap.n_dofs,):
-            raise ValueError("coefficient length does not match the dof map")
-
-    def nodal(self) -> np.ndarray:
-        return self.dofmap.expand(self.values)
-
 
 def element_values(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
     """Field values at quadrature points, shape (E, n_q, ncomp)."""
@@ -925,7 +922,6 @@ def _grid_coarsening(grid: np.ndarray, intervals: np.ndarray, periodic: np.ndarr
 @dataclass
 class EigenResult:
     value: float
-    vector: np.ndarray
     residual: float
     iterations: int
 
@@ -962,7 +958,7 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
         bnorm = np.linalg.norm(BX[:, 0])
         residual = float(np.linalg.norm(R[:, 0]) / bnorm) if bnorm > 0 else 0.0
         if residual <= np.sqrt(tol):
-            return EigenResult(float(mu[0]), X[:, 0], residual, it)
+            return EigenResult(float(mu[0]), residual, it)
         # the update without its part along the previous block (zero on the
         # first sweep: the Ritz step drops zero columns)
         P, AP, BP = (M[:, nx:] @ C[nx:] for M in (S, AS, BS))

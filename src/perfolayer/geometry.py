@@ -1,9 +1,10 @@
 """Voxel geometry and structured meshes for the perforated thin layer.
 
-The reference cell is the box (0,1)^2 x (-1,1).  A perforation is described
-by a boolean voxel mask at resolution m (shape (m, m, 2*m), entry True =
-solid).  All meshes are axis-aligned hexahedral (or quadrilateral) grids, so
-periodic identification and cell tiling are exact.
+The reference cell is the box (0,1)^2 x (-1,1), meshed as the layer of one
+cell (eps = 1 over (0,1)^2).  A perforation is described by a boolean voxel
+mask at resolution m (shape (m, m, 2*m), entry True = solid).  All meshes
+are axis-aligned hexahedral (or quadrilateral) grids, so periodic
+identification and cell tiling are exact.
 """
 
 from __future__ import annotations
@@ -77,38 +78,6 @@ class CellGeometry:
 
 
 @dataclass
-class CellMesh:
-    """Hexahedral mesh of the solid part of the reference cell.
-
-    Nodes carry cell-unit coordinates; ``node_master`` identifies the lateral
-    periodic pairs (y_i = 1 mapped onto y_i = 0).  ``voxels`` (E, 3) is the
-    voxel index of each element, ``voxel_elems`` (n, n, 2n) the element of
-    each voxel or -1, and ``node_grid`` (N, 3) the integer grid index of each
-    node; ``gamma_faces`` are (element, axis, side) triples of the interior
-    solid surface.
-    """
-
-    geometry: CellGeometry
-    resolution: int
-    coords: np.ndarray
-    elems: np.ndarray
-    spacing: tuple
-    voxels: np.ndarray
-    voxel_elems: np.ndarray
-    node_grid: np.ndarray
-    node_master: np.ndarray
-    gamma_faces: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def n_elems(self) -> int:
-        return self.elems.shape[0]
-
-
-@dataclass
 class LayerMesh:
     """Tiled hexahedral mesh of the perforated thin layer (physical units).
 
@@ -119,7 +88,8 @@ class LayerMesh:
     estimates on the complete layer.  ``voxels`` (E, 3) is the voxel index
     of each element on the global grid of the layer, ``voxel_elems`` the
     element of each voxel of that grid or -1, and ``node_grid`` (N, 3) the
-    integer grid index of each node.
+    integer grid index of each node.  At eps = 1 over (0,1)^2 the layer is
+    the reference cell (``build_cell_mesh``).
     """
 
     geometry: CellGeometry
@@ -312,31 +282,11 @@ def _face_list(mask: np.ndarray) -> np.ndarray:
     return np.stack([e, HEX_FACE_AXES[f], HEX_FACE_SIDES[f]], axis=1).astype(np.int64)
 
 
-def build_cell_mesh(geom: CellGeometry, n: int) -> CellMesh:
-    """Mesh the solid cell with n x n x 2n voxels (n a multiple of the mask
-    resolution), with lateral periodic identification."""
-    voxels, voxel_elems, _, elems, nodes, _, gamma = _voxel_mesh(_fine_mask(geom, n))
-    coords = nodes / n
-    coords[:, 2] -= 1.0
-
-    # periodic master: wrap i1 = n -> 0 and i2 = n -> 0
-    strides = np.array([(n + 1) * (2 * n + 1), 2 * n + 1, 1])
-    master = nodes.copy()
-    master[:, :2] %= n
-    node_master = np.searchsorted(nodes @ strides, master @ strides)
-
-    return CellMesh(
-        geometry=geom,
-        resolution=n,
-        coords=coords,
-        elems=elems,
-        spacing=(1.0 / n, 1.0 / n, 1.0 / n),
-        voxels=voxels,
-        voxel_elems=voxel_elems,
-        node_grid=nodes,
-        node_master=node_master,
-        gamma_faces=_face_list(gamma),
-    )
+def build_cell_mesh(geom: CellGeometry, n: int) -> LayerMesh:
+    """Mesh the solid reference cell with n x n x 2n voxels (n a multiple of
+    the mask resolution): the layer of one cell, eps = 1 over (0, 1)^2.  Its
+    lateral periodic identification is made by ``fem.DofMap``."""
+    return build_layer_mesh(geom, 1.0, ((0.0, 1.0), (0.0, 1.0)), n)
 
 
 def _check_eps(eps: float) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .cell import CellSolutionSet, INDEX_PAIRS
+from .cell import PROBLEMS, CellSolutionSet
 from .errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from .fem import DofMap, ElasticityTensor4, SymmetricOperator
 from .geometry import HEX_CORNERS, LayerMesh
@@ -418,7 +418,9 @@ class PlateTransfer:
     point, the six plate coefficients (membrane strain, then Hessian, each
     as 11, 22, 12 + 21) to the Mandel limit strain: the Kirchhoff-Love part
     e - y3 H in the plane plus the symmetric gradients of the six cell
-    correctors (stretch, then bending, in ``INDEX_PAIRS`` order).
+    correctors, coefficient c taking the corrector in column c of
+    ``sols.values`` (``cell.PROBLEMS`` order: stretch, then bending, each
+    over 11, 22, 12).
     """
 
     system: PlateSystem
@@ -441,9 +443,8 @@ class PlateTransfer:
         order = np.argsort(cell_elem, kind="stable")
         elems = lmesh.elems[order]
         distinct, inverse = _inplane_points(lmesh, order)
-        chis = [sol[ij] for sol in (sols.stretch, sols.bending) for ij in INDEX_PAIRS]
-        limit = np.stack([fem.element_fields(cmesh, chi.nodal())[..., 3:]
-                          for chi in chis], axis=2)
+        limit = np.stack([fem.element_fields(cmesh, sols.nodal(c))[..., 3:]
+                          for c in range(len(PROBLEMS))], axis=2)
         y3 = fem.quadrature_points(cmesh)[..., 2]
         limit[..., [0, 1], [0, 1]] += 1.0
         limit[..., 2, 5] += np.sqrt(0.5)  # Mandel 12 entry: sqrt(2) (12 + 21) / 2

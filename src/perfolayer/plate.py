@@ -126,7 +126,6 @@ class PlateSystem:
     """Assembled block operators of the macroscopic model."""
 
     pmesh: PlateMesh
-    eff: EffectiveModel
     bend_dofs: fem.DofMap      # four Hermite dofs per node, clamped boundary
     memb_dofs: fem.DofMap      # two membrane components per node
     k_bb: sp.csr_matrix
@@ -139,8 +138,7 @@ class PlateSystem:
     basis: BendingBasis
     mb_val: np.ndarray
     # PlatePoints of the last points evaluated through evaluate_deflection
-    # or evaluate_membrane, and the Newmark block operator of the last
-    # mass factor
+    # or evaluate_membrane
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -214,7 +212,7 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     qp = origin[:, None, :] + np.stack([xi * h1, eta * h2], axis=-1)[None, :, :]
 
     return PlateSystem(
-        pmesh=pmesh, eff=eff, bend_dofs=bend_dofs, memb_dofs=memb_dofs,
+        pmesh=pmesh, bend_dofs=bend_dofs, memb_dofs=memb_dofs,
         k_bb=k_bb, k_aa=k_aa, k_ab=k_ab, m_b=m_b, m_memb=m_memb,
         quad_xy=qp, quad_w=w_phys, basis=basis, mb_val=mb_val,
     )
@@ -373,18 +371,13 @@ def deflection_at_quad(system: PlateSystem, w_red: np.ndarray) -> np.ndarray:
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _block_operator(system: PlateSystem, mass_factor: float) -> fem.SymmetricOperator:
-    top = system.k_bb + mass_factor * system.m_b
+def effective_operator(system: PlateSystem, dt: float,
+                       beta: float = 0.25) -> fem.SymmetricOperator:
+    """Block operator of one Newmark step: K_bb + (1 / (beta dt^2)) M_b in
+    the bending block, coupled to the membrane by K_ab."""
+    top = system.k_bb + (1.0 / (beta * dt * dt)) * system.m_b
     mat = sp.bmat([[top, system.k_ab.T], [system.k_ab, system.k_aa]], format="csr")
     return fem.SymmetricOperator(mat)
-
-
-def _newmark_operator(system: PlateSystem, mass_factor: float) -> fem.SymmetricOperator:
-    """Block operator of the mass factor, memoized on the system for the last factor."""
-    held = system.memo.get("newmark")
-    if held is None or held[0] != mass_factor:
-        held = system.memo["newmark"] = (mass_factor, _block_operator(system, mass_factor))
-    return held[1]
 
 
 def _solve_block(system: PlateSystem, op, r_b, r_m, tol, x0=None):
@@ -396,22 +389,20 @@ def _solve_block(system: PlateSystem, op, r_b, r_m, tol, x0=None):
 
 
 def newmark_step(state: PlateState, dt: float, loads: LoadModel,
-                 beta: float = 0.25, gamma: float = 0.5,
+                 k_eff: fem.SymmetricOperator, beta: float = 0.25, gamma: float = 0.5,
                  picard_tol: float = 1e-10, picard_max: int = 30,
                  tol: float = 1e-12) -> PlateState:
     """One implicit Newmark step with Picard resolution of the z-dependence.
 
     The membrane block is carried at the new time level (no inertia); loads
-    that do not depend on the deflection converge in a single sweep.  The
-    block operator of (dt, beta) is kept on the system, so steps of one dt
-    build it once.
+    that do not depend on the deflection converge in a single sweep.
+    ``k_eff`` is ``effective_operator(state.system, dt, beta)``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     system = state.system
     t_new = state.t + dt
     factor = 1.0 / (beta * dt * dt)
-    op = _newmark_operator(system, factor)
     w_pred = state.w + dt * state.v + dt * dt * (0.5 - beta) * state.a
 
     w_iter = state.w
@@ -422,7 +413,7 @@ def newmark_step(state: PlateState, dt: float, loads: LoadModel,
     for iters in range(1, picard_max + 1):
         r_m, r_b = compute_loads(system, loads, w_iter, t_new)
         rhs_b = r_b + factor * (system.m_b @ w_pred)
-        w_new, m_new, guess = _solve_block(system, op, rhs_b, r_m, tol, x0=guess)
+        w_new, m_new, guess = _solve_block(system, k_eff, rhs_b, r_m, tol, x0=guess)
         delta = np.linalg.norm(w_new - w_iter) / max(np.linalg.norm(w_new), 1e-30)
         w_iter, m_iter = w_new, m_new
         if not loads.f_depends_z or delta <= picard_tol:
@@ -492,8 +483,9 @@ def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
 
     record(state)
     n_steps = int(round(t_end / dt))
+    k_eff = effective_operator(system, dt, beta)
     for _ in range(n_steps):
-        state = newmark_step(state, dt, loads, beta=beta, gamma=gamma,
+        state = newmark_step(state, dt, loads, k_eff, beta=beta, gamma=gamma,
                              picard_tol=picard_tol, picard_max=picard_max, tol=tol)
         record(state)
     return traj

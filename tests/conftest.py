@@ -64,6 +64,12 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def column(kind, ij):
+    """Column of the cell problem (kind, ij) in a solution block and its
+    residuals (``cell.PROBLEMS`` order)."""
+    return pc.PROBLEMS.index((kind, ij))
+
+
 def sym_gradient(mesh, u, elems=None):
     """Reference symmetric gradient (E, n_q, 3, 3) of a nodal field, built
     from the shape-function gradients of ``hex_reference`` and independent

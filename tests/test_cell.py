@@ -6,10 +6,9 @@ import pytest
 from perfolayer import cell as pc
 from perfolayer import fem
 from perfolayer import geometry as pg
-from perfolayer.errors import (AsymmetricInput, InconsistentMesh, MaxIterationsExceeded,
-                               MissingSolutions)
+from perfolayer.errors import AsymmetricInput, InconsistentMesh, MaxIterationsExceeded
 
-from conftest import BOX_HOLE, rng, sym_gradient, voigt_bound
+from conftest import BOX_HOLE, column, rng, sym_gradient, voigt_bound
 
 
 def test_basis_matrices():
@@ -28,7 +27,7 @@ def test_cell_standard_analytic_plane_stress(full_cell_n8, iso_tensor):
     assert 2 * mu * c + lam * (1 + c) == pytest.approx(0.0, abs=1e-15)
 
     mesh, sols, _ = full_cell_n8
-    nod = sols.stretch[(1, 1)].nodal()
+    nod = sols.nodal(column("stretch", (1, 1)))
     exact = c * mesh.coords[:, 2]
     assert np.abs(nod[:, 2] - exact).max() <= 1e-8  # solution is in the space
     assert np.abs(nod[:, :2]).max() <= 1e-8
@@ -39,16 +38,16 @@ def test_cell_standard_shear_is_zero(full_cell_n8, iso_tensor):
     stress = iso_tensor.apply(pc.basis_matrix(1, 2))
     assert np.abs(stress @ np.array([0.0, 0.0, 1.0])).max() == 0.0
     _, sols, _ = full_cell_n8
-    assert np.abs(sols.stretch[(1, 2)].nodal()).max() <= 1e-9
+    assert np.abs(sols.nodal(column("stretch", (1, 2)))).max() <= 1e-9
 
 
 def test_cell_standard_gauge_invariance(full_cell_n8, iso_tensor):
     mesh, sols, _ = full_cell_n8
     dm = sols.dofmap
     k = fem.assemble_elasticity(mesh, iso_tensor, dm)
-    chi = sols.stretch[(1, 1)]
-    shifted = chi.values + dm.restrict(np.full((mesh.n_nodes, 3), 0.37))
-    r1 = k.matvec(chi.values)
+    chi = sols.values[:, column("stretch", (1, 1))]
+    shifted = chi + dm.restrict(np.full((mesh.n_nodes, 3), 0.37))
+    r1 = k.matvec(chi)
     r2 = k.matvec(shifted)
     assert np.allclose(r1, r2, atol=1e-10 * max(1.0, np.abs(r1).max()))
     # the mean-zero constraint pins the representative
@@ -56,7 +55,7 @@ def test_cell_standard_gauge_invariance(full_cell_n8, iso_tensor):
     for c in range(3):
         ones = np.zeros((mesh.n_nodes, 3))
         ones[:, c] = 1.0
-        mean = np.dot(mass.matvec(dm.restrict(ones)), chi.values)
+        mean = np.dot(mass.matvec(dm.restrict(ones)), chi)
         assert abs(mean) <= 1e-9
 
 
@@ -66,14 +65,14 @@ def test_cell_bending_analytic(full_cell_n8, iso_tensor):
     # value at element midheights
     lam = mu = 1.0
     mesh, sols, _ = full_cell_n8
-    chib = sols.bending[(1, 1)].nodal()
+    chib = sols.nodal(column("bending", (1, 1)))
     assert np.abs(chib[:, :2]).max() <= 1e-9
     grads = fem.gradient_decomposition(mesh, chib)
     z_mid = fem.quadrature_points(mesh)[:, :, 2].mean(axis=1)
     expected = lam * z_mid / (lam + 2 * mu)
     got = grads[..., 2].mean(axis=1)
     assert np.abs(got - expected).max() <= 1e-8
-    assert sols.residuals[("bending", (1, 1))] <= 1e-8
+    assert sols.residuals[column("bending", (1, 1))] <= 1e-8
 
 
 def test_cell_bending_parity_in_y3(box_cell_n4, iso_tensor):
@@ -81,7 +80,7 @@ def test_cell_bending_parity_in_y3(box_cell_n4, iso_tensor):
     # components come out odd and the vertical component even (consistent
     # with the analytic quadratic profile on the full cell)
     mesh, sols, _ = box_cell_n4
-    chib = sols.bending[(1, 1)].nodal()
+    chib = sols.nodal(column("bending", (1, 1)))
     coords = mesh.coords
     key = {(round(c[0] * 16), round(c[1] * 16), round(c[2] * 16)): i
            for i, c in enumerate(coords)}
@@ -116,8 +115,8 @@ def _pairing_reference(mesh, tensor, sols):
     stretch, bending = {}, {}
     for ij in pc.INDEX_PAIRS:
         m = pc.basis_matrix(*ij)
-        d_s = sym_gradient(mesh, sols.stretch[ij].nodal())
-        d_b = sym_gradient(mesh, sols.bending[ij].nodal())
+        d_s = sym_gradient(mesh, sols.nodal(column("stretch", ij)))
+        d_b = sym_gradient(mesh, sols.nodal(column("bending", ij)))
         stretch[ij] = d_s + m[None, None, :, :]
         bending[ij] = d_b - y3[:, :, None, None] * m[None, None, :, :]
     w = fem.quadrature_weights(mesh)
@@ -163,14 +162,14 @@ def channel_cell_n8(iso_tensor):
 def _einsum_reference(mesh, tensor, sols):
     """a*, b*, c* from the six total Mandel strains stacked as one
     (6, E * n_q, 6) array and contracted over every quadrature point."""
-    fields = [("stretch", sols.stretch[ij], ij) for ij in pc.INDEX_PAIRS]
-    fields += [("bending", sols.bending[ij], ij) for ij in pc.INDEX_PAIRS]
+    fields = [(kind, sols.nodal(column(kind, ij)), ij)
+              for kind in ("stretch", "bending") for ij in pc.INDEX_PAIRS]
     y3 = fem.quadrature_points(mesh)[:, :, 2:]
     strains = np.empty((6, fem.quadrature_weights(mesh).size, 6))
     for r, (kind, chi, ij) in enumerate(fields):
         profile = 1.0 if kind == "stretch" else -y3
         m = fem.sym_to_mandel(pc.basis_matrix(*ij))
-        strains[r] = (fem.gradient_decomposition(mesh, chi.nodal()) + profile * m).reshape(-1, 6)
+        strains[r] = (fem.gradient_decomposition(mesh, chi) + profile * m).reshape(-1, 6)
     w = fem.quadrature_weights(mesh).reshape(-1)
     g = np.einsum("p,rpi,ij,spj->rs", w, strains, tensor.mandel(), strains,
                   optimize=True) / mesh.geometry.solid_volume
@@ -268,7 +267,7 @@ def test_galerkin_orthogonality(box_cell_n4, iso_tensor):
     r = rng(17)
     stress = iso_tensor.apply(pc.basis_matrix(1, 1))
     rhs = pc._field_rhs(mesh, dm, -fem.sym_to_mandel(stress))
-    chi = sols.stretch[(1, 1)].values
+    chi = sols.values[:, column("stretch", (1, 1))]
     resid = op.matvec(chi) - rhs
     for _ in range(20):
         phi = dm.restrict(r.standard_normal((mesh.n_nodes, 3)))
@@ -334,13 +333,6 @@ def test_helmholtz_requires_full_cell(box_cell_n4):
         pc.helmholtz_decompose(mesh, np.zeros((mesh.n_elems, nq, 3, 3)))
 
 
-def test_corrector_missing_solutions(box_cell_n4, iso_tensor):
-    mesh, sols, _ = box_cell_n4
-    incomplete = pc.CellSolutionSet(mesh=mesh, dofmap=sols.dofmap, tensor=iso_tensor)
-    with pytest.raises(MissingSolutions):
-        pc.effective_tensors(mesh, iso_tensor, incomplete)
-
-
 # ---------------------------------------------------------------------------
 # multigrid-preconditioned cell solves
 # ---------------------------------------------------------------------------
@@ -368,7 +360,7 @@ def test_multigrid_cell_solves_take_few_iterations(kind, n, iso_tensor, monkeypa
             pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
     monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
     sols = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
-    assert max(sols.residuals.values()) <= 1e-10
+    assert sols.residuals.max() <= 1e-10
 
 
 def test_multigrid_block_solve_one_matvec_per_iteration(box_geom, iso_tensor, monkeypatch):

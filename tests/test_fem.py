@@ -14,7 +14,7 @@ from perfolayer import micro as pm
 from perfolayer.errors import (IndefiniteDetected, MaxIterationsExceeded,
                                SingularWithoutConstraints)
 
-from conftest import SIGMA, rigid_field, rng, sym_gradient
+from conftest import BOX_HOLE, SIGMA, rigid_field, rng, sym_gradient
 
 
 def shear_tensor():
@@ -328,6 +328,37 @@ def test_periodic_roundtrip_constant_in_plane():
     u[:, 1] = np.sin(mesh.coords[:, 2])  # constant in y1, y2
     back = dm.expand(dm.restrict(u))
     assert np.allclose(back, u, atol=1e-15)
+
+
+def _node_master_reference(nodes, n_lateral, n_vertical):
+    """The periodic masters as the cell mesh builder formed them before the
+    dof map took them over: wrap i1 = n -> 0 and i2 = n -> 0 and look the
+    wrapped grid index up among the (lexicographic) nodes."""
+    strides = np.array([(n_lateral + 1) * (n_vertical + 1), n_vertical + 1, 1])
+    master = nodes.copy()
+    master[:, :2] %= n_lateral
+    return np.searchsorted(nodes @ strides, master @ strides)
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+@pytest.mark.parametrize("kind", ["box", "channel"])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_periodic_dofmap_wraps_the_lateral_grid(cells, kind, n):
+    # the one-cell layer (the reference cell) and the 2 x 2-cell layer
+    geom = pg.build_cell_geometry(BOX_HOLE if kind == "box" else pg.channel_mask(4), m=4)
+    mesh = pg.build_layer_mesh(geom, 1.0 / cells, SIGMA, n)
+    grid = mesh.node_grid
+    n_lat = cells * n
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    reps = np.count_nonzero((grid[:, 0] < n_lat) & (grid[:, 1] < n_lat))
+    assert dm.n_dofs == 3 * reps
+    ref = _node_master_reference(grid, n_lat, 2 * n)
+    assert np.array_equal(fem._periodic_masters(mesh), ref)
+    assert np.array_equal(dm.node_blocks, dm.node_blocks[ref])
+    # a field of the wrapped grid index is periodic: it survives the round trip
+    table = rng(n).standard_normal((n_lat, n_lat, 2 * n + 1, 3))
+    x = table[grid[:, 0] % n_lat, grid[:, 1] % n_lat, grid[:, 2]]
+    assert np.array_equal(dm.expand(dm.restrict(x)), x)
 
 
 def test_quadrature_gradient_first_order_convergence():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer.errors import (
     DisconnectedSolid,
@@ -44,7 +45,7 @@ def test_cell_mesh_counts():
     geom = pg.build_cell_geometry("full", m=2)
     mesh = pg.build_cell_mesh(geom, 2)
     assert mesh.n_elems == 16
-    assert np.sum(mesh.node_master == np.arange(mesh.n_nodes)) == 20  # after identification
+    assert fem.DofMap(mesh, 1, periodic=True).n_dofs == 20  # after identification
     mesh4 = pg.build_cell_mesh(geom, 4)
     assert mesh4.n_elems == 4 * 4 * 8  # n x n x 2n voxels
 
@@ -272,11 +273,11 @@ def test_cell_gamma_faces_match_per_face_loop(descriptor):
 
 
 def test_element_corners_follow_voxels(box_geom):
-    # n = 12: the cell's i / n and the voxel's i * h may differ in the last bit
+    # n = 12, where i / n and i * (1 / n) may differ in the last bit
     cm = pg.build_cell_mesh(box_geom, 12)
     lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 12, include_void=True)
     lm_solid = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 12)
-    cases = ((cm, [0.0, 0.0, -1.0], cm.node_grid / 12),
+    cases = ((cm, [0.0, 0.0, -1.0], cm.node_grid * cm.spacing[0]),
              (lm, [SIGMA[0][0], SIGMA[1][0], -0.5], lm.node_grid * lm.spacing[0]),
              (lm_solid, [SIGMA[0][0], SIGMA[1][0], -0.5], lm_solid.node_grid * lm.spacing[0]))
     for mesh, origin, scaled in cases:
@@ -301,5 +302,6 @@ def test_cell_mesh_is_the_one_cell_layer(descriptor):
     geom = pg.build_cell_geometry(_descriptor(descriptor), m=4)
     cm = pg.build_cell_mesh(geom, 8)
     lm = pg.build_layer_mesh(geom, 1.0, ((0, 1), (0, 1)), 8)
-    for name in ("elems", "gamma_faces", "voxels", "voxel_elems", "node_grid"):
+    assert isinstance(cm, pg.LayerMesh) and cm.n_cells == 1
+    for name in ("coords", "elems", "gamma_faces", "voxels", "voxel_elems", "node_grid"):
         assert np.array_equal(getattr(cm, name), getattr(lm, name)), name

@@ -8,10 +8,11 @@ from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer import micro as pm
 from perfolayer import plate as pp
+from perfolayer.cell import INDEX_PAIRS
 from perfolayer.errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from perfolayer.loads import CellQuadrature, LoadModel, preset_load_model, _const
 
-from conftest import SIGMA, kirchhoff_love_field, rigid_field, rng, sym_gradient
+from conftest import SIGMA, column, kirchhoff_love_field, rigid_field, rng, sym_gradient
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +340,7 @@ def test_transfer_orders_elements_by_cell_element(box_cell_n4, iso_tensor, cq):
     assert np.abs(y3 - fem.quadrature_points(mesh)[:, None, :, 2]).max() <= 1e-15
     # bending 12 (coefficient H12 + H21): the corrector strain plus the
     # Mandel 12 entry of -y3 (M12 + M21) / 2
-    chi = sols.bending[(1, 2)].nodal()
+    chi = sols.nodal(column("bending", (1, 2)))
     want = fem.sym_to_mandel(sym_gradient(mesh, chi))
     want[..., 5] -= np.sqrt(2.0) / 2.0 * y3[:, 0]
     assert tr.limit_strain.shape == (mesh.n_elems, 8, 6, 6)
@@ -443,8 +444,6 @@ def test_micro_state_forms_computed_once(full_geom2, iso_tensor, cq, monkeypatch
 def _direct_two_scale(ms, ps, sols):
     """Two-scale errors with the plate evaluated at every layer quadrature
     point and the cell gradients decomposed afresh."""
-    from perfolayer.cell import INDEX_PAIRS
-
     ops = ms.ops
     eps = ops.eps
     lmesh = ops.lmesh
@@ -473,8 +472,8 @@ def _direct_two_scale(ms, ps, sols):
                (1, 2): hess[:, 0, 1] + hess[:, 1, 0]}
     dy_u2 = np.zeros((E * Q, 3, 3))
     for ij in INDEX_PAIRS:
-        ds = sym_gradient(sols.mesh, sols.stretch[ij].nodal())
-        db = sym_gradient(sols.mesh, sols.bending[ij].nodal())
+        ds = sym_gradient(sols.mesh, sols.nodal(column("stretch", ij)))
+        db = sym_gradient(sols.mesh, sols.nodal(column("bending", ij)))
         dy_u2 += coeff_s[ij][:, None, None] * ds[cell_elem].reshape(E * Q, 3, 3)
         dy_u2 += coeff_b[ij][:, None, None] * db[cell_elem].reshape(E * Q, 3, 3)
     limit_strain = np.zeros((E * Q, 3, 3))
@@ -584,9 +583,10 @@ def test_two_scale_memo_follows_system_and_cells(coupled_small, box_cell_n4):
     pm.two_scale_errors(ms, ps, sols)
     assert ops.transfer is memo
 
-    doubled = replace(sols, stretch={
-        ij: fem.FieldVector(f.mesh, f.dofmap, 2.0 * f.values)
-        for ij, f in sols.stretch.items()})
+    stretch = [column("stretch", ij) for ij in INDEX_PAIRS]
+    values = sols.values.copy()
+    values[:, stretch] *= 2.0
+    doubled = replace(sols, values=values)
     rep = pm.two_scale_errors(ms, ps, doubled)
     assert ops.transfer is not memo and ops.transfer.sols is doubled
     assert rep.err_symgrad != first.err_symgrad

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer import plate as pp
 from perfolayer.loads import CellQuadrature, preset_load_model
@@ -135,8 +137,9 @@ def test_newmark_zero_loads_stays_zero(full_eff, cell_quad):
     system = pp.assemble_plate_system(pmesh, full_eff)
     loads = _loads("zero", cell_quad)
     state = pp.zero_state(system)
+    k_eff = pp.effective_operator(system, 0.01)
     for _ in range(3):
-        state = pp.newmark_step(state, 0.01, loads)
+        state = pp.newmark_step(state, 0.01, loads, k_eff)
     assert np.abs(state.w).max() == 0.0
     assert np.abs(state.m).max() == 0.0
 
@@ -145,7 +148,8 @@ def test_newmark_single_picard_when_z_independent(full_eff, cell_quad):
     pmesh = pg.build_plate_mesh(SIGMA, 4)
     system = pp.assemble_plate_system(pmesh, full_eff)
     loads = _loads("uniform_vertical", cell_quad)
-    state = pp.newmark_step(pp.zero_state(system), 0.01, loads)
+    state = pp.newmark_step(pp.zero_state(system), 0.01, loads,
+                            pp.effective_operator(system, 0.01))
     assert state.picard_iters == 1
     assert state.picard_converged
 
@@ -158,6 +162,7 @@ def test_picard_contraction_small_lipschitz(full_eff, cell_quad):
     dt = 0.05
     assert slope * dt**2 < 1.0
     state = pp.newmark_step(pp.zero_state(system), dt, loads,
+                            pp.effective_operator(system, dt),
                             picard_tol=1e-12, picard_max=30)
     assert state.picard_converged
     assert state.picard_iters <= 10
@@ -204,7 +209,9 @@ def test_static_limit_time_average(full_eff, cell_quad):
     loads = _loads("uniform_vertical", cell_quad)
     assert not loads.f_depends_z  # one block solve is the stationary state
     r_m, r_b = pp.compute_loads(system, loads, np.zeros(system.bend_dofs.n_dofs), 0.0)
-    static_w = pp._solve_block(system, pp._block_operator(system, 0.0), r_b, r_m, 1e-12)[0]
+    static = fem.SymmetricOperator(sp.bmat([[system.k_bb, system.k_ab.T],
+                                            [system.k_ab, system.k_aa]], format="csr"))
+    static_w = pp._solve_block(system, static, r_b, r_m, 1e-12)[0]
     traj = pp.run_plate(system, loads, dt=1.0 / 256.0, t_end=1.0, store_states=True)
     mean_w = np.mean([s.w for s in traj.states], axis=0)
     num = np.sqrt((mean_w - static_w) @ (system.m_b @ (mean_w - static_w)))
@@ -235,8 +242,9 @@ def test_energy_conserved_from_velocity_kick(full_eff, cell_quad):
     # zero loads and w0 = 0 give m0 = a0 = 0: the zero state with velocity v0
     state = replace(pp.zero_state(system), v=v0)
     energies = [pp.energy(state)]
+    k_eff = pp.effective_operator(system, 1.0 / 128.0)
     for _ in range(32):
-        state = pp.newmark_step(state, 1.0 / 128.0, loads, tol=1e-13)
+        state = pp.newmark_step(state, 1.0 / 128.0, loads, k_eff, tol=1e-13)
         energies.append(pp.energy(state))
     e0 = energies[0]
     assert e0 > 0
@@ -284,21 +292,20 @@ def test_run_plate_builds_block_operator_once(full_eff, cell_quad, monkeypatch):
     loads = _loads("smooth", cell_quad)
     dt = 0.02
     built = []
-    real = pp._block_operator
-    monkeypatch.setattr(pp, "_block_operator",
-                        lambda *a: built.append(a[1]) or real(*a))
+    real = pp.effective_operator
+    monkeypatch.setattr(pp, "effective_operator",
+                        lambda *a: built.append(a[1:]) or real(*a))
     traj = pp.run_plate(system, loads, dt=dt, t_end=3 * dt, store_states=True)
-    assert built == [1.0 / (0.25 * dt * dt)]
+    assert built == [(dt, 0.25)]
     # run_plate starts from the stationary membrane; step on from its states
-    for st in traj.states[:-1]:
-        a = pp.newmark_step(st, dt, loads)
-        system.memo.pop("newmark")
-        b = pp.newmark_step(st, dt, loads)
+    # with two separately built operators
+    first, second = real(system, dt, 0.25), real(system, dt, 0.25)
+    assert first is not second
+    for st, want in zip(traj.states[:-1], traj.states[1:]):
+        a = pp.newmark_step(st, dt, loads, first)
+        b = pp.newmark_step(st, dt, loads, second)
         assert np.array_equal(a.w, b.w) and np.array_equal(a.m, b.m)
-    assert len(built) == 1 + len(traj.states[:-1])
-    # another dt gets the operator of its own mass factor
-    pp.newmark_step(traj.states[0], dt / 2, loads)
-    assert built[-1] == 1.0 / (0.25 * (dt / 2)**2)
+        assert np.array_equal(a.w, want.w) and np.array_equal(a.m, want.m)
 
 
 def test_evaluation_points_memoized_on_system(full_eff):
@@ -320,7 +327,8 @@ def test_evaluation_points_memoized_on_system(full_eff):
 
 
 def test_evaluation_memo_shared_by_threads(full_eff):
-    # converge runs its eps jobs on threads that share one plate system
+    # the points memo lives on the plate system, so threads that share one
+    # system must each get the values of their own points
     system = pp.assemble_plate_system(pg.build_plate_mesh(SIGMA, 4), full_eff)
     r = np.random.default_rng(13)
     w = r.standard_normal(system.bend_dofs.n_dofs)

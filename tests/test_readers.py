@@ -1,8 +1,10 @@
-"""Every public name of the package has a reader in a run.
+"""Every public name of the package has a reader in a run, and every
+dataclass field a reader somewhere.
 
 A public module-level function or class, or a public method, that nothing in
 ``src/perfolayer`` or ``perfbench/`` reads is code that only the tests reach.
-It belongs in the tests that use it, or nowhere.
+It belongs in the tests that use it, or nowhere.  A dataclass field that
+nothing loads, not even a test, keeps its value alive for no one.
 """
 
 import ast
@@ -57,3 +59,27 @@ def test_every_public_name_has_a_reader():
             if not any(ref == name and id(node) not in own for ref, node in refs):
                 unread.append(f"{path}: {qualname}")
     assert not unread, "public names without a reader outside the tests:\n" + "\n".join(unread)
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of every annotated field of a dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # fields are matched by name, like the public names above; the tests
+    # count as readers, since a field may exist to be checked
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    loaded = {node.attr for p in files
+              for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path}: {cls}.{name}" for path, tree in _trees().items()
+              if path.startswith("src/")
+              for cls, name in _dataclass_fields(tree) if name not in loaded]
+    assert not unread, "dataclass fields that nothing reads:\n" + "\n".join(unread)
