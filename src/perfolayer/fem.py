@@ -232,7 +232,8 @@ class DofMap:
     share the reduced dof of their periodic master; Dirichlet dofs map to -1.
     With ``periodic`` the two lateral axes of a voxel mesh wrap: the master
     of a node is the node at its grid index ``mesh.node_grid`` taken modulo
-    the lateral interval counts ``mesh.voxel_elems.shape[:2]``.
+    the lateral interval counts ``mesh.voxel_elems.shape[:2]``.  ``master``
+    keeps the master of every node (each node its own without ``periodic``).
     """
 
     def __init__(self, mesh, ncomp: int = 3, dirichlet_nodes=None, periodic: bool = False):
@@ -240,7 +241,8 @@ class DofMap:
         self.ncomp = ncomp
         self.periodic = periodic  # the two lateral axes wrap
         n_nodes = mesh.coords.shape[0]
-        master = _periodic_masters(mesh) if periodic else np.arange(n_nodes, dtype=np.int64)
+        self.master = master = (_periodic_masters(mesh) if periodic
+                                else np.arange(n_nodes, dtype=np.int64))
         rep = master == np.arange(n_nodes)
         rep_index = -np.ones(n_nodes, dtype=np.int64)
         rep_index[rep] = np.arange(int(rep.sum()))
@@ -522,8 +524,8 @@ def assemble_mass(mesh, dofmap: DofMap, elems=None) -> SymmetricOperator:
     return _assemble(mesh, dofmap, elems, local)
 
 
-def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights, grad_weights,
-                         elems=None) -> SymmetricOperator:
+def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
+                         grad_weights) -> SymmetricOperator:
     """Quadratic form sum_c m_c |u_c|^2 + sum_{i,c} g[i,c] |d_i u_c|^2.
 
     ``grad_weights[i][c]`` weighs the derivative of component c along axis i.
@@ -539,7 +541,7 @@ def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights, grad_weights,
         for i in range(3):
             block = block + grad_weights[i][c] * gg[i]
         local[c::nc, c::nc] = block
-    return _assemble(mesh, dofmap, elems, local)
+    return _assemble(mesh, dofmap, None, local)
 
 
 def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricOperator:
@@ -615,11 +617,10 @@ def mean_zero_augmentations(mesh, dofmap: DofMap, scale_from: SymmetricOperator)
 # fields and the symmetric gradient
 # ---------------------------------------------------------------------------
 
-def element_values(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
+def element_values(mesh, nodal: np.ndarray) -> np.ndarray:
     """Field values at quadrature points, shape (E, n_q, ncomp)."""
     N, G, w, _ = hex_reference(mesh.spacing)
-    el = mesh.elems if elems is None else elems
-    return np.einsum("eac,qa->eqc", nodal[el], N, optimize=True)
+    return np.einsum("eac,qa->eqc", nodal[mesh.elems], N, optimize=True)
 
 
 def element_fields(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
@@ -640,10 +641,9 @@ def gradient_decomposition(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
     return element_fields(mesh, nodal, elems)[..., 3:]
 
 
-def quadrature_weights(mesh, n_elems=None) -> np.ndarray:
+def quadrature_weights(mesh) -> np.ndarray:
     N, G, w, _ = hex_reference(mesh.spacing)
-    e = mesh.elems.shape[0] if n_elems is None else n_elems
-    return np.broadcast_to(w, (e, w.shape[0]))
+    return np.broadcast_to(w, (mesh.elems.shape[0], w.shape[0]))
 
 
 def quadrature_points(mesh, elems=None) -> np.ndarray:
@@ -772,7 +772,8 @@ class GridMultigrid:
     ``solve_spd`` (Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001).
 
     ``op`` is an operator A + V diag(sigma) V^T on the dofs of ``dofmap``;
-    the node blocks, the integer node grid ``mesh.node_grid``, the interval
+    the node blocks, the integer grid index of each block (``node_grid`` of
+    its master node, so the periodic axes are already wrapped), the interval
     count of each axis (``mesh.voxel_elems.shape``) and the lateral
     periodicity all come from the dof map, and eliminated node blocks drop
     out.  A coarse level halves every axis with an even number (> 2) of
@@ -805,8 +806,7 @@ class GridMultigrid:
         periodic = np.array([dofmap.periodic, dofmap.periodic, False])
         keep = dofmap.node_blocks >= 0
         grid = np.empty((dofmap.n_dofs // ncomp, 3), dtype=np.int64)
-        grid[dofmap.node_blocks[keep]] = np.where(periodic, mesh.node_grid % intervals,
-                                                  mesh.node_grid)[keep]
+        grid[dofmap.node_blocks[keep]] = mesh.node_grid[dofmap.master[keep]]
         levels = [_GridLevel(op, grid)]
         while (levels[-1].op.shape[0] > coarsest
                and np.any((intervals % 2 == 0) & (intervals > 2))):
@@ -919,6 +919,10 @@ def _grid_coarsening(grid: np.ndarray, intervals: np.ndarray, periodic: np.ndarr
     return p, coarse_grid, coarse_int
 
 
+EIGEN_BLOCK = 3  # columns of the LOBPCG block
+EIGEN_MAX_SWEEPS = 400  # sweeps before max_rayleigh_pair gives up
+
+
 @dataclass
 class EigenResult:
     value: float
@@ -927,8 +931,7 @@ class EigenResult:
 
 
 def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
-                      seed: int = 0, block: int = 3, max_iter: int = 300,
-                      project=None) -> EigenResult:
+                      seed: int = 0, project=None) -> EigenResult:
     """Largest mu with B x = mu A x by block LOBPCG (Knyazev, SIAM J. Sci.
     Comput. 23(2), 2001).
 
@@ -940,18 +943,19 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
     on X and P are carried by recombination.  ``project`` removes a known
     common kernel from the start block and from W.  Stops once the top
     pair's relative residual |Bx - mu Ax| / |Bx| is at most sqrt(tol), which
-    puts mu within about tol of the eigenvalue.
+    puts mu within about tol of the eigenvalue, and raises
+    ConvergenceFailure after ``EIGEN_MAX_SWEEPS`` sweeps.
     """
     precond = jacobi(a_diag)
     rng = np.random.default_rng(seed)
     n = a_diag.size
-    X = rng.standard_normal((n, max(1, min(block, n))))
+    X = rng.standard_normal((n, max(1, min(EIGEN_BLOCK, n))))
     if project is not None:
         X = project(X)
     S, AS, BS = X, apply_a(X), apply_b(X)
     nx = X.shape[1]  # leading columns of S that hold the previous Ritz block
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, EIGEN_MAX_SWEEPS + 1):
         C, mu = _rayleigh_ritz(S, AS, BS, X.shape[1])
         X, AX, BX = S @ C, AS @ C, BS @ C
         R = BX - AX * mu
@@ -970,7 +974,7 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
         BS = np.hstack([BX, apply_b(W), BP])
         nx = X.shape[1]
     raise ConvergenceFailure(
-        f"eigen iteration did not converge in {max_iter} sweeps "
+        f"eigen iteration did not converge in {EIGEN_MAX_SWEEPS} sweeps "
         f"(last residual {residual:.3e})")
 
 

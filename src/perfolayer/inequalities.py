@@ -41,7 +41,7 @@ class ConstantSweep:
 
 
 def korn_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
-                  seed: int = 0, max_iter: int = 400) -> ConstantEstimate:
+                  seed: int = 0) -> ConstantEstimate:
     """Best constant of the clamped Korn inequality on the perforated layer.
 
     The weighted norm carries eps^-2 on the in-plane components and in-plane
@@ -57,14 +57,14 @@ def korn_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     b_op = fem.assemble_anisotropic(lmesh, dofmap, mass_w, grad_w)
 
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
-                                tol=tol, seed=seed, max_iter=max_iter)
+                                tol=tol, seed=seed)
     constant = eps * float(np.sqrt(res.value))
     return ConstantEstimate("korn", eps, lmesh.resolution, constant,
                             res.residual, res.iterations)
 
 
 def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
-                   seed: int = 0, max_iter: int = 400) -> ConstantEstimate:
+                   seed: int = 0) -> ConstantEstimate:
     """Constant of the lateral trace estimate on the complete layer.
 
     Requires a mesh built with the void elements included: the field lives
@@ -79,7 +79,7 @@ def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     b_op = fem.assemble_surface_mass(lmesh, dofmap, lmesh.lateral_faces)
 
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
-                                tol=tol, seed=seed, max_iter=max_iter)
+                                tol=tol, seed=seed)
     constant = float(np.sqrt(max(res.value, 0.0))) / np.sqrt(eps)
     return ConstantEstimate("trace", eps, lmesh.resolution, constant,
                             res.residual, res.iterations)
@@ -168,8 +168,8 @@ def _orthonormal_rigid(prob: ExtensionProblem) -> np.ndarray:
     return np.array(basis)
 
 
-def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
-                   max_iter: int = 400) -> ConstantEstimate:
+def extension_norm(prob: ExtensionProblem, tol: float = 1e-8,
+                   seed: int = 0) -> ConstantEstimate:
     """Operator norm of the energy-minimizing extension on the quotient
     modulo rigid displacements: sup |D(Ev)| / |D(v)|.
 
@@ -196,8 +196,7 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8, seed: int = 0,
     # kernel; on the projected iterates it equals the solid energy
     s_aug = SymmetricOperator(s, m @ rigid.T, np.full(rigid.shape[0], s.diagonal().mean()))
     res = fem.max_rayleigh_pair(apply_n, s_aug.matvec, s_aug.diagonal(),
-                                tol=tol, seed=seed, max_iter=max_iter,
-                                project=project)
+                                tol=tol, seed=seed, project=project)
     ratio = float(np.sqrt(max(res.value, 1.0)))
     return ConstantEstimate("extension", lmesh.eps, lmesh.resolution, ratio,
                             res.residual, res.iterations)

@@ -94,7 +94,7 @@ class MicroState:
 
 
 def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
-                   loads: LoadModel | None = None) -> MicroOperators:
+                   loads: LoadModel) -> MicroOperators:
     """Mass and eps^-2-scaled stiffness with Dirichlet on the lateral
     boundary, plus the fixed interior-surface traction vector."""
     if abs(eps - lmesh.eps) > 1e-12:
@@ -113,7 +113,7 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
     quad_y[..., :2] %= 1.0
 
     surface_rhs = np.zeros(dofmap.n_dofs)
-    if loads is not None and lmesh.gamma_faces.shape[0]:
+    if lmesh.gamma_faces.shape[0]:
         spts, sw = fem.surface_quadrature(lmesh, lmesh.gamma_faces)
         sy = spts / eps
         sy[:, :2] %= 1.0
@@ -228,7 +228,7 @@ class MicroTrajectory:
 def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
               beta: float = 0.25, gamma: float = 0.5, picard_tol: float = 1e-10,
               picard_max: int = 30, tol: float = 1e-11,
-              store_states: bool = False, on_state=None) -> MicroTrajectory:
+              store_states: bool = False) -> MicroTrajectory:
     """Integrate from zero initial data; records the scaled a priori
     quantities and the discrete energies per step."""
     traj = MicroTrajectory(ops=ops)
@@ -244,8 +244,6 @@ def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
                           kin, ela, st.picard_iters])
         if store_states:
             traj.states.append(st)
-        if on_state is not None:
-            on_state(st)
 
     record(state)
     for _ in range(int(round(t_end / dt))):
@@ -455,7 +453,7 @@ class PlateTransfer:
             plate_at=PlatePoints(system, distinct),
             elems=elems, inverse=inverse,
             y3=(fem.quadrature_points(lmesh, elems)[..., 2] / ops.eps).reshape(-1),
-            flat_w=fem.quadrature_weights(lmesh, len(elems)).reshape(-1),
+            flat_w=fem.quadrature_weights(lmesh).reshape(-1),
             limit_strain=limit,
         )
 

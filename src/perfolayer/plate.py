@@ -23,8 +23,8 @@ from .loads import LoadModel
 _GAUSS_N = 4
 
 
-def _gauss_1d(n=_GAUSS_N):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _gauss_1d():
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_N)
     return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
 
 
@@ -307,7 +307,7 @@ class PlatePoints:
     def deflection(self, w_red: np.ndarray, derivatives: bool = False):
         """Deflection (and optionally gradient and Hessian) at the points."""
         basis, dofs = self._bending
-        coeff = np.where(dofs >= 0, np.concatenate([w_red, [0.0]])[dofs], 0.0)
+        coeff = np.append(w_red, 0.0)[dofs]
         w = np.einsum("pi,pi->p", basis.val, coeff)
         if not derivatives:
             return w
@@ -324,7 +324,7 @@ class PlatePoints:
     def membrane(self, m_red: np.ndarray, derivatives: bool = False):
         """In-plane displacement (and optionally its symmetric gradient)."""
         (val, dx, dy), dofs = self._membrane
-        coeff = np.where(dofs >= 0, np.concatenate([m_red, [0.0]])[dofs], 0.0)
+        coeff = np.append(m_red, 0.0)[dofs]
         c1 = coeff[:, 0::2]
         c2 = coeff[:, 1::2]
         u = np.stack([np.einsum("pi,pi->p", val, c1),
@@ -355,15 +355,14 @@ def evaluate_deflection(system: PlateSystem, w_red: np.ndarray, pts: np.ndarray,
     return _plate_points(system, pts).deflection(w_red, derivatives)
 
 
-def evaluate_membrane(system: PlateSystem, m_red: np.ndarray, pts: np.ndarray,
-                      derivatives: bool = False):
-    """In-plane displacement (and optionally its symmetric gradient)."""
-    return _plate_points(system, pts).membrane(m_red, derivatives)
+def evaluate_membrane(system: PlateSystem, m_red: np.ndarray, pts: np.ndarray):
+    """In-plane displacement at arbitrary points."""
+    return _plate_points(system, pts).membrane(m_red)
 
 
 def deflection_at_quad(system: PlateSystem, w_red: np.ndarray) -> np.ndarray:
     dofs = system.bend_dofs.element_dofs(system.pmesh.elems)
-    coeff = np.where(dofs >= 0, np.concatenate([w_red, [0.0]])[dofs], 0.0)
+    coeff = np.append(w_red, 0.0)[dofs]
     return coeff @ system.basis.val.T  # (E, Q)
 
 
@@ -449,8 +448,8 @@ class PlateTrajectory:
 def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
               beta: float = 0.25, gamma: float = 0.5,
               picard_tol: float = 1e-10, picard_max: int = 30,
-              tol: float = 1e-12, probes=(), store_states: bool = False,
-              on_state=None) -> PlateTrajectory:
+              tol: float = 1e-12, probes=(),
+              store_states: bool = False) -> PlateTrajectory:
     """Integrate the plate from zero initial data and record norms,
     energies and probe values per step.
 
@@ -478,8 +477,6 @@ def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
         traj.rows.append(row)
         if store_states:
             traj.states.append(st)
-        if on_state is not None:
-            on_state(st)
 
     record(state)
     n_steps = int(round(t_end / dt))

@@ -13,6 +13,7 @@ from perfolayer import inequalities as inq
 from perfolayer import micro as pm
 from perfolayer.errors import (IndefiniteDetected, MaxIterationsExceeded,
                                SingularWithoutConstraints)
+from perfolayer.loads import preset_load_model
 
 from conftest import BOX_HOLE, SIGMA, rigid_field, rng, sym_gradient
 
@@ -354,6 +355,7 @@ def test_periodic_dofmap_wraps_the_lateral_grid(cells, kind, n):
     assert dm.n_dofs == 3 * reps
     ref = _node_master_reference(grid, n_lat, 2 * n)
     assert np.array_equal(fem._periodic_masters(mesh), ref)
+    assert np.array_equal(dm.master, ref)
     assert np.array_equal(dm.node_blocks, dm.node_blocks[ref])
     # a field of the wrapped grid index is periodic: it survives the round trip
     table = rng(n).standard_normal((n_lat, n_lat, 2 * n + 1, 3))
@@ -567,7 +569,8 @@ def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
 
     monkeypatch.setattr(fem, "AssemblyPlan", CountingPlan)
     lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
-    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.5)
+    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.5,
+                            preset_load_model("zero"))
     assert built == [lm.elems.shape]  # mass and stiffness
     assert ops.mass.matrix.nnz < ops.stiffness.matrix.nnz
     # a new DofMap builds its own plan, and so does another element array
@@ -706,7 +709,8 @@ def test_row_split_product_equals_matrix_product(n_blocks, monkeypatch):
 @pytest.mark.parametrize("n_blocks", [2, 3])
 def test_row_split_product_bits_on_layer_operator(box_geom, n_blocks, monkeypatch):
     lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
-    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.25)
+    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.25,
+                            preset_load_model("zero"))
     a = pm.effective_operator(ops, 0.25 / 8).matrix
     prod = _split(a, n_blocks, monkeypatch)
     assert len(prod.blocks) == n_blocks
@@ -829,6 +833,28 @@ def _cell_multigrid(geom, n, coarsest, monkeypatch):
     return op, pc._cell_multigrid(op, dm)
 
 
+def _former_fine_grid(dm):
+    """The V-cycle's fine grid as it was formed before it read the dof map's
+    masters: each kept node's grid index, wrapped on the periodic axes."""
+    mesh = dm.mesh
+    intervals = np.array(mesh.voxel_elems.shape, dtype=np.int64)
+    periodic = np.array([dm.periodic, dm.periodic, False])
+    keep = dm.node_blocks >= 0
+    grid = np.empty((dm.n_dofs // dm.ncomp, 3), dtype=np.int64)
+    grid[dm.node_blocks[keep]] = np.where(periodic, mesh.node_grid % intervals,
+                                          mesh.node_grid)[keep]
+    return grid
+
+
+def test_grid_multigrid_fine_grid_of_periodic_cell(box_geom):
+    mesh = pg.build_cell_mesh(box_geom, 16)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
+    mg = fem.GridMultigrid(op, dm)
+    assert np.array_equal(mg.levels[0].grid, _former_fine_grid(dm))
+    assert mg.levels[0].grid[:, :2].max() == 15  # the lateral index 16 wraps to 0
+
+
 def test_grid_multigrid_on_clamped_korn_layer(box_geom):
     # the Korn operator: clamped (eliminated node blocks), not periodic, and
     # perforated (nodes missing from the background grid)
@@ -839,6 +865,8 @@ def test_grid_multigrid_on_clamped_korn_layer(box_geom):
     assert (lm.voxel_elems < 0).any()
     mg = fem.GridMultigrid(op, dm)
     assert len(mg.levels) >= 2 and mg.levels[0].op is op
+    assert np.array_equal(dm.master, np.arange(lm.n_nodes))
+    assert np.array_equal(mg.levels[0].grid, _former_fine_grid(dm))
     b = rng(5).standard_normal(op.shape[0])
     iters = []
     for precond in (fem.jacobi(op.diagonal()), mg):

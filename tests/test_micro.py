@@ -277,7 +277,7 @@ def void_layers(box_geom):
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_micro_operators_equal_scaled_copies_and_sum(void_layers, iso_tensor, name, eps):
     lmesh = void_layers[name, eps]
-    ops = pm.assemble_micro(lmesh, iso_tensor, eps)
+    ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
     # only the operators of the time loop are kept, and the plan is released
     assert "strain_energy" not in {f.name for f in dataclasses.fields(ops)}
     assert ops.dofmap._plan is None
@@ -303,10 +303,11 @@ def test_element_fields_match_values_and_gradients(void_layers, name, eps):
     assert lmesh.n_elems < lmesh.n_cells * 4 * 4 * 8  # the cell has voids
     r = rng(7)
     u = r.standard_normal((lmesh.n_nodes, 3))
-    for elems in (None, lmesh.elems[r.permutation(lmesh.n_elems)]):
+    perm = r.permutation(lmesh.n_elems)
+    for elems, order in ((None, slice(None)), (lmesh.elems[perm], perm)):
         got = fem.element_fields(lmesh, u, elems)
         want = np.concatenate([
-            fem.element_values(lmesh, u, elems),
+            fem.element_values(lmesh, u)[order],
             fem.sym_to_mandel(sym_gradient(lmesh, u, elems)),
         ], axis=-1)
         assert got.shape == want.shape
@@ -377,7 +378,7 @@ def test_volume_rhs_of_inplane_load_evaluates_distinct_points(void_layers, iso_t
     # a force of (t, x1, x2) alone is evaluated once per distinct in-plane
     # point; the load vector equals the pointwise evaluation bit for bit
     lmesh = void_layers[name, eps]
-    ops = pm.assemble_micro(lmesh, iso_tensor, eps)
+    ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
     u3 = fem.element_values(lmesh, rng(9).standard_normal((lmesh.n_nodes, 3)))[..., 2]
     n_distinct = ops.inplane[0].shape[0]
     assert 4 * n_distinct < u3.size
@@ -457,7 +458,7 @@ def _direct_two_scale(ms, ps, sols):
     y3 = (x[..., 2] / eps).reshape(-1)
     flat_w = fem.quadrature_weights(lmesh).reshape(-1)
     wvals, grad, hess = pp.evaluate_deflection(system, ps.w, pts, derivatives=True)
-    u1, strain = pp.evaluate_membrane(system, ps.m, pts, derivatives=True)
+    u1, strain = pp.PlatePoints(system, pts).membrane(ps.m, True)
 
     err_u3 = float(np.sqrt(np.sum(flat_w * (uq[..., 2].reshape(-1) - wvals)**2) / eps))
     err_u1 = []

@@ -1,10 +1,18 @@
-"""Every public name of the package has a reader in a run, and every
-dataclass field a reader somewhere.
+"""Every public name of the package has a reader in a run, every dataclass
+field a reader somewhere, and every defaulted parameter a caller that passes
+it.
 
 A public module-level function or class, or a public method, that nothing in
 ``src/perfolayer`` or ``perfbench/`` reads is code that only the tests reach.
 It belongs in the tests that use it, or nowhere.  A dataclass field that
-nothing loads, not even a test, keeps its value alive for no one.
+nothing loads, not even a test, keeps its value alive for no one.  A
+defaulted parameter of a function or method (public or private) that no call
+in ``src/perfolayer`` or ``perfbench/`` passes has one value in every run: it
+is a constant, and belongs in the code as one.  A call passes a parameter
+when its callee name matches (the class name for ``__init__``) and it names
+the parameter, has more positional arguments than the parameter's index, or
+unpacks ``*`` or ``**`` arguments.  A parameter that every run passes with
+one value is not caught; that still needs a reader's eye.
 """
 
 import ast
@@ -83,3 +91,54 @@ def test_every_dataclass_field_is_read():
               if path.startswith("src/")
               for cls, name in _dataclass_fields(tree) if name not in loaded]
     assert not unread, "dataclass fields that nothing reads:\n" + "\n".join(unread)
+
+
+def _defaulted_parameters(tree):
+    """(qualified name, callee name, parameter, positional index or None) of
+    every defaulted parameter of the module-level functions and the methods
+    of module-level classes; the index of a method does not count ``self``
+    or ``cls``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [(f"{node.name}.{item.name}",
+                          node.name if item.name == "__init__" else item.name, item)
+                         for item in node.body if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for qualname, callee, fn in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            bound = int("." in qualname and bool(positional)
+                        and positional[0].arg in ("self", "cls"))
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                yield qualname, callee, positional[index].arg, index - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualname, callee, arg.arg, None
+
+
+def _passes(call, parameter, index):
+    return (any(k.arg in (parameter, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_defaulted_parameter_is_passed():
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [f"{path}: {qualname}({parameter})"
+                for path, tree in trees.items() if path.startswith("src/")
+                for qualname, callee, parameter, index in _defaulted_parameters(tree)
+                if not any(_passes(c, parameter, index) for c in calls.get(callee, ()))]
+    assert not unpassed, ("defaulted parameters that no call in a run passes:\n"
+                          + "\n".join(unpassed))
