@@ -17,7 +17,7 @@ from .errors import (DisconnectedSolid, EmptySolid, ParseError, PeriodicMismatch
                      ResolutionIncompatible, ValidationError)
 from .fem import ElasticityTensor4
 from .geometry import build_cell_geometry, channel_mask
-from .loads import expression_load_model, preset_load_model
+from .loads import LoadModel, preset_load_model
 
 _DEFAULTS = {
     "geometry": {
@@ -142,7 +142,7 @@ class SimConfig:
     def build_loads(self):
         l = self.tree["loads"]
         if l.get("expressions"):
-            return expression_load_model(l["expressions"])
+            return LoadModel(l["expressions"])
         return preset_load_model(l["preset"], l.get("params"))
 
     def echo(self) -> dict:
@@ -289,9 +289,16 @@ def validate_tree(tree: dict) -> dict:
     if loads.get("expressions") is None and not isinstance(loads.get("preset"), str):
         raise ValidationError("needs 'preset' or 'expressions'", key="loads")
 
+    (a1, b1), (a2, b2) = SimConfig(merged).sigma
     probes = merged["probes"]
-    if not isinstance(probes, list) or any(len(p) != 2 for p in probes):
+    if not isinstance(probes, list):
         raise ValidationError("expected a list of [x, y] points", key="probes")
+    for k, p in enumerate(probes):
+        ok = (isinstance(p, (list, tuple)) and len(p) == 2
+              and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p))
+        if not (ok and a1 <= p[0] <= b1 and a2 <= p[1] <= b2):
+            raise ValidationError(f"point {k} is not an [x, y] pair of numbers in "
+                                  f"[{a1:g}, {b1:g}] x [{a2:g}, {b2:g}]", key="probes")
 
     # constructing the load model validates expressions and preset names
     SimConfig(merged).build_loads()

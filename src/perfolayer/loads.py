@@ -1,18 +1,22 @@
 """Volume and surface load models with cell-quadrature averaging.
 
 Loads are scalar functions of (t, x1, x2, y1, y2, y3, z) for the three volume
-components and (x1, x2, y1, y2, y3) for the interior surface tractions.  They
-come either from built-in presets or from expression strings, so that runs
-are reproducible from the configuration alone.  An expression is read by
+components and (x1, x2, y1, y2, y3) for the interior surface tractions.  Every
+load is a set of expression strings, so that runs are reproducible from the
+configuration alone; a built-in preset is a row of ``PRESETS``, whose texts
+take its parameter values in ``{name}`` slots.  An expression is read by
 Python's own parser (``ast``) and then checked against a whitelist: decimal
-numerals, ``pi``, the allowed variables, unary minus, binary ``+ - * / **``
-and ``sin``, ``cos``, ``exp`` of one argument.  The checked tree is evaluated
-by a small interpreter; config text is never compiled or executed.
+numerals, ``pi``, the allowed variables, unary minus, binary ``+ - * / **``,
+``sin``, ``cos``, ``exp`` and ``step`` of one argument and ``min``, ``max`` of
+two.  The checked tree is evaluated by a small interpreter; config text is
+never compiled or executed.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -22,13 +26,18 @@ import numpy as np
 from . import fem
 from .errors import ParseError, ValidationError
 
-_CHARS = r"[0-9A-Za-z_.+\-*/()\s]*"
+_CHARS = r"[0-9A-Za-z_.+\-*/(),\s]*"
 _NUMERAL = r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+# name -> (function, number of arguments); step(x) is 1 for x > 0, else 0
+_FUNCTIONS = {"sin": (np.sin, 1), "cos": (np.cos, 1), "exp": (np.exp, 1),
+              "step": (lambda x: np.heaviside(x, 0.0), 1),
+              "min": (np.minimum, 2), "max": (np.maximum, 2)}
 _VOLUME_VARS = ("t", "x1", "x2", "y1", "y2", "y3", "z")
 _SURFACE_VARS = ("x1", "x2", "y1", "y2", "y3")
+_COMPONENTS = ("f1", "f2", "f3", "g1", "g2", "g3")
 
 
 class Expression:
@@ -71,9 +80,11 @@ class Expression:
             return ("op", _OPERATORS[type(node.op)],
                     self._check(node.left), self._check(node.right))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in _FUNCTIONS and len(node.args) == 1
-              and not node.keywords and not isinstance(node.args[0], ast.Starred)):
-            return ("op", _FUNCTIONS[node.func.id], self._check(node.args[0]))
+              and node.func.id in _FUNCTIONS and not node.keywords
+              and len(node.args) == _FUNCTIONS[node.func.id][1]
+              and not any(isinstance(arg, ast.Starred) for arg in node.args)):
+            return ("op", _FUNCTIONS[node.func.id][0],
+                    *[self._check(arg) for arg in node.args])
         segment = ast.get_source_segment(self._source, node)
         raise ParseError(f"unsupported construct {segment!r} in {self.text!r}")
 
@@ -113,32 +124,46 @@ class CellQuadrature:
 
 
 class LoadModel:
-    """Volume forces f^i(t, xbar, y, z) and surface tractions g^i(xbar, y).
+    """Volume forces f^i(t, xbar, y, z) and surface tractions g^i(xbar, y),
+    read from expression texts keyed f1, f2, f3, g1, g2, g3 (a missing one
+    is 0).
 
     The scale factors of the thin-layer problem (the vertical components
     carry an extra eps) are applied by the consumers, not stored here.
     """
 
-    def __init__(self, f, g, depends_y: bool = True, depends_z: bool = True,
-                 cell_quad: CellQuadrature | None = None):
-        self.f = tuple(f)
-        self.g = tuple(g)
-        self.f_depends_y = depends_y
-        self.f_depends_z = depends_z
-        self.cell_quad = cell_quad
+    def __init__(self, texts):
+        if not isinstance(texts, dict):
+            raise ValidationError("expected a mapping of load components to "
+                                  "expressions", key="loads.expressions")
+        for key in texts:
+            if key not in _COMPONENTS:
+                raise ValidationError("unknown load component (allowed: "
+                                      f"{', '.join(_COMPONENTS)})",
+                                      key=f"loads.expressions.{key}")
+        self.f = tuple(Expression(str(texts.get(key, "0")), _VOLUME_VARS)
+                       for key in _COMPONENTS[:3])
+        self.g = tuple(Expression(str(texts.get(key, "0")), _SURFACE_VARS)
+                       for key in _COMPONENTS[3:])
+        used = set().union(*(e.used for e in self.f))
+        self.f_depends_y = not used.isdisjoint({"y1", "y2", "y3"})
+        self.f_depends_z = "z" in used
+        self.cell_quad = None
 
     def with_cell_quadrature(self, cell_quad: CellQuadrature) -> "LoadModel":
-        return LoadModel(self.f, self.g, self.f_depends_y, self.f_depends_z,
-                         cell_quad)
+        model = copy.copy(self)
+        model.cell_quad = cell_quad
+        return model
 
     def eval_f(self, i: int, t, x1, x2, y1, y2, y3, z):
         return np.broadcast_to(
-            np.asarray(self.f[i](t, x1, x2, y1, y2, y3, z), dtype=float),
+            np.asarray(self.f[i](t=t, x1=x1, x2=x2, y1=y1, y2=y2, y3=y3, z=z),
+                       dtype=float),
             np.broadcast_shapes(np.shape(x1), np.shape(y3), np.shape(z))).copy()
 
     def eval_g(self, i: int, x1, x2, y1, y2, y3):
         return np.broadcast_to(
-            np.asarray(self.g[i](x1, x2, y1, y2, y3), dtype=float),
+            np.asarray(self.g[i](x1=x1, x2=x2, y1=y1, y2=y2, y3=y3), dtype=float),
             np.broadcast_shapes(np.shape(x1), np.shape(y3))).copy()
 
     def effective_loads(self, t: float, x1, x2, z):
@@ -179,93 +204,57 @@ class LoadModel:
         return h, hbar
 
 
-def _const(c):
-    return lambda *args: np.asarray(c, dtype=float)
+# s = t / t_ramp clipped to [0, 1] and the C^4 ramp 126 s^5 - 420 s^6 + 540 s^7
+# - 315 s^8 + 70 s^9 in Horner form, which rises from 0 to 1 over [0, t_ramp]
+_S = "min(max(t / {t_ramp}, 0.0), 1.0)"
+_RAMP = ("{s}**5 * (126.0 + {s} * (-420.0 + {s} * (540.0 + {s} * (-315.0 + 70.0 * {s}))))"
+         .replace("{s}", _S))
+_SINES = {"f1": "{inplane} * (" + _RAMP + ") * sin(pi * x1) * cos(pi * x2)",
+          "f3": "{vertical} * (" + _RAMP + ") * sin(pi * x1) * sin(pi * x2)"}
 
-
-ZERO3_F = tuple(_const(0.0) for _ in range(3))
-ZERO3_G = tuple(_const(0.0) for _ in range(3))
+# name -> (parameter defaults, expression texts with {parameter} slots).
+# "smooth" and "linear" are smooth in-plane/vertical sines with a C^4 time
+# ramp; the ramp keeps the fast micro modes adiabatic so that their ringing
+# vanishes with eps.  "smooth" ramps fast enough that the velocity maxima
+# crest within short observation windows; "linear" ramps more slowly, which
+# makes the scaled micro-macro distances decrease cleanly with eps (the model
+# is linear: no z dependence).
+PRESETS = {
+    "zero": ({}, {}),
+    "uniform_vertical": ({"amplitude": 1.0}, {"f3": "{amplitude}"}),
+    "smooth": ({"inplane": 0.3, "t_ramp": 0.15, "vertical": 1.0}, _SINES),
+    "linear": ({"inplane": 0.15, "t_ramp": 0.3, "vertical": 1.0}, _SINES),
+    "linear_z": ({"slope": 0.2}, {"f3": "1.0 + {slope} * z"}),
+    "pulse": ({"t0": 0.1, "amplitude": 1.0}, {"f3": "{amplitude} * step({t0} - t)"}),
+    "surface_pressure": ({"amplitude": 1.0}, {"g3": "{amplitude}"}),
+}
 
 
 def preset_load_model(name: str, params=None) -> LoadModel:
-    """Built-in load presets (all reproducible without expression strings)."""
-    params = dict(params or {})
-    if name == "zero":
-        return LoadModel(ZERO3_F, ZERO3_G, depends_y=False, depends_z=False)
-    if name == "uniform_vertical":
-        amp = float(params.pop("amplitude", 1.0))
-        f = (_const(0.0), _const(0.0), lambda t, x1, x2, y1, y2, y3, z: amp * np.ones_like(np.asarray(x1, dtype=float)))
-        return LoadModel(f, ZERO3_G, depends_y=False, depends_z=False)
-    if name in ("smooth", "linear"):
-        # both are smooth in-plane/vertical sines with a C^4 time ramp; the
-        # ramp keeps the fast micro modes adiabatic so that their ringing
-        # vanishes with eps.  "smooth" ramps fast enough that the velocity
-        # maxima crest within short observation windows; "linear" ramps more
-        # slowly, which makes the scaled micro-macro distances decrease
-        # cleanly with eps (the model is linear: no z dependence).
-        defaults = {"smooth": (0.3, 0.15), "linear": (0.15, 0.3)}
-        a = float(params.pop("inplane", defaults[name][0]))
-        t_ramp = float(params.pop("t_ramp", defaults[name][1]))
-        b = float(params.pop("vertical", 1.0))
-
-        def ramp(t):
-            s = np.clip(t / t_ramp, 0.0, 1.0)
-            return s**5 * (126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + 70.0 * s))))
-
-        def f1(t, x1, x2, y1, y2, y3, z):
-            return a * ramp(t) * np.sin(np.pi * x1) * np.cos(np.pi * x2)
-
-        def f3(t, x1, x2, y1, y2, y3, z):
-            return b * ramp(t) * np.sin(np.pi * x1) * np.sin(np.pi * x2)
-
-        return LoadModel((f1, _const(0.0), f3), ZERO3_G, depends_y=False,
-                         depends_z=False)
-    if name == "linear_z":
-        slope = float(params.pop("slope", 0.2))
-
-        def f3(t, x1, x2, y1, y2, y3, z):
-            return 1.0 + slope * z
-
-        return LoadModel((_const(0.0), _const(0.0), f3), ZERO3_G,
-                         depends_y=False, depends_z=True)
-    if name == "pulse":
-        t0 = float(params.pop("t0", 0.1))
-        amp = float(params.pop("amplitude", 1.0))
-
-        def f3(t, x1, x2, y1, y2, y3, z):
-            on = amp if t < t0 else 0.0
-            return on * np.ones_like(np.asarray(x1, dtype=float))
-
-        return LoadModel((_const(0.0), _const(0.0), f3), ZERO3_G,
-                         depends_y=False, depends_z=False)
-    if name == "surface_pressure":
-        amp = float(params.pop("amplitude", 1.0))
-        g = (_const(0.0), _const(0.0), _const(amp))
-        return LoadModel(ZERO3_F, g, depends_y=False, depends_z=False)
-    raise ValidationError(f"unknown load preset {name!r}", key="loads.preset")
-
-
-def expression_load_model(exprs: dict) -> LoadModel:
-    """Load model from expression strings f1, f2, f3, g1, g2, g3."""
-    f = []
-    depends_y = False
-    depends_z = False
-    for key in ("f1", "f2", "f3"):
-        expr = Expression(str(exprs.get(key, "0")), _VOLUME_VARS)
-        depends_y |= bool(expr.used & {"y1", "y2", "y3"})
-        depends_z |= "z" in expr.used
-
-        def make(e):
-            return lambda t, x1, x2, y1, y2, y3, z: e(
-                t=t, x1=x1, x2=x2, y1=y1, y2=y2, y3=y3, z=z)
-
-        f.append(make(expr))
-    g = []
-    for key in ("g1", "g2", "g3"):
-        expr = Expression(str(exprs.get(key, "0")), _SURFACE_VARS)
-
-        def make_g(e):
-            return lambda x1, x2, y1, y2, y3: e(x1=x1, x2=x2, y1=y1, y2=y2, y3=y3)
-
-        g.append(make_g(expr))
-    return LoadModel(tuple(f), tuple(g), depends_y=depends_y, depends_z=depends_z)
+    """Load model of the preset ``name`` with the given parameter values in
+    place of its defaults."""
+    if name not in PRESETS:
+        raise ValidationError(f"unknown load preset {name!r}", key="loads.preset")
+    defaults, texts = PRESETS[name]
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValidationError("expected a mapping of preset parameters",
+                              key="loads.params")
+    values = dict(defaults)
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValidationError(f"unknown parameter of preset {name!r} (allowed: "
+                                  f"{', '.join(defaults) or 'none'})",
+                                  key=f"loads.params.{key}")
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValidationError("must be a finite number", key=f"loads.params.{key}")
+        values[key] = value
+    if not values.get("t_ramp", 1.0) > 0:
+        raise ValidationError("must be positive", key="loads.params.t_ramp")
+    # parenthesised, so that a negative value stays whole under **
+    slots = {key: f"({float(value)!r})" for key, value in values.items()}
+    return LoadModel({key: text.format(**slots) for key, text in texts.items()})

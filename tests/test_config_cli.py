@@ -8,7 +8,7 @@ import pytest
 from perfolayer.cli import run_command
 from perfolayer.config import SimConfig, load_config, validate_tree
 from perfolayer.errors import ParseError, ValidationError
-from perfolayer.loads import Expression, preset_load_model
+from perfolayer.loads import PRESETS, Expression, preset_load_model
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,15 @@ EXPRESSIONS_ACCEPTED = [
     ("t*x1 + 1e0", lambda t, x1, x2, y1, y2, y3, z: t * x1 + 1.0, {"t", "x1"}),
     ("y3 * cos(pi*x1) - 0.5", lambda t, x1, x2, y1, y2, y3, z: y3 * np.cos(np.pi * x1) - 0.5,
      {"x1", "y3"}),
+    ("min(x1, x2)", lambda t, x1, x2, y1, y2, y3, z: np.minimum(x1, x2), {"x1", "x2"}),
+    ("max(y1,z)", lambda t, x1, x2, y1, y2, y3, z: np.maximum(y1, z), {"y1", "z"}),
+    ("min(max(t / 0.15, 0.0), 1.0)",
+     lambda t, x1, x2, y1, y2, y3, z: np.minimum(np.maximum(t / 0.15, 0.0), 1.0), {"t"}),
+    ("step(x1 - 0.5)", lambda t, x1, x2, y1, y2, y3, z: np.heaviside(x1 - 0.5, 0.0), {"x1"}),
+    ("step(0.3 - t)", lambda t, x1, x2, y1, y2, y3, z: np.heaviside(0.3 - t, 0.0), {"t"}),
+    ("2 * step(-y3) * max(-z, z) ** 2",
+     lambda t, x1, x2, y1, y2, y3, z: 2.0 * np.heaviside(-y3, 0.0) * np.maximum(-z, z) ** 2.0,
+     {"y3", "z"}),
 ]
 
 # (text, variables, error); a keyword or a call is a construct outside the
@@ -127,6 +136,16 @@ EXPRESSIONS_REJECTED = [
     ("sin()", _VOL, ParseError),
     ("sin(x1, x2)", _VOL, ParseError),
     ("sin(*x1)", _VOL, ParseError),
+    ("min(x1)", _VOL, ParseError),
+    ("max(x1, x2, y1)", _VOL, ParseError),
+    ("step()", _VOL, ParseError),
+    ("step(x1, x2)", _VOL, ParseError),
+    ("min(*x1, x2)", _VOL, ParseError),
+    ("max(x1, *x2)", _VOL, ParseError),
+    ("step(**x1)", _VOL, ParseError),
+    ("max", _VOL, ParseError),
+    ("x1, x2", _VOL, ParseError),
+    ("min(q, x1)", _VOL, ValidationError),
     ("pi(x1)", _VOL, ParseError),
     ("x1(2)", _VOL, ParseError),
     ("x1.real", _VOL, ParseError),
@@ -246,7 +265,7 @@ def test_config_expression_loads(tmp_path):
     lm = cfg.build_loads()
     assert lm.f_depends_z
     assert not lm.f_depends_y
-    v = lm.f[2](0.0, 0.5, 0.5, 0, 0, 0, 0.0)
+    v = lm.eval_f(2, 0.0, 0.5, 0.5, 0, 0, 0, 0.0)
     assert v == pytest.approx(1.0)
 
 
@@ -259,9 +278,124 @@ def test_config_dt_rules():
         validate_tree({"time": {"dt": "eps*2"}})
 
 
+def test_config_probes_on_closed_sigma():
+    # corners and edges of sigma are probe points; a step outside is not
+    tree = validate_tree({"sigma": [[0, 2], [-1, 1]],
+                          "probes": [[0.0, -1.0], [2, 1], [1.5, 0]]})
+    assert SimConfig(tree).probes == [(0.0, -1.0), (2, 1), (1.5, 0)]
+    with pytest.raises(ValidationError, match="probes: point 1"):
+        validate_tree({"probes": [[1.0, 1.0], [np.nextafter(1.0, 2.0), 0.5]]})
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValidationError):
         preset_load_model("warp-core")
+
+
+# ---------------------------------------------------------------------------
+# preset table against the former hand-written closures
+# ---------------------------------------------------------------------------
+
+def _closure_preset(name, params):
+    """The presets as they were written before they became expressions:
+    (f, g, depends_y, depends_z), frozen as the oracle of the preset table."""
+    params = dict(params)
+    zero = lambda *args: np.asarray(0.0, dtype=float)  # noqa: E731
+    if name == "zero":
+        return (zero,) * 3, (zero,) * 3, False, False
+    if name == "uniform_vertical":
+        amp = float(params.pop("amplitude", 1.0))
+        f3 = lambda t, x1, x2, y1, y2, y3, z: amp * np.ones_like(  # noqa: E731
+            np.asarray(x1, dtype=float))
+        return (zero, zero, f3), (zero,) * 3, False, False
+    if name in ("smooth", "linear"):
+        defaults = {"smooth": (0.3, 0.15), "linear": (0.15, 0.3)}
+        a = float(params.pop("inplane", defaults[name][0]))
+        t_ramp = float(params.pop("t_ramp", defaults[name][1]))
+        b = float(params.pop("vertical", 1.0))
+
+        def ramp(t):
+            s = np.clip(t / t_ramp, 0.0, 1.0)
+            return s**5 * (126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + 70.0 * s))))
+
+        def f1(t, x1, x2, y1, y2, y3, z):
+            return a * ramp(t) * np.sin(np.pi * x1) * np.cos(np.pi * x2)
+
+        def f3(t, x1, x2, y1, y2, y3, z):
+            return b * ramp(t) * np.sin(np.pi * x1) * np.sin(np.pi * x2)
+
+        return (f1, zero, f3), (zero,) * 3, False, False
+    if name == "linear_z":
+        slope = float(params.pop("slope", 0.2))
+        return (zero, zero, lambda t, x1, x2, y1, y2, y3, z: 1.0 + slope * z), \
+            (zero,) * 3, False, True
+    if name == "pulse":
+        t0 = float(params.pop("t0", 0.1))
+        amp = float(params.pop("amplitude", 1.0))
+
+        def f3(t, x1, x2, y1, y2, y3, z):
+            on = amp if t < t0 else 0.0
+            return on * np.ones_like(np.asarray(x1, dtype=float))
+
+        return (zero, zero, f3), (zero,) * 3, False, False
+    assert name == "surface_pressure"
+    amp = float(params.pop("amplitude", 1.0))
+    return (zero,) * 3, (zero, zero, lambda *args: np.asarray(amp, dtype=float)), \
+        False, False
+
+
+# changed values include integers, negative values and ramp lengths that are
+# not binary fractions; the pulse amplitude stays positive, because after t0
+# a negative amplitude times step(t0 - t) = 0.0 is -0.0 where the closure
+# gave +0.0 (equal values, another sign bit)
+_CHANGED_PARAMS = {
+    "zero": {}, "uniform_vertical": {"amplitude": -3},
+    "smooth": {"inplane": 0.7, "t_ramp": 0.2, "vertical": -1.3},
+    "linear": {"inplane": -0.45, "t_ramp": 0.37, "vertical": 2},
+    "linear_z": {"slope": -0.55}, "pulse": {"t0": 0.25, "amplitude": 2.5},
+    "surface_pressure": {"amplitude": 0.3},
+}
+
+
+def _preset_times(values):
+    """Times on a grid over [0, 0.6] plus the ramp ends and the pulse switch
+    with their neighbouring floats."""
+    times = list(np.linspace(0.0, 0.6, 241))
+    for key in ("t_ramp", "t0"):
+        if key in values:
+            v = float(values[key])
+            times += [v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)]
+    return [float(t) for t in times]
+
+
+def test_preset_table_matches_closures():
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.uniform(0.0, 1.0, (2, 16))
+    ys = rng.uniform(-1.0, 1.0, (3, 8))
+    z = rng.uniform(-1.0, 1.0, 16)
+    # (x1, x2, y1, y2, y3, z) in the three shapes the consumers pass
+    shapes = [(x1, x2, 0.0, 0.0, 0.0, z),
+              (x1[:, None], x2[:, None], *ys[:, None, :], z[:, None]),
+              (0.3, 0.7, 0.1, -0.2, 0.4, 0.9)]
+    assert set(_CHANGED_PARAMS) == set(PRESETS)
+    for name, changed in _CHANGED_PARAMS.items():
+        for params in ({}, changed):
+            model = preset_load_model(name, params)
+            f, g, depends_y, depends_z = _closure_preset(name, params)
+            assert (model.f_depends_y, model.f_depends_z) == (depends_y, depends_z)
+            for t in _preset_times({**PRESETS[name][0], **params}):
+                for args in shapes:
+                    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+                    for i in range(3):
+                        want = np.broadcast_to(
+                            np.asarray(f[i](t, *args), dtype=float), shape)
+                        got = model.eval_f(i, t, *args)
+                        assert got.tobytes() == want.tobytes(), (name, params, t, i)
+            for args in shapes:
+                shape = np.broadcast_shapes(np.shape(args[0]), np.shape(args[4]))
+                for i in range(3):
+                    want = np.broadcast_to(np.asarray(g[i](*args[:5]), dtype=float), shape)
+                    assert model.eval_g(i, *args[:5]).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +636,24 @@ def _mask_config(mask):
     ("resolutions:\n  n_sigma: 4.5\n", "resolutions.n_sigma"),
     ("tolerances:\n  picard_max: 2.5\n", "tolerances.picard_max"),
     ("tolerances:\n  linear: true\n", "tolerances.linear"),
+    ("loads:\n  preset: linear\n  params: {t_rmp: 0.2}\n", "loads.params.t_rmp"),
+    ("loads:\n  params: {amplitude: 2}\n", "loads.params.amplitude"),  # smooth has none
+    ("loads:\n  params: {t_ramp: abc}\n", "loads.params.t_ramp"),
+    ("loads:\n  params: {t_ramp: 0}\n", "loads.params.t_ramp"),
+    ("loads:\n  params: {t_ramp: -0.1}\n", "loads.params.t_ramp"),
+    ("loads:\n  params: {t_ramp: .nan}\n", "loads.params.t_ramp"),
+    ("loads:\n  params: {t_ramp: .inf}\n", "loads.params.t_ramp"),
+    ("loads:\n  params: {t_ramp: 1" + "0" * 400 + "}\n", "loads.params.t_ramp"),
+    ("loads:\n  params: {t_ramp: true}\n", "loads.params.t_ramp"),
+    ("loads:\n  params: [1, 2]\n", "loads.params"),
+    ("loads:\n  expressions: {f4: '1'}\n", "loads.expressions.f4"),
+    ("loads:\n  expressions: [f3, '1']\n", "loads.expressions"),
+    ("probes: [1, 2]\n", "probes"),
+    ("probes: [[0.5, abc]]\n", "probes"),
+    ("probes: [[5.0, 5.0]]\n", "probes"),                 # outside sigma
+    ("probes: [[0.5, 0.5, 0.5]]\n", "probes"),
+    ("probes: [[true, 0.5]]\n", "probes"),
+    ("probes: [[0.5, .nan]]\n", "probes"),
 ])
 def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
     cfg = _write(tmp_path, text)

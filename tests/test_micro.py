@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,7 +11,7 @@ from perfolayer import micro as pm
 from perfolayer import plate as pp
 from perfolayer.cell import INDEX_PAIRS
 from perfolayer.errors import EmptyColumn, InconsistentMesh, TimeMismatch
-from perfolayer.loads import CellQuadrature, LoadModel, preset_load_model, _const
+from perfolayer.loads import CellQuadrature, preset_load_model
 
 from conftest import SIGMA, column, kirchhoff_love_field, rigid_field, rng, sym_gradient
 
@@ -130,11 +131,8 @@ def test_apriori_scaling_linearity(full_geom2, iso_tensor, cq):
     eps = 0.5
     lmesh = pg.build_layer_mesh(full_geom2, eps, SIGMA, 2)
     base = _loads("smooth", cq)
-    doubled = LoadModel(
-        tuple(lambda *a, f=f: 2.0 * f(*a) for f in base.f),
-        tuple(lambda *a, g=g: 2.0 * g(*a) for g in base.g),
-        depends_y=False, depends_z=False,
-        cell_quad=base.cell_quad)
+    # twice the default amplitudes of "smooth" (0.3, 1.0), exactly twice the force
+    doubled = _loads("smooth", cq, {"inplane": 0.6, "vertical": 2.0})
     ops = pm.assemble_micro(lmesh, iso_tensor, eps, base)
     ops2 = pm.assemble_micro(lmesh, iso_tensor, eps, doubled)
     t1 = pm.run_micro(ops, base, dt=0.05, t_end=0.2)
@@ -384,6 +382,8 @@ def test_volume_rhs_of_inplane_load_evaluates_distinct_points(void_layers, iso_t
     assert 4 * n_distinct < u3.size
     for preset in ("linear", "smooth", "uniform_vertical"):
         loads = _loads(preset, cq)
+        pointwise = copy.copy(loads)
+        pointwise.f_depends_y = True
         sizes = []
 
         def counting(i, t, x1, *rest, eval_f=loads.eval_f):
@@ -392,7 +392,6 @@ def test_volume_rhs_of_inplane_load_evaluates_distinct_points(void_layers, iso_t
 
         loads.eval_f = counting
         got = pm._volume_rhs(ops, loads, 0.2, u3)
-        pointwise = LoadModel(loads.f, loads.g, depends_y=True, depends_z=False)
         want = pm._volume_rhs(ops, pointwise, 0.2, u3)
         assert sizes == [n_distinct] * 3
         assert np.any(got) and np.array_equal(got, want)
