@@ -105,7 +105,7 @@ class Pipeline:
             gamma=gamma, picard_tol=self.tol["picard"],
             picard_max=self.tol["picard_max"], tol=self.tol["linear"],
             probes=cfg.probes, store_states=True)
-        header = traj.header(len(cfg.probes))
+        header = plate.TRAJECTORY_HEADER + [f"probe_{k}" for k in range(len(cfg.probes))]
         reporting.write_csv(os.path.join(self.outdir, "plate_trajectory.csv"),
                             header, traj.rows)
         self._dump_states("plate", traj.states,
@@ -125,7 +125,7 @@ class Pipeline:
         k = int(round(1.0 / eps))
         reporting.write_csv(
             os.path.join(self.outdir, f"micro_trajectory_eps{k}.csv"),
-            micro.MicroTrajectory.HEADER, traj.rows)
+            micro.TRAJECTORY_HEADER, traj.rows)
         self._dump_states(f"micro_eps{k}", traj.states, lambda s: s.nodal())
         return traj
 
@@ -151,7 +151,7 @@ class Pipeline:
                 ts_rows.append(rep.row())
                 agg += dt * np.array([rep.err_u3**2, rep.err_u1[0]**2,
                                       rep.err_u1[1]**2, rep.err_symgrad**2])
-                e_u, e_r = micro.moment_errors(ps, mtraj.ops.lmesh, ms.nodal(), eps)
+                e_u, e_r = micro.moment_errors(ps, ms.ops.lmesh, ms.nodal(), eps)
                 agg_u += dt * e_u**2
                 agg_r += dt * e_r**2
             agg = np.sqrt(agg)

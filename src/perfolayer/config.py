@@ -142,6 +142,9 @@ class SimConfig:
     def build_loads(self):
         l = self.tree["loads"]
         if l.get("expressions"):
+            if l.get("params"):
+                raise ValidationError("preset parameters do not apply to expressions",
+                                      key="loads.params")
             return LoadModel(l["expressions"])
         return preset_load_model(l["preset"], l.get("params"))
 

@@ -123,6 +123,15 @@ class CellQuadrature:
                    first_moment=float(np.sum(w * pts[:, 2])))
 
 
+def _component(texts, key: str, variables) -> Expression:
+    """The expression of one load component (0 when missing); an error in
+    its text names the component."""
+    try:
+        return Expression(str(texts.get(key, "0")), variables)
+    except (ParseError, ValidationError) as exc:
+        raise ValidationError(str(exc), key=f"loads.expressions.{key}") from None
+
+
 class LoadModel:
     """Volume forces f^i(t, xbar, y, z) and surface tractions g^i(xbar, y),
     read from expression texts keyed f1, f2, f3, g1, g2, g3 (a missing one
@@ -141,10 +150,8 @@ class LoadModel:
                 raise ValidationError("unknown load component (allowed: "
                                       f"{', '.join(_COMPONENTS)})",
                                       key=f"loads.expressions.{key}")
-        self.f = tuple(Expression(str(texts.get(key, "0")), _VOLUME_VARS)
-                       for key in _COMPONENTS[:3])
-        self.g = tuple(Expression(str(texts.get(key, "0")), _SURFACE_VARS)
-                       for key in _COMPONENTS[3:])
+        self.f = tuple(_component(texts, key, _VOLUME_VARS) for key in _COMPONENTS[:3])
+        self.g = tuple(_component(texts, key, _SURFACE_VARS) for key in _COMPONENTS[3:])
         used = set().union(*(e.used for e in self.f))
         self.f_depends_y = not used.isdisjoint({"y1", "y2", "y3"})
         self.f_depends_z = "z" in used

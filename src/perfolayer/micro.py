@@ -2,10 +2,11 @@
 
 The semi-linear elastic wave equation is integrated in its eps-scaled weak
 form (mass unweighted, stiffness carrying 1/eps^2, loads with the explicit
-eps factors on the vertical components).  Diagnostics compare the micro
-solution against the homogenized plate fields: vertical averages, scaled
-displacement errors and the scaled symmetric-gradient error including the
-cell corrector.
+eps factors on the vertical components), by the Newmark-Picard scheme of
+``newmark`` with the acceleration solve of ``micro_step``.  Diagnostics
+compare the micro solution against the homogenized plate fields: vertical
+averages, scaled displacement errors and the scaled symmetric-gradient error
+including the cell corrector.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem
+from . import fem, newmark
 from .cell import PROBLEMS, CellSolutionSet
 from .errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from .fem import DofMap, ElasticityTensor4, SymmetricOperator
@@ -172,32 +173,22 @@ def micro_step(state: MicroState, dt: float, loads: LoadModel,
                k_eff: SymmetricOperator, beta: float = 0.25, gamma: float = 0.5,
                picard_tol: float = 1e-10, picard_max: int = 30,
                tol: float = 1e-11) -> MicroState:
-    """One Newmark step of the scaled micro model with Picard resolution of
-    the semi-linear volume force, on the caller's ``effective_operator``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One Newmark step (``newmark``) of the scaled micro model: each Picard
+    sweep solves (M + beta dt^2 K) a = F(u) - K u_pred on the caller's
+    ``effective_operator``, from u = u_pred."""
     ops = state.ops
-    t_new = state.t + dt
-    u_pred = state.u + dt * state.v + dt * dt * (0.5 - beta) * state.a
+    u_pred = newmark.predictor(state.u, state, dt, beta)
     ku_pred = ops.stiffness.matvec(u_pred)
 
-    u_iter = u_pred.copy()
-    a_new = state.a.copy()
-    converged = False
-    iters = 0
-    for iters in range(1, picard_max + 1):
-        rhs = micro_rhs(ops, loads, t_new, ops.dofmap.expand(u_iter)) - ku_pred
-        a_new = fem.solve_spd(k_eff, rhs, tol=tol, x0=a_new,
-                              max_iter=max(4000, 40 * int(np.sqrt(rhs.shape[0])) + 200))
-        u_new = u_pred + beta * dt * dt * a_new
-        delta = np.linalg.norm(u_new - u_iter) / max(np.linalg.norm(u_new), 1e-30)
-        u_iter = u_new
-        if not loads.f_depends_z or delta <= picard_tol:
-            converged = True
-            break
-    v_new = state.v + dt * ((1.0 - gamma) * state.a + gamma * a_new)
-    return MicroState(ops=ops, t=t_new, u=u_iter, v=v_new, a=a_new,
-                      picard_iters=iters, picard_converged=converged)
+    def sweep(u, a):
+        rhs = micro_rhs(ops, loads, state.t + dt, ops.dofmap.expand(u)) - ku_pred
+        a = fem.solve_spd(k_eff, rhs, tol=tol, x0=a,
+                          max_iter=max(4000, 40 * int(np.sqrt(rhs.shape[0])) + 200))
+        return u_pred + beta * dt * dt * a, a
+
+    u, a, iters, converged = newmark.picard(sweep, u_pred, state.a, loads.f_depends_z,
+                                            picard_tol, picard_max)
+    return newmark.advance(state, dt, gamma, a, iters, converged, u=u)
 
 
 def effective_operator(ops: MicroOperators, dt: float,
@@ -216,41 +207,26 @@ def effective_operator(ops: MicroOperators, dt: float,
     return SymmetricOperator(sp.csr_matrix((data, k.indices, k.indptr), shape=k.shape))
 
 
-@dataclass
-class MicroTrajectory:
-    ops: MicroOperators
-    rows: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-
-    HEADER = ["t", "apriori_v", "apriori_D", "kinetic", "elastic", "picard_iters"]
+# the columns of the rows of ``run_micro``
+TRAJECTORY_HEADER = ["t", "apriori_v", "apriori_D", "kinetic", "elastic", "picard_iters"]
 
 
 def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
               beta: float = 0.25, gamma: float = 0.5, picard_tol: float = 1e-10,
               picard_max: int = 30, tol: float = 1e-11,
-              store_states: bool = False) -> MicroTrajectory:
+              store_states: bool = False) -> newmark.Trajectory:
     """Integrate from zero initial data; records the scaled a priori
     quantities and the discrete energies per step."""
-    traj = MicroTrajectory(ops=ops)
     state = zero_micro_state(ops)
     rhs0 = micro_rhs(ops, loads, 0.0, ops.dofmap.expand(state.u))
-    a0 = fem.solve_spd(ops.mass, rhs0, tol=tol)
-    state = replace(state, a=a0)
+    state = replace(state, a=fem.solve_spd(ops.mass, rhs0, tol=tol))
     k_eff = effective_operator(ops, dt, beta)
-
-    def record(st: MicroState):
-        kin, ela = st.energies()
-        traj.rows.append([st.t, st.scaled_velocity_norm(), st.scaled_strain_norm(),
-                          kin, ela, st.picard_iters])
-        if store_states:
-            traj.states.append(st)
-
-    record(state)
-    for _ in range(int(round(t_end / dt))):
-        state = micro_step(state, dt, loads, k_eff, beta=beta, gamma=gamma,
-                           picard_tol=picard_tol, picard_max=picard_max, tol=tol)
-        record(state)
-    return traj
+    return newmark.run(
+        state, lambda st: micro_step(st, dt, loads, k_eff, beta=beta, gamma=gamma,
+                                     picard_tol=picard_tol, picard_max=picard_max,
+                                     tol=tol), dt, t_end,
+        lambda st: [st.t, st.scaled_velocity_norm(), st.scaled_strain_norm(),
+                    *st.energies(), st.picard_iters], store_states)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Quasi-static membrane equation coupled to a time-dependent bending equation
 with semi-linear loads.  Bending uses C1 Hermite rectangles (value, both
 first derivatives and the mixed derivative per node); the membrane uses
-bilinear quadrilaterals.  Time integration is Newmark-beta with the membrane
-block solved monolithically at the new time level.
+bilinear quadrilaterals.  Time integration is the Newmark-Picard scheme of
+``newmark``, with the membrane block solved monolithically at the new time
+level in ``newmark_step``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem
+from . import fem, newmark
 from .cell import EffectiveModel
 from .geometry import PlateMesh
 from .loads import LoadModel
@@ -379,49 +380,30 @@ def effective_operator(system: PlateSystem, dt: float,
     return fem.SymmetricOperator(mat)
 
 
-def _solve_block(system: PlateSystem, op, r_b, r_m, tol, x0=None):
-    rhs = np.concatenate([r_b, r_m])
-    nb = system.bend_dofs.n_dofs
-    sol = fem.solve_spd(op, rhs, tol=tol, x0=x0,
-                        max_iter=max(2000, 60 * rhs.shape[0]))
-    return sol[:nb], sol[nb:], sol
-
-
 def newmark_step(state: PlateState, dt: float, loads: LoadModel,
                  k_eff: fem.SymmetricOperator, beta: float = 0.25, gamma: float = 0.5,
                  picard_tol: float = 1e-10, picard_max: int = 30,
                  tol: float = 1e-12) -> PlateState:
-    """One implicit Newmark step with Picard resolution of the z-dependence.
-
-    The membrane block is carried at the new time level (no inertia); loads
-    that do not depend on the deflection converge in a single sweep.
-    ``k_eff`` is ``effective_operator(state.system, dt, beta)``.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    system = state.system
-    t_new = state.t + dt
+    """One implicit Newmark step (``newmark``): each Picard sweep solves the
+    block system of ``k_eff = effective_operator(state.system, dt, beta)``
+    for (w, m), with the loads at the last deflection, from w = ``state.w``.
+    The membrane is carried at the new time level (no inertia)."""
+    system, nb = state.system, state.system.bend_dofs.n_dofs
+    w_pred = newmark.predictor(state.w, state, dt, beta)
     factor = 1.0 / (beta * dt * dt)
-    w_pred = state.w + dt * state.v + dt * dt * (0.5 - beta) * state.a
+    mw_pred = factor * (system.m_b @ w_pred)
 
-    w_iter = state.w
-    m_iter = state.m
+    def sweep(w, guess):
+        r_m, r_b = compute_loads(system, loads, w, state.t + dt)
+        sol = fem.solve_spd(k_eff, np.concatenate([r_b + mw_pred, r_m]), tol=tol,
+                            x0=guess, max_iter=max(2000, 60 * guess.size))
+        return sol[:nb], sol
+
     guess = np.concatenate([state.w, state.m])
-    converged = False
-    iters = 0
-    for iters in range(1, picard_max + 1):
-        r_m, r_b = compute_loads(system, loads, w_iter, t_new)
-        rhs_b = r_b + factor * (system.m_b @ w_pred)
-        w_new, m_new, guess = _solve_block(system, k_eff, rhs_b, r_m, tol, x0=guess)
-        delta = np.linalg.norm(w_new - w_iter) / max(np.linalg.norm(w_new), 1e-30)
-        w_iter, m_iter = w_new, m_new
-        if not loads.f_depends_z or delta <= picard_tol:
-            converged = True
-            break
-    a_new = factor * (w_iter - w_pred)
-    v_new = state.v + dt * ((1.0 - gamma) * state.a + gamma * a_new)
-    return PlateState(system=system, t=t_new, w=w_iter, v=v_new, a=a_new,
-                      m=m_iter, picard_iters=iters, picard_converged=converged)
+    w, sol, iters, converged = newmark.picard(sweep, state.w, guess, loads.f_depends_z,
+                                              picard_tol, picard_max)
+    return newmark.advance(state, dt, gamma, factor * (w - w_pred), iters, converged,
+                           w=w, m=sol[nb:])
 
 
 def energy(state: PlateState) -> float:
@@ -434,55 +416,40 @@ def energy(state: PlateState) -> float:
     return kin + ela
 
 
-@dataclass
-class PlateTrajectory:
-    system: PlateSystem
-    rows: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-
-    def header(self, n_probes: int):
-        probes = [f"probe_{k}" for k in range(n_probes)]
-        return ["t", "norm_u03", "norm_u1", "energy", "picard_iters"] + probes
+# the columns of the rows of ``run_plate``, then one per probe
+TRAJECTORY_HEADER = ["t", "norm_u03", "norm_u1", "energy", "picard_iters"]
 
 
 def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
               beta: float = 0.25, gamma: float = 0.5,
               picard_tol: float = 1e-10, picard_max: int = 30,
               tol: float = 1e-12, probes=(),
-              store_states: bool = False) -> PlateTrajectory:
+              store_states: bool = False) -> newmark.Trajectory:
     """Integrate the plate from zero initial data and record norms,
     energies and probe values per step.
 
     The membrane starts from its stationary equation at t = 0; the initial
     bending acceleration is consistent with the loads at t = 0.
     """
-    traj = PlateTrajectory(system=system)
     state = zero_state(system)
     r_m, r_b = compute_loads(system, loads, state.w, 0.0)
-    m0 = fem.solve_spd(fem.SymmetricOperator(system.k_aa),
-                       r_m - system.k_ab @ state.w, tol=tol,
+    m0 = fem.solve_spd(fem.SymmetricOperator(system.k_aa), r_m, tol=tol,
                        max_iter=max(2000, 60 * max(1, system.memb_dofs.n_dofs)))
-    a0 = fem.solve_spd(fem.SymmetricOperator(system.m_b),
-                       r_b - system.k_ab.T @ m0 - system.k_bb @ state.w, tol=tol)
+    a0 = fem.solve_spd(fem.SymmetricOperator(system.m_b), r_b - system.k_ab.T @ m0, tol=tol)
     state = replace(state, m=m0, a=a0)
 
     probes = np.atleast_2d(np.asarray(probes, dtype=float)) if len(probes) else None
 
-    def record(st):
+    def row(st):
         norm_w = np.sqrt(max(st.w @ (system.m_b @ st.w), 0.0))
         norm_m = np.sqrt(max(st.m @ (system.m_memb @ st.m), 0.0))
-        row = [st.t, norm_w, norm_m, energy(st), st.picard_iters]
+        out = [st.t, norm_w, norm_m, energy(st), st.picard_iters]
         if probes is not None:
-            row.extend(evaluate_deflection(system, st.w, probes))
-        traj.rows.append(row)
-        if store_states:
-            traj.states.append(st)
+            out.extend(evaluate_deflection(system, st.w, probes))
+        return out
 
-    record(state)
-    n_steps = int(round(t_end / dt))
     k_eff = effective_operator(system, dt, beta)
-    for _ in range(n_steps):
-        state = newmark_step(state, dt, loads, k_eff, beta=beta, gamma=gamma,
-                             picard_tol=picard_tol, picard_max=picard_max, tol=tol)
-        record(state)
-    return traj
+    return newmark.run(
+        state, lambda st: newmark_step(st, dt, loads, k_eff, beta=beta, gamma=gamma,
+                                       picard_tol=picard_tol, picard_max=picard_max,
+                                       tol=tol), dt, t_end, row, store_states)

@@ -300,7 +300,7 @@ def test_criterion_09_micro_apriori(box_geom, iso_tensor, smooth_loads):
         lmesh = pg.build_layer_mesh(box_geom, eps, SIGMA, 4)
         ops = pm.assemble_micro(lmesh, iso_tensor, eps, smooth_loads)
         traj = pm.run_micro(ops, smooth_loads, dt=eps / 8, t_end=0.25)
-        # columns 1-2 of the rows: apriori_v, apriori_D (MicroTrajectory.HEADER)
+        # columns 1-2 of the rows: apriori_v, apriori_D (micro.TRAJECTORY_HEADER)
         maxima[eps] = tuple(np.asarray(traj.rows)[:, 1:3].max(axis=0))
     for comp in (0, 1):
         hi = max(maxima[0.25][comp], maxima[0.125][comp])

@@ -269,6 +269,40 @@ def test_config_expression_loads(tmp_path):
     assert v == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("loads, key", [
+    ({"expressions": {"f3": "q"}}, "loads.expressions.f3"),       # unknown variable
+    ({"expressions": {"f3": "1 +"}}, "loads.expressions.f3"),     # syntax error
+    ({"expressions": {"g1": "z"}}, "loads.expressions.g1"),       # no z on the surface
+    ({"expressions": {"f3": "1"}, "params": {"slope": 0.2}}, "loads.params"),
+    ({"expressions": {"f3": "1"}, "preset": "linear_z", "params": {"t_rmp": 0.2}},
+     "loads.params"),
+])
+def test_load_errors_name_their_key(loads, key):
+    with pytest.raises(ValidationError) as info:
+        validate_tree({"loads": loads})
+    assert info.value.key == key
+    assert str(info.value).startswith(key + ":")
+
+
+def test_expressions_replace_the_preset(tmp_path):
+    # non-empty expressions are the whole load; the echoed ``params: {}``
+    # stays legal next to them, so the echo reloads to the same config
+    cfg = SimConfig(validate_tree({"loads": {"expressions": {"f3": "2.5"},
+                                             "preset": "linear_z", "params": {}}}))
+    lm = cfg.build_loads()
+    assert not lm.f_depends_z
+    assert lm.eval_f(2, 0.0, 0.5, 0.5, 0, 0, 0, 7.0) == 2.5
+    cfg.save(tmp_path / "echo.yaml")
+    assert load_config(tmp_path / "echo.yaml").tree == cfg.tree
+    # empty expressions, like none, leave the preset and its parameters in force
+    for empty in ({}, None):
+        cfg = SimConfig(validate_tree({"loads": {
+            "expressions": empty, "preset": "linear_z", "params": {"slope": 0.5}}}))
+        lm = cfg.build_loads()
+        assert lm.f_depends_z
+        assert lm.eval_f(2, 0.0, 0.5, 0.5, 0, 0, 0, 2.0) == 2.0
+
+
 def test_config_dt_rules():
     cfg = SimConfig(validate_tree({"time": {"dt": "eps/16"}}))
     assert cfg.dt_for(0.5) == pytest.approx(0.5 / 16)
@@ -598,6 +632,27 @@ def test_cli_expression_loads_pipeline(tmp_path):
     assert data[-1, 1] > 0  # nonzero response
 
 
+def test_cli_picard_path(tmp_path):
+    # linear_z reads z: every step after t = 0 takes more than one sweep and
+    # converges before picard_max
+    cfg = _write(tmp_path,
+                 "geometry:\n  type: full\nepsilons: [0.5, 0.25]\n"
+                 "time:\n  t_end: 0.0625\nresolutions:\n  n_sigma: 4\n"
+                 "loads:\n  preset: linear_z\n")
+    out = tmp_path / "out"
+    for command in ("plate-run", "micro-run"):
+        assert run_command([command, "--config", cfg, "--out", str(out)]) == 0
+    tables = [out / "plate_trajectory.csv", out / "micro_trajectory_eps2.csv",
+              out / "micro_trajectory_eps4.csv"]
+    picard_max = SimConfig().tolerances["picard_max"]
+    for path in tables:
+        lines = path.read_text().splitlines()
+        column = lines[0].split(",").index("picard_iters")
+        iters = [int(float(r.split(",")[column])) for r in lines[2:]]
+        assert iters, path.name
+        assert all(1 < k < picard_max for k in iters), (path.name, iters)
+
+
 @pytest.mark.parametrize("value", ["stride=0", "stride=x", "every"])
 def test_cli_bad_dump_fields_fails_before_compute(tmp_path, value):
     cfg = _write(tmp_path, "epsilons: [0.5, 0.25, 0.125]\n")
@@ -648,6 +703,9 @@ def _mask_config(mask):
     ("loads:\n  params: [1, 2]\n", "loads.params"),
     ("loads:\n  expressions: {f4: '1'}\n", "loads.expressions.f4"),
     ("loads:\n  expressions: [f3, '1']\n", "loads.expressions"),
+    ("loads:\n  expressions: {f3: q}\n", "loads.expressions.f3"),
+    ("loads:\n  expressions: {f3: '1 +'}\n", "loads.expressions.f3"),
+    ("loads:\n  expressions: {f3: '1'}\n  params: {slope: 0.2}\n", "loads.params"),
     ("probes: [1, 2]\n", "probes"),
     ("probes: [[0.5, abc]]\n", "probes"),
     ("probes: [[5.0, 5.0]]\n", "probes"),                 # outside sigma

@@ -137,7 +137,7 @@ def test_apriori_scaling_linearity(full_geom2, iso_tensor, cq):
     ops2 = pm.assemble_micro(lmesh, iso_tensor, eps, doubled)
     t1 = pm.run_micro(ops, base, dt=0.05, t_end=0.2)
     t2 = pm.run_micro(ops2, doubled, dt=0.05, t_end=0.2)
-    # columns 1-2 of the rows: apriori_v, apriori_D (MicroTrajectory.HEADER)
+    # columns 1-2 of the rows: apriori_v, apriori_D (micro.TRAJECTORY_HEADER)
     max1 = np.asarray(t1.rows)[:, 1:3].max(axis=0)
     max2 = np.asarray(t2.rows)[:, 1:3].max(axis=0)
     assert max2 == pytest.approx(2 * max1, rel=1e-9)
