@@ -78,14 +78,7 @@ class EffectiveModel:
         """3x3 Mandel matrix of a 2x2x2x2 block on symmetric inputs; rows
         carry the first index pair (no symmetrization, so the coupling block
         b* keeps its orientation)."""
-        pairs = ((0, 0), (1, 1), (0, 1))
-        s = np.sqrt(2.0)
-        out = np.empty((3, 3))
-        for r, (i, j) in enumerate(pairs):
-            for c, (k, l) in enumerate(pairs):
-                f = (1.0 if i == j else s) * (1.0 if k == l else s)
-                out[r, c] = f * t[i, j, k, l]
-        return out
+        return fem._mandel_matrix(t, ((0, 0), (1, 1), (0, 1)))
 
 
 def _periodic_dofmap(mesh: LayerMesh) -> DofMap:

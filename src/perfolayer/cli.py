@@ -110,6 +110,7 @@ class Pipeline:
                             header, traj.rows)
         self._dump_states("plate", traj.states,
                           lambda s: system.bend_dofs.expand(s.w)[:, 0])
+        _report_unconverged("plate", traj.states)
         return traj
 
     def micro_run(self, eps):
@@ -127,6 +128,7 @@ class Pipeline:
             os.path.join(self.outdir, f"micro_trajectory_eps{k}.csv"),
             micro.TRAJECTORY_HEADER, traj.rows)
         self._dump_states(f"micro_eps{k}", traj.states, lambda s: s.nodal())
+        _report_unconverged(f"micro eps 1/{k}", traj.states)
         return traj
 
     def converge(self):
@@ -260,6 +262,15 @@ class Pipeline:
             geometry.dump_field(
                 os.path.join(self.outdir, f"{prefix}_t{idx:05d}.field"),
                 nodal(states[idx]))
+
+
+def _report_unconverged(model: str, states):
+    """A stderr line for steps that stopped at picard_max short of the Picard test."""
+    missed = [s.t for s in states if not s.picard_converged]
+    if missed:
+        print(f"warning: {model}: {len(missed)} of {len(states) - 1} steps stopped at "
+              f"picard_max without converging, the first at t = {missed[0]:g}",
+              file=sys.stderr)
 
 
 def _dump_stride(dump: str):

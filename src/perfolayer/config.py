@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from . import newmark
 from .errors import (DisconnectedSolid, EmptySolid, ParseError, PeriodicMismatch,
                      ResolutionIncompatible, ValidationError)
 from .fem import ElasticityTensor4
 from .geometry import build_cell_geometry, channel_mask
-from .loads import LoadModel, preset_load_model
+from .loads import LoadModel, _plain_number, preset_load_model
 
 _DEFAULTS = {
     "geometry": {
@@ -178,8 +179,7 @@ def _positive(tree, dotted, integer=False):
     node = tree
     for part in dotted.split("."):
         node = node[part]
-    kind = int if integer else (int, float)
-    if isinstance(node, bool) or not (isinstance(node, kind) and node > 0):
+    if not (_plain_number(node) and node > 0 and (isinstance(node, int) or not integer)):
         raise ValidationError(
             f"must be a positive {'integer' if integer else 'number'}", key=dotted)
 
@@ -191,7 +191,7 @@ def _check_time_grid(cfg: SimConfig):
     for e in cfg.epsilons:
         dt = cfg.dt_for(e)
         for ratio, what in ((cfg.t_end / dt, "t_end"), (dt / macro, "the macro dt")):
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            if not newmark.is_whole(ratio):
                 raise ValidationError(
                     f"dt {dt:g} at eps {e:g} does not fit {what}: ratio {ratio:g} "
                     "is not an integer", key="time.dt")
@@ -200,8 +200,7 @@ def _check_time_grid(cfg: SimConfig):
 def _interval(value, lo: float, hi: float, key: str):
     """Check a pair [a, b] of numbers with lo < a < b < hi."""
     ok = (isinstance(value, (list, tuple)) and len(value) == 2
-          and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  for v in value))
+          and all(_plain_number(v) for v in value))
     if not (ok and lo < value[0] < value[1] < hi):
         raise ValidationError(f"expected [a, b] with {lo:g} < a < b < {hi:g}",
                               key=key)
@@ -218,7 +217,7 @@ def _check_geometry(g: dict):
         for k, (pair, lo) in enumerate(zip(hole, (0.0, 0.0, -1.0))):
             _interval(pair, lo, 1.0, f"geometry.hole[{k}]")
     elif g["type"] == "channel":
-        if g["axis"] not in (0, 1) or isinstance(g["axis"], bool):
+        if not (_plain_number(g["axis"]) and g["axis"] in (0, 1)):
             raise ValidationError("channel axis must be 0 or 1", key="geometry.axis")
         _interval(g["width"], 0.0, 1.0, "geometry.width")
         _interval(g["height"], -1.0, 1.0, "geometry.height")
@@ -231,19 +230,21 @@ def validate_tree(tree: dict) -> dict:
     if not isinstance(eps, list) or not eps:
         raise ValidationError("must be a nonempty list", key="epsilons")
     for e in eps:
-        if not (isinstance(e, (int, float)) and e > 0):
-            raise ValidationError("epsilon must be positive", key="epsilons")
+        if not (_plain_number(e) and e > 0):
+            raise ValidationError("epsilon must be a positive number", key="epsilons")
         inv = 1.0 / float(e)
         if abs(inv - round(inv)) > 1e-9:
             raise ValidationError(
                 f"epsilon not reciprocal integer: {e}", key="epsilons")
+    if len({round(1.0 / e) for e in eps}) < len(eps):
+        raise ValidationError("an epsilon is repeated", key="epsilons")
 
     sig = merged["sigma"]
-    try:
-        corners = [float(v) for pair in sig for v in pair]
-    except (TypeError, ValueError):
-        raise ValidationError("expected [[a1, b1], [a2, b2]]", key="sigma")
-    if any(not float(v).is_integer() for v in corners):
+    if not (isinstance(sig, (list, tuple)) and len(sig) == 2
+            and all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(_plain_number(v) for v in pair) for pair in sig)):
+        raise ValidationError("expected [[a1, b1], [a2, b2]] of numbers", key="sigma")
+    if any(not float(v).is_integer() for pair in sig for v in pair):
         raise ValidationError("corners must be integers", key="sigma")
     if not (sig[0][0] < sig[0][1] and sig[1][0] < sig[1][1]):
         raise ValidationError("empty extent", key="sigma")
@@ -254,6 +255,10 @@ def validate_tree(tree: dict) -> dict:
     for keypath in ("time.t_end", "time.beta", "time.gamma", "tolerances.linear",
                     "tolerances.eigen", "tolerances.picard"):
         _positive(merged, keypath)
+    if min(b - a for a, b in sig) * merged["resolutions"]["n_sigma"] < 2:
+        # one element across a side clamps every plate node
+        raise ValidationError("each side of sigma needs at least 2 plate elements",
+                              key="resolutions.n_sigma")
 
     dt = merged["time"]["dt"]
     if isinstance(dt, str):
@@ -261,7 +266,7 @@ def validate_tree(tree: dict) -> dict:
         if len(parts) != 2 or parts[0] != "eps" or not parts[1].isdigit() or int(parts[1]) <= 0:
             raise ValidationError(f"bad dt rule {dt!r} (use a number or 'eps/K')",
                                   key="time.dt")
-    elif not (isinstance(dt, (int, float)) and dt > 0):
+    elif not (_plain_number(dt) and dt > 0):
         raise ValidationError("dt must be positive", key="time.dt")
 
     _check_time_grid(SimConfig(merged))
@@ -283,9 +288,12 @@ def validate_tree(tree: dict) -> dict:
             f"must be an integer multiple of the geometry resolution {geom.resolution}",
             key="resolutions.n")
 
+    for name, value in merged["material"].items():
+        if not _plain_number(value):
+            raise ValidationError("must be a finite number", key=f"material.{name}")
     try:
         SimConfig(merged).material_tensor()
-    except (TypeError, ValueError) as exc:  # non-numeric or not coercive
+    except ValueError as exc:  # not coercive
         raise ValidationError(str(exc), key="material") from exc
 
     loads = merged["loads"]
@@ -298,7 +306,7 @@ def validate_tree(tree: dict) -> dict:
         raise ValidationError("expected a list of [x, y] points", key="probes")
     for k, p in enumerate(probes):
         ok = (isinstance(p, (list, tuple)) and len(p) == 2
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p))
+              and all(_plain_number(v) for v in p))
         if not (ok and a1 <= p[0] <= b1 and a2 <= p[1] <= b2):
             raise ValidationError(f"point {k} is not an [x, y] pair of numbers in "
                                   f"[{a1:g}, {b1:g}] x [{a2:g}, {b2:g}]", key="probes")

@@ -85,16 +85,20 @@ class ElasticityTensor4:
     def mandel(self) -> np.ndarray:
         """Symmetric 6x6 matrix representing the tensor on symmetric
         matrices in the Mandel (sqrt(2)-scaled) basis."""
-        m = np.empty((6, 6))
-        for r, (i, j) in enumerate(_MANDEL_PAIRS):
-            for c, (k, l) in enumerate(_MANDEL_PAIRS):
-                f = (1.0 if i == j else _SQRT2) * (1.0 if k == l else _SQRT2)
-                m[r, c] = f * self.components[i, j, k, l]
+        m = _mandel_matrix(self.components, _MANDEL_PAIRS)
         return 0.5 * (m + m.T)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """Contract with a (...,3,3) symmetric strain field."""
         return np.einsum("ijkl,...kl->...ij", self.components, b)
+
+
+def _mandel_matrix(t: np.ndarray, pairs) -> np.ndarray:
+    """Mandel matrix of a four-index block on the index ``pairs``: t[pairs[r],
+    pairs[c]] times sqrt(2) per off-diagonal pair; rows carry the first pair."""
+    i, j = np.array(pairs).T
+    f = np.where(i == j, 1.0, _SQRT2)
+    return np.outer(f, f) * t[i[:, None], j[:, None], i, j]
 
 
 def sym_to_mandel(b: np.ndarray) -> np.ndarray:
@@ -515,13 +519,8 @@ def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
 
 def assemble_mass(mesh, dofmap: DofMap, elems=None) -> SymmetricOperator:
     """Operator of (u, v) -> int u . v (vector or scalar arity)."""
-    N, G, w, _ = hex_reference(mesh.spacing)
-    nn = np.einsum("q,qa,qb->ab", w, N, N)
     nc = dofmap.ncomp
-    local = np.zeros((8 * nc, 8 * nc))
-    for c in range(nc):
-        local[c::nc, c::nc] = nn
-    return _assemble(mesh, dofmap, elems, local)
+    return _assemble_by_component(mesh, dofmap, elems, [1.0] * nc, [[0.0] * nc] * 3)
 
 
 def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
@@ -531,6 +530,11 @@ def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
     ``grad_weights[i][c]`` weighs the derivative of component c along axis i.
     Used for the weighted norms in the inequality estimates.
     """
+    return _assemble_by_component(mesh, dofmap, None, mass_weights, grad_weights)
+
+
+def _assemble_by_component(mesh, dofmap, elems, mass_weights, grad_weights):
+    """``assemble_anisotropic`` over ``elems`` (all when None); zero weights add 0."""
     N, G, w, _ = hex_reference(mesh.spacing)
     nn = np.einsum("q,qa,qb->ab", w, N, N)
     gg = np.einsum("q,qai,qbi->iab", w, G, G)
@@ -541,7 +545,7 @@ def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
         for i in range(3):
             block = block + grad_weights[i][c] * gg[i]
         local[c::nc, c::nc] = block
-    return _assemble(mesh, dofmap, None, local)
+    return _assemble(mesh, dofmap, elems, local)
 
 
 def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricOperator:

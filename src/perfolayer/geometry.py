@@ -185,15 +185,7 @@ def build_cell_geometry(descriptor, m: int = 8) -> CellGeometry:
         (x0, x1), (y0, y1), (z0, z1) = descriptor[1]
         if not (0.0 < x0 < x1 < 1.0 and 0.0 < y0 < y1 < 1.0 and -1.0 < z0 < z1 < 1.0):
             raise ValueError("box hole must lie strictly inside the cell")
-        mask = np.ones((m, m, 2 * m), dtype=bool)
-        c1 = (np.arange(m) + 0.5) / m
-        c3 = -1.0 + (np.arange(2 * m) + 0.5) / m
-        hole = (
-            ((c1 > x0) & (c1 < x1))[:, None, None]
-            & ((c1 > y0) & (c1 < y1))[None, :, None]
-            & ((c3 > z0) & (c3 < z1))[None, None, :]
-        )
-        mask &= ~hole
+        mask = _box_hole_mask(m, descriptor[1])
     else:
         raise ValueError(f"unknown perforation descriptor: {descriptor!r}")
 
@@ -216,19 +208,31 @@ def channel_mask(m: int, width=(0.25, 0.75), height=(-0.5, 0.5),
                  axis: int = 1) -> np.ndarray:
     """Voxel mask of a straight channel running through the cell along the
     given lateral axis (the perforation reaches the lateral boundary in a
-    periodically compatible way)."""
-    mask = np.ones((m, m, 2 * m), dtype=bool)
+    periodically compatible way): a box hole spanning (0, 1) along it."""
+    if axis not in (0, 1):
+        raise ValueError("channel axis must be 0 or 1")
+    bounds = [width, width, height]
+    bounds[axis] = (0.0, 1.0)
+    return _box_hole_mask(m, bounds)
+
+
+def _box_hole_mask(m: int, bounds) -> np.ndarray:
+    """Mask (m, m, 2m) of the cell less the voxels whose centres lie strictly
+    inside the box ``bounds`` ((x0, x1), (y0, y1), (z0, z1))."""
     c1 = (np.arange(m) + 0.5) / m
     c3 = -1.0 + (np.arange(2 * m) + 0.5) / m
-    across = (c1 > width[0]) & (c1 < width[1])
-    vert = (c3 > height[0]) & (c3 < height[1])
-    if axis == 1:
-        hole = across[:, None, None] & np.ones((1, m, 1), bool) & vert[None, None, :]
-    elif axis == 0:
-        hole = np.ones((m, 1, 1), bool) & across[None, :, None] & vert[None, None, :]
-    else:
-        raise ValueError("channel axis must be 0 or 1")
-    return mask & ~hole
+    (x0, x1), (y0, y1), (z0, z1) = bounds
+    return ~(((c1 > x0) & (c1 < x1))[:, None, None] & ((c1 > y0) & (c1 < y1))[:, None]
+             & ((c3 > z0) & (c3 < z1)))
+
+
+def _locate(pts: np.ndarray, sigma, spacing, shape):
+    """Cell (P, 2) and local coordinates in [0, 1] (P, 2) of in-plane points
+    on the uniform grid of ``shape`` cells of ``spacing`` over ``sigma``
+    (a1, b1, a2, b2); a point on the far edge falls in the last cell."""
+    s = (pts - np.array(sigma[::2])) / np.array(spacing[:2])
+    cell = np.clip(s.astype(np.int64), 0, np.array(shape[:2]) - 1)
+    return cell, s - cell
 
 
 def _fine_mask(geom: CellGeometry, n: int) -> np.ndarray:

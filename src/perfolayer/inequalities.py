@@ -49,18 +49,10 @@ def korn_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     gradient entries; the returned constant is eps / sqrt(lambda_min), so the
     inequality reads (weighted norm) <= (C / eps) |D(u)|.
     """
-    dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
-    a_op = fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap)
     iw = 1.0 / eps**2
-    mass_w = (iw, iw, 1.0)
     grad_w = [[iw, iw, 1.0], [iw, iw, 1.0], [1.0, 1.0, 1.0]]
-    b_op = fem.assemble_anisotropic(lmesh, dofmap, mass_w, grad_w)
-
-    res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
-                                tol=tol, seed=seed)
-    constant = eps * float(np.sqrt(res.value))
-    return ConstantEstimate("korn", eps, lmesh.resolution, constant,
-                            res.residual, res.iterations)
+    return _clamped_constant("korn", lmesh, eps, lambda value: eps * float(np.sqrt(value)),
+                             tol, seed, fem.assemble_anisotropic, (iw, iw, 1.0), grad_w)
 
 
 def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
@@ -74,14 +66,21 @@ def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     """
     if (lmesh.voxel_elems < 0).any():
         raise SolverFailure("trace estimate needs the mesh with voids included")
+    return _clamped_constant("trace", lmesh, eps,
+                             lambda value: float(np.sqrt(max(value, 0.0))) / np.sqrt(eps),
+                             tol, seed, fem.assemble_surface_mass, lmesh.lateral_faces)
+
+
+def _clamped_constant(inequality: str, lmesh: LayerMesh, eps: float, scale, tol: float,
+                      seed: int, assemble_b, *b_args) -> ConstantEstimate:
+    """``scale`` of the largest quotient of the form ``assemble_b(lmesh, dofmap,
+    *b_args)`` over |D(u)|^2, u clamped on the solid lateral boundary."""
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     a_op = fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap)
-    b_op = fem.assemble_surface_mass(lmesh, dofmap, lmesh.lateral_faces)
-
+    b_op = assemble_b(lmesh, dofmap, *b_args)
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
                                 tol=tol, seed=seed)
-    constant = float(np.sqrt(max(res.value, 0.0))) / np.sqrt(eps)
-    return ConstantEstimate("trace", eps, lmesh.resolution, constant,
+    return ConstantEstimate(inequality, eps, lmesh.resolution, scale(res.value),
                             res.residual, res.iterations)
 
 

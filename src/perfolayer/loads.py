@@ -123,6 +123,12 @@ class CellQuadrature:
                    first_moment=float(np.sum(w * pts[:, 2])))
 
 
+def _broadcast(values, *args) -> np.ndarray:
+    """Expression values as a new float array of the broadcast shape of ``args``."""
+    return np.broadcast_to(np.asarray(values, dtype=float),
+                           np.broadcast_shapes(*map(np.shape, args))).copy()
+
+
 def _component(texts, key: str, variables) -> Expression:
     """The expression of one load component (0 when missing); an error in
     its text names the component."""
@@ -163,15 +169,11 @@ class LoadModel:
         return model
 
     def eval_f(self, i: int, t, x1, x2, y1, y2, y3, z):
-        return np.broadcast_to(
-            np.asarray(self.f[i](t=t, x1=x1, x2=x2, y1=y1, y2=y2, y3=y3, z=z),
-                       dtype=float),
-            np.broadcast_shapes(np.shape(x1), np.shape(y3), np.shape(z))).copy()
+        return _broadcast(self.f[i](t=t, x1=x1, x2=x2, y1=y1, y2=y2, y3=y3, z=z),
+                          x1, y3, z)
 
     def eval_g(self, i: int, x1, x2, y1, y2, y3):
-        return np.broadcast_to(
-            np.asarray(self.g[i](x1=x1, x2=x2, y1=y1, y2=y2, y3=y3), dtype=float),
-            np.broadcast_shapes(np.shape(x1), np.shape(y3))).copy()
+        return _broadcast(self.g[i](x1=x1, x2=x2, y1=y1, y2=y2, y3=y3), x1, y3)
 
     def effective_loads(self, t: float, x1, x2, z):
         """Homogenized loads h = (h1, h2, h3) and Hbar = (H1, H2) at the
@@ -237,6 +239,15 @@ PRESETS = {
 }
 
 
+def _plain_number(value) -> bool:
+    """A finite int or float, not a bool (YAML's true and false, ints to Python)."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def preset_load_model(name: str, params=None) -> LoadModel:
     """Load model of the preset ``name`` with the given parameter values in
     place of its defaults."""
@@ -253,11 +264,7 @@ def preset_load_model(name: str, params=None) -> LoadModel:
             raise ValidationError(f"unknown parameter of preset {name!r} (allowed: "
                                   f"{', '.join(defaults) or 'none'})",
                                   key=f"loads.params.{key}")
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
+        if not _plain_number(value):
             raise ValidationError("must be a finite number", key=f"loads.params.{key}")
         values[key] = value
     if not values.get("t_ramp", 1.0) > 0:

@@ -12,7 +12,7 @@ including the cell corrector.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +21,7 @@ from . import fem, newmark
 from .cell import PROBLEMS, CellSolutionSet
 from .errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from .fem import DofMap, ElasticityTensor4, SymmetricOperator
-from .geometry import HEX_CORNERS, LayerMesh
+from .geometry import HEX_CORNERS, LayerMesh, _locate
 from .loads import LoadModel
 from .plate import (PlatePoints, PlateState, PlateSystem, evaluate_deflection,
                     evaluate_membrane)
@@ -44,8 +44,6 @@ class MicroOperators:
     # distinct in-plane coordinates of the quadrature points and, per point
     # (element-major, as quad_x), the index of its distinct one
     inplane: tuple
-    # memo of two_scale_errors, rebuilt for another plate system or cell set
-    transfer: PlateTransfer | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -217,6 +215,7 @@ def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
               store_states: bool = False) -> newmark.Trajectory:
     """Integrate from zero initial data; records the scaled a priori
     quantities and the discrete energies per step."""
+    n_steps = newmark.steps(dt, t_end)
     state = zero_micro_state(ops)
     rhs0 = micro_rhs(ops, loads, 0.0, ops.dofmap.expand(state.u))
     state = replace(state, a=fem.solve_spd(ops.mass, rhs0, tol=tol))
@@ -224,7 +223,7 @@ def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
     return newmark.run(
         state, lambda st: micro_step(st, dt, loads, k_eff, beta=beta, gamma=gamma,
                                      picard_tol=picard_tol, picard_max=picard_max,
-                                     tol=tol), dt, t_end,
+                                     tol=tol), n_steps,
         lambda st: [st.t, st.scaled_velocity_norm(), st.scaled_strain_norm(),
                     *st.energies(), st.picard_iters], store_states)
 
@@ -250,18 +249,15 @@ class MomentColumns:
     @classmethod
     def build(cls, lmesh: LayerMesh, pts: np.ndarray) -> "MomentColumns":
         vox = lmesh.voxel_elems
-        (a1, b1, a2, b2) = lmesh.sigma
         h = lmesh.spacing[0]
-        s = (pts - np.array([a1, a2])) / h  # grid coordinates
-        i = np.clip(s.astype(np.int64), 0, np.array(vox.shape[:2]) - 1)
-        (i1, i2), (xi1, xi2) = i.T, (s - i).T
+        i, local = _locate(pts, lmesh.sigma, lmesh.spacing, vox.shape)
+        (i1, i2), (xi1, xi2) = i.T, local.T
         elem = vox[i1, i2]  # (P, layers)
         point, l3 = np.nonzero(elem >= 0)
         hits = np.bincount(point, minlength=pts.shape[0])
         if (hits == 0).any():
             raise EmptyColumn(f"{int((hits == 0).sum())} vertical lines meet no solid")
-        g = 0.5 / np.sqrt(3.0)
-        xg = np.array([0.5 - g, 0.5 + g])
+        xg = (np.array(fem._GAUSS) + 1.0) / 2.0  # on [0, 1]
         corners = HEX_CORNERS.astype(bool)
         # in-plane shape factors (hits, 8) and vertical ones (2 depths, 8)
         sxy = (np.where(corners[:, 0], xi1[point, None], 1.0 - xi1[point, None])
@@ -407,9 +403,9 @@ class PlateTransfer:
     limit_strain: np.ndarray
 
     @classmethod
-    def build(cls, ops: MicroOperators, system: PlateSystem,
+    def build(cls, lmesh: LayerMesh, system: PlateSystem,
               sols: CellSolutionSet) -> "PlateTransfer":
-        lmesh, cmesh = ops.lmesh, sols.mesh
+        cmesh = sols.mesh
         cell_elem = _cell_element_lookup(lmesh, cmesh)
         counts = np.bincount(cell_elem[cell_elem >= 0], minlength=cmesh.n_elems)
         if (cell_elem < 0).any() or (counts != lmesh.n_cells).any():
@@ -428,17 +424,18 @@ class PlateTransfer:
             system=system, sols=sols,
             plate_at=PlatePoints(system, distinct),
             elems=elems, inverse=inverse,
-            y3=(fem.quadrature_points(lmesh, elems)[..., 2] / ops.eps).reshape(-1),
+            y3=(fem.quadrature_points(lmesh, elems)[..., 2] / lmesh.eps).reshape(-1),
             flat_w=fem.quadrature_weights(lmesh).reshape(-1),
             limit_strain=limit,
         )
 
 
-def _plate_transfer(ops: MicroOperators, system: PlateSystem,
+def _plate_transfer(lmesh: LayerMesh, system: PlateSystem,
                     sols: CellSolutionSet) -> PlateTransfer:
-    tr = ops.transfer
+    """Transfer data memoized on the layer mesh for the last system and cells."""
+    tr = lmesh.memo.get("plate_transfer")
     if tr is None or tr.system is not system or tr.sols is not sols:
-        tr = ops.transfer = PlateTransfer.build(ops, system, sols)
+        tr = lmesh.memo["plate_transfer"] = PlateTransfer.build(lmesh, system, sols)
     return tr
 
 
@@ -452,7 +449,7 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
         raise TimeMismatch(
             f"micro t = {micro_state.t} but plate t = {plate_state.t}")
     eps = ops.eps
-    tr = _plate_transfer(ops, plate_state.system, sols)
+    tr = _plate_transfer(ops.lmesh, plate_state.system, sols)
     n_ce, nq = tr.limit_strain.shape[:2]
 
     # u and the Mandel D(u) at the layer points: (E Q, 9)

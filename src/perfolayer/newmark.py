@@ -41,11 +41,25 @@ def advance(state, dt, gamma, a_new, iters, converged, **fields):
                    picard_converged=converged, **fields)
 
 
-def run(state, step, dt, t_end, row, store_states):
-    """``int(round(t_end / dt))`` steps ``state = step(state)``, with
-    ``row(state)`` recorded for the initial state and each step."""
+def is_whole(ratio) -> bool:
+    """Whether ``ratio`` is a whole number, to 1e-9 relative."""
+    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
+
+
+def steps(dt, t_end) -> int:
+    """Steps dt to t_end; ValueError unless dt > 0, t_end >= 0 and t_end / dt
+    is whole."""
+    if not (dt > 0 and t_end >= 0 and is_whole(t_end / dt)):
+        raise ValueError(f"dt = {dt:g} must be positive and divide t_end = {t_end:g} >= 0 "
+                         "into a whole number of steps")
+    return int(round(t_end / dt))
+
+
+def run(state, step, n_steps, row, store_states):
+    """``n_steps`` steps ``state = step(state)``, with ``row(state)`` recorded
+    for the initial state and each step."""
     traj = Trajectory(rows=[row(state)], states=[state] if store_states else [])
-    for _ in range(int(round(t_end / dt))):
+    for _ in range(n_steps):
         state = step(state)
         traj.rows.append(row(state))
         if store_states:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from . import fem, newmark
 from .cell import EffectiveModel
-from .geometry import PlateMesh
+from .geometry import PlateMesh, _locate
 from .loads import LoadModel
 
 _GAUSS_N = 4
@@ -65,9 +65,19 @@ def _linear_1d(xi: np.ndarray, h: float):
 
 
 # Corner order matches the quad connectivity: (0,0), (1,0), (1,1), (0,1).
-_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+_CORNERS = np.array(((0, 0), (1, 0), (1, 1), (0, 1)))
 # Hermite DOF types per node: (x-type, y-type); 0 = value, 1 = slope.
-_DOF_TYPES = ((0, 0), (1, 0), (0, 1), (1, 1))
+_DOF_TYPES = np.array(((0, 0), (1, 0), (0, 1), (1, 1)))
+# the x and the y Hermite factor of each column, node-major, _DOF_TYPES per node
+_HERMITE_FACTORS = (2 * _CORNERS[:, None, :] + _DOF_TYPES[None, :, :]).reshape(16, 2).T
+
+
+def _tensor_tables(xs, ys, factors, orders):
+    """Tables of the basis whose column k is the 1-D x factor factors[0][k] times
+    the y factor factors[1][k]: one per (x, y) derivative order in ``orders``,
+    from the 1-D tables ``xs``, ``ys`` by derivative order."""
+    ix, iy = factors
+    return [np.take(xs[p], ix, axis=1) * np.take(ys[q], iy, axis=1) for p, q in orders]
 
 
 @dataclass
@@ -88,34 +98,16 @@ class BendingBasis:
 
 def bending_basis(xi: np.ndarray, eta: np.ndarray, spacing) -> BendingBasis:
     h1, h2 = spacing
-    xv, xd1, xd2 = _hermite_1d(xi, h1)
-    yv, yd1, yd2 = _hermite_1d(eta, h2)
-    npts = xv.shape[0]
-    out = {k: np.empty((npts, 16)) for k in ("val", "dx", "dy", "dxx", "dyy", "dxy")}
-    for a, (ca, cb) in enumerate(_CORNERS):
-        for d, (tx, ty) in enumerate(_DOF_TYPES):
-            ix = 2 * ca + tx
-            iy = 2 * cb + ty
-            col = 4 * a + d
-            out["val"][:, col] = xv[:, ix] * yv[:, iy]
-            out["dx"][:, col] = xd1[:, ix] * yv[:, iy]
-            out["dy"][:, col] = xv[:, ix] * yd1[:, iy]
-            out["dxx"][:, col] = xd2[:, ix] * yv[:, iy]
-            out["dyy"][:, col] = xv[:, ix] * yd2[:, iy]
-            out["dxy"][:, col] = xd1[:, ix] * yd1[:, iy]
-    return BendingBasis(**out)
+    return BendingBasis(*_tensor_tables(
+        _hermite_1d(xi, h1), _hermite_1d(eta, h2), _HERMITE_FACTORS,
+        ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))))
 
 
 def membrane_basis(xi: np.ndarray, eta: np.ndarray, spacing):
     """Bilinear basis tables; arrays (n_pts, 4) in quad corner order."""
     h1, h2 = spacing
-    xv, xd1 = _linear_1d(xi, h1)
-    yv, yd1 = _linear_1d(eta, h2)
-    idx = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    val = np.stack([xv[:, a] * yv[:, b] for a, b in idx], axis=-1)
-    dx = np.stack([xd1[:, a] * yv[:, b] for a, b in idx], axis=-1)
-    dy = np.stack([xv[:, a] * yd1[:, b] for a, b in idx], axis=-1)
-    return val, dx, dy
+    return tuple(_tensor_tables(_linear_1d(xi, h1), _linear_1d(eta, h2),
+                                _CORNERS.T, ((0, 0), (1, 0), (0, 1))))
 
 
 def _mandel2(e11, e22, e12):
@@ -165,10 +157,9 @@ class PlateState:
 
 def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     """Block operators K_aa, K_ab, K_bb, M_b with clamping applied."""
-    gx, gwx = _gauss_1d()
-    gy, gwy = _gauss_1d()
-    XI, ETA = np.meshgrid(gx, gy, indexing="ij")
-    WQ = np.outer(gwx, gwy).ravel()
+    g, gw = _gauss_1d()
+    XI, ETA = np.meshgrid(g, g, indexing="ij")
+    WQ = np.outer(gw, gw).ravel()
     xi, eta = XI.ravel(), ETA.ravel()
     h1, h2 = pmesh.spacing
     w_phys = WQ * h1 * h2
@@ -190,10 +181,8 @@ def assemble_plate_system(pmesh: PlateMesh, eff: EffectiveModel) -> PlateSystem:
     # coupling: the Hessian contracts the first index pair of b*
     k_ab_loc = np.einsum("q,qrj,rs,qsi->ij", w_phys, hess, vb, strain)
     m_b_loc = np.einsum("q,qi,qj->ij", w_phys, basis.val, basis.val)
-    m_m_loc = np.zeros((2 * n_m, 2 * n_m))
-    nn = np.einsum("q,qi,qj->ij", w_phys, mb_val, mb_val)
-    m_m_loc[0::2, 0::2] = nn
-    m_m_loc[1::2, 1::2] = nn
+    # the scalar mass on each of the two interleaved components
+    m_m_loc = np.kron(np.einsum("q,qi,qj->ij", w_phys, mb_val, mb_val), np.eye(2))
 
     bend_dofs = fem.DofMap(pmesh, 4, dirichlet_nodes=pmesh.clamped_nodes)
     memb_dofs = fem.DofMap(pmesh, 2, dirichlet_nodes=pmesh.clamped_nodes)
@@ -249,15 +238,17 @@ def compute_loads(system: PlateSystem, loads: LoadModel, w_red: np.ndarray,
     eb = sysm.bend_dofs.element_dofs(sysm.pmesh.elems)
     em = sysm.memb_dofs.element_dofs(sysm.pmesh.elems)
 
-    h3 = h[2].reshape(E, Q)
-    local_b = np.einsum("q,eq,qi->ei", wq, h3, sysm.basis.val)
-    local_b -= np.einsum("q,eq,qi->ei", wq, hbar[0].reshape(E, Q), sysm.basis.dx)
-    local_b -= np.einsum("q,eq,qi->ei", wq, hbar[1].reshape(E, Q), sysm.basis.dy)
+    def integral(values, table):  # per element, of the values times each column
+        return np.einsum("q,eq,qi->ei", wq, values.reshape(E, Q), table)
+
+    local_b = integral(h[2], sysm.basis.val)
+    local_b -= integral(hbar[0], sysm.basis.dx)
+    local_b -= integral(hbar[1], sysm.basis.dy)
     r_b = fem.scatter_vector(local_b, eb, sysm.bend_dofs.n_dofs)
 
     local_m = np.empty((E, 2 * sysm.mb_val.shape[1]))
-    local_m[:, 0::2] = np.einsum("q,eq,qi->ei", wq, h[0].reshape(E, Q), sysm.mb_val)
-    local_m[:, 1::2] = np.einsum("q,eq,qi->ei", wq, h[1].reshape(E, Q), sysm.mb_val)
+    local_m[:, 0::2] = integral(h[0], sysm.mb_val)
+    local_m[:, 1::2] = integral(h[1], sysm.mb_val)
     r_m = fem.scatter_vector(local_m, em, sysm.memb_dofs.n_dofs)
     return r_m, r_b
 
@@ -265,18 +256,6 @@ def compute_loads(system: PlateSystem, loads: LoadModel, w_red: np.ndarray,
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def _locate(pmesh: PlateMesh, pts: np.ndarray):
-    a1, b1, a2, b2 = pmesh.sigma
-    h1, h2 = pmesh.spacing
-    n1, n2 = pmesh.shape
-    i = np.clip(((pts[:, 0] - a1) / h1).astype(np.int64), 0, n1 - 1)
-    j = np.clip(((pts[:, 1] - a2) / h2).astype(np.int64), 0, n2 - 1)
-    xi = (pts[:, 0] - a1) / h1 - i
-    eta = (pts[:, 1] - a2) / h2 - j
-    elem = i * n2 + j
-    return elem, xi, eta
-
 
 class PlatePoints:
     """Plate element, local coordinates and basis tables of fixed points.
@@ -289,7 +268,10 @@ class PlatePoints:
     def __init__(self, system: PlateSystem, pts: np.ndarray):
         self.system = system
         self.pts = np.array(np.atleast_2d(pts), dtype=float)
-        self.elem, self.xi, self.eta = _locate(system.pmesh, self.pts)
+        pmesh = system.pmesh
+        cell, local = _locate(self.pts, pmesh.sigma, pmesh.spacing, pmesh.shape)
+        self.elem = cell[:, 0] * pmesh.shape[1] + cell[:, 1]
+        self.xi, self.eta = local.T
 
     @functools.cached_property
     def _bending(self):
@@ -431,6 +413,7 @@ def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
     The membrane starts from its stationary equation at t = 0; the initial
     bending acceleration is consistent with the loads at t = 0.
     """
+    n_steps = newmark.steps(dt, t_end)
     state = zero_state(system)
     r_m, r_b = compute_loads(system, loads, state.w, 0.0)
     m0 = fem.solve_spd(fem.SymmetricOperator(system.k_aa), r_m, tol=tol,
@@ -452,4 +435,4 @@ def run_plate(system: PlateSystem, loads: LoadModel, dt: float, t_end: float,
     return newmark.run(
         state, lambda st: newmark_step(st, dt, loads, k_eff, beta=beta, gamma=gamma,
                                        picard_tol=picard_tol, picard_max=picard_max,
-                                       tol=tol), dt, t_end, row, store_states)
+                                       tol=tol), n_steps, row, store_states)

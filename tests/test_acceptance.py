@@ -280,7 +280,8 @@ def test_criterion_08_plate_verification(full_cell_n8, smooth_loads):
     dt = 1.0 / 128.0
     loads = preset_load_model("pulse", {"t0": 0.1}).with_cell_quadrature(
         smooth_loads.cell_quad)
-    traj = pp.run_plate(system, loads, dt=dt, t_end=0.1 + 101 * dt, tol=1e-13,
+    # 114 steps: the load stops at 0.1 = 12.8 dt, and 101 states follow
+    traj = pp.run_plate(system, loads, dt=dt, t_end=114 * dt, tol=1e-13,
                         store_states=True)
     energies = [pp.energy(s) for s in traj.states if s.t > 0.1 + dt / 2]
     assert len(energies) >= 100

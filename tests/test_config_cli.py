@@ -632,9 +632,9 @@ def test_cli_expression_loads_pipeline(tmp_path):
     assert data[-1, 1] > 0  # nonzero response
 
 
-def test_cli_picard_path(tmp_path):
+def test_cli_picard_path(tmp_path, capsys):
     # linear_z reads z: every step after t = 0 takes more than one sweep and
-    # converges before picard_max
+    # converges before picard_max, so no unconverged step is reported
     cfg = _write(tmp_path,
                  "geometry:\n  type: full\nepsilons: [0.5, 0.25]\n"
                  "time:\n  t_end: 0.0625\nresolutions:\n  n_sigma: 4\n"
@@ -651,6 +651,22 @@ def test_cli_picard_path(tmp_path):
         iters = [int(float(r.split(",")[column])) for r in lines[2:]]
         assert iters, path.name
         assert all(1 < k < picard_max for k in iters), (path.name, iters)
+    assert "picard_max" not in capsys.readouterr().err
+
+
+def test_cli_reports_unconverged_picard_steps(tmp_path, capsys):
+    # picard_max 1 stops every step of linear_z after one sweep, short of the
+    # Picard test; the tables show picard_iters 1, as for a converged step
+    cfg = _write(tmp_path,
+                 "geometry:\n  type: full\nepsilons: [0.5]\n"
+                 "time:\n  t_end: 0.125\nresolutions:\n  n_sigma: 4\n"
+                 "loads:\n  preset: linear_z\ntolerances:\n  picard_max: 1\n")
+    out = tmp_path / "out"
+    for command in ("plate-run", "micro-run"):
+        assert run_command([command, "--config", cfg, "--out", str(out)]) == 0
+    tail = "2 of 2 steps stopped at picard_max without converging, the first at t = 0.0625"
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: plate: {tail}", f"warning: micro eps 1/2: {tail}"]
 
 
 @pytest.mark.parametrize("value", ["stride=0", "stride=x", "every"])
@@ -679,6 +695,13 @@ def _mask_config(mask):
     ("geometry:\n  type: channel\n  height: [-1.0, 0.5]\n", "geometry.height"),
     ("material:\n  mu: -1.0\n", "material"),
     ("material:\n  lambda: -1.0\n", "material"),
+    ("material:\n  lambda: true\n", "material.lambda"),
+    ("epsilons: [true]\n", "epsilons"),
+    ("epsilons: [0.5, 0.5]\n", "epsilons"),                   # repeated
+    ("sigma: [[false, true], [0, 1]]\n", "sigma"),
+    ("time:\n  dt: true\n  t_end: 1\n", "time.dt"),
+    ("time:\n  t_end: .inf\n", "time.t_end"),
+    ("resolutions:\n  n_sigma: 1\n", "resolutions.n_sigma"),  # every node clamped
     (_mask_config(np.ones((2, 2, 2), bool)), "geometry"),            # not (m, m, 2m)
     (_mask_config(np.zeros((2, 2, 4), bool)), "geometry"),           # empty
     (_mask_config(np.arange(16).reshape(2, 2, 4) > 0), "geometry"),  # not periodic

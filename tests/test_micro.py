@@ -325,12 +325,11 @@ def test_inplane_points_equal_float_unique(void_layers, name, eps):
         assert np.array_equal(got_inv, want_inv.reshape(-1))
 
 
-def test_transfer_orders_elements_by_cell_element(box_cell_n4, iso_tensor, cq):
+def test_transfer_orders_elements_by_cell_element(box_cell_n4):
     mesh, sols, eff = box_cell_n4
     system = _free_plate_system(eff)
     lmesh = pg.build_layer_mesh(mesh.geometry, 0.25, SIGMA, 4)
-    ops = pm.assemble_micro(lmesh, iso_tensor, 0.25, _loads("zero", cq))
-    tr = pm.PlateTransfer.build(ops, system, sols)
+    tr = pm.PlateTransfer.build(lmesh, system, sols)
     cell_elem = pm._cell_element_lookup(lmesh, mesh)
     order = np.argsort(cell_elem, kind="stable")
     assert np.array_equal(tr.elems, lmesh.elems[order])
@@ -346,9 +345,8 @@ def test_transfer_orders_elements_by_cell_element(box_cell_n4, iso_tensor, cq):
     assert np.abs(tr.limit_strain[:, :, 5] - want).max() <= 1e-13 * np.abs(want).max()
     # a layer meshed with its voids does not tile the solid cell
     full = pg.build_layer_mesh(mesh.geometry, 0.25, SIGMA, 4, include_void=True)
-    ops_full = pm.assemble_micro(full, iso_tensor, 0.25, _loads("zero", cq))
     with pytest.raises(InconsistentMesh):
-        pm.PlateTransfer.build(ops_full, system, sols)
+        pm.PlateTransfer.build(full, system, sols)
 
 
 def test_volume_rhs_matches_quadrature_sum(full_geom2, iso_tensor, cq):
@@ -578,17 +576,18 @@ def test_two_scale_memo_follows_system_and_cells(coupled_small, box_cell_n4):
     _, ops, pairs = runs[0]
     ms, ps = pairs[-1]
     first = pm.two_scale_errors(ms, ps, sols)
-    memo = ops.transfer
+    memo = ops.lmesh.memo["plate_transfer"]
     assert memo.system is system and memo.sols is sols
     pm.two_scale_errors(ms, ps, sols)
-    assert ops.transfer is memo
+    assert ops.lmesh.memo["plate_transfer"] is memo
 
     stretch = [column("stretch", ij) for ij in INDEX_PAIRS]
     values = sols.values.copy()
     values[:, stretch] *= 2.0
     doubled = replace(sols, values=values)
     rep = pm.two_scale_errors(ms, ps, doubled)
-    assert ops.transfer is not memo and ops.transfer.sols is doubled
+    transfer = ops.lmesh.memo["plate_transfer"]
+    assert transfer is not memo and transfer.sols is doubled
     assert rep.err_symgrad != first.err_symgrad
     assert rep.err_symgrad == pytest.approx(_direct_two_scale(ms, ps, doubled)[3],
                                             rel=1e-12)
@@ -602,6 +601,7 @@ def test_two_scale_memo_follows_system_and_cells(coupled_small, box_cell_n4):
                         a=np.zeros(finer.bend_dofs.n_dofs),
                         m=r.standard_normal(finer.memb_dofs.n_dofs))
     rep = pm.two_scale_errors(ms, ps2, doubled)
-    assert ops.transfer.system is finer and ops.transfer.sols is doubled
+    transfer = ops.lmesh.memo["plate_transfer"]
+    assert transfer.system is finer and transfer.sols is doubled
     got = (rep.err_u3, rep.err_u1[0], rep.err_u1[1], rep.err_symgrad)
     assert got == pytest.approx(_direct_two_scale(ms, ps2, doubled), rel=1e-12)

@@ -128,3 +128,16 @@ def test_step_rejects_nonpositive_dt(models, linear_z, model, dt):
     step, _, state, k_eff = models[model]
     with pytest.raises(ValueError, match="dt must be positive"):
         step(state, dt, linear_z, k_eff(0.05))
+
+
+@pytest.mark.parametrize("model", ["plate", "micro"])
+@pytest.mark.parametrize("dt, t_end", [(-0.05, 0.2), (0.0, 0.2), (0.3, 1.0), (0.05, 0.12),
+                                       (0.05, -0.2)])
+def test_run_rejects_a_time_grid_that_does_not_fit(models, linear_z, model, dt, t_end):
+    # without the check: one row at t = 0, a ZeroDivisionError, runs that
+    # stop short of t_end at t = 0.9 and t = 0.1, and one row at t = 0
+    state = models[model][2]
+    run = {"plate": lambda: pp.run_plate(state.system, linear_z, dt=dt, t_end=t_end),
+           "micro": lambda: pm.run_micro(state.ops, linear_z, dt=dt, t_end=t_end)}
+    with pytest.raises(ValueError, match="whole number of steps"):
+        run[model]()

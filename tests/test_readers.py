@@ -1,11 +1,11 @@
 """Every public name of the package has a reader in a run, every dataclass
-field a reader somewhere, and every defaulted parameter a caller that passes
+field a reader in a run, and every defaulted parameter a caller that passes
 it.
 
 A public module-level function or class, or a public method, that nothing in
 ``src/perfolayer`` or ``perfbench/`` reads is code that only the tests reach.
 It belongs in the tests that use it, or nowhere.  A dataclass field that
-nothing loads, not even a test, keeps its value alive for no one.  A
+nothing there loads holds a value that no run reports or uses.  A
 defaulted parameter of a function or method (public or private) that no call
 in ``src/perfolayer`` or ``perfbench/`` passes has one value in every run: it
 is a constant, and belongs in the code as one.  A call passes a parameter
@@ -80,14 +80,12 @@ def _dataclass_fields(tree):
 
 
 def test_every_dataclass_field_is_read():
-    # fields are matched by name, like the public names above; the tests
-    # count as readers, since a field may exist to be checked
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-             *(ROOT / "tests").glob("*.py")]
-    loaded = {node.attr for p in files
-              for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+    # fields are matched by name, like the public names above; a field that
+    # only the tests read is a value that no run shows
+    trees = _trees()
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = [f"{path}: {cls}.{name}" for path, tree in _trees().items()
+    unread = [f"{path}: {cls}.{name}" for path, tree in trees.items()
               if path.startswith("src/")
               for cls, name in _dataclass_fields(tree) if name not in loaded]
     assert not unread, "dataclass fields that nothing reads:\n" + "\n".join(unread)
