@@ -30,10 +30,6 @@ PROBLEMS = tuple((kind, ij) for kind in ("stretch", "bending") for ij in INDEX_P
 # and on the box cell at n = 16; README, "How the cell problems are solved").
 MULTIGRID_MIN_DOFS = 15_000
 
-# Elements per block over which ``effective_tensors`` accumulates its Gram
-# matrix, so that no strain array spans the whole cell.
-_GRAM_BLOCK_ELEMS = 512
-
 
 def basis_matrix(i: int, j: int) -> np.ndarray:
     """Symmetric rank-one basis matrix (e_i (x) e_j + e_j (x) e_i) / 2."""
@@ -51,13 +47,16 @@ class CellSolutionSet:
     ``PROBLEMS[c]``, and ``residuals[c]`` its relative residual.  A stretch
     problem (i, j) relaxes the in-plane unit strain M_ij, a bending problem
     the unit-curvature strain -y3 M_ij; every solution has zero mean per
-    component.
+    component.  ``energy`` (6, 6) is the corrector part of the cell energy,
+    X^T K X - R^T X - X^T R for the solution block X, the load block R and
+    the cell stiffness K.
     """
 
     mesh: LayerMesh
     dofmap: DofMap
     values: np.ndarray
     residuals: np.ndarray
+    energy: np.ndarray
 
     def nodal(self, c: int) -> np.ndarray:
         """Nodal array (n_nodes, 3) of the solution in column c."""
@@ -98,15 +97,6 @@ def _cell_multigrid(op: SymmetricOperator, dofmap: DofMap):
     return fem.GridMultigrid(op, dofmap)
 
 
-def _profile(mesh: LayerMesh, kind: str, elems=None):
-    """Factor of the forcing strain M_ij at the quadrature points of
-    ``elems`` (default all): 1 for stretching, -y3 of shape (E, n_q, 1) for
-    bending."""
-    if kind == "stretch":
-        return 1.0
-    return -fem.quadrature_points(mesh, elems)[:, :, 2:]
-
-
 def _field_rhs(mesh, dofmap, xi: np.ndarray) -> np.ndarray:
     """Load vector of phi -> int xi : D(phi) for a Mandel quadrature-point
     field ``xi``, (E, n_q, 6) or broadcastable to it."""
@@ -128,23 +118,30 @@ def solve_cell_problems(mesh: LayerMesh, tensor: ElasticityTensor4,
     in ``PROBLEMS`` order, by ``fem.solve_spd``, preconditioned by the grid
     multigrid V-cycle from ``MULTIGRID_MIN_DOFS`` on.  A column whose relative residual exceeds
     max(100 tol, 1e-8) raises SolverFailure.  ``workers`` is accepted and
-    ignored.
+    ignored.  The product of the residual check also gives ``energy``, with
+    the mean-zero augmentation taken out.
     """
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, tensor, dofmap)
     precond = _cell_multigrid(op, dofmap)
     rhs = np.empty((dofmap.n_dofs, len(PROBLEMS)))
+    y3 = fem.quadrature_points(mesh)[:, :, 2:]
     for c, (kind, ij) in enumerate(PROBLEMS):
         stress = fem.sym_to_mandel(tensor.apply(basis_matrix(*ij)))
-        rhs[:, c] = _field_rhs(mesh, dofmap, -_profile(mesh, kind) * stress)
+        rhs[:, c] = _field_rhs(mesh, dofmap, -stress if kind == "stretch" else y3 * stress)
     sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
+    prod = op.matvec(sol)
     bnorm = np.linalg.norm(rhs, axis=0)
-    rnorm = np.linalg.norm(op.matvec(sol) - rhs, axis=0)
+    rnorm = np.linalg.norm(prod - rhs, axis=0)
     res = np.divide(rnorm, bnorm, out=np.zeros_like(rnorm), where=bnorm > 0)
     for (kind, ij), r in zip(PROBLEMS, res):
         if r > max(100 * tol, 1e-8):
             raise SolverFailure(f"{kind} cell problem {ij} residual {r:.3e}")
-    return CellSolutionSet(mesh=mesh, dofmap=dofmap, values=sol, residuals=res)
+    means = sol.T @ op.vs
+    xr = sol.T @ rhs
+    energy = sol.T @ prod - (means * op.sig) @ means.T - xr - xr.T
+    return CellSolutionSet(mesh=mesh, dofmap=dofmap, values=sol, residuals=res,
+                           energy=energy)
 
 
 def _block(g: np.ndarray) -> np.ndarray:
@@ -160,30 +157,26 @@ def effective_tensors(mesh: LayerMesh, tensor: ElasticityTensor4,
                       sols: CellSolutionSet) -> EffectiveModel:
     """Energy averages of the cell strains over the solid cell.
 
-    The six total strains (``PROBLEMS`` order) give one 6x6 Gram
-    matrix G_rs = (1/|Y*|) int A e_r : e_s; a* is its stretch block, c* its
-    bending block, and b* the block with bending rows and stretch columns,
-    so b* carries the bending strain on its first index pair.  G is summed
-    over blocks of ``_GRAM_BLOCK_ELEMS`` elements, one product per block.
+    The six total strains e_r = D(chi_r) + p_r M_r (``PROBLEMS`` order, p = 1
+    for stretch and -y3 for bending) give one 6x6 Gram matrix
+    G_rs = (1/|Y*|) int A e_r : e_s; a* is its stretch block, c* its bending
+    block, and b* the block with bending rows and stretch columns, so b*
+    carries the bending strain on its first index pair.  Since the load of
+    problem r is R_r = -int A p_r M_r : D(.), |Y*| G is ``sols.energy`` plus
+    the energy int p_r p_s A M_r : M_s of the imposed strains (Caillerie,
+    Math. Methods Appl. Sci. 6, 1984).
     """
     if sols.mesh is not mesh:
         raise InconsistentMesh("solutions were computed on a different mesh")
-    fields = [(kind, sols.nodal(c), fem.sym_to_mandel(basis_matrix(*ij)))
-              for c, (kind, ij) in enumerate(PROBLEMS)]
-    w = fem.hex_reference(mesh.spacing)[2]
-    c = tensor.mandel()
-    g = np.zeros((6, 6))
-    for start in range(0, mesh.n_elems, _GRAM_BLOCK_ELEMS):
-        block = mesh.elems[start:start + _GRAM_BLOCK_ELEMS]
-        s = np.empty((6, block.shape[0], w.shape[0], 6))
-        for r, (kind, nodal, m) in enumerate(fields):
-            s[r] = fem.gradient_decomposition(mesh, nodal, block)
-            s[r] += _profile(mesh, kind, block) * m
-        cs = (s.reshape(-1, 6) @ c.T).reshape(s.shape)
-        cs *= w[:, None]
-        g += s.reshape(6, -1) @ cs.reshape(6, -1).T
+    h = mesh.spacing[2]
+    zc = mesh.coords[mesh.elems[:, 0], 2] + 0.5 * h
+    # int 1, int y3 and int y3^2 over the solid elements, exact per element
+    m0, m1, m2 = np.prod(mesh.spacing) * np.array(
+        [zc.size, zc.sum(), np.sum(zc * zc + h * h / 12)])
+    m = fem.sym_to_mandel(np.stack([basis_matrix(*ij) for ij in INDEX_PAIRS]))
+    imposed = np.kron([[m0, -m1], [-m1, m2]], m @ tensor.mandel() @ m.T)
     vol = mesh.geometry.solid_volume
-    g /= vol
+    g = (sols.energy + imposed) / vol
     g = 0.5 * (g + g.T)
     return EffectiveModel(a_star=_block(g[:3, :3]), b_star=_block(g[3:, :3]),
                           c_star=_block(g[3:, 3:]), solid_volume=vol)

@@ -30,9 +30,7 @@ def _parser():
     p = argparse.ArgumentParser(
         prog="perfolayer",
         description="multiscale pipeline for thin perforated elastic layers")
-    p.add_argument("command", choices=[
-        "cell-solve", "homogenize", "plate-run", "micro-run", "converge",
-        "korn", "extension-norm", "trace", "helmholtz-check", "report"])
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--config", default=None, help="configuration document (YAML)")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--seed", type=int, default=0, help="eigen iteration seed")
@@ -144,21 +142,17 @@ class Pipeline:
             mtraj = self.micro_run(eps)
             dt = cfg.dt_for(eps)
             stride = int(round(dt / dt_macro))
-            agg = np.zeros(4)
-            agg_u = 0.0
-            agg_r = 0.0
+            agg = np.zeros(6)
             for k, ms in enumerate(mtraj.states[1:], start=1):
                 ps = ptraj.states[k * stride]
                 rep = micro.two_scale_errors(ms, ps, sols)
                 ts_rows.append(rep.row())
-                agg += dt * np.array([rep.err_u3**2, rep.err_u1[0]**2,
-                                      rep.err_u1[1]**2, rep.err_symgrad**2])
                 e_u, e_r = micro.moment_errors(ps, ms.ops.lmesh, ms.nodal(), eps)
-                agg_u += dt * e_u**2
-                agg_r += dt * e_r**2
+                agg += dt * np.array([rep.err_u3, *rep.err_u1, rep.err_symgrad,
+                                      e_u, e_r]) ** 2
             agg = np.sqrt(agg)
-            trend_rows.append([eps, agg[0], agg[1], agg[2], agg[3]])
-            moment_rows.append([eps, float(np.sqrt(agg_u)), float(np.sqrt(agg_r))])
+            trend_rows.append([eps, *agg[:4]])
+            moment_rows.append([eps, *agg[4:]])
 
         reporting.write_csv(os.path.join(self.outdir, "twoscale.csv"),
                             micro.TwoScaleReport.HEADER, ts_rows)
@@ -264,6 +258,21 @@ class Pipeline:
                 nodal(states[idx]))
 
 
+# the stage each subcommand runs
+_COMMANDS = {
+    "cell-solve": lambda pipe: pipe.cell_solve(),
+    "homogenize": lambda pipe: pipe.homogenize(),
+    "plate-run": lambda pipe: pipe.plate_run(),
+    "micro-run": lambda pipe: [pipe.micro_run(eps) for eps in pipe.cfg.epsilons],
+    "converge": lambda pipe: pipe.converge(),
+    "korn": lambda pipe: pipe.constants("korn"),
+    "extension-norm": lambda pipe: pipe.constants("extension"),
+    "trace": lambda pipe: pipe.constants("trace"),
+    "helmholtz-check": lambda pipe: pipe.helmholtz_check(),
+    "report": lambda pipe: pipe.report(),
+}
+
+
 def _report_unconverged(model: str, states):
     """A stderr line for steps that stopped at picard_max short of the Picard test."""
     missed = [s.t for s in states if not s.picard_converged]
@@ -294,32 +303,15 @@ def run_command(argv) -> int:
     outdir = args.out or "out"
     try:
         cfg = load_config(args.config) if args.config else SimConfig()
+        if args.out == "":
+            raise ValidationError("must be a non-empty path", key="--out")
         if args.out:
             cfg.tree["output_dir"] = args.out
-        outdir = cfg.output_dir if args.out is None else args.out
+        outdir = cfg.output_dir
+        if args.seed < 0:
+            raise ValidationError("must be a non-negative integer", key="--seed")
         pipe = Pipeline(cfg, outdir, seed=args.seed, dump=args.dump_fields)
-        command = args.command
-        if command == "cell-solve":
-            pipe.cell_solve()
-        elif command == "homogenize":
-            pipe.homogenize()
-        elif command == "plate-run":
-            pipe.plate_run()
-        elif command == "micro-run":
-            for eps in cfg.epsilons:
-                pipe.micro_run(eps)
-        elif command == "converge":
-            pipe.converge()
-        elif command == "korn":
-            pipe.constants("korn")
-        elif command == "extension-norm":
-            pipe.constants("extension")
-        elif command == "trace":
-            pipe.constants("trace")
-        elif command == "helmholtz-check":
-            pipe.helmholtz_check()
-        elif command == "report":
-            pipe.report()
+        _COMMANDS[args.command](pipe)
         return EXIT_OK
     except (ParseError, ValidationError, OSError) as exc:
         _error_record(outdir, exc)

@@ -283,6 +283,9 @@ def validate_tree(tree: dict) -> dict:
     except (ResolutionIncompatible, EmptySolid, PeriodicMismatch, DisconnectedSolid,
             ValueError) as exc:
         raise ValidationError(str(exc), key="geometry") from exc
+    if g["type"] in ("box", "channel") and geom.is_full:
+        raise ValidationError(f"the {g['type']} removes no voxel at m = {geom.resolution}; "
+                              "raise resolutions.m", key="geometry")
     if merged["resolutions"]["n"] % geom.resolution:
         raise ValidationError(
             f"must be an integer multiple of the geometry resolution {geom.resolution}",
@@ -310,6 +313,9 @@ def validate_tree(tree: dict) -> dict:
         if not (ok and a1 <= p[0] <= b1 and a2 <= p[1] <= b2):
             raise ValidationError(f"point {k} is not an [x, y] pair of numbers in "
                                   f"[{a1:g}, {b1:g}] x [{a2:g}, {b2:g}]", key="probes")
+
+    if not (isinstance(merged["output_dir"], str) and merged["output_dir"]):
+        raise ValidationError("must be a non-empty string", key="output_dir")
 
     # constructing the load model validates expressions and preset names
     SimConfig(merged).build_loads()

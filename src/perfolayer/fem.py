@@ -637,12 +637,12 @@ def element_fields(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
     return (nodal[el].reshape(el.shape[0], -1) @ table).reshape(el.shape[0], -1, 9)
 
 
-def gradient_decomposition(mesh, nodal: np.ndarray, elems=None) -> np.ndarray:
+def gradient_decomposition(mesh, nodal: np.ndarray) -> np.ndarray:
     """Symmetric gradient D(u) of a three-component nodal field at the
     quadrature points in Mandel form, shape (E, n_q, 6), read from the
     strain columns of ``element_fields``.  (The name is kept because the
     benchmark traces it.)"""
-    return element_fields(mesh, nodal, elems)[..., 3:]
+    return element_fields(mesh, nodal)[..., 3:]
 
 
 def quadrature_weights(mesh) -> np.ndarray:

@@ -413,7 +413,7 @@ class PlateTransfer:
         order = np.argsort(cell_elem, kind="stable")
         elems = lmesh.elems[order]
         distinct, inverse = _inplane_points(lmesh, order)
-        limit = np.stack([fem.element_fields(cmesh, sols.nodal(c))[..., 3:]
+        limit = np.stack([fem.gradient_decomposition(cmesh, sols.nodal(c))
                           for c in range(len(PROBLEMS))], axis=2)
         y3 = fem.quadrature_points(cmesh)[..., 2]
         limit[..., [0, 1], [0, 1]] += 1.0

@@ -707,6 +707,8 @@ def _mask_config(mask):
     (_mask_config(np.arange(16).reshape(2, 2, 4) > 0), "geometry"),  # not periodic
     ("geometry:\n  type: mask\n  mask: 1\n", "geometry"),                 # not 3-d
     ("geometry:\n  type: channel\n  width: [0.01, 0.99]\n", "geometry"),  # disconnected
+    ("resolutions:\n  m: 2\n", "geometry"),                            # box removes no voxel
+    ("geometry:\n  type: channel\nresolutions:\n  m: 2\n", "geometry"),  # nor the channel
     ("resolutions:\n  n: 6\n", "resolutions.n"),
     ("resolutions:\n  n: 4.5\n", "resolutions.n"),
     ("resolutions:\n  m: 4.5\n", "resolutions.m"),
@@ -745,6 +747,43 @@ def test_cli_bad_geometry_or_material_fails_in_validation(tmp_path, text, key):
     record = json.loads(Path(out, "error.json").read_text())
     assert record["error"] == "ValidationError"
     assert record["message"].startswith(key + ":")
+
+
+@pytest.mark.parametrize("kind", ["box", "channel"])
+def test_hole_without_voxels_asks_for_a_finer_mask(kind):
+    # no voxel centre at m = 2 lies strictly inside (0.25, 0.75)
+    with pytest.raises(ValidationError, match="raise resolutions.m"):
+        validate_tree({"geometry": {"type": kind}, "resolutions": {"m": 2, "n": 4}})
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["korn", "--seed", "-1"], "--seed"),
+    (["helmholtz-check", "--seed=-8"], "--seed"),
+    (["homogenize", "--out", ""], "--out"),
+])
+def test_cli_bad_argument_fails_before_compute(tmp_path, monkeypatch, argv, key):
+    # the record goes to the configured output_dir, or to the default ./out
+    # when --out is the bad argument
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "output_dir: run\n")
+    out = tmp_path / ("out" if key == "--out" else "run")
+    assert run_command(argv + ["--config", cfg]) == 2
+    assert os.listdir(out) == ["error.json"]
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValidationError"
+    assert record["message"].startswith(key + ":")
+
+
+@pytest.mark.parametrize("value", ["5", "null", "''"])
+def test_cli_bad_output_dir_fails_in_validation(tmp_path, monkeypatch, value):
+    # without --out the record goes to the default directory ./out
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, f"output_dir: {value}\n")
+    assert run_command(["homogenize", "--config", cfg]) == 2
+    assert os.listdir(tmp_path / "out") == ["error.json"]
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ValidationError"
+    assert record["message"].startswith("output_dir:")
 
 
 def test_cli_norm_order_key_is_unknown(tmp_path):
