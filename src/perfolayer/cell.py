@@ -86,6 +86,7 @@ def _periodic_dofmap(mesh: LayerMesh) -> DofMap:
 
 def _cell_operator(mesh, tensor, dofmap) -> SymmetricOperator:
     k = fem.assemble_elasticity(mesh, tensor, dofmap)
+    dofmap.release_plan()
     return SymmetricOperator(k.matrix, *fem.mean_zero_augmentations(mesh, dofmap, k))
 
 
@@ -224,6 +225,7 @@ def helmholtz_decompose(mesh: LayerMesh, xi: np.ndarray) -> HelmholtzSplit:
 
     dm_dir = DofMap(mesh, ncomp=3, dirichlet_nodes=_cell_boundary_nodes(mesh))
     k_dir = fem.assemble_elasticity(mesh, ident, dm_dir)
+    dm_dir.release_plan()
     p = fem.solve_spd(k_dir, _field_rhs(mesh, dm_dir, xi), tol=1e-12)
     dp = fem.gradient_decomposition(mesh, dm_dir.expand(p))
 

@@ -14,7 +14,8 @@ same order, so the results do not depend on the core count.
 Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
 pattern of an element set on node blocks (the dofs of a node are
 consecutive), built once per ``DofMap`` and element array and filled per
-operator by one sparse-dense product of local blocks.
+operator from sparse-dense products of local blocks, written run of block
+rows by run into CSR arrays of the final size.
 """
 
 from __future__ import annotations
@@ -277,7 +278,8 @@ class DofMap:
     def plan(self, elems: np.ndarray) -> "AssemblyPlan":
         """Node-block assembly plan of an element array.  The plan of the
         last array asked for is kept, so operators assembled over the same
-        array object share one sparsity pattern."""
+        array object share one sparsity pattern; the caller releases it
+        (``release_plan``) after its last fill."""
         if self._plan is None or self._plan[0] is not elems:
             blocks = self.node_blocks[elems]
             n = self.n_dofs // self.ncomp
@@ -401,6 +403,25 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
     os.register_at_fork(after_in_child=_drop_row_pool)
 
 
+def _row_runs(indptr: np.ndarray, n_runs: int) -> list:
+    """Cut the rows of a compressed pattern into at most ``n_runs``
+    contiguous runs ``(r0, r1)`` of about equal entry counts."""
+    cuts = np.searchsorted(indptr, indptr[-1] * np.arange(1, n_runs) // n_runs)
+    bounds = np.unique(np.concatenate(([0], cuts, [indptr.size - 1])))
+    return [(int(r0), int(r1)) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+
+def _add_rows_product(a: sp.csr_matrix, r0: int, r1: int, x: np.ndarray, y: np.ndarray):
+    """y += A[r0:r1] x through the kernel of ``A @ x``, reading A's own
+    arrays; x and y are C-contiguous and of A's dtype."""
+    indptr = a.indptr[r0:r1 + 1]
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(r1 - r0, a.shape[1], indptr, a.indices, a.data, x, y)
+    else:
+        _sparsetools.csr_matvecs(r1 - r0, a.shape[1], x.shape[1], indptr, a.indices,
+                                 a.data, x.ravel(), y.ravel())
+
+
 class RowSplitProduct:
     """x -> A x for a CSR matrix A, split by rows across the available cores.
 
@@ -418,11 +439,8 @@ class RowSplitProduct:
 
     def __init__(self, matrix: sp.csr_matrix):
         self.matrix = matrix
-        n_blocks = max(1, min(_cores(), matrix.nnz // SPLIT_MIN_NNZ))
-        cuts = np.searchsorted(matrix.indptr,
-                               matrix.nnz * np.arange(1, n_blocks) // n_blocks)
-        bounds = np.unique(np.concatenate(([0], cuts, [matrix.shape[0]])))
-        self.blocks = [(int(r0), int(r1)) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+        self.blocks = _row_runs(matrix.indptr,
+                                max(1, min(_cores(), matrix.nnz // SPLIT_MIN_NNZ)))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         a = self.matrix
@@ -438,16 +456,8 @@ class RowSplitProduct:
         return y
 
     def _apply(self, block, x: np.ndarray, y: np.ndarray):
-        """y[r0:r1] += A[r0:r1] x through the kernel of ``A @ x``."""
         r0, r1 = block
-        a = self.matrix
-        indptr = a.indptr[r0:r1 + 1]
-        if x.ndim == 1:
-            _sparsetools.csr_matvec(r1 - r0, a.shape[1], indptr, a.indices,
-                                    a.data, x, y[r0:r1])
-        else:
-            _sparsetools.csr_matvecs(r1 - r0, a.shape[1], x.shape[1], indptr,
-                                     a.indices, a.data, x.ravel(), y[r0:r1].ravel())
+        _add_rows_product(self.matrix, r0, r1, x, y[r0:r1])
 
 
 class AssemblyPlan:
@@ -480,14 +490,44 @@ class AssemblyPlan:
 
     def fill(self, local: np.ndarray) -> sp.csr_matrix:
         """Sum the local blocks, shaped ([n_kinds,] a, b, br, bc), into a CSR
-        matrix without stored zeros."""
+        matrix without stored zeros.
+
+        The CSR arrays are allocated once, at their final size, and filled
+        run by run: the block rows are cut into br*bc runs of about equal
+        slot counts, so the (slots, br*bc) sums of a run hold about as many
+        entries as one block entry has over the whole operator.  A first
+        pass counts the nonzero sums of each run; the second sums each run
+        again, converts it from block-sparse to CSR rows with its exact
+        zeros dropped and copies them into place.  The result equals the
+        conversion of the whole block matrix with ``eliminate_zeros``."""
         br, bc = local.shape[-2:]
-        data = self.count @ local.reshape(-1, br * bc)
+        local = np.ascontiguousarray(local.reshape(-1, br * bc), dtype=self.count.dtype)
         nr, nc = self.shape
-        mat = sp.bsr_matrix((data.reshape(-1, br, bc), self.indices, self.indptr),
-                            shape=(nr * br, nc * bc)).tocsr()
-        mat.eliminate_zeros()
-        return mat
+        runs = _row_runs(self.indptr, br * bc)
+        nnz = sum(np.count_nonzero(self._sums(local, *run)) for run in runs)
+        itype = np.int32 if max(nnz, nc * bc) <= np.iinfo(np.int32).max else np.int64
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=itype)
+        indptr = np.zeros(nr * br + 1, dtype=itype)
+        for r0, r1 in runs:
+            s0, s1 = self.indptr[r0], self.indptr[r1]
+            part = sp.bsr_matrix((self._sums(local, r0, r1).reshape(-1, br, bc),
+                                  self.indices[s0:s1], self.indptr[r0:r1 + 1] - s0),
+                                 shape=((r1 - r0) * br, nc * bc)).tocsr()
+            part.eliminate_zeros()
+            at = indptr[r0 * br]
+            data[at:at + part.nnz] = part.data
+            indices[at:at + part.nnz] = part.indices
+            indptr[r0 * br + 1:r1 * br + 1] = at + part.indptr[1:]
+        return sp.csr_matrix((data, indices, indptr), shape=(nr * br, nc * bc))
+
+    def _sums(self, local: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """Summed local entries (slots, br*bc) of the block rows r0..r1-1:
+        those rows of ``count @ local``."""
+        s0, s1 = self.indptr[r0], self.indptr[r1]
+        sums = np.zeros((s1 - s0, local.shape[1]))
+        _add_rows_product(self.count, s0, s1, local, sums)
+        return sums
 
 
 def _assemble(mesh, dofmap: DofMap, elems, local: np.ndarray) -> SymmetricOperator:
@@ -755,8 +795,10 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
             raise IndefiniteDetected(
                 f"nonpositive curvature p.Ap = {np.min(pap):.3e} in conjugate gradients")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
+        np.multiply(p, alpha, out=ap)
+        x += ap
         del ap, z  # free large block arrays before the preconditioner runs
         z = precond(r)
         rz_new = dot(r, z)
@@ -817,11 +859,11 @@ class GridMultigrid:
             p_node, grid, intervals = _grid_coarsening(grid, intervals, periodic)
             fine = levels[-1]
             fine.prolong = sp.kron(p_node, sp.identity(ncomp), format="csr")
-            fine.restrict = fine.prolong.T.tocsr()
+            restrict = fine.prolong.T.tocsr()
             a, vs = fine.op.matrix, fine.op.vs
             levels.append(_GridLevel(SymmetricOperator(
-                fine.restrict @ a @ fine.prolong,
-                None if vs is None else fine.restrict @ vs, op.sig), grid))
+                restrict @ a @ fine.prolong,
+                None if vs is None else restrict @ vs, op.sig), grid))
         self.levels = levels
         self._coarse_inverse = None
         if levels[-1].op.shape[0] <= coarsest:
@@ -846,7 +888,7 @@ class GridMultigrid:
                 return self._coarse_inverse @ b
             return lv.smooth(b)
         x = lv.smooth(b)
-        x += lv.prolong @ self._cycle(k + 1, lv.restrict @ (b - lv.op.apply(x)))
+        x += lv.prolong @ self._cycle(k + 1, lv.prolong.T @ lv.residual(b, x))
         return lv.smooth(b, x)
 
 
@@ -861,7 +903,7 @@ class _GridLevel:
     def __init__(self, op: SymmetricOperator, grid):
         self.op = op
         self.grid = grid
-        self.prolong = self.restrict = None
+        self.prolong = None
 
     def setup_smoother(self):
         d = self.op.diagonal()
@@ -875,18 +917,28 @@ class _GridLevel:
         self.theta = 0.6 * lam  # centre and half-width of [0.1, 1.1] lam
         self.delta = 0.5 * lam
 
+    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """b - A x, written over the product's array."""
+        r = self.op.apply(x)
+        return np.subtract(b, r, out=r)
+
     def smooth(self, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
         """Chebyshev iteration for A x = b from x (zero when None; Saad,
-        *Iterative Methods for Sparse Linear Systems*, 2003, Alg. 12.1)."""
-        r = b.copy() if x is None else b - self.op.apply(x)
-        d = self.jacobi(r) / self.theta
-        x = d.copy() if x is None else x + d
+        *Iterative Methods for Sparse Linear Systems*, 2003, Alg. 12.1).
+        A given x is updated in place and returned."""
+        r = b.copy() if x is None else self.residual(b, x)
+        d = self.jacobi(r)
+        d /= self.theta
+        x = d.copy() if x is None else np.add(x, d, out=x)
         sigma = self.theta / self.delta
         rho = 1.0 / sigma
         for _ in range(self.degree - 1):
             r -= self.op.apply(d)
             rho_new = 1.0 / (2.0 * sigma - rho)
-            d = (rho_new * rho) * d + (2.0 * rho_new / self.delta) * self.jacobi(r)
+            d *= rho_new * rho
+            z = self.jacobi(r)
+            z *= 2.0 * rho_new / self.delta
+            d += z
             rho = rho_new
             x += d
         return x

@@ -78,6 +78,7 @@ def _clamped_constant(inequality: str, lmesh: LayerMesh, eps: float, scale, tol:
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     a_op = fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap)
     b_op = assemble_b(lmesh, dofmap, *b_args)
+    dofmap.release_plan()
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
                                 tol=tol, seed=seed)
     return ConstantEstimate(inequality, eps, lmesh.resolution, scale(res.value),
@@ -124,6 +125,7 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
         v_mat = fem.assemble_elasticity(lmesh, ident, dofmap, elems=void_elems).matrix
     else:
         v_mat = sp.csr_matrix((n, n))
+    dofmap.release_plan()
     return ExtensionProblem(
         lmesh=lmesh, dofmap=dofmap, solid_dofs=solid_dofs, void_dofs=void_dofs,
         full_energy=(s_mat + v_mat).tocsr(),

@@ -1,6 +1,8 @@
 """Shared fixtures; heavyweight objects are session-scoped so the acceptance
 suite and unit tests reuse the same solves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ def box_cell_n4(box_geom, iso_tensor):
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak) of ``fn(*args, **kwargs)``: peak is the most memory,
+    in bytes, that tracemalloc saw allocated during the call (numpy arrays
+    included) and not freed."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def column(kind, ij):

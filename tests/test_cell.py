@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer.errors import AsymmetricInput, InconsistentMesh, MaxIterationsExceeded
 
-from conftest import BOX_HOLE, column, rng, sym_gradient, voigt_bound
+from conftest import BOX_HOLE, column, rng, sym_gradient, traced_peak, voigt_bound
 
 
 def test_basis_matrices():
@@ -198,13 +196,25 @@ def test_gram_peak_memory(box_cell_n8, iso_tensor):
     # the traced peak stays below half of the (6, E * n_q, 6) strain stack
     mesh, sols, _ = box_cell_n8
     stack_bytes = 6 * fem.quadrature_weights(mesh).size * 6 * 8
-    tracemalloc.start()
-    try:
-        pc.effective_tensors(mesh, iso_tensor, sols)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pc.effective_tensors, mesh, iso_tensor, sols)
     assert peak < stack_bytes / 2, (peak, stack_bytes)
+
+
+@pytest.mark.parametrize("multigrid, blocks", [(False, 15), (True, 28)])
+def test_cell_solve_peak_memory(box_geom, iso_tensor, multigrid, blocks, monkeypatch):
+    # the plan goes after the fill, and the fill forms no whole block
+    # array: the peak is the operator plus the size of 13 (n, 6) blocks with
+    # Jacobi (in the fill, beside the plan) and of 26 with the V-cycle (its
+    # hierarchy, dense coarsest inverse included, beside the solve's work
+    # arrays); a plan kept through the solve and the former fill made 22
+    # and 37
+    if multigrid:
+        monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+    mesh = pg.build_cell_mesh(box_geom, 8)
+    k = pc._cell_operator(mesh, iso_tensor, fem.DofMap(mesh, 3, periodic=True)).matrix
+    op_bytes = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
+    sols, peak = traced_peak(pc.solve_cell_problems, mesh, iso_tensor, tol=1e-12)
+    assert peak <= op_bytes + blocks * sols.values.nbytes, (peak, op_bytes, sols.values.nbytes)
 
 
 def test_voigt_keeps_asymmetric_coupling_block(iso_tensor):

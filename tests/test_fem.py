@@ -1,5 +1,7 @@
+import gc
 import os
 import signal
+import weakref
 
 import numpy as np
 import pytest
@@ -11,11 +13,12 @@ from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer import inequalities as inq
 from perfolayer import micro as pm
+from perfolayer import plate as pp
 from perfolayer.errors import (IndefiniteDetected, MaxIterationsExceeded,
                                SingularWithoutConstraints)
 from perfolayer.loads import preset_load_model
 
-from conftest import BOX_HOLE, SIGMA, rigid_field, rng, sym_gradient
+from conftest import BOX_HOLE, SIGMA, rigid_field, rng, sym_gradient, traced_peak
 
 
 def shear_tensor():
@@ -578,6 +581,129 @@ def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
     built.clear()
     inq.extension_problem(full)
     assert len(built) == 2  # solid elements (energy and mass), void elements
+
+
+def _block_to_csr(plan, local):
+    """The former fill: the whole (slots, br*bc) block array of
+    ``count @ local``, converted from block-sparse to CSR with the exact
+    zeros dropped."""
+    br, bc = local.shape[-2:]
+    data = plan.count @ local.reshape(-1, br * bc)
+    nr, nc = plan.shape
+    mat = sp.bsr_matrix((data.reshape(-1, br, bc), plan.indices, plan.indptr),
+                        shape=(nr * br, nc * bc)).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _recorded_fills(monkeypatch, build):
+    """(plan, local blocks, result, copy of the result as filled) of every
+    fill that ``build()`` makes (a caller may scale the result in place)."""
+    fills = []
+    fill = fem.AssemblyPlan.fill
+
+    def recording(plan, local):
+        out = fill(plan, local)
+        fills.append((plan, local, out, out.copy()))
+        return out
+
+    monkeypatch.setattr(fem.AssemblyPlan, "fill", recording)
+    build()
+    return fills
+
+
+def _fill_cases(case, geom):
+    """Assemblies of the fill test, by name."""
+    iso = fem.ElasticityTensor4.isotropic(0.8, 1.7)
+    if case == "cell_elasticity":
+        mesh = pg.build_cell_mesh(geom, 4)
+        return lambda: pc._cell_operator(mesh, iso, fem.DofMap(mesh, 3, periodic=True))
+    lm = pg.build_layer_mesh(geom, 0.5, SIGMA, 4)
+    if case == "micro_mass":  # mass and stiffness on one plan
+        return lambda: pm.assemble_micro(lm, iso, 0.5, preset_load_model("zero"))
+    if case == "korn_anisotropic":
+        dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+        grad_w = [[4.0, 4.0, 1.0], [4.0, 4.0, 1.0], [1.0, 1.0, 1.0]]
+        return lambda: fem.assemble_anisotropic(lm, dm, (4.0, 4.0, 1.0), grad_w)
+    if case == "lateral_surface_mass":  # one local matrix per face kind
+        channel = pg.build_cell_geometry(pg.channel_mask(4), m=4)
+        full = pg.build_layer_mesh(channel, 0.5, SIGMA, 4, include_void=True)
+        dm = fem.DofMap(full, 3, dirichlet_nodes=full.dirichlet_nodes)
+        return lambda: fem.assemble_surface_mass(full, dm, full.lateral_faces)
+    # plate blocks: scalar blocks, a non-square coupling block with a random
+    # b*, and a membrane mass with zeros between its two components
+    mesh = pg.build_cell_mesh(geom, 4)
+    eff = pc.effective_tensors(mesh, iso, pc.solve_cell_problems(mesh, iso))
+    eff.b_star = rng(11).standard_normal((2, 2, 2, 2))
+    return lambda: pp.assemble_plate_system(pg.build_plate_mesh(SIGMA, 4), eff)
+
+
+@pytest.mark.parametrize("case", ["cell_elasticity", "micro_mass", "korn_anisotropic",
+                                  "lateral_surface_mass", "plate"])
+def test_fill_equals_block_to_csr_route(box_geom, case, monkeypatch):
+    fills = _recorded_fills(monkeypatch, _fill_cases(case, box_geom))
+    assert len(fills) == {"micro_mass": 2, "plate": 5}.get(case, 1)
+    for plan, local, result, got in fills:
+        want = _block_to_csr(plan, local)
+        assert got.shape == want.shape and got.nnz > 0
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+        # the arrays hold the nonzeros and nothing more
+        for part in (result.data, result.indices):
+            assert (part if part.base is None else part.base).size == got.nnz
+    if case == "micro_mass":  # equal components only: 3 of the 9 block entries
+        plan, _, _, mass = fills[0]
+        assert mass.nnz == 3 * plan.count.shape[0]
+    if case == "plate":
+        k_ab = fills[2][3]
+        assert k_ab.shape[0] != k_ab.shape[1]
+
+
+def test_fill_peak_memory(box_geom):
+    # the fill holds its result and one run of block rows at a time (1.34
+    # times the result at n = 8): the former route held the block array and
+    # its CSR conversion together (1.89 times)
+    mesh = pg.build_cell_mesh(box_geom, 8)
+    plan = fem.DofMap(mesh, 3, periodic=True).plan(mesh.elems)
+    local = fem.elasticity_element(mesh.spacing, fem.ElasticityTensor4.isotropic(1.0, 1.0))
+    mat, peak = traced_peak(plan.fill, local.reshape(8, 3, 8, 3).transpose(0, 2, 1, 3))
+    result = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 1.5 * result, (peak, result)
+
+
+def test_no_plan_outlives_its_last_fill(box_geom, full_geom, monkeypatch):
+    # every plan is gone when the solves and eigen iterations that follow
+    # the assembly start
+    plans = []
+
+    class TrackedPlan(fem.AssemblyPlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            plans.append(weakref.ref(self))
+
+    live = []
+
+    def checked(fn):
+        def call(*args, **kwargs):
+            gc.collect()
+            live.append(sum(p() is not None for p in plans))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(fem, "AssemblyPlan", TrackedPlan)
+    monkeypatch.setattr(fem, "solve_spd", checked(fem.solve_spd))
+    monkeypatch.setattr(fem, "max_rayleigh_pair", checked(fem.max_rayleigh_pair))
+    iso = fem.ElasticityTensor4.isotropic(1.0, 1.0)
+    pc.solve_cell_problems(pg.build_cell_mesh(box_geom, 4), iso)
+    lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
+    inq.korn_constant(lm, 0.5, tol=1e-4)
+    full = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4, include_void=True)
+    inq.extension_norm(inq.extension_problem(full), tol=1e-4)
+    mesh = pg.build_cell_mesh(full_geom, 4)
+    xi = rng(2).standard_normal((mesh.n_elems, 8, 3, 3))
+    pc.helmholtz_decompose(mesh, xi + np.swapaxes(xi, -1, -2))
+    assert len(plans) == 6 and len(live) >= 5
+    assert not any(live), live
 
 
 def test_hex_reference_cached_read_only():
