@@ -189,7 +189,7 @@ def effective_tensors(mesh: LayerMesh, tensor: ElasticityTensor4,
 
 @dataclass
 class HelmholtzSplit:
-    """Orthogonal split of a symmetric field into a potential part D(p+q)
+    """Orthogonal split of a symmetric field into a potential part D(u)
     and a remainder orthogonal to every periodic symmetric gradient, both
     Mandel quadrature-point fields (E, n_q, 6)."""
 
@@ -197,19 +197,19 @@ class HelmholtzSplit:
     solenoidal: np.ndarray
 
 
-def _cell_boundary_nodes(mesh: LayerMesh) -> np.ndarray:
-    g = mesh.node_grid
-    return np.nonzero(((g == 0) | (g == mesh.voxel_elems.shape)).any(axis=1))[0]
-
-
 def helmholtz_decompose(mesh: LayerMesh, xi: np.ndarray) -> HelmholtzSplit:
     """Split a symmetric quadrature-point field (E, n_q, 3, 3) on the full
     cell into Mandel fields.
 
-    p solves the zero-Dirichlet problem driven by the divergence of the
-    input; q the periodic zero-mean problem absorbing the remaining
-    top/bottom flux.  The remainder is orthogonal to all discrete periodic
-    symmetric gradients.  Both solves stop at a relative residual of 1e-12.
+    The potential part is D(u) for the periodic zero-mean u with
+    int D(u) : D(phi) = int xi : D(phi) for every periodic phi: the cell
+    problem of the identity tensor loaded by xi.  So D(u) is the orthogonal
+    projection of xi onto the discrete periodic symmetric gradients, and the
+    remainder is orthogonal to all of them.  One solve is exact: a split
+    into a part vanishing on the cell boundary and a periodic correction
+    gives the same D(u), since a field vanishing on the boundary is periodic
+    too.  The solve stops at a relative residual of 1e-13, which puts D(u)
+    within about 1e-13 (relative) of the exact projection at n = 8.
     """
     if not mesh.geometry.is_full:
         raise InconsistentMesh("decomposition requires the unperforated cell")
@@ -221,21 +221,10 @@ def helmholtz_decompose(mesh: LayerMesh, xi: np.ndarray) -> HelmholtzSplit:
         raise AsymmetricInput("input field is not symmetric")
 
     xi = fem.sym_to_mandel(xi)
-    ident = ElasticityTensor4.identity()
-
-    dm_dir = DofMap(mesh, ncomp=3, dirichlet_nodes=_cell_boundary_nodes(mesh))
-    k_dir = fem.assemble_elasticity(mesh, ident, dm_dir)
-    dm_dir.release_plan()
-    p = fem.solve_spd(k_dir, _field_rhs(mesh, dm_dir, xi), tol=1e-12)
-    dp = fem.gradient_decomposition(mesh, dm_dir.expand(p))
-
-    dm_per = _periodic_dofmap(mesh)
-    op_per = _cell_operator(mesh, ident, dm_per)
-    rhs_q = _field_rhs(mesh, dm_per, xi - dp)
-    q = fem.solve_spd(op_per, rhs_q, tol=1e-12)
-    dq = fem.gradient_decomposition(mesh, dm_per.expand(q))
-
-    potential = dp + dq
+    dofmap = _periodic_dofmap(mesh)
+    op = _cell_operator(mesh, ElasticityTensor4.identity(), dofmap)
+    u = fem.solve_spd(op, _field_rhs(mesh, dofmap, xi), tol=1e-13)
+    potential = fem.gradient_decomposition(mesh, dofmap.expand(u))
     return HelmholtzSplit(potential=potential, solenoidal=xi - potential)
 
 

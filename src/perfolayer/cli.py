@@ -240,7 +240,7 @@ class Pipeline:
             summary["effective"] = {
                 k.strip(): v.strip()
                 for k, v in (ln.split("=", 1) for ln in tensor_lines)}
-        reporting.write_report({"summary": summary, "series": series}, self.outdir)
+        reporting.write_report(summary, series, self.outdir)
 
     # --- helpers -----------------------------------------------------------
     def _dump_states(self, prefix, states, nodal):

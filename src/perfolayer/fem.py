@@ -233,8 +233,9 @@ def _value_strain_table(spacing: tuple):
 class DofMap:
     """Reduced numbering after periodic identification and Dirichlet elimination.
 
-    Nodal field layout is node-major: dof = ncomp * node + comp.  Slave nodes
-    share the reduced dof of their periodic master; Dirichlet dofs map to -1.
+    The dofs come in node blocks: dof = ncomp * block + comp, the blocks
+    numbered over the free representative nodes in node order.  Slave nodes
+    share the block of their periodic master; Dirichlet nodes map to -1.
     With ``periodic`` the two lateral axes of a voxel mesh wrap: the master
     of a node is the node at its grid index ``mesh.node_grid`` taken modulo
     the lateral interval counts ``mesh.voxel_elems.shape[:2]``.  ``master``
@@ -248,27 +249,19 @@ class DofMap:
         n_nodes = mesh.coords.shape[0]
         self.master = master = (_periodic_masters(mesh) if periodic
                                 else np.arange(n_nodes, dtype=np.int64))
-        rep = master == np.arange(n_nodes)
-        rep_index = -np.ones(n_nodes, dtype=np.int64)
-        rep_index[rep] = np.arange(int(rep.sum()))
-        node_slot = rep_index[master]  # every node -> its representative slot
-
-        constrained = np.zeros(int(rep.sum()) * ncomp, dtype=bool)
-        if dirichlet_nodes is not None and len(dirichlet_nodes):
-            slots = node_slot[np.asarray(dirichlet_nodes, dtype=np.int64)]
-            for c in range(ncomp):
-                constrained[ncomp * slots + c] = True
-        reduced = -np.ones(int(rep.sum()) * ncomp, dtype=np.int64)
-        reduced[~constrained] = np.arange(int((~constrained).sum()))
-
-        self.n_dofs = int((~constrained).sum())
-        # per-node dof table (n_nodes, ncomp), -1 where eliminated
-        self.node_dofs = reduced[(ncomp * node_slot[:, None]
-                                  + np.arange(ncomp)[None, :])]
-        # constraints take whole nodes, so the dofs of a node are consecutive:
-        # node_dofs[:, c] = ncomp * node_blocks + c, or -1 for all c
-        self.node_blocks = np.where(self.node_dofs[:, 0] >= 0,
-                                    self.node_dofs[:, 0] // ncomp, -1)
+        # a representative (its own master) keeps a block of ncomp dofs
+        # unless it is the master of a Dirichlet node; blocks in node order
+        free = master == np.arange(n_nodes)
+        if dirichlet_nodes is not None:
+            free[master[np.asarray(dirichlet_nodes, dtype=np.int64)]] = False
+        n_blocks = int(free.sum())
+        block = -np.ones(n_nodes, dtype=np.int64)
+        block[free] = np.arange(n_blocks)
+        self.node_blocks = block[master]  # -1 on eliminated nodes
+        self.n_dofs = ncomp * n_blocks
+        # per-node dof table (n_nodes, ncomp): ncomp * block + comp, or -1
+        self.node_dofs = np.where(self.node_blocks[:, None] >= 0,
+                                  ncomp * self.node_blocks[:, None] + np.arange(ncomp), -1)
         self._plan = None  # (element array, AssemblyPlan) of the last plan
 
     def element_dofs(self, elems: np.ndarray) -> np.ndarray:

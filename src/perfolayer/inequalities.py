@@ -26,7 +26,6 @@ class ConstantEstimate:
     resolution: int
     constant: float
     residual: float
-    iterations: int
 
 
 @dataclass
@@ -82,7 +81,7 @@ def _clamped_constant(inequality: str, lmesh: LayerMesh, eps: float, scale, tol:
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
                                 tol=tol, seed=seed)
     return ConstantEstimate(inequality, eps, lmesh.resolution, scale(res.value),
-                            res.residual, res.iterations)
+                            res.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,7 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8,
     """
     lmesh = prob.lmesh
     if prob.void_dofs.size == 0:
-        return ConstantEstimate("extension", lmesh.eps, lmesh.resolution,
-                                1.0, 0.0, 0)
+        return ConstantEstimate("extension", lmesh.eps, lmesh.resolution, 1.0, 0.0)
     rigid = _orthonormal_rigid(prob)
     m = prob.solid_mass
     s = prob.solid_energy
@@ -200,7 +198,7 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8,
                                 tol=tol, seed=seed, project=project)
     ratio = float(np.sqrt(max(res.value, 1.0)))
     return ConstantEstimate("extension", lmesh.eps, lmesh.resolution, ratio,
-                            res.residual, res.iterations)
+                            res.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -79,15 +79,10 @@ def write_effective_model(path, eff, digest, resolution) -> None:
             f.write(line + "\n")
 
 
-def write_report(results: dict, outdir) -> None:
-    """Emit a summary tree and plot-data series for a results dict.
-
-    Recognized keys: ``summary`` (tree), ``series`` {name: (xs, ys)}.
-    """
+def write_report(summary: dict, series: dict, outdir) -> None:
+    """Emit the summary tree and the plot-data series {name: (xs, ys)}."""
     os.makedirs(outdir, exist_ok=True)
-    if "summary" in results:
-        write_summary(os.path.join(outdir, "summary.txt"), results["summary"])
-    series = results.get("series", {})
+    write_summary(os.path.join(outdir, "summary.txt"), summary)
     if series:
         plots = os.path.join(outdir, "plots")
         os.makedirs(plots, exist_ok=True)

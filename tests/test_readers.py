@@ -12,7 +12,9 @@ is a constant, and belongs in the code as one.  A call passes a parameter
 when its callee name matches (the class name for ``__init__``) and it names
 the parameter, has more positional arguments than the parameter's index, or
 unpacks ``*`` or ``**`` arguments.  A parameter that every run passes with
-one value is not caught; that still needs a reader's eye.
+one value is not caught; that still needs a reader's eye.  A name that a
+module of ``src/perfolayer`` imports and never reads (outside ``__all__``)
+is a dead import.
 """
 
 import ast
@@ -140,3 +142,33 @@ def test_every_defaulted_parameter_is_passed():
                 if not any(_passes(c, parameter, index) for c in calls.get(callee, ()))]
     assert not unpassed, ("defaulted parameters that no call in a run passes:\n"
                           + "\n".join(unpassed))
+
+
+def _imported_names(tree):
+    """(bound name, line) of every name an import in ``tree`` binds, the
+    ``__future__`` imports excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_read():
+    # a module reads a name it loads; the names it lists in ``__all__`` are
+    # read by its importers
+    unread = []
+    for path, tree in _trees().items():
+        if not path.startswith("src/"):
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        unread += [f"{path}:{line}: {name}"
+                   for name, line in _imported_names(tree) if name not in read]
+    assert not unread, "imported names that their module never reads:\n" + "\n".join(unread)
