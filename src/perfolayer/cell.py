@@ -187,19 +187,11 @@ def effective_tensors(mesh: LayerMesh, tensor: ElasticityTensor4,
 # Helmholtz decomposition on the unperforated cell
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HelmholtzSplit:
-    """Orthogonal split of a symmetric field into a potential part D(u)
-    and a remainder orthogonal to every periodic symmetric gradient, both
-    Mandel quadrature-point fields (E, n_q, 6)."""
-
-    potential: np.ndarray
-    solenoidal: np.ndarray
-
-
-def helmholtz_decompose(mesh: LayerMesh, xi: np.ndarray) -> HelmholtzSplit:
+def helmholtz_decompose(mesh: LayerMesh, xi: np.ndarray) -> np.ndarray:
     """Split a symmetric quadrature-point field (E, n_q, 3, 3) on the full
-    cell into Mandel fields.
+    cell into a potential part D(u) and a solenoidal remainder orthogonal to
+    every periodic symmetric gradient; returns the remainder as a Mandel
+    field (E, n_q, 6).  The two parts sum to the field by construction.
 
     The potential part is D(u) for the periodic zero-mean u with
     int D(u) : D(phi) = int xi : D(phi) for every periodic phi: the cell
@@ -224,8 +216,7 @@ def helmholtz_decompose(mesh: LayerMesh, xi: np.ndarray) -> HelmholtzSplit:
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, ElasticityTensor4.identity(), dofmap)
     u = fem.solve_spd(op, _field_rhs(mesh, dofmap, xi), tol=1e-13)
-    potential = fem.gradient_decomposition(mesh, dofmap.expand(u))
-    return HelmholtzSplit(potential=potential, solenoidal=xi - potential)
+    return xi - fem.gradient_decomposition(mesh, dofmap.expand(u))
 
 
 def gradient_pairing(mesh: LayerMesh, xi: np.ndarray, dphi: np.ndarray) -> float:

@@ -15,7 +15,9 @@ Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
 pattern of an element set on node blocks (the dofs of a node are
 consecutive), built once per ``DofMap`` and element array and filled per
 operator from sparse-dense products of local blocks, written run of block
-rows by run into CSR arrays of the final size.
+rows by run into CSR arrays of the final size.  An operator of one local
+matrix over the elements of a voxel mesh can instead stay unassembled and be
+applied element by element (``ElementMatrix``).
 """
 
 from __future__ import annotations
@@ -268,6 +270,13 @@ class DofMap:
         """(E, nodes_per_elem * ncomp) reduced dof ids, -1 = eliminated."""
         return self.node_dofs[elems].reshape(elems.shape[0], elems.shape[1] * self.ncomp)
 
+    def element_slots(self, elems: np.ndarray) -> np.ndarray:
+        """``element_dofs`` with the eliminated dofs at the dummy slot
+        n_dofs, one past the last dof, instead of -1."""
+        edofs = self.element_dofs(elems)
+        edofs[edofs < 0] = self.n_dofs
+        return edofs
+
     def plan(self, elems: np.ndarray) -> "AssemblyPlan":
         """Node-block assembly plan of an element array.  The plan of the
         last array asked for is kept, so operators assembled over the same
@@ -317,20 +326,24 @@ def _periodic_masters(mesh) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class SymmetricOperator:
-    """Symmetric operator A + V diag(sigma) V^T: a sparse matrix A plus
-    optional constraint columns ``vs`` V (n, k) with weights ``sig`` sigma
-    (k,), the symmetric augmentations that realize mean-zero constraints or
-    fix a rigid kernel.  The product, the diagonal and the dense matrix all
-    read the same arrays, for a vector or for each column of an (n, k)
-    block."""
+    """Symmetric operator A + V diag(sigma) V^T: a matrix A plus optional
+    constraint columns ``vs`` V (n, k) with weights ``sig`` sigma (k,), the
+    symmetric augmentations that realize mean-zero constraints or fix a rigid
+    kernel.  A is a sparse matrix, applied as CSR (``RowSplitProduct``), or
+    an ``ElementMatrix``, applied element by element to vectors only.  The
+    product, the diagonal and the dense matrix (of a sparse A) all read the
+    same arrays, for a vector or for each column of an (n, k) block."""
 
-    def __init__(self, matrix: sp.csr_matrix, vs: np.ndarray | None = None,
+    def __init__(self, matrix, vs: np.ndarray | None = None,
                  sig: np.ndarray | None = None):
-        self.matrix = matrix.tocsr()
+        if isinstance(matrix, ElementMatrix):
+            self.matrix = self._product = matrix
+        else:
+            self.matrix = matrix.tocsr()
+            self._product = RowSplitProduct(self.matrix)
         self.vs = vs
         self.sig = None if vs is None else np.asarray(sig, dtype=float)
         self._diagonal = None
-        self._product = RowSplitProduct(self.matrix)
 
     @property
     def shape(self):
@@ -362,6 +375,42 @@ class SymmetricOperator:
         if self.vs is not None:
             a += (self.vs * self.sig) @ self.vs.T
         return a
+
+
+class ElementMatrix:
+    """The matrix sum_e P_e^T L P_e of one local matrix L (nd, nd) over the
+    elements of a dof table, kept unassembled: every element of a voxel mesh
+    has the same spacing, so one L serves them all.  Entry (a, b) of L
+    couples row a to column b, as in ``AssemblyPlan.fill``.
+
+    ``slots`` (E, nd) is a ``DofMap.element_slots`` table (eliminated dofs
+    at the dummy slot n), read, not copied, so operators over one table
+    share it.  A product gathers x through the table (the dummy slot reads
+    a zero appended to x), multiplies the element vectors by L in one
+    (E, nd) @ (nd, nd) product and sums them back with one ``np.bincount``
+    (``scatter``), dropping the dummy bin; the diagonal is the scatter of
+    L's diagonal.
+    """
+
+    def __init__(self, local: np.ndarray, slots: np.ndarray, n: int):
+        self.local = local
+        self._local_t = np.ascontiguousarray(local.T)  # row-major: the faster GEMM
+        self.slots = slots
+        self.shape = (n, n)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x; a block raises ValueError."""
+        if x.ndim != 1:
+            raise ValueError(f"an element matrix applies to vectors, not shape {x.shape}")
+        return self.scatter(np.append(x, 0.0)[self.slots] @ self._local_t)
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """sum_e P_e^T v_e of per-element vectors v (E, nd)."""
+        n = self.shape[0]
+        return np.bincount(self.slots.ravel(), weights=np.ravel(v), minlength=n + 1)[:n]
+
+    def diagonal(self) -> np.ndarray:
+        return self.scatter(np.broadcast_to(np.diagonal(self.local), self.slots.shape))
 
 
 # fewest nonzeros per row block: on small operators the hand-off to a pool
@@ -550,10 +599,14 @@ def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
     return _assemble(mesh, dofmap, elems, elasticity_element(mesh.spacing, tensor))
 
 
+def mass_element(spacing, ncomp: int) -> np.ndarray:
+    """(8 ncomp, 8 ncomp) matrix of (u, v) -> int u . v on one element."""
+    return _component_element(spacing, [1.0] * ncomp, [[0.0] * ncomp] * 3)
+
+
 def assemble_mass(mesh, dofmap: DofMap, elems=None) -> SymmetricOperator:
     """Operator of (u, v) -> int u . v (vector or scalar arity)."""
-    nc = dofmap.ncomp
-    return _assemble_by_component(mesh, dofmap, elems, [1.0] * nc, [[0.0] * nc] * 3)
+    return _assemble(mesh, dofmap, elems, mass_element(mesh.spacing, dofmap.ncomp))
 
 
 def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
@@ -563,22 +616,24 @@ def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
     ``grad_weights[i][c]`` weighs the derivative of component c along axis i.
     Used for the weighted norms in the inequality estimates.
     """
-    return _assemble_by_component(mesh, dofmap, None, mass_weights, grad_weights)
+    return _assemble(mesh, dofmap, None,
+                     _component_element(mesh.spacing, mass_weights, grad_weights))
 
 
-def _assemble_by_component(mesh, dofmap, elems, mass_weights, grad_weights):
-    """``assemble_anisotropic`` over ``elems`` (all when None); zero weights add 0."""
-    N, G, w, _ = hex_reference(mesh.spacing)
+def _component_element(spacing, mass_weights, grad_weights) -> np.ndarray:
+    """Local matrix of ``assemble_anisotropic``, one component per mass
+    weight; zero weights add 0."""
+    N, G, w, _ = hex_reference(spacing)
     nn = np.einsum("q,qa,qb->ab", w, N, N)
     gg = np.einsum("q,qai,qbi->iab", w, G, G)
-    nc = dofmap.ncomp
+    nc = len(mass_weights)
     local = np.zeros((8 * nc, 8 * nc))
     for c in range(nc):
         block = mass_weights[c] * nn
         for i in range(3):
             block = block + grad_weights[i][c] * gg[i]
         local[c::nc, c::nc] = block
-    return _assemble(mesh, dofmap, elems, local)
+    return local
 
 
 def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricOperator:

@@ -29,17 +29,19 @@ from .plate import (PlatePoints, PlateState, PlateSystem, evaluate_deflection,
 
 @dataclass
 class MicroOperators:
-    """Assembled operators and cached quadrature data for one eps."""
+    """Operators and cached quadrature data for one eps.  The operators are
+    element matrices (``fem.ElementMatrix``) over the one dof table
+    ``elem_dofs``."""
 
     lmesh: LayerMesh
     dofmap: DofMap
     eps: float
     mass: SymmetricOperator
     stiffness: SymmetricOperator      # eps^-2 int A_eps D(u):D(phi)
-    strain_element: np.ndarray        # (24, 24) plain int D(u):D(phi), for norms
+    strain: SymmetricOperator         # plain int D(u):D(phi), for norms
     quad_x: np.ndarray                # (E, Q, 3) physical points
     quad_y: np.ndarray                # (E, Q, 3) cell coordinates x/eps mod 1
-    elem_dofs: np.ndarray             # (E, 24) reduced dofs, -1 = eliminated
+    elem_dofs: np.ndarray             # (E, 24) reduced dofs, n_dofs = eliminated
     surface_rhs: np.ndarray           # fixed traction contribution
     # distinct in-plane coordinates of the quadrature points and, per point
     # (element-major, as quad_x), the index of its distinct one
@@ -78,9 +80,7 @@ class MicroState:
 
     @functools.cached_property
     def _u_strain_u(self) -> float:
-        """Plain int |D(u)|^2, summed element by element."""
-        ue = np.append(self.u, 0.0)[self.ops.elem_dofs]  # -1 reads the 0
-        return float(np.einsum("ea,ea->", ue @ self.ops.strain_element, ue))
+        return float(self.u @ self.ops.strain.matvec(self.u))
 
     def scaled_velocity_norm(self) -> float:
         return float(np.sqrt(max(self._v_mass_v, 0.0)) / np.sqrt(self.eps))
@@ -95,17 +95,16 @@ class MicroState:
 def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
                    loads: LoadModel) -> MicroOperators:
     """Mass and eps^-2-scaled stiffness with Dirichlet on the lateral
-    boundary, plus the fixed interior-surface traction vector."""
+    boundary, as element matrices, plus the fixed interior-surface traction
+    vector."""
     if abs(eps - lmesh.eps) > 1e-12:
         raise InconsistentMesh("eps does not match the layer mesh")
-    # before the assembly: its temporaries would otherwise add to the peak
-    # memory of the first load vector
-    inplane = _inplane_points(lmesh, np.arange(lmesh.n_elems))
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
-    mass = fem.assemble_mass(lmesh, dofmap)
-    stiffness = fem.assemble_elasticity(lmesh, tensor, dofmap)
-    stiffness.matrix.data *= 1.0 / eps**2
-    dofmap.release_plan()
+    elem_dofs = dofmap.element_slots(lmesh.elems)
+    h = lmesh.spacing
+
+    def operator(local):
+        return SymmetricOperator(fem.ElementMatrix(local, elem_dofs, dofmap.n_dofs))
 
     quad_x = fem.quadrature_points(lmesh)
     quad_y = quad_x / eps
@@ -121,12 +120,12 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
         tract[:, 2] *= eps
         surface_rhs = -fem.surface_load_vector(lmesh, dofmap, lmesh.gamma_faces, tract)
 
-    return MicroOperators(lmesh=lmesh, dofmap=dofmap, eps=eps, mass=mass,
-                          stiffness=stiffness, strain_element=fem.elasticity_element(
-                              lmesh.spacing, ElasticityTensor4.identity()),
-                          quad_x=quad_x, quad_y=quad_y,
-                          elem_dofs=dofmap.element_dofs(lmesh.elems),
-                          surface_rhs=surface_rhs, inplane=inplane)
+    return MicroOperators(
+        lmesh=lmesh, dofmap=dofmap, eps=eps, mass=operator(fem.mass_element(h, 3)),
+        stiffness=operator(fem.elasticity_element(h, tensor) * (1.0 / eps**2)),
+        strain=operator(fem.elasticity_element(h, ElasticityTensor4.identity())),
+        quad_x=quad_x, quad_y=quad_y, elem_dofs=elem_dofs, surface_rhs=surface_rhs,
+        inplane=_inplane_points(lmesh, np.arange(lmesh.n_elems)))
 
 
 def zero_micro_state(ops: MicroOperators) -> MicroState:
@@ -158,7 +157,7 @@ def _volume_rhs(ops: MicroOperators, loads: LoadModel, t: float,
     fvals[..., :2] /= eps
     N, _, w, _ = fem.hex_reference(ops.lmesh.spacing)
     local = ((w[:, None] * N).T @ fvals).reshape(E, -1)  # sum_q w_q N_a(q) f_c(q)
-    return fem.scatter_vector(local, ops.elem_dofs, ops.dofmap.n_dofs)
+    return ops.mass.matrix.scatter(local)  # through the operators' element table
 
 
 def micro_rhs(ops: MicroOperators, loads: LoadModel, t: float,
@@ -191,18 +190,11 @@ def micro_step(state: MicroState, dt: float, loads: LoadModel,
 
 def effective_operator(ops: MicroOperators, dt: float,
                        beta: float = 0.25) -> SymmetricOperator:
-    """M + beta dt^2 K on the stiffness pattern (sharing its indices), the mass
-    added at its positions there, which scipy's elementwise product of the
-    sorted patterns finds (1-based: the product drops zeros)."""
-    k, m = ops.stiffness.matrix, ops.mass.matrix
-    at_mass = sp.csr_matrix(
-        (np.arange(1, k.nnz + 1, dtype=k.indptr.dtype), k.indices, k.indptr), k.shape
-    ).multiply(sp.csr_matrix((np.ones_like(m.indices), m.indices, m.indptr), m.shape)).data
-    if at_mass.size != m.nnz:
-        raise InconsistentMesh("mass entries outside the stiffness pattern")
-    data = (beta * dt * dt) * k.data
-    np.add.at(data, at_mass - 1, m.data)
-    return SymmetricOperator(sp.csr_matrix((data, k.indices, k.indptr), shape=k.shape))
+    """M + beta dt^2 K: the element matrix M_e + beta dt^2 K_e on the same
+    dof table."""
+    m, k = ops.mass.matrix, ops.stiffness.matrix
+    return SymmetricOperator(fem.ElementMatrix(m.local + (beta * dt * dt) * k.local,
+                                               ops.elem_dofs, ops.dofmap.n_dofs))
 
 
 # the columns of the rows of ``run_micro``

@@ -215,22 +215,20 @@ def test_criterion_07_helmholtz(full_geom):
     for _ in range(10):
         raw = rng.standard_normal((mesh.n_elems, nq, 3, 3))
         xi = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-        split = pc.helmholtz_decompose(mesh, xi)
-        recon = vol_norm(fem.sym_to_mandel(xi) - split.potential - split.solenoidal)
-        assert recon <= 1e-8 * vol_norm(xi)
-        sol_norm = vol_norm(split.solenoidal)
+        solenoidal = pc.helmholtz_decompose(mesh, xi)
+        sol_norm = vol_norm(solenoidal)
         for _ in range(20):
             phi = dm.expand(dm.restrict(rng.standard_normal((mesh.n_nodes, 3))))
             dphi = fem.gradient_decomposition(mesh, phi)
-            pairing = pc.gradient_pairing(mesh, split.solenoidal, dphi)
+            pairing = pc.gradient_pairing(mesh, solenoidal, dphi)
             assert abs(pairing) <= 1e-8 * max(sol_norm * vol_norm(dphi), 1e-30)
 
     # idempotence: inputs already of gradient form are recovered exactly
     for _ in range(3):
         wfield = dm.expand(dm.restrict(rng.standard_normal((mesh.n_nodes, 3))))
         xi = sym_gradient(mesh, wfield)
-        split = pc.helmholtz_decompose(mesh, xi)
-        assert vol_norm(split.potential - fem.sym_to_mandel(xi)) <= 1e-8 * vol_norm(xi)
+        # the potential part is the field less the remainder
+        assert vol_norm(pc.helmholtz_decompose(mesh, xi)) <= 1e-8 * vol_norm(xi)
     _report(7, "Helmholtz decomposition")
 
 

@@ -505,11 +505,10 @@ def test_cli_helmholtz_check(tmp_path):
     rc = run_command(["helmholtz-check", "--config", cfg, "--out", out])
     assert rc == 0
     lines = Path(out, "helmholtz.csv").read_text().splitlines()
-    assert lines[0] == "field,reconstruction,orthogonality"
+    assert lines[0] == "field,orthogonality"
     data = np.array([row.split(",") for row in lines[1:]], dtype=float)
-    # both columns are roundoff (README, "Output formats")
+    # the column is roundoff (README, "Output formats")
     assert data[:, 1].max() <= 1e-12
-    assert data[:, 2].max() <= 1e-12
 
 
 def test_cli_korn_sweep(tmp_path):

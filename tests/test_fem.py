@@ -153,7 +153,8 @@ def test_mean_zero_vectors_equal_mass_products():
 
 def test_scatter_vector_matches_add_at():
     # the sums run in the order of np.add.at, so the result is bit-identical;
-    # eliminated (-1) dofs are dropped
+    # eliminated (-1) dofs are dropped, and so are the dummy slots of the
+    # element-matrix scatter
     lm = pg.build_layer_mesh(pg.build_cell_geometry("full", m=2), 1.0, SIGMA, 2)
     dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
     edofs = dm.element_dofs(lm.elems)
@@ -163,6 +164,9 @@ def test_scatter_vector_matches_add_at():
     keep = edofs >= 0
     np.add.at(want, edofs[keep], local[keep])
     assert np.array_equal(fem.scatter_vector(local, edofs, dm.n_dofs), want)
+    slots = dm.element_slots(lm.elems)
+    assert np.array_equal(slots, np.where(keep, edofs, dm.n_dofs))
+    assert np.array_equal(fem.ElementMatrix(np.eye(24), slots, dm.n_dofs).scatter(local), want)
 
 
 def test_quadrature_contractions_match_plain_einsum():
@@ -605,10 +609,10 @@ def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
 
     monkeypatch.setattr(fem, "AssemblyPlan", CountingPlan)
     lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
-    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.5,
-                            preset_load_model("zero"))
-    assert built == [lm.elems.shape]  # mass and stiffness
-    assert ops.mass.matrix.nnz < ops.stiffness.matrix.nnz
+    # the micro operators are element matrices: no plan at all
+    pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.5,
+                      preset_load_model("zero"))
+    assert built == []
     # a new DofMap builds its own plan, and so does another element array
     full = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4, include_void=True)
     built.clear()
@@ -652,8 +656,9 @@ def _fill_cases(case, geom):
         mesh = pg.build_cell_mesh(geom, 4)
         return lambda: pc._cell_operator(mesh, iso, fem.DofMap(mesh, 3, periodic=True))
     lm = pg.build_layer_mesh(geom, 0.5, SIGMA, 4)
-    if case == "micro_mass":  # mass and stiffness on one plan
-        return lambda: pm.assemble_micro(lm, iso, 0.5, preset_load_model("zero"))
+    if case == "micro_mass":  # the layer's mass and stiffness on one plan
+        dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+        return lambda: (fem.assemble_mass(lm, dm), fem.assemble_elasticity(lm, iso, dm))
     if case == "korn_anisotropic":
         dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
         grad_w = [[4.0, 4.0, 1.0], [4.0, 4.0, 1.0], [1.0, 1.0, 1.0]]
@@ -868,9 +873,10 @@ def test_row_split_product_equals_matrix_product(n_blocks, monkeypatch):
 @pytest.mark.parametrize("n_blocks", [2, 3])
 def test_row_split_product_bits_on_layer_operator(box_geom, n_blocks, monkeypatch):
     lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
-    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.25,
-                            preset_load_model("zero"))
-    a = pm.effective_operator(ops, 0.25 / 8).matrix
+    dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
+    # the Newmark matrix M + beta dt^2 eps^-2 K of the layer at dt = eps / 8
+    k = fem.assemble_elasticity(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm).matrix
+    a = (fem.assemble_mass(lm, dm).matrix + (0.25 / 8**2) * k).tocsr()
     prod = _split(a, n_blocks, monkeypatch)
     assert len(prod.blocks) == n_blocks
     nnz = np.array([a.indptr[r1] - a.indptr[r0] for r0, r1 in prod.blocks])

@@ -3,7 +3,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from perfolayer import fem
 from perfolayer import geometry as pg
@@ -30,12 +29,17 @@ def _loads(preset, cq, params=None):
     return preset_load_model(preset, params).with_cell_quadrature(cq)
 
 
+def _dense(op):
+    """Dense matrix of an operator, one product per unit column."""
+    return np.column_stack([op.matvec(e) for e in np.eye(op.shape[0])])
+
+
 def test_micro_scaling_eps_one(full_geom2, iso_tensor, cq):
     lmesh = pg.build_layer_mesh(full_geom2, 1.0, SIGMA, 2)
     ops = pm.assemble_micro(lmesh, iso_tensor, 1.0, _loads("zero", cq))
     dm = ops.dofmap
     plain = fem.assemble_elasticity(lmesh, iso_tensor, dm)
-    diff = (ops.stiffness.matrix - plain.matrix).toarray()
+    diff = _dense(ops.stiffness) - plain.matrix.toarray()
     assert np.abs(diff).max() <= 1e-14 * np.abs(plain.matrix.toarray()).max()
 
 
@@ -44,7 +48,7 @@ def test_micro_scaling_quarter(full_geom2, iso_tensor, cq):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, _loads("zero", cq))
     plain = fem.assemble_elasticity(lmesh, iso_tensor, ops.dofmap)
-    diff = (ops.stiffness.matrix - 4.0 * plain.matrix).toarray()
+    diff = _dense(ops.stiffness) - 4.0 * plain.matrix.toarray()
     assert np.abs(diff).max() <= 1e-12 * np.abs(plain.matrix.toarray()).max()
 
 
@@ -276,22 +280,45 @@ def void_layers(box_geom):
 def test_micro_operators_equal_scaled_copies_and_sum(void_layers, iso_tensor, name, eps):
     lmesh = void_layers[name, eps]
     ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
-    # only the operators of the time loop are kept, and the plan is released
+    # only the operators of the time loop are kept, and no plan is built
     assert "strain_energy" not in {f.name for f in dataclasses.fields(ops)}
     assert ops.dofmap._plan is None
-    k, m = ops.stiffness.matrix, ops.mass.matrix
-    scaled = fem.assemble_elasticity(lmesh, iso_tensor, ops.dofmap).matrix * (1.0 / eps**2)
+    m, k = ops.mass.matrix.local, ops.stiffness.matrix.local
+    assert np.array_equal(k, fem.elasticity_element(lmesh.spacing, iso_tensor) * (1.0 / eps**2))
+    assert np.array_equal(m, fem.mass_element(lmesh.spacing, 3))
     c = 0.25 * (eps / 8) ** 2
-    k_eff = pm.effective_operator(ops, eps / 8).matrix
-    for got, want in ((k, scaled), (k_eff, m + c * k)):
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part))
-    assert np.shares_memory(k_eff.indices, k.indices)
-    assert np.shares_memory(k_eff.indptr, k.indptr)
-    # a mass entry outside the stiffness pattern is refused, not merged
-    upper = dataclasses.replace(ops, stiffness=fem.SymmetricOperator(sp.triu(k, format="csr")))
-    with pytest.raises(InconsistentMesh, match="outside the stiffness pattern"):
-        pm.effective_operator(upper, eps / 8)
+    assert np.array_equal(pm.effective_operator(ops, eps / 8).matrix.local, m + c * k)
+
+
+@pytest.mark.parametrize("name", ["box", "channel"])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_element_operator_matches_assembled_csr(void_layers, iso_tensor, name, eps):
+    lmesh = void_layers[name, eps]
+    ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
+    mass = fem.assemble_mass(lmesh, ops.dofmap).matrix
+    stiffness = fem.assemble_elasticity(lmesh, iso_tensor, ops.dofmap).matrix * (1.0 / eps**2)
+    # the lateral Dirichlet rows are eliminated: their dofs sit at the dummy slot
+    assert (ops.elem_dofs == ops.dofmap.n_dofs).any()
+    c = 0.25 * (eps / 8) ** 2
+    x = rng(12).standard_normal(ops.dofmap.n_dofs)
+    for op, want in ((ops.mass, mass), (ops.stiffness, stiffness),
+                     (pm.effective_operator(ops, eps / 8), mass + c * stiffness)):
+        assert op.shape == want.shape
+        y = want @ x
+        assert np.abs(op.matvec(x) - y).max() <= 1e-14 * np.abs(y).max()
+        d = want.diagonal()
+        assert np.abs(op.diagonal() - d).max() <= 1e-14 * np.abs(d).max()
+        # a block is refused, not multiplied into a wrong shape
+        with pytest.raises(ValueError, match="vectors"):
+            op.matvec(np.column_stack([x, x]))
+
+
+def test_micro_operators_share_one_dof_table(void_layers, iso_tensor):
+    ops = pm.assemble_micro(void_layers["box", 0.25], iso_tensor, 0.25,
+                            preset_load_model("zero"))
+    k_eff = pm.effective_operator(ops, 0.25 / 8)
+    for op in (ops.mass, ops.stiffness, ops.strain, k_eff):
+        assert np.shares_memory(op.matrix.slots, ops.elem_dofs)
 
 
 @pytest.mark.parametrize("name", ["box", "channel"])
@@ -395,19 +422,6 @@ def test_volume_rhs_of_inplane_load_evaluates_distinct_points(void_layers, iso_t
         assert np.any(got) and np.array_equal(got, want)
 
 
-class _Products:
-    """Stands for a matrix on the right of ``@`` and counts the products."""
-
-    __array_ufunc__ = None  # numpy defers ``x @ self`` to __rmatmul__
-
-    def __init__(self, matrix, calls):
-        self.matrix, self.calls = matrix, calls
-
-    def __rmatmul__(self, x):
-        self.calls.append(1)
-        return x @ self.matrix
-
-
 def test_micro_state_forms_computed_once(full_geom2, iso_tensor, cq, monkeypatch):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, _loads("zero", cq))
@@ -415,17 +429,16 @@ def test_micro_state_forms_computed_once(full_geom2, iso_tensor, cq, monkeypatch
     state = pm.MicroState(ops=ops, t=0.0, u=r.standard_normal(ops.dofmap.n_dofs),
                           v=r.standard_normal(ops.dofmap.n_dofs),
                           a=np.zeros(ops.dofmap.n_dofs))
-    # the strain form is summed element by element; against the assembled
+    # the strain form is applied element by element; against the assembled
     # identity-tensor operator it agrees to rounding
     unit = fem.assemble_elasticity(lmesh, fem.ElasticityTensor4.identity(), ops.dofmap)
     want = (state.v @ ops.mass.matvec(state.v),
             state.u @ ops.stiffness.matvec(state.u),
             state.u @ unit.matvec(state.u))
     calls = []
-    for op in (ops.mass, ops.stiffness):
+    for op in (ops.mass, ops.stiffness, ops.strain):
         monkeypatch.setattr(op, "matvec",
                             lambda x, f=op.matvec: calls.append(1) or f(x))
-    monkeypatch.setattr(ops, "strain_element", _Products(ops.strain_element, calls))
     for _ in range(2):
         kin, ela = state.energies()
         vel, strain = state.scaled_velocity_norm(), state.scaled_strain_norm()
