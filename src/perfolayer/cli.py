@@ -135,22 +135,29 @@ class Pipeline:
         dt_macro = cfg.macro_dt()
         ptraj = self.plate_run()
 
-        ts_rows = []
-        trend_rows = []
-        moment_rows = []
-        for eps in cfg.epsilons:
+        def compare(eps):
+            """The two-scale rows of one micro run and its time-integrated
+            errors; the run's states go when it returns, before the next."""
             mtraj = self.micro_run(eps)
             dt = cfg.dt_for(eps)
             stride = int(round(dt / dt_macro))
+            rows = []
             agg = np.zeros(6)
             for k, ms in enumerate(mtraj.states[1:], start=1):
                 ps = ptraj.states[k * stride]
                 rep = micro.two_scale_errors(ms, ps, sols)
-                ts_rows.append(rep.row())
+                rows.append(rep.row())
                 e_u, e_r = micro.moment_errors(ps, ms.ops.lmesh, ms.nodal(), eps)
                 agg += dt * np.array([rep.err_u3, *rep.err_u1, rep.err_symgrad,
                                       e_u, e_r]) ** 2
-            agg = np.sqrt(agg)
+            return rows, np.sqrt(agg)
+
+        ts_rows = []
+        trend_rows = []
+        moment_rows = []
+        for eps in cfg.epsilons:
+            rows, agg = compare(eps)
+            ts_rows.extend(rows)
             trend_rows.append([eps, *agg[:4]])
             moment_rows.append([eps, *agg[4:]])
 

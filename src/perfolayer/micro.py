@@ -230,9 +230,10 @@ class MomentColumns:
 
     ``operator`` (2P, n_nodes) maps a nodal field to, per point, its
     integral along the solid part of the vertical line through the point
-    (rows 0..P-1) and the integral of x3 times it (rows P..2P-1): the
-    trilinear shape values at the two Gauss depths of every voxel layer the
-    line meets in the solid, times the quadrature weight.
+    (rows 0..P-1) and the integral of x3 times it (rows P..2P-1): per voxel
+    layer the line meets in the solid, the trilinear shape values times the
+    quadrature weight summed over the layer's two Gauss depths, which share
+    its eight nodes.
     """
 
     pts: np.ndarray
@@ -256,16 +257,17 @@ class MomentColumns:
                * np.where(corners[:, 1], xi2[point, None], 1.0 - xi2[point, None]))
         sz = np.where(corners[:, 2], xg[:, None], 1.0 - xg[:, None])
         wq = 0.5 * h
-        shp = wq * sxy[:, None, :] * sz[None, :, :]  # (hits, 2, 8)
         x3 = -lmesh.eps + (l3[:, None] + xg[None, :]) * h  # (hits, 2)
-        nodes = np.broadcast_to(lmesh.elems[elem[point, l3]][:, None, :], shp.shape)
-        rows = np.broadcast_to(point[:, None, None], shp.shape)
+        # the depth sums: of the shape values, and of x3 times them
+        values = np.concatenate([wq * sxy * sz.sum(axis=0), wq * sxy * (x3 @ sz)])
+        # the hits come point by point, so each row is a run of 8 hits
+        # entries, and a node shared by two voxel layers occurs twice in it
+        nodes = lmesh.elems[elem[point, l3]].ravel()
+        indptr = np.concatenate([[0], np.cumsum(np.tile(8 * hits, 2))])
         P = pts.shape[0]
-        operator = sp.csr_matrix(
-            (np.concatenate([shp.ravel(), (x3[:, :, None] * shp).ravel()]),
-             (np.concatenate([rows.ravel(), P + rows.ravel()]),
-              np.concatenate([nodes.ravel(), nodes.ravel()]))),
-            shape=(2 * P, lmesh.n_nodes))
+        operator = sp.csr_matrix((values.ravel(), np.concatenate([nodes, nodes]), indptr),
+                                 shape=(2 * P, lmesh.n_nodes))
+        operator.sum_duplicates()
         return cls(pts=pts.copy(), operator=operator)
 
 
@@ -374,7 +376,9 @@ class PlateTransfer:
     meets the cell-size tables without a gather.  The layer quadrature
     points repeat their in-plane coordinates down each column, so the plate
     fields are evaluated once per distinct point (``plate_at``) and gathered
-    back through ``inverse``.
+    back through ``inverse``.  The layer points of a cell element sit at the
+    depths y3 = x3 / eps of the cell's own points (``y3``, (Ec, Q)), and
+    every layer point has the one hex weight ``weight``.
 
     ``limit_strain`` (Ec, Q, 6, 6) maps, per cell element and quadrature
     point, the six plate coefficients (membrane strain, then Hessian, each
@@ -390,8 +394,8 @@ class PlateTransfer:
     plate_at: PlatePoints
     elems: np.ndarray           # (E, 8) layer elements by cell element
     inverse: np.ndarray         # layer quadrature point -> distinct point
-    y3: np.ndarray              # x3 / eps per layer quadrature point
-    flat_w: np.ndarray
+    y3: np.ndarray              # (Ec, Q) depths of the cell quadrature points
+    weight: float
     limit_strain: np.ndarray
 
     @classmethod
@@ -403,7 +407,6 @@ class PlateTransfer:
         if (cell_elem < 0).any() or (counts != lmesh.n_cells).any():
             raise InconsistentMesh("layer elements do not tile whole solid cells")
         order = np.argsort(cell_elem, kind="stable")
-        elems = lmesh.elems[order]
         distinct, inverse = _inplane_points(lmesh, order)
         limit = np.stack([fem.gradient_decomposition(cmesh, sols.nodal(c))
                           for c in range(len(PROBLEMS))], axis=2)
@@ -415,9 +418,8 @@ class PlateTransfer:
         return cls(
             system=system, sols=sols,
             plate_at=PlatePoints(system, distinct),
-            elems=elems, inverse=inverse,
-            y3=(fem.quadrature_points(lmesh, elems)[..., 2] / lmesh.eps).reshape(-1),
-            flat_w=fem.quadrature_weights(lmesh).reshape(-1),
+            elems=lmesh.elems[order], inverse=inverse, y3=y3,
+            weight=float(fem.hex_reference(lmesh.spacing)[2][0]),  # all are equal
             limit_strain=limit,
         )
 
@@ -431,11 +433,21 @@ def _plate_transfer(lmesh: LayerMesh, system: PlateSystem,
     return tr
 
 
+# Layer quadrature points per block of ``two_scale_errors``.  Its
+# temporaries take about 40 floats per point, so a block holds them near
+# 2.6 MB at every eps, where the whole layer at once took 19 MB at eps 1/8
+# and 75 MB at eps 1/16; blocks this long keep the loop's own cost out of
+# the timings.
+_BLOCK_POINTS = 8192
+
+
 def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
                      sols: CellSolutionSet) -> TwoScaleReport:
     """Quadrature evaluation of the scaled two-scale errors over the solid
     layer, with the corrector contribution inside the symmetric-gradient
-    term (taken in Mandel form, which keeps the norm)."""
+    term (taken in Mandel form, which keeps the norm).  The plate is
+    evaluated once at the distinct in-plane points; the comparison runs
+    over blocks of consecutive cell elements of ``PlateTransfer.elems``."""
     ops = micro_state.ops
     if abs(micro_state.t - plate_state.t) > 1e-10 * max(1.0, abs(micro_state.t)):
         raise TimeMismatch(
@@ -443,33 +455,42 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
     eps = ops.eps
     tr = _plate_transfer(ops.lmesh, plate_state.system, sols)
     n_ce, nq = tr.limit_strain.shape[:2]
+    n_cells = ops.lmesh.n_cells
+    step = max(1, _BLOCK_POINTS // (n_cells * nq))  # cell elements per block
 
-    # u and the Mandel D(u) at the layer points: (E Q, 9)
-    fields = fem.element_fields(ops.lmesh, micro_state.nodal(), tr.elems).reshape(-1, 9)
+    nodal = micro_state.nodal()
     wvals, grad, hess = tr.plate_at.deflection(plate_state.w, derivatives=True)
     u1, strain = tr.plate_at.membrane(plate_state.m, derivatives=True)
     plate = np.column_stack([
         wvals, grad, u1,
         strain[:, 0, 0], strain[:, 1, 1], strain[:, 0, 1] + strain[:, 1, 0],
         hess[:, 0, 0], hess[:, 1, 1], hess[:, 0, 1] + hess[:, 1, 0],
-    ])[tr.inverse]
-    y3, flat_w = tr.y3, tr.flat_w
+    ])
 
-    du3 = fields[:, 2] - plate[:, 0]
-    err_u3 = float(np.sqrt(flat_w @ du3**2 / eps))
-    err_u1 = []
-    for al in range(2):
-        dua = fields[:, al] / eps - (plate[:, 3 + al] - y3 * plate[:, 1 + al])
-        err_u1.append(float(np.sqrt(flat_w @ dua**2 / eps)))
+    sums = np.zeros(4)  # of du3^2, du1^2, du2^2 and |diff|^2
+    for c0 in range(0, n_ce, step):
+        c1 = min(c0 + step, n_ce)
+        e0, e1 = c0 * n_cells, c1 * n_cells  # the block's layer elements
+        shape = (c1 - c0, n_cells, nq)
+        # u and the Mandel D(u), and the plate columns at the same points
+        fields = fem.element_fields(ops.lmesh, nodal, tr.elems[e0:e1]).reshape(*shape, 9)
+        at = plate[tr.inverse[e0 * nq:e1 * nq]].reshape(*shape, 11)
+        y3 = tr.y3[c0:c1, None, :]
 
-    coeff = plate[:, 5:].reshape(n_ce, -1, nq, 6)
-    limit = np.einsum("cnqk,cqkm->cnqm", coeff, tr.limit_strain, optimize=True)
-    diff = fields[:, 3:] / eps - limit.reshape(-1, 6)
-    err_sym = float(np.sqrt(flat_w @ np.einsum("pm,pm->p", diff, diff) / eps))
+        du3 = fields[..., 2] - at[..., 0]
+        sums[0] += np.vdot(du3, du3)
+        for al in range(2):
+            dua = fields[..., al] / eps - (at[..., 3 + al] - y3 * at[..., 1 + al])
+            sums[1 + al] += np.vdot(dua, dua)
+        limit = np.einsum("cnqk,cqkm->cnqm", at[..., 5:], tr.limit_strain[c0:c1],
+                          optimize=True)
+        diff = fields[..., 3:] / eps - limit
+        sums[3] += np.vdot(diff, diff)
+    err = np.sqrt(tr.weight * sums / eps)
 
     return TwoScaleReport(
-        eps=eps, t=micro_state.t, err_u3=err_u3,
-        err_u1=(err_u1[0], err_u1[1]), err_symgrad=err_sym,
+        eps=eps, t=micro_state.t, err_u3=float(err[0]),
+        err_u1=(float(err[1]), float(err[2])), err_symgrad=float(err[3]),
         apriori_v=micro_state.scaled_velocity_norm(),
         apriori_D=micro_state.scaled_strain_norm(),
     )

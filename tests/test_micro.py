@@ -12,7 +12,8 @@ from perfolayer.cell import INDEX_PAIRS
 from perfolayer.errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from perfolayer.loads import CellQuadrature, preset_load_model
 
-from conftest import SIGMA, column, kirchhoff_love_field, rigid_field, rng, sym_gradient
+from conftest import (SIGMA, column, kirchhoff_love_field, rigid_field, rng, sym_gradient,
+                      traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -360,14 +361,17 @@ def test_transfer_orders_elements_by_cell_element(box_cell_n4):
     cell_elem = pm._cell_element_lookup(lmesh, mesh)
     order = np.argsort(cell_elem, kind="stable")
     assert np.array_equal(tr.elems, lmesh.elems[order])
-    # each (cell element, quadrature point) block sits at one depth y3
-    y3 = tr.y3.reshape(mesh.n_elems, -1, 8)
-    assert np.abs(y3 - fem.quadrature_points(mesh)[:, None, :, 2]).max() <= 1e-15
+    # the layer points of a cell element sit at the cell's depths y3 = x3 / eps
+    # in every eps-cell, and every layer point has the one hex weight
+    y3 = fem.quadrature_points(lmesh, tr.elems)[..., 2].reshape(mesh.n_elems, -1, 8) / 0.25
+    assert tr.y3.shape == (mesh.n_elems, 8)
+    assert np.abs(y3 - tr.y3[:, None, :]).max() <= 1e-15
+    assert np.all(fem.quadrature_weights(lmesh) == tr.weight)
     # bending 12 (coefficient H12 + H21): the corrector strain plus the
     # Mandel 12 entry of -y3 (M12 + M21) / 2
     chi = sols.nodal(column("bending", (1, 2)))
     want = fem.sym_to_mandel(sym_gradient(mesh, chi))
-    want[..., 5] -= np.sqrt(2.0) / 2.0 * y3[:, 0]
+    want[..., 5] -= np.sqrt(2.0) / 2.0 * tr.y3
     assert tr.limit_strain.shape == (mesh.n_elems, 8, 6, 6)
     assert np.abs(tr.limit_strain[:, :, 5] - want).max() <= 1e-13 * np.abs(want).max()
     # a layer meshed with its voids does not tile the solid cell
@@ -580,6 +584,53 @@ def test_diagnostics_equal_direct_evaluation(coupled_small):
             want = _direct_plate_moments(lmesh, u_nodal, ms.eps, p)
             assert all(np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
                        for g, w in zip(got, want))
+
+
+def test_two_scale_blocks_with_a_short_last_block(coupled_small, monkeypatch):
+    # blocks of one cell element each, then of five with a short last block
+    # (the 112 solid cell elements are not a multiple of five), and a point
+    # count between two whole cell elements
+    sols, _, runs = coupled_small
+    for lmesh, ops, pairs in runs:
+        n_ce = sols.mesh.n_elems
+        per_ce = lmesh.n_cells * 8
+        assert n_ce % 5
+        ms, ps = pairs[-1]
+        want = _direct_two_scale(ms, ps, sols)
+        for points in (per_ce, 5 * per_ce, 5 * per_ce + per_ce // 2):
+            monkeypatch.setattr(pm, "_BLOCK_POINTS", points)
+            rep = pm.two_scale_errors(ms, ps, sols)
+            got = (rep.err_u3, rep.err_u1[0], rep.err_u1[1], rep.err_symgrad)
+            assert got == pytest.approx(want, rel=1e-12), points
+
+
+def test_two_scale_peak_memory_follows_the_block(coupled_small, monkeypatch):
+    # with the memo warm, the traced peak is one block's temporaries (about
+    # 40 floats per point) plus the plate columns at the 1,024 distinct
+    # points and the nodal field: under 80 floats per block point, where the
+    # whole layer of eps 1/4 (E Q = 14,336 points) at once takes 4.2 MB
+    sols, _, runs = coupled_small
+    _, ops, pairs = runs[1]
+    ms, ps = pairs[-1]
+    points = 2048  # 16 of the 112 cell elements: seven blocks
+    monkeypatch.setattr(pm, "_BLOCK_POINTS", points)
+    pm.two_scale_errors(ms, ps, sols)
+    _, peak = traced_peak(pm.two_scale_errors, ms, ps, sols)
+    assert ops.quad_x.shape[0] * ops.quad_x.shape[1] >= 7 * points
+    assert peak <= 80 * 8 * points, (peak, points)
+
+
+def test_moment_columns_peak_memory(coupled_small):
+    # the two Gauss depths of a voxel are summed before the CSR is formed,
+    # which then holds each node of a line once: the build peaks at a small
+    # multiple of the operator (the COO route over both depths took 16)
+    sols, system, runs = coupled_small
+    lmesh = runs[1][0]
+    cols, peak = traced_peak(pm.MomentColumns.build, lmesh, system.quad_xy.reshape(-1, 2))
+    op = cols.operator
+    op_bytes = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+    assert op.has_canonical_format
+    assert peak <= 6 * op_bytes, (peak, op_bytes)
 
 
 def test_two_scale_memo_follows_system_and_cells(coupled_small, box_cell_n4):
