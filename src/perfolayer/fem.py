@@ -22,6 +22,7 @@ applied element by element (``ElementMatrix``).
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import os
@@ -383,13 +384,19 @@ class ElementMatrix:
     has the same spacing, so one L serves them all.  Entry (a, b) of L
     couples row a to column b, as in ``AssemblyPlan.fill``.
 
-    ``slots`` (E, nd) is a ``DofMap.element_slots`` table (eliminated dofs
-    at the dummy slot n), read, not copied, so operators over one table
-    share it.  A product gathers x through the table (the dummy slot reads
-    a zero appended to x), multiplies the element vectors by L in one
-    (E, nd) @ (nd, nd) product and sums them back with one ``np.bincount``
-    (``scatter``), dropping the dummy bin; the diagonal is the scatter of
-    L's diagonal.
+    ``slots`` (E, 8 ncomp) is a ``DofMap.element_slots`` table (eliminated
+    dofs at the dummy slot n).  A product gathers x through it (the dummy
+    slot reads a zero appended to x), multiplies the element vectors by L
+    in one (E, nd) @ (nd, nd) product and sums them back through the scatter
+    pattern (``scatter``); the diagonal is the scatter of L's diagonal.
+
+    The pattern (n / ncomp, 8 E) is a CSR matrix of ones with one row per
+    node block and one column per element node e * 8 + a: row b holds the
+    element nodes of block b in ascending order, and an eliminated node has
+    no entry.  The scatter is scipy's CSR kernel on the element vectors
+    taken as (8 E, ncomp) rows, so each dof sums its contributions in
+    element order, from zero, as ``np.add.at`` does.  ``with_local`` makes
+    the matrix of another L on the same table and pattern.
     """
 
     def __init__(self, local: np.ndarray, slots: np.ndarray, n: int):
@@ -397,17 +404,34 @@ class ElementMatrix:
         self._local_t = np.ascontiguousarray(local.T)  # row-major: the faster GEMM
         self.slots = slots
         self.shape = (n, n)
+        self._ncomp = nc = slots.shape[1] // 8
+        blocks = slots[:, ::nc].ravel() // nc  # the dummy slot n gives n / nc
+        nodes = np.flatnonzero(blocks < n // nc)
+        # each node once: the CSR rows come out with ascending nodes
+        self.pattern = sp.csr_matrix((np.ones(nodes.size), (blocks[nodes], nodes)),
+                                     shape=(n // nc, blocks.size))
+
+    def with_local(self, local: np.ndarray) -> "ElementMatrix":
+        """The element matrix of ``local`` over the same table and pattern."""
+        other = copy.copy(self)
+        other.local = local
+        other._local_t = np.ascontiguousarray(local.T)
+        return other
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """A x for a vector x; a block raises ValueError."""
         if x.ndim != 1:
             raise ValueError(f"an element matrix applies to vectors, not shape {x.shape}")
-        return self.scatter(np.append(x, 0.0)[self.slots] @ self._local_t)
+        return self.scatter(np.take(np.append(x, 0.0), self.slots) @ self._local_t)
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
         """sum_e P_e^T v_e of per-element vectors v (E, nd)."""
-        n = self.shape[0]
-        return np.bincount(self.slots.ravel(), weights=np.ravel(v), minlength=n + 1)[:n]
+        p, nc = self.pattern, self._ncomp
+        y = np.zeros(self.shape[0])
+        # the kernel reads (8 E, nc) values: the reshape checks the size
+        _add_rows_product(p, 0, p.shape[0], np.reshape(v, (p.shape[1], nc)),
+                          y.reshape(-1, nc))
+        return y
 
     def diagonal(self) -> np.ndarray:
         return self.scatter(np.broadcast_to(np.diagonal(self.local), self.slots.shape))
@@ -738,11 +762,10 @@ def quadrature_weights(mesh) -> np.ndarray:
     return np.broadcast_to(w, (mesh.elems.shape[0], w.shape[0]))
 
 
-def quadrature_points(mesh, elems=None) -> np.ndarray:
+def quadrature_points(mesh) -> np.ndarray:
     """Physical coordinates of the quadrature points, shape (E, n_q, 3)."""
     N, G, w, ref = hex_reference(mesh.spacing)
-    el = mesh.elems if elems is None else elems
-    origin = mesh.coords[el[:, 0]]  # corner (0,0,0) of each box element
+    origin = mesh.coords[mesh.elems[:, 0]]  # corner (0,0,0) of each box element
     h = np.asarray(mesh.spacing)
     return origin[:, None, :] + ref[None, :, :] * h[None, None, :]
 

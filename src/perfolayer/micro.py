@@ -30,8 +30,8 @@ from .plate import (PlatePoints, PlateState, PlateSystem, evaluate_deflection,
 @dataclass
 class MicroOperators:
     """Operators and cached quadrature data for one eps.  The operators are
-    element matrices (``fem.ElementMatrix``) over the one dof table
-    ``elem_dofs``."""
+    element matrices (``fem.ElementMatrix``) over the one dof table and
+    scatter pattern of ``mass``."""
 
     lmesh: LayerMesh
     dofmap: DofMap
@@ -41,7 +41,6 @@ class MicroOperators:
     strain: SymmetricOperator         # plain int D(u):D(phi), for norms
     quad_x: np.ndarray                # (E, Q, 3) physical points
     quad_y: np.ndarray                # (E, Q, 3) cell coordinates x/eps mod 1
-    elem_dofs: np.ndarray             # (E, 24) reduced dofs, n_dofs = eliminated
     surface_rhs: np.ndarray           # fixed traction contribution
     # distinct in-plane coordinates of the quadrature points and, per point
     # (element-major, as quad_x), the index of its distinct one
@@ -100,11 +99,9 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
     if abs(eps - lmesh.eps) > 1e-12:
         raise InconsistentMesh("eps does not match the layer mesh")
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
-    elem_dofs = dofmap.element_slots(lmesh.elems)
     h = lmesh.spacing
-
-    def operator(local):
-        return SymmetricOperator(fem.ElementMatrix(local, elem_dofs, dofmap.n_dofs))
+    mass = fem.ElementMatrix(fem.mass_element(h, 3), dofmap.element_slots(lmesh.elems),
+                             dofmap.n_dofs)
 
     quad_x = fem.quadrature_points(lmesh)
     quad_y = quad_x / eps
@@ -121,11 +118,13 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
         surface_rhs = -fem.surface_load_vector(lmesh, dofmap, lmesh.gamma_faces, tract)
 
     return MicroOperators(
-        lmesh=lmesh, dofmap=dofmap, eps=eps, mass=operator(fem.mass_element(h, 3)),
-        stiffness=operator(fem.elasticity_element(h, tensor) * (1.0 / eps**2)),
-        strain=operator(fem.elasticity_element(h, ElasticityTensor4.identity())),
-        quad_x=quad_x, quad_y=quad_y, elem_dofs=elem_dofs, surface_rhs=surface_rhs,
-        inplane=_inplane_points(lmesh, np.arange(lmesh.n_elems)))
+        lmesh=lmesh, dofmap=dofmap, eps=eps, mass=SymmetricOperator(mass),
+        stiffness=SymmetricOperator(
+            mass.with_local(fem.elasticity_element(h, tensor) * (1.0 / eps**2))),
+        strain=SymmetricOperator(
+            mass.with_local(fem.elasticity_element(h, ElasticityTensor4.identity()))),
+        quad_x=quad_x, quad_y=quad_y, surface_rhs=surface_rhs,
+        inplane=_inplane_points(lmesh, quad_x))
 
 
 def zero_micro_state(ops: MicroOperators) -> MicroState:
@@ -191,10 +190,9 @@ def micro_step(state: MicroState, dt: float, loads: LoadModel,
 def effective_operator(ops: MicroOperators, dt: float,
                        beta: float = 0.25) -> SymmetricOperator:
     """M + beta dt^2 K: the element matrix M_e + beta dt^2 K_e on the same
-    dof table."""
+    dof table and scatter pattern."""
     m, k = ops.mass.matrix, ops.stiffness.matrix
-    return SymmetricOperator(fem.ElementMatrix(m.local + (beta * dt * dt) * k.local,
-                                               ops.elem_dofs, ops.dofmap.n_dofs))
+    return SymmetricOperator(m.with_local(m.local + (beta * dt * dt) * k.local))
 
 
 # the columns of the rows of ``run_micro``
@@ -345,10 +343,10 @@ def _cell_element_lookup(lmesh: LayerMesh, cmesh):
     return cmesh.voxel_elems[tuple(local.T)]
 
 
-def _inplane_points(lmesh: LayerMesh, order: np.ndarray):
-    """Distinct in-plane coordinates of the quadrature points of the
-    elements ``order`` (indices into the mesh elements) and, per point
-    (element-major), the index of its distinct point.
+def _inplane_points(lmesh: LayerMesh, quad_x: np.ndarray):
+    """Distinct in-plane coordinates of the layer quadrature points
+    ``quad_x`` (E, Q, 3) and, per point (element-major), the index of its
+    distinct point.
 
     The points of one vertical column of elements repeat their in-plane
     coordinates, so each point is keyed by integers: its voxel column
@@ -360,11 +358,10 @@ def _inplane_points(lmesh: LayerMesh, order: np.ndarray):
     keys = []
     for axis in range(2):
         gauss, index = np.unique(ref[:, axis], return_inverse=True)
-        keys.append(lmesh.voxels[order, axis, None] * gauss.size + index)
+        keys.append(lmesh.voxels[:, axis, None] * gauss.size + index)
     _, first, inverse = np.unique(keys[0] * (keys[1].max() + 1) + keys[1],
                                   return_index=True, return_inverse=True)
-    pts = fem.quadrature_points(lmesh, lmesh.elems[order])[..., :2].reshape(-1, 2)
-    return pts[first], inverse.reshape(-1)
+    return quad_x[..., :2].reshape(-1, 2)[first], inverse.reshape(-1)
 
 
 @dataclass
@@ -375,10 +372,11 @@ class PlateTransfer:
     per-point array reshapes to (cell element, cell, quadrature point) and
     meets the cell-size tables without a gather.  The layer quadrature
     points repeat their in-plane coordinates down each column, so the plate
-    fields are evaluated once per distinct point (``plate_at``) and gathered
-    back through ``inverse``.  The layer points of a cell element sit at the
-    depths y3 = x3 / eps of the cell's own points (``y3``, (Ec, Q)), and
-    every layer point has the one hex weight ``weight``.
+    fields are evaluated once per distinct point of ``MicroOperators.inplane``
+    (``plate_at``) and gathered back through ``inverse``, that table's point
+    map taken in the order of ``elems``.  The layer points of a cell element
+    sit at the depths y3 = x3 / eps of the cell's own points (``y3``,
+    (Ec, Q)), and every layer point has the one hex weight ``weight``.
 
     ``limit_strain`` (Ec, Q, 6, 6) maps, per cell element and quadrature
     point, the six plate coefficients (membrane strain, then Hessian, each
@@ -399,15 +397,15 @@ class PlateTransfer:
     limit_strain: np.ndarray
 
     @classmethod
-    def build(cls, lmesh: LayerMesh, system: PlateSystem,
+    def build(cls, ops: MicroOperators, system: PlateSystem,
               sols: CellSolutionSet) -> "PlateTransfer":
-        cmesh = sols.mesh
+        lmesh, cmesh = ops.lmesh, sols.mesh
         cell_elem = _cell_element_lookup(lmesh, cmesh)
         counts = np.bincount(cell_elem[cell_elem >= 0], minlength=cmesh.n_elems)
         if (cell_elem < 0).any() or (counts != lmesh.n_cells).any():
             raise InconsistentMesh("layer elements do not tile whole solid cells")
         order = np.argsort(cell_elem, kind="stable")
-        distinct, inverse = _inplane_points(lmesh, order)
+        distinct, index = ops.inplane
         limit = np.stack([fem.gradient_decomposition(cmesh, sols.nodal(c))
                           for c in range(len(PROBLEMS))], axis=2)
         y3 = fem.quadrature_points(cmesh)[..., 2]
@@ -417,19 +415,20 @@ class PlateTransfer:
         limit[..., 5, 5] -= np.sqrt(0.5) * y3
         return cls(
             system=system, sols=sols,
-            plate_at=PlatePoints(system, distinct),
-            elems=lmesh.elems[order], inverse=inverse, y3=y3,
+            plate_at=PlatePoints(system, distinct), elems=lmesh.elems[order],
+            inverse=index.reshape(lmesh.n_elems, -1)[order].ravel(), y3=y3,
             weight=float(fem.hex_reference(lmesh.spacing)[2][0]),  # all are equal
             limit_strain=limit,
         )
 
 
-def _plate_transfer(lmesh: LayerMesh, system: PlateSystem,
+def _plate_transfer(ops: MicroOperators, system: PlateSystem,
                     sols: CellSolutionSet) -> PlateTransfer:
     """Transfer data memoized on the layer mesh for the last system and cells."""
-    tr = lmesh.memo.get("plate_transfer")
+    memo = ops.lmesh.memo
+    tr = memo.get("plate_transfer")
     if tr is None or tr.system is not system or tr.sols is not sols:
-        tr = lmesh.memo["plate_transfer"] = PlateTransfer.build(lmesh, system, sols)
+        tr = memo["plate_transfer"] = PlateTransfer.build(ops, system, sols)
     return tr
 
 
@@ -453,7 +452,7 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
         raise TimeMismatch(
             f"micro t = {micro_state.t} but plate t = {plate_state.t}")
     eps = ops.eps
-    tr = _plate_transfer(ops.lmesh, plate_state.system, sols)
+    tr = _plate_transfer(ops, plate_state.system, sols)
     n_ce, nq = tr.limit_strain.shape[:2]
     n_cells = ops.lmesh.n_cells
     step = max(1, _BLOCK_POINTS // (n_cells * nq))  # cell elements per block

@@ -299,7 +299,7 @@ def test_element_operator_matches_assembled_csr(void_layers, iso_tensor, name, e
     mass = fem.assemble_mass(lmesh, ops.dofmap).matrix
     stiffness = fem.assemble_elasticity(lmesh, iso_tensor, ops.dofmap).matrix * (1.0 / eps**2)
     # the lateral Dirichlet rows are eliminated: their dofs sit at the dummy slot
-    assert (ops.elem_dofs == ops.dofmap.n_dofs).any()
+    assert (ops.mass.matrix.slots == ops.dofmap.n_dofs).any()
     c = 0.25 * (eps / 8) ** 2
     x = rng(12).standard_normal(ops.dofmap.n_dofs)
     for op, want in ((ops.mass, mass), (ops.stiffness, stiffness),
@@ -318,8 +318,58 @@ def test_micro_operators_share_one_dof_table(void_layers, iso_tensor):
     ops = pm.assemble_micro(void_layers["box", 0.25], iso_tensor, 0.25,
                             preset_load_model("zero"))
     k_eff = pm.effective_operator(ops, 0.25 / 8)
-    for op in (ops.mass, ops.stiffness, ops.strain, k_eff):
-        assert np.shares_memory(op.matrix.slots, ops.elem_dofs)
+    mass = ops.mass.matrix
+    for op in (ops.stiffness, ops.strain, k_eff):
+        assert op.matrix.slots is mass.slots
+        assert op.matrix.pattern is mass.pattern
+
+
+def _add_at_reference(slots, v, n):
+    """sum_e P_e^T v_e by np.add.at, the dummy slot n dropped."""
+    out = np.zeros(n + 1)
+    np.add.at(out, slots, v)
+    return out[:n]
+
+
+@pytest.mark.parametrize("name", ["box", "channel"])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_element_scatter_equals_add_at(void_layers, iso_tensor, cq, name, eps,
+                                       monkeypatch):
+    # the pattern sums each dof's contributions in element order from zero,
+    # as np.add.at does, so products, diagonals and load vectors are
+    # bit-identical to gather -> GEMM -> np.add.at
+    lmesh = void_layers[name, eps]
+    ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
+    n = ops.dofmap.n_dofs
+    slots = ops.mass.matrix.slots
+    assert (slots == n).any()  # lateral Dirichlet nodes are eliminated
+    # one row per node block, one entry per free element node, rows ascending
+    free = slots[:, ::3] < n
+    p = ops.mass.matrix.pattern
+    assert p.shape == (n // 3, slots.size // 3)
+    assert p.nnz == np.count_nonzero(free)
+    assert np.array_equal(np.sort(p.indices), np.flatnonzero(free))
+    rows = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
+    assert np.all(np.diff(rows * p.shape[1] + p.indices) > 0)  # read, not the cached flag
+    assert np.all(p.data == 1.0)
+    x = rng(13).standard_normal(n)
+    for op in (ops.mass, ops.stiffness, ops.strain, pm.effective_operator(ops, eps / 8)):
+        local = op.matrix.local
+        v = np.append(x, 0.0)[slots] @ np.ascontiguousarray(local.T)
+        assert np.array_equal(op.matvec(x), _add_at_reference(slots, v, n))
+        d = np.broadcast_to(np.diagonal(local), slots.shape)
+        assert np.array_equal(op.diagonal(), _add_at_reference(slots, d, n))
+        # element vectors of another element count are refused, not read
+        with pytest.raises(ValueError):
+            op.matrix.scatter(v[:-1])
+    # the load vector scatters its element vectors through the same pattern
+    seen = []
+    scatter = ops.mass.matrix.scatter
+    monkeypatch.setattr(ops.mass.matrix, "scatter", lambda v: seen.append(v) or scatter(v))
+    u3 = fem.element_values(lmesh, rng(14).standard_normal((lmesh.n_nodes, 3)))[..., 2]
+    for preset in ("linear", "linear_z"):
+        got = pm._volume_rhs(ops, _loads(preset, cq), 0.2, u3)
+        assert np.array_equal(got, _add_at_reference(slots, seen[-1], n))
 
 
 @pytest.mark.parametrize("name", ["box", "channel"])
@@ -344,26 +394,31 @@ def test_element_fields_match_values_and_gradients(void_layers, name, eps):
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_inplane_points_equal_float_unique(void_layers, name, eps):
     lmesh = void_layers[name, eps]
-    r = rng(8)
-    for order in (np.arange(lmesh.n_elems), r.permutation(lmesh.n_elems)):
-        pts = fem.quadrature_points(lmesh, lmesh.elems[order])[..., :2].reshape(-1, 2)
-        want, want_inv = np.unique(pts, axis=0, return_inverse=True)
-        got, got_inv = pm._inplane_points(lmesh, order)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_inv, want_inv.reshape(-1))
+    quad_x = fem.quadrature_points(lmesh)
+    want, want_inv = np.unique(quad_x[..., :2].reshape(-1, 2), axis=0, return_inverse=True)
+    got, got_inv = pm._inplane_points(lmesh, quad_x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_inv, want_inv.reshape(-1))
 
 
-def test_transfer_orders_elements_by_cell_element(box_cell_n4):
+def test_transfer_orders_elements_by_cell_element(box_cell_n4, iso_tensor):
     mesh, sols, eff = box_cell_n4
     system = _free_plate_system(eff)
     lmesh = pg.build_layer_mesh(mesh.geometry, 0.25, SIGMA, 4)
-    tr = pm.PlateTransfer.build(lmesh, system, sols)
+    zero = preset_load_model("zero")
+    tr = pm.PlateTransfer.build(pm.assemble_micro(lmesh, iso_tensor, 0.25, zero),
+                                system, sols)
     cell_elem = pm._cell_element_lookup(lmesh, mesh)
     order = np.argsort(cell_elem, kind="stable")
     assert np.array_equal(tr.elems, lmesh.elems[order])
+    # the distinct in-plane points, and the point map in the order of elems
+    quad_x = fem.quadrature_points(lmesh)[order]
+    want, want_inv = np.unique(quad_x[..., :2].reshape(-1, 2), axis=0, return_inverse=True)
+    assert np.array_equal(tr.plate_at.pts, want)
+    assert np.array_equal(tr.inverse, want_inv.reshape(-1))
     # the layer points of a cell element sit at the cell's depths y3 = x3 / eps
     # in every eps-cell, and every layer point has the one hex weight
-    y3 = fem.quadrature_points(lmesh, tr.elems)[..., 2].reshape(mesh.n_elems, -1, 8) / 0.25
+    y3 = quad_x[..., 2].reshape(mesh.n_elems, -1, 8) / 0.25
     assert tr.y3.shape == (mesh.n_elems, 8)
     assert np.abs(y3 - tr.y3[:, None, :]).max() <= 1e-15
     assert np.all(fem.quadrature_weights(lmesh) == tr.weight)
@@ -377,7 +432,25 @@ def test_transfer_orders_elements_by_cell_element(box_cell_n4):
     # a layer meshed with its voids does not tile the solid cell
     full = pg.build_layer_mesh(mesh.geometry, 0.25, SIGMA, 4, include_void=True)
     with pytest.raises(InconsistentMesh):
-        pm.PlateTransfer.build(full, system, sols)
+        pm.PlateTransfer.build(pm.assemble_micro(full, iso_tensor, 0.25, zero),
+                               system, sols)
+
+
+def test_transfer_reuses_the_operators_inplane_points(box_cell_n4, iso_tensor, monkeypatch):
+    # the transfer takes the distinct points and their map from the
+    # operators: one _inplane_points call per eps, in assemble_micro
+    mesh, sols, eff = box_cell_n4
+    system = _free_plate_system(eff)
+    calls = []
+    inplane_points = pm._inplane_points
+    monkeypatch.setattr(pm, "_inplane_points",
+                        lambda *args: calls.append(args) or inplane_points(*args))
+    for k, eps in enumerate((0.5, 0.25), start=1):
+        lmesh = pg.build_layer_mesh(mesh.geometry, eps, SIGMA, 4)
+        ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
+        pm.two_scale_errors(pm.zero_micro_state(ops), pp.zero_state(system), sols)
+        assert "plate_transfer" in lmesh.memo
+        assert len(calls) == k
 
 
 def test_volume_rhs_matches_quadrature_sum(full_geom2, iso_tensor, cq):
