@@ -86,7 +86,6 @@ def _periodic_dofmap(mesh: LayerMesh) -> DofMap:
 
 def _cell_operator(mesh, tensor, dofmap) -> SymmetricOperator:
     k = fem.assemble_elasticity(mesh, tensor, dofmap)
-    dofmap.release_plan()
     return SymmetricOperator(k.matrix, *fem.mean_zero_augmentations(mesh, dofmap, k))
 
 

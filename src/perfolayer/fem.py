@@ -13,11 +13,12 @@ same order, so the results do not depend on the core count.
 
 Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
 pattern of an element set on node blocks (the dofs of a node are
-consecutive), built once per ``DofMap`` and element array and filled per
-operator from sparse-dense products of local blocks, written run of block
-rows by run into CSR arrays of the final size.  An operator of one local
-matrix over the elements of a voxel mesh can instead stay unassembled and be
-applied element by element (``ElementMatrix``).
+consecutive), built by the assembling call and filled per operator from
+sparse-dense products of local blocks, written run of block rows by run
+into CSR arrays of the final size.  ``assemble_forms`` fills one plan with
+several forms; no plan outlives the call that built it.  An operator of one
+local matrix over the elements of a voxel mesh can instead stay unassembled
+and be applied element by element (``ElementMatrix``).
 """
 
 from __future__ import annotations
@@ -238,11 +239,15 @@ class DofMap:
 
     The dofs come in node blocks: dof = ncomp * block + comp, the blocks
     numbered over the free representative nodes in node order.  Slave nodes
-    share the block of their periodic master; Dirichlet nodes map to -1.
-    With ``periodic`` the two lateral axes of a voxel mesh wrap: the master
-    of a node is the node at its grid index ``mesh.node_grid`` taken modulo
-    the lateral interval counts ``mesh.voxel_elems.shape[:2]``.  ``master``
-    keeps the master of every node (each node its own without ``periodic``).
+    share the block of their periodic master.  An eliminated (Dirichlet)
+    node has the dummy block n_dofs / ncomp in ``node_blocks`` and the dummy
+    dof n_dofs in ``node_dofs``, one past the last, so a table of them
+    gathers from a vector with a zero appended and scatters into one spare
+    slot.  With ``periodic`` the two lateral axes of a voxel mesh wrap: the
+    master of a node is the node at its grid index ``mesh.node_grid`` taken
+    modulo the lateral interval counts ``mesh.voxel_elems.shape[:2]``.
+    ``master`` keeps the master of every node (each node its own without
+    ``periodic``).
     """
 
     def __init__(self, mesh, ncomp: int = 3, dirichlet_nodes=None, periodic: bool = False):
@@ -258,58 +263,33 @@ class DofMap:
         if dirichlet_nodes is not None:
             free[master[np.asarray(dirichlet_nodes, dtype=np.int64)]] = False
         n_blocks = int(free.sum())
-        block = -np.ones(n_nodes, dtype=np.int64)
+        block = np.full(n_nodes, n_blocks, dtype=np.int64)
         block[free] = np.arange(n_blocks)
-        self.node_blocks = block[master]  # -1 on eliminated nodes
+        self.node_blocks = block[master]
         self.n_dofs = ncomp * n_blocks
-        # per-node dof table (n_nodes, ncomp): ncomp * block + comp, or -1
-        self.node_dofs = np.where(self.node_blocks[:, None] >= 0,
-                                  ncomp * self.node_blocks[:, None] + np.arange(ncomp), -1)
-        self._plan = None  # (element array, AssemblyPlan) of the last plan
+        # per-node dof table (n_nodes, ncomp): ncomp * block + comp, or n_dofs
+        self.node_dofs = np.minimum(ncomp * self.node_blocks[:, None] + np.arange(ncomp),
+                                    self.n_dofs)
 
     def element_dofs(self, elems: np.ndarray) -> np.ndarray:
-        """(E, nodes_per_elem * ncomp) reduced dof ids, -1 = eliminated."""
+        """(E, nodes_per_elem * ncomp) reduced dof ids, n_dofs = eliminated."""
         return self.node_dofs[elems].reshape(elems.shape[0], elems.shape[1] * self.ncomp)
 
-    def element_slots(self, elems: np.ndarray) -> np.ndarray:
-        """``element_dofs`` with the eliminated dofs at the dummy slot
-        n_dofs, one past the last dof, instead of -1."""
-        edofs = self.element_dofs(elems)
-        edofs[edofs < 0] = self.n_dofs
-        return edofs
-
-    def plan(self, elems: np.ndarray) -> "AssemblyPlan":
-        """Node-block assembly plan of an element array.  The plan of the
-        last array asked for is kept, so operators assembled over the same
-        array object share one sparsity pattern; the caller releases it
-        (``release_plan``) after its last fill."""
-        if self._plan is None or self._plan[0] is not elems:
-            blocks = self.node_blocks[elems]
-            n = self.n_dofs // self.ncomp
-            self._plan = (elems, AssemblyPlan(blocks, blocks, (n, n)))
-        return self._plan[1]
-
-    def release_plan(self):
-        """Forget the kept plan; the next operator builds its own."""
-        self._plan = None
-
     def expand(self, reduced: np.ndarray) -> np.ndarray:
-        """Reduced coefficients -> nodal array (n_nodes, ncomp), zeros on
-        Dirichlet dofs, slaves copied from masters."""
-        out = np.zeros((self.node_dofs.shape[0], self.ncomp))
-        mask = self.node_dofs >= 0
-        out[mask] = reduced[self.node_dofs[mask]]
-        return out
+        """Reduced coefficients -> nodal array (n_nodes, ncomp): the
+        eliminated dofs read the zero appended to ``reduced``, and slaves
+        read their master's dofs."""
+        return np.append(reduced, 0.0)[self.node_dofs]
 
     def restrict(self, nodal: np.ndarray) -> np.ndarray:
-        """Nodal array -> reduced coefficients.
+        """Nodal array -> reduced coefficients; the eliminated dofs are
+        written to a spare slot past the end, which is cut off.
 
         When master and slave values differ (input not periodic), the slave
         value wins deterministically (higher node index written last)."""
-        reduced = np.zeros(self.n_dofs)
-        mask = self.node_dofs >= 0
-        reduced[self.node_dofs[mask]] = nodal[mask]
-        return reduced
+        reduced = np.zeros(self.n_dofs + 1)
+        reduced[self.node_dofs] = nodal
+        return reduced[:-1]
 
 
 def _periodic_masters(mesh) -> np.ndarray:
@@ -384,7 +364,7 @@ class ElementMatrix:
     has the same spacing, so one L serves them all.  Entry (a, b) of L
     couples row a to column b, as in ``AssemblyPlan.fill``.
 
-    ``slots`` (E, 8 ncomp) is a ``DofMap.element_slots`` table (eliminated
+    ``dofs`` (E, 8 ncomp) is a ``DofMap.element_dofs`` table (eliminated
     dofs at the dummy slot n).  A product gathers x through it (the dummy
     slot reads a zero appended to x), multiplies the element vectors by L
     in one (E, nd) @ (nd, nd) product and sums them back through the scatter
@@ -399,13 +379,13 @@ class ElementMatrix:
     the matrix of another L on the same table and pattern.
     """
 
-    def __init__(self, local: np.ndarray, slots: np.ndarray, n: int):
+    def __init__(self, local: np.ndarray, dofs: np.ndarray, n: int):
         self.local = local
         self._local_t = np.ascontiguousarray(local.T)  # row-major: the faster GEMM
-        self.slots = slots
+        self.dofs = dofs
         self.shape = (n, n)
-        self._ncomp = nc = slots.shape[1] // 8
-        blocks = slots[:, ::nc].ravel() // nc  # the dummy slot n gives n / nc
+        self._ncomp = nc = dofs.shape[1] // 8
+        blocks = dofs[:, ::nc].ravel() // nc  # the dummy slot n gives n / nc
         nodes = np.flatnonzero(blocks < n // nc)
         # each node once: the CSR rows come out with ascending nodes
         self.pattern = sp.csr_matrix((np.ones(nodes.size), (blocks[nodes], nodes)),
@@ -422,7 +402,7 @@ class ElementMatrix:
         """A x for a vector x; a block raises ValueError."""
         if x.ndim != 1:
             raise ValueError(f"an element matrix applies to vectors, not shape {x.shape}")
-        return self.scatter(np.take(np.append(x, 0.0), self.slots) @ self._local_t)
+        return self.scatter(np.take(np.append(x, 0.0), self.dofs) @ self._local_t)
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
         """sum_e P_e^T v_e of per-element vectors v (E, nd)."""
@@ -434,7 +414,7 @@ class ElementMatrix:
         return y
 
     def diagonal(self) -> np.ndarray:
-        return self.scatter(np.broadcast_to(np.diagonal(self.local), self.slots.shape))
+        return self.scatter(np.broadcast_to(np.diagonal(self.local), self.dofs.shape))
 
 
 # fewest nonzeros per row block: on small operators the hand-off to a pool
@@ -530,18 +510,18 @@ class AssemblyPlan:
     """Sparsity pattern of one element set, built once and filled per operator.
 
     ``rows`` (E, a) and ``cols`` (E, b) give the block row and block column
-    of each element's local nodes (-1 = eliminated), in a matrix of
-    ``shape`` blocks; ``kinds`` (E,) picks one of ``n_kinds`` local matrices
-    per element.  Only the E*a*b node pairs are keyed: the pattern is the
-    sorted set of distinct pairs, and ``count`` maps the n_kinds*a*b local
-    block positions to its slots, so each operator is one sparse-dense
-    product.
+    of each element's local nodes in a matrix of ``shape`` blocks, a row or
+    column at the count (the dummy block of ``DofMap``) being eliminated;
+    ``kinds`` (E,) picks one of ``n_kinds`` local matrices per element.
+    Only the E*a*b node pairs are keyed: the pattern is the sorted set of
+    distinct pairs, and ``count`` maps the n_kinds*a*b local block positions
+    to its slots, so each operator is one sparse-dense product.
     """
 
     def __init__(self, rows, cols, shape, kinds=None, n_kinds: int = 1):
         a, b = rows.shape[1], cols.shape[1]
         nr, nc = shape
-        keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+        keep = (rows[:, :, None] < nr) & (cols[:, None, :] < nc)
         keys = (rows[:, :, None] * nc + cols[:, None, :])[keep]
         pos = np.arange(a * b).reshape(a, b)
         if kinds is not None:
@@ -596,19 +576,23 @@ class AssemblyPlan:
         return sums
 
 
-def _assemble(mesh, dofmap: DofMap, elems, local: np.ndarray) -> SymmetricOperator:
-    """Operator of one dof-level local matrix (node-major, 8*ncomp square)
-    summed over the elements (all mesh elements when ``elems`` is None)."""
+def assemble_forms(mesh, dofmap: DofMap, local_matrices, elems=None) -> list:
+    """CSR matrices of dof-level local matrices (node-major, 8 ncomp square),
+    each summed over the elements (all mesh elements when ``elems`` is
+    None).  The forms share one ``AssemblyPlan``, dropped on return."""
     nc = dofmap.ncomp
-    blocks = local.reshape(8, nc, 8, nc).transpose(0, 2, 1, 3)
-    el = mesh.elems if elems is None else elems
-    return SymmetricOperator(dofmap.plan(el).fill(blocks))
+    blocks = dofmap.node_blocks[mesh.elems if elems is None else elems]
+    n = dofmap.n_dofs // nc
+    plan = AssemblyPlan(blocks, blocks, (n, n))
+    del blocks  # the fills run without the element table
+    return [plan.fill(local.reshape(8, nc, 8, nc).transpose(0, 2, 1, 3))
+            for local in local_matrices]
 
 
 def scatter_vector(local: np.ndarray, edofs: np.ndarray, n: int) -> np.ndarray:
-    """Accumulate per-element local vectors (E, nd) into a global vector."""
-    keep = edofs >= 0
-    return np.bincount(edofs[keep], weights=local[keep], minlength=n)
+    """Accumulate per-element local vectors (E, nd) into a global vector;
+    the dummy slot n of the eliminated dofs is cut off."""
+    return np.bincount(np.ravel(edofs), weights=np.ravel(local), minlength=n + 1)[:n]
 
 
 def elasticity_element(spacing, tensor: ElasticityTensor4) -> np.ndarray:
@@ -620,33 +604,20 @@ def elasticity_element(spacing, tensor: ElasticityTensor4) -> np.ndarray:
 def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
                         elems=None) -> SymmetricOperator:
     """Operator of (u, v) -> int A D(u) : D(v) over the mesh elements."""
-    return _assemble(mesh, dofmap, elems, elasticity_element(mesh.spacing, tensor))
+    local = elasticity_element(mesh.spacing, tensor)
+    return SymmetricOperator(assemble_forms(mesh, dofmap, [local], elems)[0])
 
 
 def mass_element(spacing, ncomp: int) -> np.ndarray:
     """(8 ncomp, 8 ncomp) matrix of (u, v) -> int u . v on one element."""
-    return _component_element(spacing, [1.0] * ncomp, [[0.0] * ncomp] * 3)
+    return component_element(spacing, [1.0] * ncomp, [[0.0] * ncomp] * 3)
 
 
-def assemble_mass(mesh, dofmap: DofMap, elems=None) -> SymmetricOperator:
-    """Operator of (u, v) -> int u . v (vector or scalar arity)."""
-    return _assemble(mesh, dofmap, elems, mass_element(mesh.spacing, dofmap.ncomp))
-
-
-def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
-                         grad_weights) -> SymmetricOperator:
-    """Quadratic form sum_c m_c |u_c|^2 + sum_{i,c} g[i,c] |d_i u_c|^2.
-
-    ``grad_weights[i][c]`` weighs the derivative of component c along axis i.
-    Used for the weighted norms in the inequality estimates.
-    """
-    return _assemble(mesh, dofmap, None,
-                     _component_element(mesh.spacing, mass_weights, grad_weights))
-
-
-def _component_element(spacing, mass_weights, grad_weights) -> np.ndarray:
-    """Local matrix of ``assemble_anisotropic``, one component per mass
-    weight; zero weights add 0."""
+def component_element(spacing, mass_weights, grad_weights) -> np.ndarray:
+    """Local matrix of the quadratic form sum_c m_c |u_c|^2 + sum_{i,c}
+    g[i,c] |d_i u_c|^2, one component per mass weight m_c; ``grad_weights[i][c]``
+    weighs the derivative of component c along axis i, and zero weights add 0.
+    Used for the weighted norms in the inequality estimates."""
     N, G, w, _ = hex_reference(spacing)
     nn = np.einsum("q,qa,qb->ab", w, N, N)
     gg = np.einsum("q,qai,qbi->iab", w, G, G)
@@ -658,6 +629,14 @@ def _component_element(spacing, mass_weights, grad_weights) -> np.ndarray:
             block = block + grad_weights[i][c] * gg[i]
         local[c::nc, c::nc] = block
     return local
+
+
+def assemble_anisotropic(mesh, dofmap: DofMap, mass_weights,
+                         grad_weights) -> SymmetricOperator:
+    """Operator of the ``component_element`` form over all mesh elements
+    (the benchmark's reference script assembles the Korn form through it)."""
+    local = component_element(mesh.spacing, mass_weights, grad_weights)
+    return SymmetricOperator(assemble_forms(mesh, dofmap, [local])[0])
 
 
 def assemble_surface_mass(mesh, dofmap: DofMap, faces: np.ndarray) -> SymmetricOperator:
@@ -830,15 +809,18 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
         dot, norm, anyof = _column_dot, _column_norm, np.any
     else:
         dot, norm, anyof = np.dot, np.linalg.norm, bool
-    out = np.zeros(rhs.shape)
     bnorm = norm(rhs)
-    if block:  # the active columns; the zero ones are solved already
+    if not block:
+        if not bnorm:
+            return np.zeros(n)
+    else:  # the active columns; the zero ones are solved already
+        out = np.zeros(rhs.shape)
         cols = np.flatnonzero(bnorm)
+        if not cols.size:
+            return out
         if cols.size < bnorm.size:
             rhs, bnorm = rhs[:, cols], bnorm[cols]
             x0 = None if x0 is None else x0[:, cols]
-    if not anyof(bnorm):
-        return out
     x = np.zeros(rhs.shape) if x0 is None else x0.copy()
     r = rhs - op.matvec(x) if x0 is not None else rhs.copy()
     z = precond(r)
@@ -921,8 +903,9 @@ class GridMultigrid:
             raise ValueError("operator size does not match the dof map")
         intervals = np.array(mesh.voxel_elems.shape, dtype=np.int64)
         periodic = np.array([dofmap.periodic, dofmap.periodic, False])
-        keep = dofmap.node_blocks >= 0
-        grid = np.empty((dofmap.n_dofs // ncomp, 3), dtype=np.int64)
+        n_blocks = dofmap.n_dofs // ncomp
+        keep = dofmap.node_blocks < n_blocks
+        grid = np.empty((n_blocks, 3), dtype=np.int64)
         grid[dofmap.node_blocks[keep]] = mesh.node_grid[dofmap.master[keep]]
         levels = [_GridLevel(op, grid)]
         while (levels[-1].op.shape[0] > coarsest

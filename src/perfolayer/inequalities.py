@@ -50,8 +50,13 @@ def korn_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     """
     iw = 1.0 / eps**2
     grad_w = [[iw, iw, 1.0], [iw, iw, 1.0], [1.0, 1.0, 1.0]]
+    h = lmesh.spacing
+    dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
+    a, b = fem.assemble_forms(lmesh, dofmap, [
+        fem.elasticity_element(h, ElasticityTensor4.identity()),
+        fem.component_element(h, (iw, iw, 1.0), grad_w)])
     return _clamped_constant("korn", lmesh, eps, lambda value: eps * float(np.sqrt(value)),
-                             tol, seed, fem.assemble_anisotropic, (iw, iw, 1.0), grad_w)
+                             tol, seed, SymmetricOperator(a), SymmetricOperator(b))
 
 
 def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
@@ -65,19 +70,20 @@ def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     """
     if (lmesh.voxel_elems < 0).any():
         raise SolverFailure("trace estimate needs the mesh with voids included")
+    dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     return _clamped_constant("trace", lmesh, eps,
                              lambda value: float(np.sqrt(max(value, 0.0))) / np.sqrt(eps),
-                             tol, seed, fem.assemble_surface_mass, lmesh.lateral_faces)
+                             tol, seed,
+                             fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap),
+                             fem.assemble_surface_mass(lmesh, dofmap, lmesh.lateral_faces))
 
 
 def _clamped_constant(inequality: str, lmesh: LayerMesh, eps: float, scale, tol: float,
-                      seed: int, assemble_b, *b_args) -> ConstantEstimate:
-    """``scale`` of the largest quotient of the form ``assemble_b(lmesh, dofmap,
-    *b_args)`` over |D(u)|^2, u clamped on the solid lateral boundary."""
-    dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
-    a_op = fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap)
-    b_op = assemble_b(lmesh, dofmap, *b_args)
-    dofmap.release_plan()
+                      seed: int, a_op: SymmetricOperator,
+                      b_op: SymmetricOperator) -> ConstantEstimate:
+    """``scale`` of the largest quotient of the form ``b_op`` over the
+    strain energy ``a_op`` = |D(u)|^2, u clamped on the solid lateral
+    boundary."""
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
                                 tol=tol, seed=seed)
     return ConstantEstimate(inequality, eps, lmesh.resolution, scale(res.value),
@@ -107,7 +113,6 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
     """Split the plain strain energy of the full layer into solid and void
     blocks (solid dofs = dofs of nodes touching a solid element)."""
     dofmap = DofMap(lmesh, ncomp=3)
-    ident = ElasticityTensor4.identity()
     solid_elems = lmesh.elems[lmesh.solid]
     void_elems = lmesh.elems[~lmesh.solid]
 
@@ -118,13 +123,14 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
     solid_dofs = np.nonzero(sd_mask)[0]
     void_dofs = np.nonzero(~sd_mask)[0]
 
-    s_mat = fem.assemble_elasticity(lmesh, ident, dofmap, elems=solid_elems).matrix
-    m_mat = fem.assemble_mass(lmesh, dofmap, elems=solid_elems).matrix
+    ident = ElasticityTensor4.identity()
+    s_mat, m_mat = fem.assemble_forms(lmesh, dofmap, [
+        fem.elasticity_element(lmesh.spacing, ident), fem.mass_element(lmesh.spacing, 3)],
+        elems=solid_elems)
     if void_elems.shape[0]:
         v_mat = fem.assemble_elasticity(lmesh, ident, dofmap, elems=void_elems).matrix
     else:
         v_mat = sp.csr_matrix((n, n))
-    dofmap.release_plan()
     return ExtensionProblem(
         lmesh=lmesh, dofmap=dofmap, solid_dofs=solid_dofs, void_dofs=void_dofs,
         full_energy=(s_mat + v_mat).tocsr(),

@@ -100,7 +100,7 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
         raise InconsistentMesh("eps does not match the layer mesh")
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     h = lmesh.spacing
-    mass = fem.ElementMatrix(fem.mass_element(h, 3), dofmap.element_slots(lmesh.elems),
+    mass = fem.ElementMatrix(fem.mass_element(h, 3), dofmap.element_dofs(lmesh.elems),
                              dofmap.n_dofs)
 
     quad_x = fem.quadrature_points(lmesh)
@@ -368,13 +368,13 @@ def _inplane_points(lmesh: LayerMesh, quad_x: np.ndarray):
 class PlateTransfer:
     """Data of the layer-to-plate comparison that no time step changes.
 
-    ``elems`` holds the layer elements ordered by their cell element, so a
-    per-point array reshapes to (cell element, cell, quadrature point) and
-    meets the cell-size tables without a gather.  The layer quadrature
-    points repeat their in-plane coordinates down each column, so the plate
-    fields are evaluated once per distinct point of ``MicroOperators.inplane``
-    (``plate_at``) and gathered back through ``inverse``, that table's point
-    map taken in the order of ``elems``.  The layer points of a cell element
+    ``order`` lists the layer elements by their cell element, so a
+    per-point array taken in that order reshapes to (cell element, cell,
+    quadrature point) and meets the cell-size tables without a gather.  The
+    layer quadrature points repeat their in-plane coordinates down each
+    column, so the plate fields are evaluated once per distinct point of
+    ``MicroOperators.inplane`` (``plate_at``) and gathered back through that
+    table's point map, taken in ``order``.  The layer points of a cell element
     sit at the depths y3 = x3 / eps of the cell's own points (``y3``,
     (Ec, Q)), and every layer point has the one hex weight ``weight``.
 
@@ -390,8 +390,7 @@ class PlateTransfer:
     system: PlateSystem
     sols: CellSolutionSet
     plate_at: PlatePoints
-    elems: np.ndarray           # (E, 8) layer elements by cell element
-    inverse: np.ndarray         # layer quadrature point -> distinct point
+    order: np.ndarray           # (E,) layer elements by cell element
     y3: np.ndarray              # (Ec, Q) depths of the cell quadrature points
     weight: float
     limit_strain: np.ndarray
@@ -404,8 +403,6 @@ class PlateTransfer:
         counts = np.bincount(cell_elem[cell_elem >= 0], minlength=cmesh.n_elems)
         if (cell_elem < 0).any() or (counts != lmesh.n_cells).any():
             raise InconsistentMesh("layer elements do not tile whole solid cells")
-        order = np.argsort(cell_elem, kind="stable")
-        distinct, index = ops.inplane
         limit = np.stack([fem.gradient_decomposition(cmesh, sols.nodal(c))
                           for c in range(len(PROBLEMS))], axis=2)
         y3 = fem.quadrature_points(cmesh)[..., 2]
@@ -415,8 +412,8 @@ class PlateTransfer:
         limit[..., 5, 5] -= np.sqrt(0.5) * y3
         return cls(
             system=system, sols=sols,
-            plate_at=PlatePoints(system, distinct), elems=lmesh.elems[order],
-            inverse=index.reshape(lmesh.n_elems, -1)[order].ravel(), y3=y3,
+            plate_at=PlatePoints(system, ops.inplane[0]),
+            order=np.argsort(cell_elem, kind="stable"), y3=y3,
             weight=float(fem.hex_reference(lmesh.spacing)[2][0]),  # all are equal
             limit_strain=limit,
         )
@@ -446,7 +443,7 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
     layer, with the corrector contribution inside the symmetric-gradient
     term (taken in Mandel form, which keeps the norm).  The plate is
     evaluated once at the distinct in-plane points; the comparison runs
-    over blocks of consecutive cell elements of ``PlateTransfer.elems``."""
+    over blocks of consecutive cell elements of ``PlateTransfer.order``."""
     ops = micro_state.ops
     if abs(micro_state.t - plate_state.t) > 1e-10 * max(1.0, abs(micro_state.t)):
         raise TimeMismatch(
@@ -454,8 +451,10 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
     eps = ops.eps
     tr = _plate_transfer(ops, plate_state.system, sols)
     n_ce, nq = tr.limit_strain.shape[:2]
-    n_cells = ops.lmesh.n_cells
+    lmesh = ops.lmesh
+    n_cells = lmesh.n_cells
     step = max(1, _BLOCK_POINTS // (n_cells * nq))  # cell elements per block
+    point_of = ops.inplane[1].reshape(-1, nq)  # (E, Q) distinct-point indices
 
     nodal = micro_state.nodal()
     wvals, grad, hess = tr.plate_at.deflection(plate_state.w, derivatives=True)
@@ -469,11 +468,11 @@ def two_scale_errors(micro_state: MicroState, plate_state: PlateState,
     sums = np.zeros(4)  # of du3^2, du1^2, du2^2 and |diff|^2
     for c0 in range(0, n_ce, step):
         c1 = min(c0 + step, n_ce)
-        e0, e1 = c0 * n_cells, c1 * n_cells  # the block's layer elements
+        block = tr.order[c0 * n_cells:c1 * n_cells]  # the block's layer elements
         shape = (c1 - c0, n_cells, nq)
         # u and the Mandel D(u), and the plate columns at the same points
-        fields = fem.element_fields(ops.lmesh, nodal, tr.elems[e0:e1]).reshape(*shape, 9)
-        at = plate[tr.inverse[e0 * nq:e1 * nq]].reshape(*shape, 11)
+        fields = fem.element_fields(lmesh, nodal, lmesh.elems[block]).reshape(*shape, 9)
+        at = plate[point_of[block]].reshape(*shape, 11)
         y3 = tr.y3[c0:c1, None, :]
 
         du3 = fields[..., 2] - at[..., 0]

@@ -66,6 +66,13 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def mass_operator(mesh, dofmap, elems=None):
+    """The mass operator of (u, v) -> int u . v, one form of
+    ``fem.assemble_forms``."""
+    local = fem.mass_element(mesh.spacing, dofmap.ncomp)
+    return fem.SymmetricOperator(fem.assemble_forms(mesh, dofmap, [local], elems)[0])
+
+
 def traced_peak(fn, *args, **kwargs):
     """(result, peak) of ``fn(*args, **kwargs)``: peak is the most memory,
     in bytes, that tracemalloc saw allocated during the call (numpy arrays

@@ -262,7 +262,7 @@ def test_criterion_08_plate_verification(full_cell_n8, smooth_loads):
         rb = np.zeros(system.bend_dofs.n_dofs)
         eb = system.bend_dofs.element_dofs(pmesh.elems)
         local = np.einsum("q,eq,qi->ei", system.quad_w, fq, system.basis.val)
-        keep = eb >= 0
+        keep = eb < system.bend_dofs.n_dofs
         np.add.at(rb, eb[keep], local[keep])
         w_sol = fem.solve_spd(fem.SymmetricOperator(system.k_bb), rb,
                               tol=1e-13, max_iter=200000)

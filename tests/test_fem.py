@@ -18,7 +18,8 @@ from perfolayer.errors import (IndefiniteDetected, MaxIterationsExceeded,
                                SingularWithoutConstraints)
 from perfolayer.loads import preset_load_model
 
-from conftest import BOX_HOLE, SIGMA, rigid_field, rng, sym_gradient, traced_peak
+from conftest import (BOX_HOLE, SIGMA, mass_operator, rigid_field, rng, sym_gradient,
+                      traced_peak)
 
 
 def shear_tensor():
@@ -117,7 +118,7 @@ def test_assembly_linearity():
 def test_mass_values():
     mesh = _cell_mesh(n=2)
     dm = fem.DofMap(mesh, 3)
-    m = fem.assemble_mass(mesh, dm)
+    m = mass_operator(mesh, dm)
     ones = np.zeros((mesh.n_nodes, 3))
     ones[:, 0] = 1.0
     red = dm.restrict(ones)
@@ -139,7 +140,7 @@ def test_mean_zero_vectors_equal_mass_products():
              (lm, fem.DofMap(lm, 3))]
     for m, dm in cases:
         k = fem.assemble_elasticity(m, shear_tensor(), dm)
-        mass = fem.assemble_mass(m, dm)
+        mass = mass_operator(m, dm)
         s0 = k.matrix.diagonal().mean()
         vs, sig = fem.mean_zero_augmentations(m, dm, k)
         assert vs.shape == (dm.n_dofs, 3) and sig.shape == (3,)
@@ -151,22 +152,71 @@ def test_mean_zero_vectors_equal_mass_products():
             assert sigma == pytest.approx(s0 / np.dot(want, want), rel=1e-13)
 
 
+def _add_at_dropping_dummy(edofs, local, n):
+    """np.add.at of the element vectors into n dofs, the slots >= n dropped."""
+    out = np.zeros(n)
+    keep = edofs < n
+    np.add.at(out, edofs[keep], local[keep])
+    return out
+
+
 def test_scatter_vector_matches_add_at():
     # the sums run in the order of np.add.at, so the result is bit-identical;
-    # eliminated (-1) dofs are dropped, and so are the dummy slots of the
-    # element-matrix scatter
+    # the eliminated dofs (the dummy slot n_dofs) are dropped, by the vector
+    # scatter and by the element-matrix scatter alike
     lm = pg.build_layer_mesh(pg.build_cell_geometry("full", m=2), 1.0, SIGMA, 2)
     dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
     edofs = dm.element_dofs(lm.elems)
-    assert (edofs < 0).any() and (edofs >= 0).any()
+    assert (edofs == dm.n_dofs).any() and (edofs < dm.n_dofs).any()
+    assert edofs.max() == dm.n_dofs
     local = rng(4).standard_normal(edofs.shape)
-    want = np.zeros(dm.n_dofs)
-    keep = edofs >= 0
-    np.add.at(want, edofs[keep], local[keep])
+    want = _add_at_dropping_dummy(edofs, local, dm.n_dofs)
     assert np.array_equal(fem.scatter_vector(local, edofs, dm.n_dofs), want)
-    slots = dm.element_slots(lm.elems)
-    assert np.array_equal(slots, np.where(keep, edofs, dm.n_dofs))
-    assert np.array_equal(fem.ElementMatrix(np.eye(24), slots, dm.n_dofs).scatter(local), want)
+    assert np.array_equal(fem.ElementMatrix(np.eye(24), edofs, dm.n_dofs).scatter(local), want)
+
+
+@pytest.mark.parametrize("case", ["periodic_cell", "clamped_layer"])
+def test_dummy_slot_marks_eliminated_dofs(box_geom, case):
+    # an eliminated node has the block and the dof one past the last, in
+    # every table; the gathers read a zero there and the scatters drop it
+    if case == "clamped_layer":
+        mesh = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
+        dm = fem.DofMap(mesh, 3, dirichlet_nodes=mesh.dirichlet_nodes)
+        eliminated = np.isin(np.arange(mesh.n_nodes), mesh.dirichlet_nodes)
+    else:  # clamped at the bottom: masters and slaves are eliminated
+        mesh = pg.build_cell_mesh(box_geom, 4)
+        bottom = np.flatnonzero(mesh.node_grid[:, 2] == 0)
+        dm = fem.DofMap(mesh, 3, dirichlet_nodes=bottom, periodic=True)
+        eliminated = np.isin(dm.master, dm.master[bottom])
+    n, n_blocks = dm.n_dofs, dm.n_dofs // 3
+    assert eliminated.any() and not eliminated.all()
+    assert np.array_equal(dm.node_blocks == n_blocks, eliminated)
+    assert np.all(dm.node_blocks <= n_blocks)
+    assert np.all(dm.node_dofs[eliminated] == n)
+    free = dm.node_blocks[~eliminated, None]
+    assert np.array_equal(dm.node_dofs[~eliminated], 3 * free + np.arange(3))
+    # a periodic field that vanishes on the eliminated nodes survives the
+    # round trip, and the eliminated dofs expand to zero
+    grid = mesh.node_grid.copy()
+    if dm.periodic:
+        grid[:, :2] %= mesh.voxel_elems.shape[:2]
+    x = rng(21).standard_normal(tuple(grid.max(axis=0) + 1) + (3,))[tuple(grid.T)]
+    x[eliminated] = 0.0
+    assert np.array_equal(dm.expand(dm.restrict(x)), x)
+    assert dm.restrict(x).shape == (n,)
+    # the vector scatter against np.add.at without the dummy slot
+    edofs = dm.element_dofs(mesh.elems)
+    local = rng(22).standard_normal(edofs.shape)
+    want = _add_at_dropping_dummy(edofs, local, n)
+    assert np.array_equal(fem.scatter_vector(local, edofs, n), want)
+    assert np.array_equal(fem.ElementMatrix(np.eye(24), edofs, n).scatter(local), want)
+    # the plan keys no eliminated row or column: the dense sum of the local
+    # blocks over the free entries only
+    blocks = dm.node_blocks[mesh.elems]
+    plan = fem.AssemblyPlan(blocks, blocks, (n_blocks, n_blocks))
+    ones = np.ones((8, 8, 1, 1))
+    got = plan.fill(ones).toarray()
+    assert np.array_equal(got, _element_loop(np.ones((8, 8)), blocks, blocks, got.shape))
 
 
 def test_quadrature_contractions_match_plain_einsum():
@@ -206,6 +256,9 @@ def test_solve_spd_trivial():
     d = fem.SymmetricOperator(sp.diags([1.0, 4.0]).tocsr())
     x = fem.solve_spd(d, np.array([1.0, 4.0]), tol=1e-14)
     assert np.allclose(x, [1.0, 1.0])
+    # a zero vector right-hand side returns zeros, whatever the start
+    x = fem.solve_spd(eye, np.zeros(5), x0=r)
+    assert x.shape == (5,) and not x.any()
 
 
 def _layer_operator():
@@ -323,7 +376,7 @@ def test_max_rayleigh_pair_vs_dense():
     lm = pg.build_layer_mesh(geom, 1.0, SIGMA, 2)
     dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
     a = fem.assemble_elasticity(lm, shear_tensor(), dm)
-    b = fem.assemble_mass(lm, dm)
+    b = mass_operator(lm, dm)
     res = fem.max_rayleigh_pair(b.matvec, a.matvec, a.diagonal(), tol=1e-10, seed=2)
     lam_dense = sla.eigh(a.dense(), b.dense(), eigvals_only=True)[0]
     assert 1.0 / res.value == pytest.approx(lam_dense, rel=1e-6)
@@ -394,12 +447,14 @@ def test_dofmap_matches_a_per_node_enumeration(box_geom, case):
     for i in range(len(grid)):
         if master[i] == i and i not in eliminated:
             block[i] = len(block)
+    # an eliminated node has the dummy block and dof, one past the last
+    n_blocks = len(block)
     want = [[3 * block[master[i]] + c for c in range(3)] if master[i] in block
-            else [-1, -1, -1] for i in range(len(grid))]
+            else [3 * n_blocks] * 3 for i in range(len(grid))]
     dm = fem.DofMap(mesh, 3, dirichlet_nodes=dirichlet or None, periodic=periodic)
-    assert dm.n_dofs == 3 * len(block) > 0
+    assert dm.n_dofs == 3 * n_blocks > 0
     assert dm.node_dofs.tolist() == want
-    assert dm.node_blocks.tolist() == [block.get(m, -1) for m in master]
+    assert dm.node_blocks.tolist() == [block.get(m, n_blocks) for m in master]
     assert dm.master.tolist() == master
 
 
@@ -460,7 +515,7 @@ def _per_face_surface(mesh, dofmap, faces, values):
         wts.append(w)
         local = np.einsum("q,qa,qc->ac", w, Nf, values[4 * f:4 * f + 4]).reshape(-1)
         edofs = dofmap.element_dofs(mesh.elems[int(e)][None, :])[0]
-        keep = edofs >= 0
+        keep = edofs < dofmap.n_dofs
         np.add.at(load, edofs[keep], local[keep])
     return np.concatenate(pts), np.concatenate(wts), load
 
@@ -504,12 +559,13 @@ def test_surface_quadrature_and_load_match_per_face_loop(face_lists, case):
 
 def _element_loop(local, rows, cols, shape):
     """Dense reference: add each element's local matrix (one shared, or one
-    per element) into the global array, skipping eliminated (-1) dofs."""
+    per element) into the global array, skipping eliminated dofs (the dummy
+    slot at the row or column count)."""
     out = np.zeros(shape)
     for e in range(rows.shape[0]):
         loc = local if local.ndim == 2 else local[e]
         r, c = rows[e], cols[e]
-        kr, kc = r >= 0, c >= 0
+        kr, kc = r < shape[0], c < shape[1]
         np.add.at(out, (r[kr][:, None], c[kc][None, :]), loc[np.ix_(kr, kc)])
     return out
 
@@ -546,10 +602,12 @@ def test_volume_assembly_matches_element_loop(box_geom):
         shape = (dm.n_dofs, dm.n_dofs)
         k = fem.assemble_elasticity(mesh, tensor, dm, elems=elems).matrix
         _assert_matches_loop(k, _element_loop(k_loc, edofs, edofs, shape))
-        m = fem.assemble_mass(mesh, dm, elems=elems).matrix
+        m = mass_operator(mesh, dm, elems=elems).matrix
         _assert_matches_loop(m, _element_loop(m_loc, edofs, edofs, shape))
     # mass couples equal components only: two thirds of each 3x3 block is zero
-    assert m.nnz == 3 * dm.plan(elems).count.shape[0]
+    blocks = dm.node_blocks[elems]
+    n_blocks = dm.n_dofs // 3
+    assert m.nnz == 3 * fem.AssemblyPlan(blocks, blocks, (n_blocks, n_blocks)).count.shape[0]
     mesh, dm, _ = cases[1]
     N, G, w, _ = fem.hex_reference(mesh.spacing)
     gg = np.einsum("q,qai,qbi->iab", w, G, G)
@@ -571,7 +629,7 @@ def _face_mass_loop(mesh, dofmap, faces):
         local = np.kron(np.einsum("q,qa,qb->ab", w, Nf, Nf), np.eye(3))
         edofs = dofmap.element_dofs(mesh.elems[int(e)][None, :])[0]
         r, c = np.meshgrid(edofs, edofs, indexing="ij")
-        keep = (r >= 0) & (c >= 0) & (local != 0)
+        keep = (r < dofmap.n_dofs) & (c < dofmap.n_dofs) & (local != 0)
         rows.append(r[keep])
         cols.append(c[keep])
         vals.append(local[keep])
@@ -599,7 +657,9 @@ def test_surface_mass_matches_face_loop(face_lists, case):
         assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
-def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
+def test_plan_counts_per_assembly(box_geom, monkeypatch):
+    # the forms over one element array share the one plan of their
+    # assemble_forms call; the micro operators are element matrices
     built = []
 
     class CountingPlan(fem.AssemblyPlan):
@@ -608,16 +668,32 @@ def test_operators_over_one_element_array_share_one_plan(box_geom, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(fem, "AssemblyPlan", CountingPlan)
+    # the eigen iterations build no plan: only the assembly is run
+    monkeypatch.setattr(fem, "max_rayleigh_pair", lambda *a, **k: fem.EigenResult(1.0, 0.0, 1))
+    iso = fem.ElasticityTensor4.isotropic(1.0, 1.0)
     lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
-    # the micro operators are element matrices: no plan at all
-    pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.5,
-                      preset_load_model("zero"))
-    assert built == []
-    # a new DofMap builds its own plan, and so does another element array
     full = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4, include_void=True)
-    built.clear()
-    inq.extension_problem(full)
-    assert len(built) == 2  # solid elements (energy and mass), void elements
+    cell = pg.build_cell_mesh(box_geom, 4)
+    runs = {
+        "korn_constant": lambda: inq.korn_constant(lm, 0.5),
+        "trace_constant": lambda: inq.trace_constant(full, 0.5),
+        "extension_problem": lambda: inq.extension_problem(full),
+        "solve_cell_problems": lambda: pc.solve_cell_problems(cell, iso),
+        "assemble_micro": lambda: pm.assemble_micro(lm, iso, 0.5, preset_load_model("zero")),
+    }
+    built_by = {}
+    for name, run in runs.items():
+        built.clear()
+        run()
+        built_by[name] = [shape[0] for shape in built]  # elements per plan
+    assert {name: len(plans) for name, plans in built_by.items()} == {
+        "korn_constant": 1, "trace_constant": 2, "extension_problem": 2,
+        "solve_cell_problems": 1, "assemble_micro": 0}
+    # Korn's two forms over the layer; the extension's solid forms (energy
+    # and mass), then its void energy
+    n_solid = int(np.count_nonzero(full.solid))
+    assert built_by["korn_constant"] == [lm.n_elems]
+    assert built_by["extension_problem"] == [n_solid, full.n_elems - n_solid]
 
 
 def _block_to_csr(plan, local):
@@ -658,11 +734,13 @@ def _fill_cases(case, geom):
     lm = pg.build_layer_mesh(geom, 0.5, SIGMA, 4)
     if case == "micro_mass":  # the layer's mass and stiffness on one plan
         dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
-        return lambda: (fem.assemble_mass(lm, dm), fem.assemble_elasticity(lm, iso, dm))
+        return lambda: fem.assemble_forms(lm, dm, [fem.mass_element(lm.spacing, 3),
+                                                   fem.elasticity_element(lm.spacing, iso)])
     if case == "korn_anisotropic":
         dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
         grad_w = [[4.0, 4.0, 1.0], [4.0, 4.0, 1.0], [1.0, 1.0, 1.0]]
-        return lambda: fem.assemble_anisotropic(lm, dm, (4.0, 4.0, 1.0), grad_w)
+        return lambda: fem.assemble_forms(
+            lm, dm, [fem.component_element(lm.spacing, (4.0, 4.0, 1.0), grad_w)])
     if case == "lateral_surface_mass":  # one local matrix per face kind
         channel = pg.build_cell_geometry(pg.channel_mask(4), m=4)
         full = pg.build_layer_mesh(channel, 0.5, SIGMA, 4, include_void=True)
@@ -702,7 +780,9 @@ def test_fill_peak_memory(box_geom):
     # times the result at n = 8): the former route held the block array and
     # its CSR conversion together (1.89 times)
     mesh = pg.build_cell_mesh(box_geom, 8)
-    plan = fem.DofMap(mesh, 3, periodic=True).plan(mesh.elems)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    blocks = dm.node_blocks[mesh.elems]
+    plan = fem.AssemblyPlan(blocks, blocks, (dm.n_dofs // 3,) * 2)
     local = fem.elasticity_element(mesh.spacing, fem.ElasticityTensor4.isotropic(1.0, 1.0))
     mat, peak = traced_peak(plan.fill, local.reshape(8, 3, 8, 3).transpose(0, 2, 1, 3))
     result = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
@@ -876,7 +956,7 @@ def test_row_split_product_bits_on_layer_operator(box_geom, n_blocks, monkeypatc
     dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
     # the Newmark matrix M + beta dt^2 eps^-2 K of the layer at dt = eps / 8
     k = fem.assemble_elasticity(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm).matrix
-    a = (fem.assemble_mass(lm, dm).matrix + (0.25 / 8**2) * k).tocsr()
+    a = (mass_operator(lm, dm).matrix + (0.25 / 8**2) * k).tocsr()
     prod = _split(a, n_blocks, monkeypatch)
     assert len(prod.blocks) == n_blocks
     nnz = np.array([a.indptr[r1] - a.indptr[r0] for r0, r1 in prod.blocks])
@@ -1004,7 +1084,7 @@ def _former_fine_grid(dm):
     mesh = dm.mesh
     intervals = np.array(mesh.voxel_elems.shape, dtype=np.int64)
     periodic = np.array([dm.periodic, dm.periodic, False])
-    keep = dm.node_blocks >= 0
+    keep = dm.node_blocks < dm.n_dofs // dm.ncomp
     grid = np.empty((dm.n_dofs // dm.ncomp, 3), dtype=np.int64)
     grid[dm.node_blocks[keep]] = np.where(periodic, mesh.node_grid % intervals,
                                           mesh.node_grid)[keep]
@@ -1026,7 +1106,7 @@ def test_grid_multigrid_on_clamped_korn_layer(box_geom):
     lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
     dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
     op = fem.assemble_elasticity(lm, fem.ElasticityTensor4.identity(), dm)
-    assert not dm.periodic and (dm.node_blocks < 0).any()
+    assert not dm.periodic and (dm.node_blocks == dm.n_dofs // 3).any()
     assert (lm.voxel_elems < 0).any()
     mg = fem.GridMultigrid(op, dm)
     assert len(mg.levels) >= 2 and mg.levels[0].op is op

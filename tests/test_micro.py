@@ -12,8 +12,8 @@ from perfolayer.cell import INDEX_PAIRS
 from perfolayer.errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from perfolayer.loads import CellQuadrature, preset_load_model
 
-from conftest import (SIGMA, column, kirchhoff_love_field, rigid_field, rng, sym_gradient,
-                      traced_peak)
+from conftest import (SIGMA, column, kirchhoff_love_field, mass_operator, rigid_field, rng,
+                      sym_gradient, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -281,9 +281,9 @@ def void_layers(box_geom):
 def test_micro_operators_equal_scaled_copies_and_sum(void_layers, iso_tensor, name, eps):
     lmesh = void_layers[name, eps]
     ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
-    # only the operators of the time loop are kept, and no plan is built
+    # only the operators of the time loop are kept (no plan is built:
+    # test_fem.test_plan_counts_per_assembly)
     assert "strain_energy" not in {f.name for f in dataclasses.fields(ops)}
-    assert ops.dofmap._plan is None
     m, k = ops.mass.matrix.local, ops.stiffness.matrix.local
     assert np.array_equal(k, fem.elasticity_element(lmesh.spacing, iso_tensor) * (1.0 / eps**2))
     assert np.array_equal(m, fem.mass_element(lmesh.spacing, 3))
@@ -296,10 +296,10 @@ def test_micro_operators_equal_scaled_copies_and_sum(void_layers, iso_tensor, na
 def test_element_operator_matches_assembled_csr(void_layers, iso_tensor, name, eps):
     lmesh = void_layers[name, eps]
     ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
-    mass = fem.assemble_mass(lmesh, ops.dofmap).matrix
+    mass = mass_operator(lmesh, ops.dofmap).matrix
     stiffness = fem.assemble_elasticity(lmesh, iso_tensor, ops.dofmap).matrix * (1.0 / eps**2)
     # the lateral Dirichlet rows are eliminated: their dofs sit at the dummy slot
-    assert (ops.mass.matrix.slots == ops.dofmap.n_dofs).any()
+    assert (ops.mass.matrix.dofs == ops.dofmap.n_dofs).any()
     c = 0.25 * (eps / 8) ** 2
     x = rng(12).standard_normal(ops.dofmap.n_dofs)
     for op, want in ((ops.mass, mass), (ops.stiffness, stiffness),
@@ -320,14 +320,14 @@ def test_micro_operators_share_one_dof_table(void_layers, iso_tensor):
     k_eff = pm.effective_operator(ops, 0.25 / 8)
     mass = ops.mass.matrix
     for op in (ops.stiffness, ops.strain, k_eff):
-        assert op.matrix.slots is mass.slots
+        assert op.matrix.dofs is mass.dofs
         assert op.matrix.pattern is mass.pattern
 
 
-def _add_at_reference(slots, v, n):
+def _add_at_reference(edofs, v, n):
     """sum_e P_e^T v_e by np.add.at, the dummy slot n dropped."""
     out = np.zeros(n + 1)
-    np.add.at(out, slots, v)
+    np.add.at(out, edofs, v)
     return out[:n]
 
 
@@ -341,12 +341,13 @@ def test_element_scatter_equals_add_at(void_layers, iso_tensor, cq, name, eps,
     lmesh = void_layers[name, eps]
     ops = pm.assemble_micro(lmesh, iso_tensor, eps, preset_load_model("zero"))
     n = ops.dofmap.n_dofs
-    slots = ops.mass.matrix.slots
-    assert (slots == n).any()  # lateral Dirichlet nodes are eliminated
+    edofs = ops.mass.matrix.dofs
+    assert np.array_equal(edofs, ops.dofmap.element_dofs(lmesh.elems))
+    assert (edofs == n).any()  # lateral Dirichlet nodes are eliminated
     # one row per node block, one entry per free element node, rows ascending
-    free = slots[:, ::3] < n
+    free = edofs[:, ::3] < n
     p = ops.mass.matrix.pattern
-    assert p.shape == (n // 3, slots.size // 3)
+    assert p.shape == (n // 3, edofs.size // 3)
     assert p.nnz == np.count_nonzero(free)
     assert np.array_equal(np.sort(p.indices), np.flatnonzero(free))
     rows = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
@@ -355,10 +356,10 @@ def test_element_scatter_equals_add_at(void_layers, iso_tensor, cq, name, eps,
     x = rng(13).standard_normal(n)
     for op in (ops.mass, ops.stiffness, ops.strain, pm.effective_operator(ops, eps / 8)):
         local = op.matrix.local
-        v = np.append(x, 0.0)[slots] @ np.ascontiguousarray(local.T)
-        assert np.array_equal(op.matvec(x), _add_at_reference(slots, v, n))
-        d = np.broadcast_to(np.diagonal(local), slots.shape)
-        assert np.array_equal(op.diagonal(), _add_at_reference(slots, d, n))
+        v = np.append(x, 0.0)[edofs] @ np.ascontiguousarray(local.T)
+        assert np.array_equal(op.matvec(x), _add_at_reference(edofs, v, n))
+        d = np.broadcast_to(np.diagonal(local), edofs.shape)
+        assert np.array_equal(op.diagonal(), _add_at_reference(edofs, d, n))
         # element vectors of another element count are refused, not read
         with pytest.raises(ValueError):
             op.matrix.scatter(v[:-1])
@@ -369,7 +370,7 @@ def test_element_scatter_equals_add_at(void_layers, iso_tensor, cq, name, eps,
     u3 = fem.element_values(lmesh, rng(14).standard_normal((lmesh.n_nodes, 3)))[..., 2]
     for preset in ("linear", "linear_z"):
         got = pm._volume_rhs(ops, _loads(preset, cq), 0.2, u3)
-        assert np.array_equal(got, _add_at_reference(slots, seen[-1], n))
+        assert np.array_equal(got, _add_at_reference(edofs, seen[-1], n))
 
 
 @pytest.mark.parametrize("name", ["box", "channel"])
@@ -406,16 +407,22 @@ def test_transfer_orders_elements_by_cell_element(box_cell_n4, iso_tensor):
     system = _free_plate_system(eff)
     lmesh = pg.build_layer_mesh(mesh.geometry, 0.25, SIGMA, 4)
     zero = preset_load_model("zero")
-    tr = pm.PlateTransfer.build(pm.assemble_micro(lmesh, iso_tensor, 0.25, zero),
-                                system, sols)
+    ops = pm.assemble_micro(lmesh, iso_tensor, 0.25, zero)
+    tr = pm.PlateTransfer.build(ops, system, sols)
     cell_elem = pm._cell_element_lookup(lmesh, mesh)
     order = np.argsort(cell_elem, kind="stable")
-    assert np.array_equal(tr.elems, lmesh.elems[order])
-    # the distinct in-plane points, and the point map in the order of elems
+    assert np.array_equal(tr.order, order)
+    # n_cells layer elements per cell element, by cell element, ascending
+    # within one
+    by_cell = tr.order.reshape(mesh.n_elems, lmesh.n_cells)
+    assert np.all(cell_elem[by_cell] == np.arange(mesh.n_elems)[:, None])
+    assert np.all(np.diff(by_cell, axis=1) > 0)
+    # the distinct in-plane points, and the point map taken in that order
     quad_x = fem.quadrature_points(lmesh)[order]
     want, want_inv = np.unique(quad_x[..., :2].reshape(-1, 2), axis=0, return_inverse=True)
     assert np.array_equal(tr.plate_at.pts, want)
-    assert np.array_equal(tr.inverse, want_inv.reshape(-1))
+    point_of = ops.inplane[1].reshape(lmesh.n_elems, -1)
+    assert np.array_equal(point_of[tr.order].ravel(), want_inv.reshape(-1))
     # the layer points of a cell element sit at the cell's depths y3 = x3 / eps
     # in every eps-cell, and every layer point has the one hex weight
     y3 = quad_x[..., 2].reshape(mesh.n_elems, -1, 8) / 0.25
