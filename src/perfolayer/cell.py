@@ -15,20 +15,13 @@ import numpy as np
 from . import fem
 from .errors import AsymmetricInput, InconsistentMesh, SolverFailure
 from .fem import DofMap, ElasticityTensor4, SymmetricOperator
-from .geometry import LayerMesh
+from .geometry import HEX_CORNERS, LayerMesh
 
 INDEX_PAIRS = ((1, 1), (2, 2), (1, 2))
 
 # The six cell problems in column order: stretch, then bending, each over
 # ``INDEX_PAIRS``.
 PROBLEMS = tuple((kind, ij) for kind in ("stretch", "bending") for ij in INDEX_PAIRS)
-
-# Operator size from which the cell problems are preconditioned by the grid
-# multigrid V-cycle instead of Jacobi (one block solve of the six problems
-# with set-up, one BLAS thread: Jacobi wins or ties on every cell up to
-# n = 12, 10,800 dofs; multigrid on the channel cell at n = 16, 20,304 dofs,
-# and on the box cell at n = 16; README, "How the cell problems are solved").
-MULTIGRID_MIN_DOFS = 15_000
 
 
 def basis_matrix(i: int, j: int) -> np.ndarray:
@@ -89,12 +82,103 @@ def _cell_operator(mesh, tensor, dofmap) -> SymmetricOperator:
     return SymmetricOperator(k.matrix, *fem.mean_zero_augmentations(mesh, dofmap, k))
 
 
-def _cell_multigrid(op: SymmetricOperator, dofmap: DofMap):
-    """Grid multigrid preconditioner of the periodic cell operator, or None
-    (Jacobi) below ``MULTIGRID_MIN_DOFS``."""
-    if op.shape[0] < MULTIGRID_MIN_DOFS:
-        return None
-    return fem.GridMultigrid(op, dofmap)
+class _FilledCell:
+    """Preconditioner r -> R A_f^-1 R^T r of the periodic cell operator.
+
+    A_f is the pore-filled cell: the element matrix of ``tensor`` on every
+    voxel of the periodic n1 x n2 x n3 grid, plus the mean-zero term
+    sigma V V^T of the full-cell mean functional with the cell operator's
+    weights ``sig``.  R restricts the grid nodes to the node blocks of
+    ``dofmap``, the solid ones.  So R A_f^-1 R^T inverts the Schur
+    complement of A_f on the solid, whose energy is the filled-cell energy
+    of the best extension into the pores.  That lies between the solid
+    energy and C_ext^2 times it, C_ext the norm of the extension, so the
+    preconditioned condition number is at most about C_ext^2, whatever n
+    (Boergers and Widlund, SIAM J. Numer. Anal. 27, 1990).
+
+    A_f is block-circulant in (y1, y2), so ``np.fft.rfft2`` splits it into
+    one Hermitian system per in-plane mode (as in Moulinec and Suquet,
+    CMAME 157, 1998), block-tridiagonal over the n3 + 1 node layers: the
+    element matrix's bottom, top and bottom-to-top 3 x 3 parts times the
+    in-plane phases.  The modes k != 0 are factored once by a block Thomas
+    sweep, kept with the modes on the last axis; the mode k = 0 holds the
+    translations and the mean term and is inverted densely.
+    """
+
+    def __init__(self, mesh: LayerMesh, tensor: ElasticityTensor4, dofmap: DofMap,
+                 sig: np.ndarray):
+        n1, n2, n3 = self.shape = mesh.voxel_elems.shape
+        grid = np.empty((dofmap.n_dofs // 3, 3), dtype=np.int64)
+        grid[dofmap.node_blocks] = mesh.node_grid[dofmap.master]  # no node eliminated
+        self.grid = tuple(grid.T)
+        local = fem.elasticity_element(mesh.spacing, tensor).reshape(8, 3, 8, 3)
+        is_top = HEX_CORNERS[:, 2] == 1
+        # the phase exp(i theta . (o_b - o_a)) of each corner pair per mode
+        theta = 2 * np.pi * np.stack(np.meshgrid(np.fft.fftfreq(n1), np.fft.rfftfreq(n2),
+                                                 indexing="ij"), axis=-1).reshape(-1, 2)
+        offsets = HEX_CORNERS[None, :, :2] - HEX_CORNERS[:, None, :2]
+        phase = np.exp(1j * (offsets @ theta.T))
+
+        def part(a, b):  # (3, 3, modes) coupling of the corners a to b
+            return np.einsum("aibj,abm->ijm", local[a][:, :, b], phase[a][:, b])
+
+        bottom, up, top = part(~is_top, ~is_top), part(~is_top, is_top), part(is_top, is_top)
+        diag = [bottom] + [bottom + top] * (n3 - 1) + [top]  # per node layer
+        layers = np.arange(n3 + 1)
+        dense = np.zeros((n3 + 1, 3, n3 + 1, 3))
+        dense[layers, :, layers, :] = [d[..., 0].real for d in diag]
+        dense[layers[:-1], :, layers[1:], :] = up[..., 0].real
+        dense[layers[1:], :, layers[:-1], :] = up[..., 0].real.T
+        # the mean functional per node layer: h^3, h^3 / 2 on the faces y3 = -1, 1
+        mean = np.full(n3 + 1, np.prod(mesh.spacing))
+        mean[[0, -1]] /= 2
+        dense += n1 * n2 * np.einsum("j,l,cd->jcld", mean, mean, np.diag(sig))
+        zero = np.linalg.inv(dense.reshape(3 * n3 + 3, -1))
+        self.zero = 0.5 * (zero + zero.T)
+        # complex blocks are multiplied and inverted elementwise, not by
+        # BLAS or LAPACK: their complex kernels would add 0.8 MB of RSS
+        up = up[..., 1:]
+        self.up_h = up_h = np.ascontiguousarray(np.conj(up.transpose(1, 0, 2)))
+        pivots, gains = [], []
+        for j, d in enumerate(diag):
+            pivots.append(_inverse(d[..., 1:] - _times(up_h, gains[-1]) if j else d[..., 1:]))
+            gains.append(_times(pivots[-1], up))
+        self.pivots = np.array(pivots)
+        self.gains = np.array(gains[:-1])
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """B r for a vector r or for each column of an (n, k) block."""
+        n1, n2, n3 = self.shape
+        i1, i2, i3 = self.grid
+        cols = r.reshape(i1.size, 3, -1)
+        full = np.zeros((n3 + 1, 3, cols.shape[2], n1, n2))
+        full[i3, :, :, i1, i2] = cols
+        f = np.fft.rfft2(full)
+        modes = f.reshape(f.shape[:3] + (-1,))
+        zero = self.zero @ modes[..., 0].real.reshape(3 * n3 + 3, -1)
+        rest = modes[..., 1:]
+        for j in range(n3 + 1):
+            b = rest[j] - _times(self.up_h, rest[j - 1]) if j else rest[j]
+            rest[j] = _times(self.pivots[j], b)
+        for j in range(n3 - 1, -1, -1):
+            rest[j] -= _times(self.gains[j], rest[j + 1])
+        modes[..., 0] = zero.reshape(modes.shape[:3])
+        u = np.fft.irfft2(f, s=(n1, n2))
+        return u[i3, :, :, i1, i2].reshape(r.shape)
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Per-mode inverse of a (3, 3, modes) stack by cofactors: column j is
+    the cross product of rows j + 1 and j + 2 over the determinant."""
+    roll, back = [1, 2, 0], [2, 0, 1]
+    b, c = a[roll], a[back]
+    cols = b[:, roll] * c[:, back] - b[:, back] * c[:, roll]  # (column, row, modes)
+    return cols.transpose(1, 0, 2) / np.sum(a[0] * cols[0], axis=0)
+
+
+def _times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-mode 3 x 3 products a x for a (3, 3, modes) and x (3, k, modes)."""
+    return a[:, 0, None] * x[0] + a[:, 1, None] * x[1] + a[:, 2, None] * x[2]
 
 
 def _field_rhs(mesh, dofmap, xi: np.ndarray) -> np.ndarray:
@@ -115,15 +199,15 @@ def solve_cell_problems(mesh: LayerMesh, tensor: ElasticityTensor4,
 
     The stretch problem is forced by M_ij, the bending one by -y3 M_ij.  The
     problems share one operator and are solved as the columns of one block,
-    in ``PROBLEMS`` order, by ``fem.solve_spd``, preconditioned by the grid
-    multigrid V-cycle from ``MULTIGRID_MIN_DOFS`` on.  A column whose relative residual exceeds
-    max(100 tol, 1e-8) raises SolverFailure.  ``workers`` is accepted and
+    in ``PROBLEMS`` order, by ``fem.solve_spd``, preconditioned by the
+    pore-filled cell (``_FilledCell``).  A column whose relative residual
+    exceeds max(100 tol, 1e-8) raises SolverFailure.  ``workers`` is accepted and
     ignored.  The product of the residual check also gives ``energy``, with
     the mean-zero augmentation taken out.
     """
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, tensor, dofmap)
-    precond = _cell_multigrid(op, dofmap)
+    precond = _FilledCell(mesh, tensor, dofmap, op.sig)
     rhs = np.empty((dofmap.n_dofs, len(PROBLEMS)))
     y3 = fem.quadrature_points(mesh)[:, :, 2:]
     for c, (kind, ij) in enumerate(PROBLEMS):

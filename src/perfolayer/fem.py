@@ -4,7 +4,7 @@ Trilinear hexahedra with 2x2x2 Gauss quadrature (reference tables cached per
 spacing), periodic master/slave identification, Dirichlet elimination,
 mean-zero constraints via symmetric rank-one augmentation, preconditioned
 conjugate gradients on one right-hand side or on a block of them in lockstep
-(Jacobi, or a geometric multigrid V-cycle on the background voxel grid), and
+(Jacobi by default, or any symmetric positive definite preconditioner), and
 a Jacobi-preconditioned block LOBPCG for extremal generalized eigenvalues.
 
 Large sparse products are split by rows across the cores the process may
@@ -338,7 +338,7 @@ class SymmetricOperator:
         return y
 
     # the name ``solve_spd`` calls: the benchmark's tracer counts these calls
-    # inside a solve as CG iterations, so the V-cycle calls ``apply`` instead
+    # inside a solve as CG iterations
     matvec = apply
 
     def diagonal(self) -> np.ndarray:
@@ -863,170 +863,6 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
     raise MaxIterationsExceeded(
         f"CG stalled{stalled} at relative residual {np.max(norm(r) / bnorm):.3e} "
         f"after {max_iter} iterations")
-
-
-class GridMultigrid:
-    """Geometric multigrid V-cycle on the background node grid of a voxel
-    mesh, as a symmetric positive definite preconditioner r -> z for
-    ``solve_spd`` (Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001).
-
-    ``op`` is an operator A + V diag(sigma) V^T on the dofs of ``dofmap``;
-    the node blocks, the integer grid index of each block (``node_grid`` of
-    its master node, so the periodic axes are already wrapped), the interval
-    count of each axis (``mesh.voxel_elems.shape``) and the lateral
-    periodicity all come from the dof map, and eliminated node blocks drop
-    out.  A coarse level halves every axis with an even number (> 2) of
-    intervals (the periodic axes wrap) and keeps the coarse nodes with
-    nonzero support; P is the trilinear interpolation of node values,
-    applied to each of the ncomp components of a node block.  A coarse
-    operator is the Galerkin product P^T A P + (P^T V) diag(sigma)
-    (P^T V)^T; no coarse mesh is built.  Levels are coarsened until at most
-    ``coarsest`` dofs remain, and that level is inverted densely through the
-    Cholesky factor of its dense matrix (numpy only: importing
-    ``scipy.linalg`` costs peak memory).  (A grid that cannot be coarsened
-    that far ends on a smoothing step instead.)
-
-    Each level smooths with degree-2 Chebyshev polynomials in D^-1 A over
-    [0.1, 1.1] lambda, lambda the Rayleigh quotient after 15 power steps from
-    a fixed start, before and after the coarse correction (Adams, Brezina,
-    Hu and Tuminaro, J. Comput. Phys. 188, 2003), so the cycle is symmetric
-    and deterministic.  The levels apply their operators through
-    ``SymmetricOperator.apply``, never through ``matvec``.
-    """
-
-    coarsest = 500  # dofs of a level that is inverted densely
-
-    def __init__(self, op: SymmetricOperator, dofmap: DofMap):
-        coarsest = self.coarsest
-        ncomp, mesh = dofmap.ncomp, dofmap.mesh
-        if op.shape[0] != dofmap.n_dofs:
-            raise ValueError("operator size does not match the dof map")
-        intervals = np.array(mesh.voxel_elems.shape, dtype=np.int64)
-        periodic = np.array([dofmap.periodic, dofmap.periodic, False])
-        n_blocks = dofmap.n_dofs // ncomp
-        keep = dofmap.node_blocks < n_blocks
-        grid = np.empty((n_blocks, 3), dtype=np.int64)
-        grid[dofmap.node_blocks[keep]] = mesh.node_grid[dofmap.master[keep]]
-        levels = [_GridLevel(op, grid)]
-        while (levels[-1].op.shape[0] > coarsest
-               and np.any((intervals % 2 == 0) & (intervals > 2))):
-            p_node, grid, intervals = _grid_coarsening(grid, intervals, periodic)
-            fine = levels[-1]
-            fine.prolong = sp.kron(p_node, sp.identity(ncomp), format="csr")
-            restrict = fine.prolong.T.tocsr()
-            a, vs = fine.op.matrix, fine.op.vs
-            levels.append(_GridLevel(SymmetricOperator(
-                restrict @ a @ fine.prolong,
-                None if vs is None else restrict @ vs, op.sig), grid))
-        self.levels = levels
-        self._coarse_inverse = None
-        if levels[-1].op.shape[0] <= coarsest:
-            try:
-                l_inv = np.linalg.inv(np.linalg.cholesky(levels[-1].op.dense()))
-            except np.linalg.LinAlgError as exc:
-                raise IndefiniteDetected(
-                    "coarsest multigrid operator is not positive definite") from exc
-            self._coarse_inverse = l_inv.T @ l_inv
-            levels = levels[:-1]
-        for lv in levels:
-            lv.setup_smoother()
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """One V-cycle on a vector or on each column of an (n, k) block."""
-        return self._cycle(0, r)
-
-    def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
-        lv = self.levels[k]
-        if k == len(self.levels) - 1:
-            if self._coarse_inverse is not None:
-                return self._coarse_inverse @ b
-            return lv.smooth(b)
-        x = lv.smooth(b)
-        x += lv.prolong @ self._cycle(k + 1, lv.prolong.T @ lv.residual(b, x))
-        return lv.smooth(b, x)
-
-
-class _GridLevel:
-    """One multigrid level: its operator, the grid index of each node block,
-    the prolongation from the next coarser level and the Chebyshev smoother
-    on D^-1 A."""
-
-    degree = 2
-    power_steps = 15
-
-    def __init__(self, op: SymmetricOperator, grid):
-        self.op = op
-        self.grid = grid
-        self.prolong = None
-
-    def setup_smoother(self):
-        d = self.op.diagonal()
-        self.jacobi = jacobi(d)
-        x = np.random.default_rng(0).standard_normal(d.size)
-        for _ in range(self.power_steps):
-            ax = self.op.apply(x)
-            lam = np.dot(x, ax) / np.dot(x, d * x)
-            x = self.jacobi(ax)
-            x /= np.linalg.norm(x)
-        self.theta = 0.6 * lam  # centre and half-width of [0.1, 1.1] lam
-        self.delta = 0.5 * lam
-
-    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """b - A x, written over the product's array."""
-        r = self.op.apply(x)
-        return np.subtract(b, r, out=r)
-
-    def smooth(self, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        """Chebyshev iteration for A x = b from x (zero when None; Saad,
-        *Iterative Methods for Sparse Linear Systems*, 2003, Alg. 12.1).
-        A given x is updated in place and returned."""
-        r = b.copy() if x is None else self.residual(b, x)
-        d = self.jacobi(r)
-        d /= self.theta
-        x = d.copy() if x is None else np.add(x, d, out=x)
-        sigma = self.theta / self.delta
-        rho = 1.0 / sigma
-        for _ in range(self.degree - 1):
-            r -= self.op.apply(d)
-            rho_new = 1.0 / (2.0 * sigma - rho)
-            d *= rho_new * rho
-            z = self.jacobi(r)
-            z *= 2.0 * rho_new / self.delta
-            d += z
-            rho = rho_new
-            x += d
-        return x
-
-
-def _grid_coarsening(grid: np.ndarray, intervals: np.ndarray, periodic: np.ndarray):
-    """Trilinear interpolation from the next coarser node grid.
-
-    ``grid`` (n, 3) indexes the fine nodes (wrapped on periodic axes).
-    Returns the node-level prolongation (n, n_coarse) as CSR, the coarse
-    node indices (lexicographic, only nodes with nonzero support) and the
-    coarse interval counts."""
-    halve = (intervals % 2 == 0) & (intervals > 2)
-    coarse_int = np.where(halve, intervals // 2, intervals)
-    lo = np.where(halve, grid // 2, grid)
-    odd = halve & (grid % 2 == 1)
-    hi = np.where(odd, lo + 1, lo)
-    hi = np.where(periodic, hi % coarse_int, hi)
-    w_hi = np.where(odd, 0.5, 0.0)
-    weights = trilinear(2.0 * w_hi - 1.0)[0]  # (n, 8): exact, powers of two
-    extent = coarse_int + 1
-    rows, keys, vals = [], [], []
-    for corner, w in zip(HEX_CORNERS.astype(bool), weights.T):
-        nz = np.nonzero(w)[0]
-        c = np.where(corner, hi, lo)[nz]
-        rows.append(nz)
-        keys.append((c[:, 0] * extent[1] + c[:, 1]) * extent[2] + c[:, 2])
-        vals.append(w[nz])
-    used, cols = np.unique(np.concatenate(keys), return_inverse=True)
-    p = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
-                      shape=(grid.shape[0], used.size))
-    coarse_grid = np.stack([used // (extent[1] * extent[2]),
-                            used // extent[2] % extent[1], used % extent[2]], axis=1)
-    return p, coarse_grid, coarse_int
 
 
 EIGEN_BLOCK = 3  # columns of the LOBPCG block

@@ -4,7 +4,7 @@ import pytest
 from perfolayer import cell as pc
 from perfolayer import fem
 from perfolayer import geometry as pg
-from perfolayer.errors import AsymmetricInput, InconsistentMesh, MaxIterationsExceeded
+from perfolayer.errors import AsymmetricInput, InconsistentMesh
 
 from conftest import (BOX_HOLE, column, mass_operator, rng, sym_gradient, traced_peak,
                       voigt_bound)
@@ -201,21 +201,17 @@ def test_gram_peak_memory(box_cell_n8, iso_tensor):
     assert peak < stack_bytes / 2, (peak, stack_bytes)
 
 
-@pytest.mark.parametrize("multigrid, blocks", [(False, 15), (True, 28)])
-def test_cell_solve_peak_memory(box_geom, iso_tensor, multigrid, blocks, monkeypatch):
+def test_cell_solve_peak_memory(box_geom, iso_tensor):
     # the plan goes after the fill, and the fill forms no whole block
-    # array: the peak is the operator plus the size of 13 (n, 6) blocks with
-    # Jacobi (in the fill, beside the plan) and of 26 with the V-cycle (its
-    # hierarchy, dense coarsest inverse included, beside the solve's work
-    # arrays); a plan kept through the solve and the former fill made 22
-    # and 37
-    if multigrid:
-        monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+    # array: the peak is the operator plus the size of 13 (n, 6) blocks (in
+    # the fill, beside the plan; the filled-cell factors and the grid arrays
+    # of one preconditioner call stay below it); a plan kept through the
+    # solve and the former fill made 22
     mesh = pg.build_cell_mesh(box_geom, 8)
     k = pc._cell_operator(mesh, iso_tensor, fem.DofMap(mesh, 3, periodic=True)).matrix
     op_bytes = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
     sols, peak = traced_peak(pc.solve_cell_problems, mesh, iso_tensor, tol=1e-12)
-    assert peak <= op_bytes + blocks * sols.values.nbytes, (peak, op_bytes, sols.values.nbytes)
+    assert peak <= op_bytes + 15 * sols.values.nbytes, (peak, op_bytes, sols.values.nbytes)
 
 
 def test_voigt_keeps_asymmetric_coupling_block(iso_tensor):
@@ -344,13 +340,74 @@ def test_helmholtz_requires_full_cell(box_cell_n4):
 
 
 # ---------------------------------------------------------------------------
-# multigrid-preconditioned cell solves
+# cell solves preconditioned by the pore-filled cell
 # ---------------------------------------------------------------------------
 
 def _cell_geometry(kind):
+    if kind == "full":
+        return pg.build_cell_geometry("full", m=1)
     if kind == "box":
         return pg.build_cell_geometry(BOX_HOLE, m=4)
     return pg.build_cell_geometry(pg.channel_mask(4))
+
+
+def _filled_cell(kind, n, tensor):
+    mesh = pg.build_cell_mesh(_cell_geometry(kind), n)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    op = pc._cell_operator(mesh, tensor, dm)
+    return op, pc._FilledCell(mesh, tensor, dm, op.sig)
+
+
+def _anisotropic_tensor():
+    # a sum of rank-one terms B (x) B over random symmetric B: every
+    # coupling entry (A_1113, A_1323, ...) is nonzero
+    b = rng(11).standard_normal((8, 3, 3))
+    b = 0.5 * (b + b.transpose(0, 2, 1))
+    return fem.ElasticityTensor4(np.einsum("kij,klm->ijlm", b, b))
+
+
+@pytest.mark.parametrize("n, anisotropic", [(4, False), (4, True), (3, False)])
+def test_filled_cell_inverts_unperforated_cell(n, anisotropic, iso_tensor):
+    # without pores the filled cell is the cell operator itself, mean term
+    # included, so the preconditioner is its inverse (n = 3: odd in y1 and
+    # y2, so no Nyquist mode)
+    tensor = _anisotropic_tensor() if anisotropic else iso_tensor
+    op, precond = _filled_cell("full", n, tensor)
+    b = precond(np.eye(op.shape[0]))
+    assert np.abs(b @ op.dense() - np.eye(op.shape[0])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind, kappa", [("box", 4.0), ("channel", 21.0)])
+def test_filled_cell_symmetric_positive(kind, kappa, iso_tensor):
+    # the inverse Schur complement of the filled cell on the solid dofs:
+    # symmetric positive definite, and the preconditioned operator has the
+    # condition number of the pore extension (3.79 on box, 20.2 on channel)
+    op, precond = _filled_cell(kind, 4, iso_tensor)
+    b = precond(np.eye(op.shape[0]))
+    assert np.abs(b - b.T).max() <= 1e-14 * np.abs(b).max()
+    assert np.linalg.eigvalsh(b).min() > 0
+    lam = np.linalg.eigvals(b @ op.dense()).real
+    assert lam.max() / lam.min() < kappa
+
+
+def test_filled_cell_applies_to_vectors_and_blocks(iso_tensor):
+    op, precond = _filled_cell("box", 8, iso_tensor)
+    r = rng(9).standard_normal((op.shape[0], 4))
+    got = precond(r)
+    want = np.column_stack([precond(c) for c in r.T])
+    assert got.shape == r.shape and want.shape == r.shape
+    assert got.dtype == want.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_filled_cell_keeps_no_dense_mode_inverse(iso_tensor):
+    # the block Thomas factors take 3 x 3 blocks per node layer and mode; a
+    # dense inverse per mode would take 22.6 MB at n = 16, above the
+    # operator's own CSR arrays
+    op, precond = _filled_cell("box", 16, iso_tensor)
+    k = op.matrix
+    held = sum(a.nbytes for a in (precond.pivots, precond.gains, precond.up_h, precond.zero))
+    assert held < 0.1 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
 
 
 def _capped_solves(monkeypatch, max_iter):
@@ -360,25 +417,21 @@ def _capped_solves(monkeypatch, max_iter):
 
 
 @pytest.mark.parametrize("kind", ["box", "channel"])
-@pytest.mark.parametrize("n", [8, 16])
-def test_multigrid_cell_solves_take_few_iterations(kind, n, iso_tensor, monkeypatch):
-    # Jacobi-CG needs about 52 (n = 8) and 96 (n = 16) iterations per solve
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_cell_solves_take_few_iterations(kind, n, iso_tensor, monkeypatch):
+    # Jacobi-CG needs about 52 (n = 8) and 108 (n = 16) iterations per
+    # solve; the filled cell 16 to 23, with no growth in n
     mesh = pg.build_cell_mesh(_cell_geometry(kind), n)
-    _capped_solves(monkeypatch, 15)
-    if n == 8:
-        with pytest.raises(MaxIterationsExceeded):
-            pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
-    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+    _capped_solves(monkeypatch, 25)
     sols = pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
     assert sols.residuals.max() <= 1e-10
 
 
-def test_multigrid_block_solve_one_matvec_per_iteration(box_geom, iso_tensor, monkeypatch):
+def test_cell_block_solve_one_matvec_per_iteration(box_geom, iso_tensor, monkeypatch):
     # the benchmark counts SymmetricOperator.matvec calls inside solve_spd as
-    # CG iterations, so the V-cycle must apply its levels through ``apply``
-    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
-    inside, matvecs, vcycles = [], [], []
-    solve, matvec, build = fem.solve_spd, fem.SymmetricOperator.matvec, pc._cell_multigrid
+    # CG iterations, so the preconditioner must not call it
+    inside, matvecs, preconds = [], [], []
+    solve, matvec, build = fem.solve_spd, fem.SymmetricOperator.matvec, pc._FilledCell
 
     def solving(*args, **kw):
         inside.append(1)
@@ -392,31 +445,31 @@ def test_multigrid_block_solve_one_matvec_per_iteration(box_geom, iso_tensor, mo
             matvecs.append(x.shape)
         return matvec(self, x)
 
-    def multigrid(op, dofmap):
-        mg = build(op, dofmap)
-        assert isinstance(mg, fem.GridMultigrid)
-        return lambda r: vcycles.append(1) or mg(r)
+    def filled(*args):
+        precond = build(*args)
+        return lambda r: preconds.append(1) or precond(r)
 
     monkeypatch.setattr(fem, "solve_spd", solving)
     monkeypatch.setattr(fem.SymmetricOperator, "matvec", counting)
-    monkeypatch.setattr(pc, "_cell_multigrid", multigrid)
+    monkeypatch.setattr(pc, "_FilledCell", filled)
     pc.solve_cell_problems(pg.build_cell_mesh(box_geom, 8), iso_tensor)
-    # one V-cycle before the first iteration, then one per iteration
-    assert len(matvecs) == len(vcycles) - 1 >= 5
-    assert all(shape[1] == 6 for shape in matvecs)
+    # one preconditioner call before the first iteration, then one per iteration
+    assert len(matvecs) == len(preconds) - 1 >= 5
+    widths = [shape[1] for shape in matvecs]
+    assert widths[0] == 6 and widths == sorted(widths, reverse=True)
 
 
-def test_multigrid_tensors_match_jacobi(box_geom, iso_tensor, monkeypatch):
-    mesh = pg.build_cell_mesh(box_geom, 16)
-    dm = fem.DofMap(mesh, 3, periodic=True)
-    op = pc._cell_operator(mesh, iso_tensor, dm)
-    assert isinstance(pc._cell_multigrid(op, dm), fem.GridMultigrid)
-    mg = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))
-    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", np.inf)
+@pytest.mark.parametrize("kind", ["box", "channel"])
+def test_filled_cell_tensors_match_jacobi(kind, iso_tensor, monkeypatch):
+    mesh = pg.build_cell_mesh(_cell_geometry(kind), 16)
+    filled = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))
+    solve = fem.solve_spd
+    monkeypatch.setattr(fem, "solve_spd", lambda op, rhs, **kw: solve(
+        op, rhs, **{**kw, "precond": fem.jacobi(op.diagonal())}))
     jac = pc.effective_tensors(mesh, iso_tensor, pc.solve_cell_problems(mesh, iso_tensor))
     scale = np.abs(jac.a_star).max()
     for key in ("a_star", "b_star", "c_star"):
-        assert np.abs(getattr(mg, key) - getattr(jac, key)).max() <= 1e-11 * scale
+        assert np.abs(getattr(filled, key) - getattr(jac, key)).max() <= 1e-12 * scale
 
 
 def _jacobi_cg(op, rhs, tol):
@@ -442,27 +495,16 @@ def _jacobi_cg(op, rhs, tol):
     return x
 
 
-def test_cell_solves_below_crossover_keep_jacobi_bits(box_geom, iso_tensor, monkeypatch):
-    # the six problems are one block solve with the default Jacobi
-    # preconditioner; its columns sum their dot products in another order
-    # than the vector recurrence, which keeps the bits of the original
+def test_vector_jacobi_solves_keep_original_bits(box_geom, iso_tensor):
+    # a vector solve with the default Jacobi preconditioner keeps the bits
+    # of the original recurrence, on each load column of the cell problems
     mesh = pg.build_cell_mesh(box_geom, 8)
-    calls = []
-    solve = fem.solve_spd
-
-    def recording(op, rhs, **kw):
-        x = solve(op, rhs, **kw)
-        calls.append((op, rhs, kw, x))
-        return x
-
-    monkeypatch.setattr(fem, "solve_spd", recording)
-    pc.solve_cell_problems(mesh, iso_tensor, tol=1e-10)
-    assert len(calls) == 1
-    op, rhs, kw, x = calls[0]
-    assert rhs.shape == x.shape == (op.shape[0], 6)
-    assert kw["precond"] is None
-    for b, xj in zip(rhs.T, x.T):
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    op = pc._cell_operator(mesh, iso_tensor, dm)
+    y3 = fem.quadrature_points(mesh)[:, :, 2:]
+    for kind, ij in pc.PROBLEMS:
+        stress = fem.sym_to_mandel(iso_tensor.apply(pc.basis_matrix(*ij)))
+        b = pc._field_rhs(mesh, dm, -stress if kind == "stretch" else y3 * stress)
         want = _jacobi_cg(op, b, 1e-10)
-        assert np.linalg.norm(op.matvec(xj) - b) <= 1e-10 * np.linalg.norm(b)
-        assert np.linalg.norm(xj - want) <= 1e-10 * np.linalg.norm(want)
-        assert np.array_equal(solve(op, b, tol=1e-10), want)
+        assert np.linalg.norm(op.matvec(want) - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.array_equal(fem.solve_spd(op, b, tol=1e-10), want)

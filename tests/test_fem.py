@@ -1022,25 +1022,23 @@ def _recorded_solve(op, rhs, precond):
     return fem.solve_spd(op, rhs, tol=1e-10, precond=record), seen
 
 
-@pytest.mark.parametrize("multigrid, width", [(False, None), (True, None), (False, 3), (True, 3)],
+@pytest.mark.parametrize("filled, width", [(False, None), (True, None), (False, 3), (True, 3)],
                          ids=["False", "True", "False-block", "True-block"])
-def test_split_products_keep_cg_iterates(box_geom, multigrid, width, monkeypatch):
-    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
+def test_split_products_keep_cg_iterates(box_geom, filled, width, monkeypatch):
+    # with Jacobi or with the cell's filled-cell preconditioner
     monkeypatch.setattr(fem, "_pool", None)
     mesh = pg.build_cell_mesh(box_geom, 8)
     dm = fem.DofMap(mesh, 3, periodic=True)
+    tensor = fem.ElasticityTensor4.isotropic(1.0, 1.0)
     rhs = rng(4).standard_normal(dm.n_dofs if width is None else (dm.n_dofs, width))
     runs = []
     for floor, cores in ((10**12, 1), (1, 3)):
         monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", floor)
         monkeypatch.setattr(fem, "_cores", lambda cores=cores: cores)
-        op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
+        op = pc._cell_operator(mesh, tensor, dm)
         assert len(op._product.blocks) == cores and op._product.matrix is op.matrix
-        precond = pc._cell_multigrid(op, dm) if multigrid else fem.jacobi(op.diagonal())
-        if multigrid:
-            assert precond.levels[0].op is op
-            assert all(len(lv.op._product.blocks) == cores
-                       and lv.op._product.matrix is lv.op.matrix for lv in precond.levels)
+        precond = (pc._FilledCell(mesh, tensor, dm, op.sig) if filled
+                   else fem.jacobi(op.diagonal()))
         runs.append(_recorded_solve(op, rhs, precond))
     (x_off, seen_off), (x_on, seen_on) = runs
     assert len(seen_off) == len(seen_on) > 5
@@ -1067,133 +1065,3 @@ def test_solve_spd_rejects_indefinite_preconditioner():
     op = fem.SymmetricOperator(sp.diags([1.0, 2.0]).tocsr())
     with pytest.raises(IndefiniteDetected):
         fem.solve_spd(op, np.array([1.0, 1.0]), precond=lambda r: -r)
-
-
-def _cell_multigrid(geom, n, coarsest, monkeypatch):
-    monkeypatch.setattr(fem.GridMultigrid, "coarsest", coarsest)
-    monkeypatch.setattr(pc, "MULTIGRID_MIN_DOFS", 0)
-    mesh = pg.build_cell_mesh(geom, n)
-    dm = fem.DofMap(mesh, 3, periodic=True)
-    op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
-    return op, pc._cell_multigrid(op, dm)
-
-
-def _former_fine_grid(dm):
-    """The V-cycle's fine grid as it was formed before it read the dof map's
-    masters: each kept node's grid index, wrapped on the periodic axes."""
-    mesh = dm.mesh
-    intervals = np.array(mesh.voxel_elems.shape, dtype=np.int64)
-    periodic = np.array([dm.periodic, dm.periodic, False])
-    keep = dm.node_blocks < dm.n_dofs // dm.ncomp
-    grid = np.empty((dm.n_dofs // dm.ncomp, 3), dtype=np.int64)
-    grid[dm.node_blocks[keep]] = np.where(periodic, mesh.node_grid % intervals,
-                                          mesh.node_grid)[keep]
-    return grid
-
-
-def test_grid_multigrid_fine_grid_of_periodic_cell(box_geom):
-    mesh = pg.build_cell_mesh(box_geom, 16)
-    dm = fem.DofMap(mesh, 3, periodic=True)
-    op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
-    mg = fem.GridMultigrid(op, dm)
-    assert np.array_equal(mg.levels[0].grid, _former_fine_grid(dm))
-    assert mg.levels[0].grid[:, :2].max() == 15  # the lateral index 16 wraps to 0
-
-
-def test_grid_multigrid_on_clamped_korn_layer(box_geom):
-    # the Korn operator: clamped (eliminated node blocks), not periodic, and
-    # perforated (nodes missing from the background grid)
-    lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
-    dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
-    op = fem.assemble_elasticity(lm, fem.ElasticityTensor4.identity(), dm)
-    assert not dm.periodic and (dm.node_blocks == dm.n_dofs // 3).any()
-    assert (lm.voxel_elems < 0).any()
-    mg = fem.GridMultigrid(op, dm)
-    assert len(mg.levels) >= 2 and mg.levels[0].op is op
-    assert np.array_equal(dm.master, np.arange(lm.n_nodes))
-    assert np.array_equal(mg.levels[0].grid, _former_fine_grid(dm))
-    b = rng(5).standard_normal(op.shape[0])
-    iters = []
-    for precond in (fem.jacobi(op.diagonal()), mg):
-        calls = []
-        x = fem.solve_spd(op, b, tol=1e-10,
-                          precond=lambda r, f=precond: calls.append(1) or f(r))
-        assert np.linalg.norm(op.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
-        iters.append(len(calls) - 1)  # one call before the first iteration
-    jac, vcycle = iters
-    assert vcycle < jac / 2
-
-
-def _interpolate_periodic(values, t):
-    """Piecewise-linear periodic interpolation of ``values`` at positions t."""
-    lo = np.floor(t).astype(np.int64)
-    frac = t - lo
-    return (1 - frac) * values[lo % values.size] + frac * values[(lo + 1) % values.size]
-
-
-@pytest.mark.parametrize("n", [4, 8])
-def test_grid_prolongation_reproduces_trilinear_fields(box_geom, n, monkeypatch):
-    # a product field: random and periodic in y1 and y2, linear in y3; its
-    # trilinear interpolant is the product of the 1D interpolants, and the
-    # coarse grid indices must already be wrapped (no index n/2 on y1, y2)
-    _, mg = _cell_multigrid(box_geom, n, 30, monkeypatch)
-    assert np.array_equal(mg.levels[-1].grid.max(axis=0), [1, 1, 2])  # 2 x 2 x 2
-    r = rng(3)
-    intervals = np.array([n, n, 2 * n])
-    for fine, coarse in zip(mg.levels[:-1], mg.levels[1:]):
-        halve = (intervals % 2 == 0) & (intervals > 2)
-        intervals = np.where(halve, intervals // 2, intervals)
-        g1, g2 = r.standard_normal(intervals[0]), r.standard_normal(intervals[1])
-        c = coarse.grid
-        field = g1[c[:, 0]] * g2[c[:, 1]] * (0.5 + c[:, 2])
-        t = fine.grid / np.where(halve, 2.0, 1.0)
-        want = (_interpolate_periodic(g1, t[:, 0]) * _interpolate_periodic(g2, t[:, 1])
-                * (0.5 + t[:, 2]))
-        for comp in range(3):
-            coarse_dofs = np.zeros(3 * c.shape[0])
-            coarse_dofs[comp::3] = field
-            got = (fine.prolong @ coarse_dofs).reshape(-1, 3)
-            assert np.abs(got[:, comp] - want).max() <= 1e-14 * np.abs(want).max()
-            assert not np.any(np.delete(got, comp, axis=1))
-        assert np.all(abs(fine.prolong).sum(axis=0) > 0)  # no zero column
-
-
-def test_grid_coarse_operators_are_galerkin_and_spd(box_geom, monkeypatch):
-    op, mg = _cell_multigrid(box_geom, 4, 30, monkeypatch)
-    assert mg.levels[0].op is op
-    for fine, coarse in zip(mg.levels[:-1], mg.levels[1:]):
-        p = fine.prolong.toarray()
-        a = coarse.op.dense()
-        galerkin = p.T @ fine.op.dense() @ p
-        assert np.abs(a - galerkin).max() <= 1e-13 * np.abs(galerkin).max()
-        assert np.abs(a - a.T).max() <= 1e-13 * np.abs(a).max()
-        assert np.linalg.eigvalsh(a).min() > 0
-
-
-@pytest.mark.parametrize("n, coarsest", [(4, 50), (4, 10), (8, 1500)])
-def test_grid_vcycle_symmetric_positive(box_geom, n, coarsest, monkeypatch):
-    # coarsest 10 cannot be reached at n = 4: the cycle ends on smoothing
-    op, mg = _cell_multigrid(box_geom, n, coarsest, monkeypatch)
-    assert (mg._coarse_inverse is None) == (coarsest == 10)
-    r = rng(7)
-    for _ in range(3):
-        x, y = r.standard_normal((2, op.shape[0]))
-        bx, by = mg(x), mg(y)
-        assert abs(bx @ y - x @ by) <= 1e-12 * np.linalg.norm(bx) * np.linalg.norm(y)
-        assert bx @ x > 0
-    if n == 4:
-        b = np.stack([mg(e) for e in np.eye(op.shape[0])], axis=1)
-        assert np.abs(b - b.T).max() <= 1e-12 * np.abs(b).max()
-        assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0
-
-
-def test_grid_vcycle_applies_to_blocks(box_geom, monkeypatch):
-    # the periodic cell operator with its three mean-zero augmentations, on
-    # three levels and a dense coarsest one
-    op, mg = _cell_multigrid(box_geom, 8, 50, monkeypatch)
-    assert op.vs.shape[1] == 3 and len(mg.levels) == 4
-    assert mg._coarse_inverse is not None
-    b = rng(9).standard_normal((op.shape[0], 4))
-    got = mg(b)
-    want = np.column_stack([mg(c) for c in b.T])
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
