@@ -18,7 +18,8 @@ sparse-dense products of local blocks, written run of block rows by run
 into CSR arrays of the final size.  ``assemble_forms`` fills one plan with
 several forms; no plan outlives the call that built it.  An operator of one
 local matrix over the elements of a voxel mesh can instead stay unassembled
-and be applied element by element (``ElementMatrix``).
+and be applied element by element, to a vector or to an (n, k) block
+(``ElementMatrix``).
 """
 
 from __future__ import annotations
@@ -311,9 +312,9 @@ class SymmetricOperator:
     constraint columns ``vs`` V (n, k) with weights ``sig`` sigma (k,), the
     symmetric augmentations that realize mean-zero constraints or fix a rigid
     kernel.  A is a sparse matrix, applied as CSR (``RowSplitProduct``), or
-    an ``ElementMatrix``, applied element by element to vectors only.  The
-    product, the diagonal and the dense matrix (of a sparse A) all read the
-    same arrays, for a vector or for each column of an (n, k) block."""
+    an ``ElementMatrix``, applied element by element.  The product and the
+    diagonal read the same arrays, for a vector or for each column of an
+    (n, k) block."""
 
     def __init__(self, matrix, vs: np.ndarray | None = None,
                  sig: np.ndarray | None = None):
@@ -351,11 +352,14 @@ class SymmetricOperator:
             self._diagonal = d
         return self._diagonal
 
-    def dense(self) -> np.ndarray:
-        a = self.matrix.toarray()
-        if self.vs is not None:
-            a += (self.vs * self.sig) @ self.vs.T
-        return a
+
+# Elements per chunk of an (n, k) block product.  A chunk's gathered
+# element vectors take 192 k bytes per element: 0.3 MB at k = 6, where the
+# whole gather of the n = 32 cell would take 66 MB.  On the box cell at
+# n = 8, 16 and 24, six columns, 256 was the fastest or within 20 % of the
+# fastest of 128 to 4096, and about twice as fast as one chunk of all
+# elements (README, "How sparse products are applied").
+_BLOCK_ELEMS = 256
 
 
 class ElementMatrix:
@@ -366,15 +370,18 @@ class ElementMatrix:
 
     ``dofs`` (E, 8 ncomp) is a ``DofMap.element_dofs`` table (eliminated
     dofs at the dummy slot n).  A product gathers x through it (the dummy
-    slot reads a zero appended to x), multiplies the element vectors by L
-    in one (E, nd) @ (nd, nd) product and sums them back through the scatter
-    pattern (``scatter``); the diagonal is the scatter of L's diagonal.
+    slot reads a zero row appended to x), multiplies the element vectors by
+    L and sums them back through the scatter pattern (``scatter``).  A
+    vector takes one (E, nd) @ (nd, nd) product; an (n, k) block is
+    gathered and multiplied ``_BLOCK_ELEMS`` elements at a time into one
+    (E, nd, k) array, which is scattered once.  The diagonal is the scatter
+    of L's diagonal.
 
     The pattern (n / ncomp, 8 E) is a CSR matrix of ones with one row per
     node block and one column per element node e * 8 + a: row b holds the
     element nodes of block b in ascending order, and an eliminated node has
     no entry.  The scatter is scipy's CSR kernel on the element vectors
-    taken as (8 E, ncomp) rows, so each dof sums its contributions in
+    taken as (8 E, ncomp k) rows, so each dof sums its contributions in
     element order, from zero, as ``np.add.at`` does.  ``with_local`` makes
     the matrix of another L on the same table and pattern.
     """
@@ -384,7 +391,7 @@ class ElementMatrix:
         self._local_t = np.ascontiguousarray(local.T)  # row-major: the faster GEMM
         self.dofs = dofs
         self.shape = (n, n)
-        self._ncomp = nc = dofs.shape[1] // 8
+        nc = dofs.shape[1] // 8
         blocks = dofs[:, ::nc].ravel() // nc  # the dummy slot n gives n / nc
         nodes = np.flatnonzero(blocks < n // nc)
         # each node once: the CSR rows come out with ascending nodes
@@ -399,18 +406,24 @@ class ElementMatrix:
         return other
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """A x for a vector x; a block raises ValueError."""
-        if x.ndim != 1:
-            raise ValueError(f"an element matrix applies to vectors, not shape {x.shape}")
-        return self.scatter(np.take(np.append(x, 0.0), self.dofs) @ self._local_t)
+        """A x for a vector x or an (n, k) block."""
+        if x.ndim == 1:
+            return self.scatter(np.take(np.append(x, 0.0), self.dofs) @ self._local_t)
+        xa = np.concatenate((x, np.zeros((1, x.shape[1]))))
+        dofs = self.dofs
+        v = np.empty(dofs.shape + x.shape[1:])
+        for s in range(0, dofs.shape[0], _BLOCK_ELEMS):
+            g = np.take(xa, dofs[s:s + _BLOCK_ELEMS], axis=0)
+            np.matmul(self.local, g, out=v[s:s + _BLOCK_ELEMS])
+        return self.scatter(v)
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
-        """sum_e P_e^T v_e of per-element vectors v (E, nd)."""
-        p, nc = self.pattern, self._ncomp
-        y = np.zeros(self.shape[0])
-        # the kernel reads (8 E, nc) values: the reshape checks the size
-        _add_rows_product(p, 0, p.shape[0], np.reshape(v, (p.shape[1], nc)),
-                          y.reshape(-1, nc))
+        """sum_e P_e^T v_e of per-element vectors v, (E, nd) or (E, nd, k)."""
+        p = self.pattern
+        y = np.zeros(self.shape[:1] + v.shape[2:])
+        rows = y.reshape(p.shape[0], -1)
+        # the kernel reads (8 E, ncomp k) values: the reshape checks the size
+        _add_rows_product(p, 0, p.shape[0], np.reshape(v, (p.shape[1], rows.shape[1])), rows)
         return y
 
     def diagonal(self) -> np.ndarray:

@@ -73,6 +73,19 @@ def mass_operator(mesh, dofmap, elems=None):
     return fem.SymmetricOperator(fem.assemble_forms(mesh, dofmap, [local], elems)[0])
 
 
+def dense(op):
+    """Dense matrix of an operator (CSR or element matrix, with its
+    augmentations), one product per unit column."""
+    n = op.shape[0]
+    out = np.empty((n, n))
+    unit = np.zeros(n)
+    for j in range(n):
+        unit[j] = 1.0
+        out[:, j] = op.matvec(unit)
+        unit[j] = 0.0
+    return out
+
+
 def traced_peak(fn, *args, **kwargs):
     """(result, peak) of ``fn(*args, **kwargs)``: peak is the most memory,
     in bytes, that tracemalloc saw allocated during the call (numpy arrays

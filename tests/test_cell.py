@@ -6,7 +6,7 @@ from perfolayer import fem
 from perfolayer import geometry as pg
 from perfolayer.errors import AsymmetricInput, InconsistentMesh
 
-from conftest import (BOX_HOLE, column, mass_operator, rng, sym_gradient, traced_peak,
+from conftest import (BOX_HOLE, column, dense, mass_operator, rng, sym_gradient, traced_peak,
                       voigt_bound)
 
 
@@ -214,6 +214,47 @@ def test_cell_solve_peak_memory(box_geom, iso_tensor):
     assert peak <= op_bytes + 15 * sols.values.nbytes, (peak, op_bytes, sols.values.nbytes)
 
 
+
+def _element_stiffness(mesh, tensor, dm):
+    """The cell stiffness as one element matrix over the solid voxels."""
+    return fem.ElementMatrix(fem.elasticity_element(mesh.spacing, tensor),
+                             dm.element_dofs(mesh.elems), dm.n_dofs)
+
+
+@pytest.mark.parametrize("kind", ["box", "channel"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_element_cell_operator_matches_assembled(kind, n, iso_tensor):
+    # the element stiffness with its own mean-zero augmentation against the
+    # assembled cell operator, on a vector, on an (n, 6) block and on the
+    # diagonal
+    mesh = pg.build_cell_mesh(_cell_geometry(kind), n)
+    dm = fem.DofMap(mesh, 3, periodic=True)
+    want_op = pc._cell_operator(mesh, iso_tensor, dm)
+    k = fem.SymmetricOperator(_element_stiffness(mesh, iso_tensor, dm))
+    op = fem.SymmetricOperator(k.matrix, *fem.mean_zero_augmentations(mesh, dm, k))
+    block = rng(21).standard_normal((dm.n_dofs, 6))
+    for x in (block[:, 0], block):
+        want = want_op.matvec(x)
+        got = op.matvec(x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    d = want_op.diagonal()
+    assert np.abs(op.diagonal() - d).max() <= 1e-14 * np.abs(d).max()
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 255])
+def test_element_block_product_chunks_keep_bits(chunk, box_geom, iso_tensor, monkeypatch):
+    # chunks that do not divide the elements, the last one short, sum as
+    # one chunk does
+    mesh = pg.build_cell_mesh(box_geom, 8)
+    k = _element_stiffness(mesh, iso_tensor, fem.DofMap(mesh, 3, periodic=True))
+    assert chunk == 1 or k.dofs.shape[0] % chunk
+    x = rng(22).standard_normal((k.shape[0], 6))
+    monkeypatch.setattr(fem, "_BLOCK_ELEMS", k.dofs.shape[0])
+    whole = k(x)
+    monkeypatch.setattr(fem, "_BLOCK_ELEMS", chunk)
+    assert np.array_equal(k(x), whole)
+
 def test_voigt_keeps_asymmetric_coupling_block(iso_tensor):
     # an off-centre channel breaks the vertical reflection, and b* is then
     # not symmetric under ijkl <-> klij; voigt must not symmetrize it
@@ -374,7 +415,7 @@ def test_filled_cell_inverts_unperforated_cell(n, anisotropic, iso_tensor):
     tensor = _anisotropic_tensor() if anisotropic else iso_tensor
     op, precond = _filled_cell("full", n, tensor)
     b = precond(np.eye(op.shape[0]))
-    assert np.abs(b @ op.dense() - np.eye(op.shape[0])).max() <= 1e-12
+    assert np.abs(b @ dense(op) - np.eye(op.shape[0])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind, kappa", [("box", 4.0), ("channel", 21.0)])
@@ -386,7 +427,7 @@ def test_filled_cell_symmetric_positive(kind, kappa, iso_tensor):
     b = precond(np.eye(op.shape[0]))
     assert np.abs(b - b.T).max() <= 1e-14 * np.abs(b).max()
     assert np.linalg.eigvalsh(b).min() > 0
-    lam = np.linalg.eigvals(b @ op.dense()).real
+    lam = np.linalg.eigvals(b @ dense(op)).real
     assert lam.max() / lam.min() < kappa
 
 

@@ -18,7 +18,7 @@ from perfolayer.errors import (IndefiniteDetected, MaxIterationsExceeded,
                                SingularWithoutConstraints)
 from perfolayer.loads import preset_load_model
 
-from conftest import (BOX_HOLE, SIGMA, mass_operator, rigid_field, rng, sym_gradient,
+from conftest import (BOX_HOLE, SIGMA, dense, mass_operator, rigid_field, rng, sym_gradient,
                       traced_peak)
 
 
@@ -272,7 +272,7 @@ def test_solve_spd_vs_dense():
     r = rng(5).standard_normal(op.shape[0])
     tol = 1e-11
     x = fem.solve_spd(op, r, tol=tol)
-    x_dense = np.linalg.solve(op.dense(), r)
+    x_dense = np.linalg.solve(dense(op), r)
     assert np.linalg.norm(x - x_dense) <= 10 * tol * np.linalg.norm(x_dense)
 
 
@@ -305,7 +305,7 @@ def test_augmented_matvec_applies_to_blocks(box_geom):
     got = op.matvec(x)
     want = np.column_stack([op.matvec(c) for c in x.T])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert np.abs(got - op.dense() @ x).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got - dense(op) @ x).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_block_solve_spd_columns_against_dense():
@@ -313,7 +313,7 @@ def test_block_solve_spd_columns_against_dense():
     # step and a mix of three in three; the scales are far apart, a zero
     # column returns zeros, and the other columns run on without them
     op = _layer_operator()
-    a, d = op.dense(), op.diagonal()
+    a, d = dense(op), op.diagonal()
     vecs = sla.eigh(a, np.diag(d))[1]
     r = rng(11)
     rhs = np.column_stack([1e6 * d * vecs[:, 3], np.zeros(op.shape[0]),
@@ -334,7 +334,7 @@ def test_block_solve_spd_starts_from_block_x0():
     op = _layer_operator()
     r = rng(12)
     rhs = r.standard_normal((op.shape[0], 3))
-    want = np.linalg.solve(op.dense(), rhs)
+    want = np.linalg.solve(dense(op), rhs)
     x0 = r.standard_normal(rhs.shape)
     x0[:, 1] = want[:, 1]  # converged on entry: returned as given
     x0[:, 2] = want[:, 2] + 1e-3 * r.standard_normal(op.shape[0])
@@ -359,7 +359,7 @@ def test_block_solve_spd_guards_each_column():
 def test_block_solve_spd_names_stalled_columns():
     op = _layer_operator()
     d = op.diagonal()
-    v = sla.eigh(op.dense(), np.diag(d))[1][:, 2]
+    v = sla.eigh(dense(op), np.diag(d))[1][:, 2]
     rhs = np.column_stack([rng(13).standard_normal(op.shape[0]), d * v,
                            rng(14).standard_normal(op.shape[0])])
     with pytest.raises(MaxIterationsExceeded, match=r"in columns \[0, 2\] .* after 2 iter"):
@@ -378,7 +378,7 @@ def test_max_rayleigh_pair_vs_dense():
     a = fem.assemble_elasticity(lm, shear_tensor(), dm)
     b = mass_operator(lm, dm)
     res = fem.max_rayleigh_pair(b.matvec, a.matvec, a.diagonal(), tol=1e-10, seed=2)
-    lam_dense = sla.eigh(a.dense(), b.dense(), eigvals_only=True)[0]
+    lam_dense = sla.eigh(dense(a), dense(b), eigvals_only=True)[0]
     assert 1.0 / res.value == pytest.approx(lam_dense, rel=1e-6)
 
 

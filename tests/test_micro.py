@@ -12,8 +12,8 @@ from perfolayer.cell import INDEX_PAIRS
 from perfolayer.errors import EmptyColumn, InconsistentMesh, TimeMismatch
 from perfolayer.loads import CellQuadrature, preset_load_model
 
-from conftest import (SIGMA, column, kirchhoff_love_field, mass_operator, rigid_field, rng,
-                      sym_gradient, traced_peak)
+from conftest import (SIGMA, column, dense, kirchhoff_love_field, mass_operator, rigid_field,
+                      rng, sym_gradient, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +30,12 @@ def _loads(preset, cq, params=None):
     return preset_load_model(preset, params).with_cell_quadrature(cq)
 
 
-def _dense(op):
-    """Dense matrix of an operator, one product per unit column."""
-    return np.column_stack([op.matvec(e) for e in np.eye(op.shape[0])])
-
-
 def test_micro_scaling_eps_one(full_geom2, iso_tensor, cq):
     lmesh = pg.build_layer_mesh(full_geom2, 1.0, SIGMA, 2)
     ops = pm.assemble_micro(lmesh, iso_tensor, 1.0, _loads("zero", cq))
     dm = ops.dofmap
     plain = fem.assemble_elasticity(lmesh, iso_tensor, dm)
-    diff = _dense(ops.stiffness) - plain.matrix.toarray()
+    diff = dense(ops.stiffness) - plain.matrix.toarray()
     assert np.abs(diff).max() <= 1e-14 * np.abs(plain.matrix.toarray()).max()
 
 
@@ -49,7 +44,7 @@ def test_micro_scaling_quarter(full_geom2, iso_tensor, cq):
     lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, _loads("zero", cq))
     plain = fem.assemble_elasticity(lmesh, iso_tensor, ops.dofmap)
-    diff = _dense(ops.stiffness) - 4.0 * plain.matrix.toarray()
+    diff = dense(ops.stiffness) - 4.0 * plain.matrix.toarray()
     assert np.abs(diff).max() <= 1e-12 * np.abs(plain.matrix.toarray()).max()
 
 
@@ -309,9 +304,14 @@ def test_element_operator_matches_assembled_csr(void_layers, iso_tensor, name, e
         assert np.abs(op.matvec(x) - y).max() <= 1e-14 * np.abs(y).max()
         d = want.diagonal()
         assert np.abs(op.diagonal() - d).max() <= 1e-14 * np.abs(d).max()
-        # a block is refused, not multiplied into a wrong shape
-        with pytest.raises(ValueError, match="vectors"):
-            op.matvec(np.column_stack([x, x]))
+        # a block, also a strided view, one column or in Fortran order,
+        # multiplies each column as a vector would
+        block = rng(13).standard_normal((x.size, 4))
+        for b in (block, block[:, ::2], block[:, 1:2], np.asfortranarray(block)):
+            cols = np.column_stack([op.matvec(col) for col in b.T])
+            got = op.matvec(b)
+            assert got.shape == b.shape
+            assert np.abs(got - cols).max() <= 1e-14 * np.abs(cols).max()
 
 
 def test_micro_operators_share_one_dof_table(void_layers, iso_tensor):
