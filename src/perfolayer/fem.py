@@ -4,8 +4,10 @@ Trilinear hexahedra with 2x2x2 Gauss quadrature (reference tables cached per
 spacing), periodic master/slave identification, Dirichlet elimination,
 mean-zero constraints via symmetric rank-one augmentation, preconditioned
 conjugate gradients on one right-hand side or on a block of them in lockstep
-(Jacobi by default, or any symmetric positive definite preconditioner), and
-a Jacobi-preconditioned block LOBPCG for extremal generalized eigenvalues.
+and a block LOBPCG for extremal generalized eigenvalues (both Jacobi by
+default, or any symmetric positive definite preconditioner, such as the
+fast-diagonalization inverse of the pore-filled clamped layer,
+``FilledLayer``).
 
 Large sparse products are split by rows across the cores the process may
 run on (``RowSplitProduct``); each row is summed by the same kernel in the
@@ -37,6 +39,7 @@ from scipy.sparse import _sparsetools  # the CSR kernels behind ``A @ x``
 
 from .errors import (
     ConvergenceFailure,
+    InconsistentMesh,
     IndefiniteDetected,
     MaxIterationsExceeded,
     SingularWithoutConstraints,
@@ -780,6 +783,91 @@ def jacobi(diagonal: np.ndarray):
     return lambda r: (inv_d if r.ndim == 1 else inv_col) * r
 
 
+def _q1_eigenbasis(intervals: int, h: float, clamped: bool):
+    """Eigenpairs (lam, V) of K v = lam M v, V^T M V = I, for the 1D Q1
+    stiffness K and mass M on ``intervals`` intervals of length h: on the
+    interior nodes when both ends are clamped, on all nodes when they are
+    free.  M^-1/2 comes from the eigendecomposition of M."""
+    n = intervals + 1
+    off = np.eye(n, k=1) + np.eye(n, k=-1)
+    mass = (h / 6.0) * (4.0 * np.eye(n) + off)
+    stiff = (1.0 / h) * (2.0 * np.eye(n) - off)
+    mass[[0, -1], [0, -1]] /= 2.0
+    stiff[[0, -1], [0, -1]] /= 2.0
+    if clamped:
+        mass, stiff = mass[1:-1, 1:-1], stiff[1:-1, 1:-1]
+    mu, q = np.linalg.eigh(mass)
+    root = (q / np.sqrt(mu)) @ q.T
+    lam, w = np.linalg.eigh(root @ stiff @ root)
+    return lam, root @ w
+
+
+class FilledLayer:
+    """Preconditioner r -> R B^-1 R^T r of an operator on the clamped layer.
+
+    B is the pore-filled layer with every lateral node clamped: on the voxel
+    grid of ``mesh``, block-diagonal over the displacement components
+    (Blaheta, Numer. Linear Algebra Appl. 1, 1994), component c taking the
+    form m |u_c|^2 + s sum_i C_cici |d_i u_c|^2 of the entries C_cici of
+    ``tensor``.  R restricts the grid to the node blocks of ``dofmap``.
+    Each block is a sum of Kronecker products of 1D Q1 matrices, so the
+    generalized eigenbases of the axes (``_q1_eigenbasis``: clamped in x1
+    and x2, free ends in x3) diagonalize it (fast diagonalization: Lynch,
+    Rice and Thomas, Numer. Math. 6, 1964).  The layer's free dofs must lie
+    inside the clamped grid, which keeps R B^-1 R^T positive definite; a
+    free dof on a lateral grid face raises InconsistentMesh.
+
+    A product scatters r through one flat dof index into a kept zero grid
+    (k, 3, x3, x1, x2) for k columns, applies V^T along x3, x1 and x2 by
+    matmuls, divides by the eigenvalues of B and applies V back, into two
+    kept work grids, and gathers.
+    """
+
+    def __init__(self, mesh, dofmap: DofMap, tensor: ElasticityTensor4, m: float, s: float):
+        nb = dofmap.n_dofs // 3
+        grid = np.empty((nb + 1, 3), dtype=np.int64)
+        grid[dofmap.node_blocks] = mesh.node_grid[dofmap.master]
+        i1, i2, i3 = grid[:nb].T
+        n1, n2, n3 = mesh.voxel_elems.shape
+        if np.any((i1 == 0) | (i1 == n1) | (i2 == 0) | (i2 == n2)):
+            raise InconsistentMesh("a free dof lies on the lateral boundary, "
+                                   "outside the clamped filled layer")
+        h = mesh.spacing
+        (l1, self.v1), (l2, self.v2), (l3, self.v3) = (
+            _q1_eigenbasis(n1, h[0], True), _q1_eigenbasis(n2, h[1], True),
+            _q1_eigenbasis(n3, h[2], False))
+        self.v1t, self.v2t, self.v3t = (np.ascontiguousarray(v.T)
+                                        for v in (self.v1, self.v2, self.v3))
+        self.grid_shape = shape = (n3 + 1, n1 - 1, n2 - 1)
+        c = s * np.einsum("cici->ci", tensor.components)
+        self.inv_d = 1.0 / (m + c[:, 0, None, None, None] * l1[:, None]
+                            + c[:, 1, None, None, None] * l2
+                            + c[:, 2, None, None, None] * l3[:, None, None])
+        node = np.ravel_multi_index((i3, i1 - 1, i2 - 1), shape)
+        self.index = (node[:, None] + np.prod(shape) * np.arange(3)).ravel()
+        self._grids = ()
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """R B^-1 R^T r for a vector r or for each column of an (n, k) block."""
+        k = 1 if r.ndim == 1 else r.shape[1]
+        if not self._grids or self._grids[0].shape[0] != k:
+            # the first grid stays zero off the dofs; the other two are work
+            shape = (k, 3) + self.grid_shape
+            self._grids = (np.zeros(shape), np.empty(shape), np.empty(shape))
+        grid, w1, w2 = self._grids
+        n3, n1, n2 = self.grid_shape
+        grid.reshape(k, -1)[:, self.index] = r.T
+        np.matmul(self.v3t, grid.reshape(-1, n3, n1 * n2), out=w1.reshape(-1, n3, n1 * n2))
+        np.matmul(self.v1t, w1.reshape(-1, n1, n2), out=w2.reshape(-1, n1, n2))
+        np.matmul(w2.reshape(-1, n2), self.v2, out=w1.reshape(-1, n2))
+        w1 *= self.inv_d
+        np.matmul(w1.reshape(-1, n2), self.v2t, out=w2.reshape(-1, n2))
+        np.matmul(self.v1, w2.reshape(-1, n1, n2), out=w1.reshape(-1, n1, n2))
+        np.matmul(self.v3, w1.reshape(-1, n3, n1 * n2), out=w2.reshape(-1, n3, n1 * n2))
+        z = w2.reshape(k, -1)[:, self.index]
+        return z[0] if r.ndim == 1 else z.T
+
+
 def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the matching columns of two (n, k) blocks."""
     return np.einsum("ij,ij->j", a, b)
@@ -890,13 +978,15 @@ class EigenResult:
 
 
 def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
-                      seed: int = 0, project=None) -> EigenResult:
+                      seed: int = 0, project=None, precond=None) -> EigenResult:
     """Largest mu with B x = mu A x by block LOBPCG (Knyazev, SIAM J. Sci.
     Comput. 23(2), 2001).
 
     ``apply_a`` and ``apply_b`` map an (n, k) block to its image; A must be
-    positive definite on the iteration subspace, and the inverse of its
-    diagonal ``a_diag`` preconditions the residuals (Jacobi).  Each sweep is
+    positive definite on the iteration subspace, of diagonal ``a_diag``.
+    ``precond`` maps the residual block to the search directions through a
+    symmetric positive definite approximation of A^-1, as in ``solve_spd``;
+    the default is ``jacobi(a_diag)``.  Each sweep is
     a Rayleigh-Ritz step over [X, W, P]: the Ritz block, the preconditioned
     residuals and the previous update.  Only W meets the operators; A and B
     on X and P are carried by recombination.  ``project`` removes a known
@@ -905,7 +995,8 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
     puts mu within about tol of the eigenvalue, and raises
     ConvergenceFailure after ``EIGEN_MAX_SWEEPS`` sweeps.
     """
-    precond = jacobi(a_diag)
+    if precond is None:
+        precond = jacobi(a_diag)
     rng = np.random.default_rng(seed)
     n = a_diag.size
     X = rng.standard_normal((n, max(1, min(EIGEN_BLOCK, n))))

@@ -1,9 +1,12 @@
 """Best-constant estimates for the eps-uniform inequalities of the layer.
 
 Each constant is the extremal value of a Rayleigh quotient between two
-assembled quadratic forms and is computed by the Jacobi-preconditioned block
-LOBPCG eigensolver of the fem module.  Estimates are always reported together
-with the mesh resolution; no continuum extrapolation is claimed.
+assembled quadratic forms and is computed by the block LOBPCG eigensolver of
+the fem module.  Korn's clamped strain energy is preconditioned by the
+pore-filled clamped layer (``fem.FilledLayer``); the trace and extension
+problems keep Jacobi, since the trace space has free lateral void nodes
+outside that layer.  Estimates are always reported together with the mesh
+resolution; no continuum extrapolation is claimed.
 """
 
 from __future__ import annotations
@@ -46,17 +49,21 @@ def korn_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
     The weighted norm carries eps^-2 on the in-plane components and in-plane
     derivatives and weight one on the vertical component and the remaining
     gradient entries; the returned constant is eps / sqrt(lambda_min), so the
-    inequality reads (weighted norm) <= (C / eps) |D(u)|.
+    inequality reads (weighted norm) <= (C / eps) |D(u)|.  The eigensolver
+    is preconditioned by the stiffness of the pore-filled clamped layer
+    with the identity tensor (``fem.FilledLayer``).
     """
     iw = 1.0 / eps**2
     grad_w = [[iw, iw, 1.0], [iw, iw, 1.0], [1.0, 1.0, 1.0]]
     h = lmesh.spacing
+    ident = ElasticityTensor4.identity()
     dofmap = DofMap(lmesh, ncomp=3, dirichlet_nodes=lmesh.dirichlet_nodes)
     a, b = fem.assemble_forms(lmesh, dofmap, [
-        fem.elasticity_element(h, ElasticityTensor4.identity()),
+        fem.elasticity_element(h, ident),
         fem.component_element(h, (iw, iw, 1.0), grad_w)])
     return _clamped_constant("korn", lmesh, eps, lambda value: eps * float(np.sqrt(value)),
-                             tol, seed, SymmetricOperator(a), SymmetricOperator(b))
+                             tol, seed, SymmetricOperator(a), SymmetricOperator(b),
+                             fem.FilledLayer(lmesh, dofmap, ident, 0.0, 1.0))
 
 
 def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
@@ -75,17 +82,18 @@ def trace_constant(lmesh: LayerMesh, eps: float, tol: float = 1e-8,
                              lambda value: float(np.sqrt(max(value, 0.0))) / np.sqrt(eps),
                              tol, seed,
                              fem.assemble_elasticity(lmesh, ElasticityTensor4.identity(), dofmap),
-                             fem.assemble_surface_mass(lmesh, dofmap, lmesh.lateral_faces))
+                             fem.assemble_surface_mass(lmesh, dofmap, lmesh.lateral_faces),
+                             None)
 
 
 def _clamped_constant(inequality: str, lmesh: LayerMesh, eps: float, scale, tol: float,
-                      seed: int, a_op: SymmetricOperator,
-                      b_op: SymmetricOperator) -> ConstantEstimate:
+                      seed: int, a_op: SymmetricOperator, b_op: SymmetricOperator,
+                      precond) -> ConstantEstimate:
     """``scale`` of the largest quotient of the form ``b_op`` over the
     strain energy ``a_op`` = |D(u)|^2, u clamped on the solid lateral
-    boundary."""
+    boundary, by LOBPCG with ``precond`` (None: Jacobi)."""
     res = fem.max_rayleigh_pair(b_op.matvec, a_op.matvec, a_op.diagonal(),
-                                tol=tol, seed=seed)
+                                tol=tol, seed=seed, precond=precond)
     return ConstantEstimate(inequality, eps, lmesh.resolution, scale(res.value),
                             res.residual)
 

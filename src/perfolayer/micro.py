@@ -36,6 +36,7 @@ class MicroOperators:
     lmesh: LayerMesh
     dofmap: DofMap
     eps: float
+    tensor: ElasticityTensor4
     mass: SymmetricOperator
     stiffness: SymmetricOperator      # eps^-2 int A_eps D(u):D(phi)
     strain: SymmetricOperator         # plain int D(u):D(phi), for norms
@@ -118,7 +119,7 @@ def assemble_micro(lmesh: LayerMesh, tensor: ElasticityTensor4, eps: float,
         surface_rhs = -fem.surface_load_vector(lmesh, dofmap, lmesh.gamma_faces, tract)
 
     return MicroOperators(
-        lmesh=lmesh, dofmap=dofmap, eps=eps, mass=SymmetricOperator(mass),
+        lmesh=lmesh, dofmap=dofmap, eps=eps, tensor=tensor, mass=SymmetricOperator(mass),
         stiffness=SymmetricOperator(
             mass.with_local(fem.elasticity_element(h, tensor) * (1.0 / eps**2))),
         strain=SymmetricOperator(
@@ -166,20 +167,20 @@ def micro_rhs(ops: MicroOperators, loads: LoadModel, t: float,
 
 
 def micro_step(state: MicroState, dt: float, loads: LoadModel,
-               k_eff: SymmetricOperator, beta: float = 0.25, gamma: float = 0.5,
-               picard_tol: float = 1e-10, picard_max: int = 30,
+               k_eff: SymmetricOperator, precond: fem.FilledLayer, beta: float = 0.25,
+               gamma: float = 0.5, picard_tol: float = 1e-10, picard_max: int = 30,
                tol: float = 1e-11) -> MicroState:
     """One Newmark step (``newmark``) of the scaled micro model: each Picard
     sweep solves (M + beta dt^2 K) a = F(u) - K u_pred on the caller's
-    ``effective_operator``, from u = u_pred."""
+    ``effective_operator``, preconditioned by its ``newmark_preconditioner``,
+    from u = u_pred."""
     ops = state.ops
     u_pred = newmark.predictor(state.u, state, dt, beta)
     ku_pred = ops.stiffness.matvec(u_pred)
 
     def sweep(u, a):
         rhs = micro_rhs(ops, loads, state.t + dt, ops.dofmap.expand(u)) - ku_pred
-        a = fem.solve_spd(k_eff, rhs, tol=tol, x0=a,
-                          max_iter=max(4000, 40 * int(np.sqrt(rhs.shape[0])) + 200))
+        a = fem.solve_spd(k_eff, rhs, tol=tol, x0=a, precond=precond)
         return u_pred + beta * dt * dt * a, a
 
     u, a, iters, converged = newmark.picard(sweep, u_pred, state.a, loads.f_depends_z,
@@ -193,6 +194,14 @@ def effective_operator(ops: MicroOperators, dt: float,
     dof table and scatter pattern."""
     m, k = ops.mass.matrix, ops.stiffness.matrix
     return SymmetricOperator(m.with_local(m.local + (beta * dt * dt) * k.local))
+
+
+def newmark_preconditioner(ops: MicroOperators, dt: float,
+                           beta: float = 0.25) -> fem.FilledLayer:
+    """The pore-filled clamped layer of M + beta dt^2 K: unit mass and the
+    stiffness weight beta dt^2 / eps^2 (``fem.FilledLayer``)."""
+    return fem.FilledLayer(ops.lmesh, ops.dofmap, ops.tensor, 1.0,
+                           beta * dt * dt / ops.eps**2)
 
 
 # the columns of the rows of ``run_micro``
@@ -210,8 +219,9 @@ def run_micro(ops: MicroOperators, loads: LoadModel, dt: float, t_end: float,
     rhs0 = micro_rhs(ops, loads, 0.0, ops.dofmap.expand(state.u))
     state = replace(state, a=fem.solve_spd(ops.mass, rhs0, tol=tol))
     k_eff = effective_operator(ops, dt, beta)
+    precond = newmark_preconditioner(ops, dt, beta)
     return newmark.run(
-        state, lambda st: micro_step(st, dt, loads, k_eff, beta=beta, gamma=gamma,
+        state, lambda st: micro_step(st, dt, loads, k_eff, precond, beta=beta, gamma=gamma,
                                      picard_tol=picard_tol, picard_max=picard_max,
                                      tol=tol), n_steps,
         lambda st: [st.t, st.scaled_velocity_norm(), st.scaled_strain_norm(),

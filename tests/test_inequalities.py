@@ -87,6 +87,28 @@ def test_korn_quarter_vs_eigsh(box_geom):
     assert est.constant == pytest.approx(KORN_QUARTER, rel=1e-6)
 
 
+def test_korn_preconditioned_by_filled_layer(box_geom, channel_geom, monkeypatch):
+    # Korn's LOBPCG takes the filled clamped layer (59 sweeps at eps 1/4 and
+    # tol 1e-8, where Jacobi took 101); the trace keeps Jacobi, since its
+    # free lateral void nodes lie outside that layer
+    seen = []
+    real = fem.max_rayleigh_pair
+
+    def recorded(*args, **kwargs):
+        res = real(*args, **kwargs)
+        seen.append((kwargs["precond"], res.iterations))
+        return res
+
+    monkeypatch.setattr(fem, "max_rayleigh_pair", recorded)
+    est = pi.korn_constant(pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4), 0.25,
+                           tol=1e-8, seed=1)
+    assert est.constant == pytest.approx(KORN_QUARTER, rel=1e-6)
+    assert isinstance(seen[0][0], fem.FilledLayer) and seen[0][1] <= 70
+    pi.trace_constant(pg.build_layer_mesh(channel_geom, 0.5, SIGMA, 4, include_void=True),
+                      0.5, tol=1e-4, seed=1)
+    assert seen[1][0] is None
+
+
 def test_trace_quarter_is_top_of_cluster(channel_geom):
     lmesh = pg.build_layer_mesh(channel_geom, 0.25, SIGMA, 4, include_void=True)
     est = pi.trace_constant(lmesh, 0.25, tol=1e-8, seed=1)

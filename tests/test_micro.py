@@ -70,7 +70,7 @@ def test_micro_single_picard_z_independent(full_geom2, iso_tensor, cq):
     loads = _loads("uniform_vertical", cq)
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, loads)
     state = pm.micro_step(pm.zero_micro_state(ops), 0.05, loads,
-                          pm.effective_operator(ops, 0.05))
+                          pm.effective_operator(ops, 0.05), pm.newmark_preconditioner(ops, 0.05))
     assert state.picard_iters == 1
 
 
@@ -79,7 +79,8 @@ def test_micro_picard_linear_z(full_geom2, iso_tensor, cq):
     loads = _loads("linear_z", cq, {"slope": 0.2})
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, loads)
     state = pm.micro_step(pm.zero_micro_state(ops), 0.05, loads,
-                          pm.effective_operator(ops, 0.05), picard_tol=1e-12)
+                          pm.effective_operator(ops, 0.05), pm.newmark_preconditioner(ops, 0.05),
+                          picard_tol=1e-12)
     assert state.picard_converged
     assert state.picard_iters <= 10
 
@@ -118,12 +119,13 @@ def test_micro_no_energy_growth_zero_loads(full_geom2, iso_tensor, cq):
     r = rng(5)
     for dt in (0.02, 0.1, 0.5):
         k_eff = pm.effective_operator(ops, dt)
+        precond = pm.newmark_preconditioner(ops, dt)
         state = pm.zero_micro_state(ops)
         v0 = r.standard_normal(ops.dofmap.n_dofs)
         state = pm.MicroState(ops=ops, t=0.0, u=state.u, v=v0, a=state.a)
         e0 = sum(state.energies())
         for _ in range(10):
-            state = pm.micro_step(state, dt, loads, k_eff, tol=1e-13)
+            state = pm.micro_step(state, dt, loads, k_eff, precond, tol=1e-13)
         assert sum(state.energies()) <= e0 * (1 + 1e-9)
 
 
@@ -749,3 +751,107 @@ def test_two_scale_memo_follows_system_and_cells(coupled_small, box_cell_n4):
     assert transfer.system is finer and transfer.sols is doubled
     got = (rep.err_u3, rep.err_u1[0], rep.err_u1[1], rep.err_symgrad)
     assert got == pytest.approx(_direct_two_scale(ms, ps2, doubled), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the pore-filled clamped layer as the Newmark preconditioner
+# ---------------------------------------------------------------------------
+
+def _filled_layer_form(lmesh, dofmap, tensor, m, s):
+    """Dense B of ``fem.FilledLayer`` on the dofs: the form m |u_c|^2 +
+    s C_cici |d_i u_c|^2 assembled over the layer's elements."""
+    c = s * np.einsum("cici->ci", tensor.components)
+    local = fem.component_element(lmesh.spacing, (m, m, m), c.T)
+    return fem.assemble_forms(lmesh, dofmap, [local])[0].toarray()
+
+
+@pytest.mark.parametrize("m, s", [(1.0, 0.3), (0.0, 1.0)])
+def test_filled_layer_inverts_unperforated_layer(full_geom2, m, s):
+    # without pores the free dofs are the whole clamped grid, so P is B^-1;
+    # a 2 x 1 Sigma gives the two clamped axes different bases, and a
+    # tensor with unequal C_cici weighs every component and axis apart
+    lmesh = pg.build_layer_mesh(full_geom2, 0.5, ((0, 2), (0, 1)), 2)
+    dm = fem.DofMap(lmesh, 3, dirichlet_nodes=lmesh.dirichlet_nodes)
+    b = rng(21).standard_normal((8, 3, 3))
+    b = 0.5 * (b + b.transpose(0, 2, 1))
+    tensor = fem.ElasticityTensor4(np.einsum("kij,klm->ijlm", b, b))
+    precond = fem.FilledLayer(lmesh, dm, tensor, m, s)
+    form = _filled_layer_form(lmesh, dm, tensor, m, s)
+    eye = np.eye(dm.n_dofs)
+    assert np.abs(precond(form) - eye).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["box", "channel"])
+def test_filled_layer_symmetric_positive(void_layers, iso_tensor, name):
+    lmesh = void_layers[name, 0.5]
+    ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, preset_load_model("zero"))
+    precond = pm.newmark_preconditioner(ops, 0.5 / 8)
+    p = precond(np.eye(ops.dofmap.n_dofs))
+    assert np.abs(p - p.T).max() <= 1e-14 * np.abs(p).max()
+    assert np.linalg.eigvalsh(p).min() > 0
+    # a vector and each column of a block take the same product
+    r = rng(22).standard_normal((ops.dofmap.n_dofs, 3))
+    cols = np.column_stack([precond(c) for c in r.T])
+    assert np.abs(precond(r) - cols).max() <= 1e-14 * np.abs(cols).max()
+
+
+def test_filled_layer_refuses_free_lateral_dofs(iso_tensor):
+    # with its void elements the channel layer keeps free nodes on the
+    # lateral boundary, where the clamped filled layer has none
+    channel = pg.build_cell_geometry(pg.channel_mask(4), m=4)
+    lmesh = pg.build_layer_mesh(channel, 0.5, SIGMA, 4, include_void=True)
+    dm = fem.DofMap(lmesh, 3, dirichlet_nodes=lmesh.dirichlet_nodes)
+    with pytest.raises(InconsistentMesh, match="lateral"):
+        fem.FilledLayer(lmesh, dm, iso_tensor, 1.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def first_solves_eps16(box_geom, iso_tensor, cq):
+    """Per geometry at eps 1/16, n = 4, dt = eps/8 under ``linear``: the
+    product count and solution of the first Newmark solve of ``micro_step``
+    with its preconditioner and with Jacobi, its right-hand side and its
+    operator."""
+    channel = pg.build_cell_geometry(pg.channel_mask(4), m=4)
+    loads = _loads("linear", cq)
+    eps = 1.0 / 16
+    dt = eps / 8
+    out = {}
+    for name, geom in (("box", box_geom), ("channel", channel)):
+        ops = pm.assemble_micro(pg.build_layer_mesh(geom, eps, SIGMA, 4), iso_tensor, eps, loads)
+        rhs0 = pm.micro_rhs(ops, loads, 0.0, ops.dofmap.expand(np.zeros(ops.dofmap.n_dofs)))
+        state = dataclasses.replace(pm.zero_micro_state(ops),
+                                    a=fem.solve_spd(ops.mass, rhs0, tol=1e-11))
+        k_eff = pm.effective_operator(ops, dt)
+        solves = {}
+        for kind, precond in (("filled", pm.newmark_preconditioner(ops, dt)),
+                              ("jacobi", fem.jacobi(k_eff.diagonal()))):
+            counted = []
+            k_eff.matvec = lambda x, op=k_eff: counted.append(1) or op.apply(x)
+            new = pm.micro_step(state, dt, loads, k_eff, precond)
+            solves[kind] = (len(counted), new.a)
+        del k_eff.matvec
+        u_pred = state.u + dt * state.v + dt * dt * 0.25 * state.a
+        rhs = (pm.micro_rhs(ops, loads, dt, ops.dofmap.expand(u_pred))
+               - ops.stiffness.matvec(u_pred))
+        out[name] = solves, rhs, k_eff
+    return out
+
+
+@pytest.mark.parametrize("name, most", [("box", 40), ("channel", 60)])
+def test_first_newmark_solve_at_eps16_takes_few_products(first_solves_eps16, name, most):
+    # Jacobi takes 164 (box) and 169 (channel), doubling with each halving
+    # of eps; the filled layer took 34 and 54
+    solves, _, _ = first_solves_eps16[name]
+    assert solves["filled"][0] <= most
+    assert solves["jacobi"][0] > 2 * most
+
+
+@pytest.mark.parametrize("name", ["box", "channel"])
+def test_filled_layer_solution_matches_jacobi(first_solves_eps16, name):
+    # both stop at the relative residual 1e-11 of micro_step's default tol
+    solves, rhs, k_eff = first_solves_eps16[name]
+    bnorm = np.linalg.norm(rhs)
+    for kind in ("filled", "jacobi"):
+        assert np.linalg.norm(k_eff.apply(solves[kind][1]) - rhs) <= 1e-11 * bnorm
+    a, b = solves["filled"][1], solves["jacobi"][1]
+    assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
