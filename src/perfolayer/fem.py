@@ -9,9 +9,9 @@ default, or any symmetric positive definite preconditioner, such as the
 fast-diagonalization inverse of the pore-filled clamped layer,
 ``FilledLayer``).
 
-Large sparse products are split by rows across the cores the process may
-run on (``RowSplitProduct``); each row is summed by the same kernel in the
-same order, so the results do not depend on the core count.
+Every operator is applied by one ``A @ x`` on the calling thread, to a
+vector or to an (n, k) block: scipy's CSR kernel for an assembled matrix,
+the element loop of ``ElementMatrix`` for an unassembled one.
 
 Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
 pattern of an element set on node blocks (the dofs of a node are
@@ -29,8 +29,6 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,18 +312,13 @@ class SymmetricOperator:
     """Symmetric operator A + V diag(sigma) V^T: a matrix A plus optional
     constraint columns ``vs`` V (n, k) with weights ``sig`` sigma (k,), the
     symmetric augmentations that realize mean-zero constraints or fix a rigid
-    kernel.  A is a sparse matrix, applied as CSR (``RowSplitProduct``), or
-    an ``ElementMatrix``, applied element by element.  The product and the
-    diagonal read the same arrays, for a vector or for each column of an
-    (n, k) block."""
+    kernel.  A is a CSR matrix or an ``ElementMatrix``, applied as ``A @ x``
+    on the calling thread.  The product and the diagonal read the same
+    arrays, for a vector or for each column of an (n, k) block."""
 
     def __init__(self, matrix, vs: np.ndarray | None = None,
                  sig: np.ndarray | None = None):
-        if isinstance(matrix, ElementMatrix):
-            self.matrix = self._product = matrix
-        else:
-            self.matrix = matrix.tocsr()
-            self._product = RowSplitProduct(self.matrix)
+        self.matrix = matrix
         self.vs = vs
         self.sig = None if vs is None else np.asarray(sig, dtype=float)
         self._diagonal = None
@@ -336,7 +329,7 @@ class SymmetricOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x + V (sigma * (V^T x)) for a vector or an (n, k) block."""
-        y = self._product(x)
+        y = self.matrix @ x
         if self.vs is not None:
             y += self.vs @ (self.sig * (x.T @ self.vs)).T
         return y
@@ -372,13 +365,13 @@ class ElementMatrix:
     couples row a to column b, as in ``AssemblyPlan.fill``.
 
     ``dofs`` (E, 8 ncomp) is a ``DofMap.element_dofs`` table (eliminated
-    dofs at the dummy slot n).  A product gathers x through it (the dummy
-    slot reads a zero row appended to x), multiplies the element vectors by
-    L and sums them back through the scatter pattern (``scatter``).  A
-    vector takes one (E, nd) @ (nd, nd) product; an (n, k) block is
-    gathered and multiplied ``_BLOCK_ELEMS`` elements at a time into one
-    (E, nd, k) array, which is scattered once.  The diagonal is the scatter
-    of L's diagonal.
+    dofs at the dummy slot n).  A product ``A @ x`` gathers x through it
+    (the dummy slot reads a zero row appended to x), multiplies the element
+    vectors by L and sums them back through the scatter pattern
+    (``scatter``).  A vector takes one (E, nd) @ (nd, nd) product; an (n, k)
+    block is gathered and multiplied ``_BLOCK_ELEMS`` elements at a time
+    into one (E, nd, k) array, which is scattered once.  The diagonal is the
+    scatter of L's diagonal.
 
     The pattern (n / ncomp, 8 E) is a CSR matrix of ones with one row per
     node block and one column per element node e * 8 + a: row b holds the
@@ -408,7 +401,7 @@ class ElementMatrix:
         other._local_t = np.ascontiguousarray(local.T)
         return other
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A x for a vector x or an (n, k) block."""
         if x.ndim == 1:
             return self.scatter(np.take(np.append(x, 0.0), self.dofs) @ self._local_t)
@@ -433,38 +426,6 @@ class ElementMatrix:
         return self.scatter(np.broadcast_to(np.diagonal(self.local), self.dofs.shape))
 
 
-# fewest nonzeros per row block: on small operators the hand-off to a pool
-# thread costs more than the second core gains, and a floor of 100,000 gained
-# nothing end to end (measured; README, "How sparse products are applied")
-SPLIT_MIN_NNZ = 200_000
-_pool = None  # threads of the row blocks after the first, made on first use
-
-
-def _cores() -> int:
-    """Number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity interface on this platform
-        return os.cpu_count() or 1
-
-
-def _row_pool() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max(1, _cores() - 1),
-                                   thread_name_prefix="perfolayer-rows")
-    return _pool
-
-
-def _drop_row_pool():
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
-    os.register_at_fork(after_in_child=_drop_row_pool)
-
-
 def _row_runs(indptr: np.ndarray, n_runs: int) -> list:
     """Cut the rows of a compressed pattern into at most ``n_runs``
     contiguous runs ``(r0, r1)`` of about equal entry counts."""
@@ -482,44 +443,6 @@ def _add_rows_product(a: sp.csr_matrix, r0: int, r1: int, x: np.ndarray, y: np.n
     else:
         _sparsetools.csr_matvecs(r1 - r0, a.shape[1], x.shape[1], indptr, a.indices,
                                  a.data, x.ravel(), y.ravel())
-
-
-class RowSplitProduct:
-    """x -> A x for a CSR matrix A, split by rows across the available cores.
-
-    The rows are cut once into contiguous blocks ``(r0, r1)`` of roughly
-    equal nnz: one per core, but no more than leave ``SPLIT_MIN_NNZ``
-    nonzeros to each.  A product applies scipy's CSR kernel to each block,
-    reading A's own arrays (no copy) and writing into its rows of one
-    zero-initialized output, as ``A @ x`` does for the whole matrix.  The
-    first block runs on the calling thread, the others on a shared thread
-    pool; the kernel releases the GIL.  Every row is summed by the same
-    kernel in the same order as in ``A @ x``, so the result is bit-identical
-    to it, for a vector or an (n, k) block.  With one block, or another
-    dtype than A's, the product is ``A @ x``.
-    """
-
-    def __init__(self, matrix: sp.csr_matrix):
-        self.matrix = matrix
-        self.blocks = _row_runs(matrix.indptr,
-                                max(1, min(_cores(), matrix.nnz // SPLIT_MIN_NNZ)))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        a = self.matrix
-        if len(self.blocks) < 2 or x.dtype != a.dtype:
-            return a @ x
-        x = np.ascontiguousarray(x)
-        y = np.zeros((a.shape[0],) + x.shape[1:], dtype=a.dtype)
-        pool = _row_pool()
-        futures = [pool.submit(self._apply, block, x, y) for block in self.blocks[1:]]
-        self._apply(self.blocks[0], x, y)
-        for f in futures:
-            f.result()
-        return y
-
-    def _apply(self, block, x: np.ndarray, y: np.ndarray):
-        r0, r1 = block
-        _add_rows_product(self.matrix, r0, r1, x, y[r0:r1])
 
 
 class AssemblyPlan:

@@ -251,9 +251,9 @@ def test_element_block_product_chunks_keep_bits(chunk, box_geom, iso_tensor, mon
     assert chunk == 1 or k.dofs.shape[0] % chunk
     x = rng(22).standard_normal((k.shape[0], 6))
     monkeypatch.setattr(fem, "_BLOCK_ELEMS", k.dofs.shape[0])
-    whole = k(x)
+    whole = k @ x
     monkeypatch.setattr(fem, "_BLOCK_ELEMS", chunk)
-    assert np.array_equal(k(x), whole)
+    assert np.array_equal(k @ x, whole)
 
 def test_voigt_keeps_asymmetric_coupling_block(iso_tensor):
     # an off-centre channel breaks the vertical reflection, and b* is then

@@ -1,6 +1,5 @@
 import gc
-import os
-import signal
+import threading
 import weakref
 
 import numpy as np
@@ -915,136 +914,105 @@ def test_symmetric_operator_diagonal_computed_once():
         d[0] = 1.0
 
 
-# ---------------------------------------------------------------------------
-# row-split products
-# ---------------------------------------------------------------------------
-
-def _matrix_with_empty_rows():
-    a = sp.random(60, 45, density=0.2, random_state=5, format="lil")
-    a[5:9] = 0.0   # a run of empty rows
-    a[-3:] = 0.0   # empty rows at the end
-    a = a.tocsr()
-    a.eliminate_zeros()
-    assert np.diff(a.indptr)[[5, 8, 59]].max() == 0
-    return a
-
-
-def _split(a, n_blocks, monkeypatch):
-    """The row-split product of ``a`` on ``n_blocks`` cores, without a floor."""
-    monkeypatch.setattr(fem, "_cores", lambda: n_blocks)
-    monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", 1)
-    return fem.RowSplitProduct(a)
-
-
-@pytest.mark.parametrize("n_blocks", [1, 2, 3])
-def test_row_split_product_equals_matrix_product(n_blocks, monkeypatch):
-    a = _matrix_with_empty_rows()
-    prod = _split(a, n_blocks, monkeypatch)
-    bounds = np.ravel(prod.blocks)
-    assert len(prod.blocks) == n_blocks
-    assert bounds[0] == 0 and bounds[-1] == a.shape[0]
-    assert np.all(bounds[1:-1:2] == bounds[2:-1:2])  # contiguous blocks
-    r = rng(6)
-    for shape in (45, (45, 1), (45, 2), (45, 4)):
-        x = r.standard_normal(shape)
-        assert np.array_equal(prod(x), a @ x)
-
-
-@pytest.mark.parametrize("n_blocks", [2, 3])
-def test_row_split_product_bits_on_layer_operator(box_geom, n_blocks, monkeypatch):
-    lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
+def _clamped_layer_stiffness(box_geom):
+    """The clamped box layer's stiffness, assembled (CSR) and as an element
+    matrix on the same dof table (the Dirichlet dofs at the dummy slot)."""
+    lm = pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4)
     dm = fem.DofMap(lm, 3, dirichlet_nodes=lm.dirichlet_nodes)
-    # the Newmark matrix M + beta dt^2 eps^-2 K of the layer at dt = eps / 8
-    k = fem.assemble_elasticity(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm).matrix
-    a = (mass_operator(lm, dm).matrix + (0.25 / 8**2) * k).tocsr()
-    prod = _split(a, n_blocks, monkeypatch)
-    assert len(prod.blocks) == n_blocks
-    nnz = np.array([a.indptr[r1] - a.indptr[r0] for r0, r1 in prod.blocks])
-    assert nnz.sum() == a.nnz and nnz.max() - nnz.min() <= 2 * np.diff(a.indptr).max()
+    tensor = shear_tensor()
+    csr = fem.assemble_elasticity(lm, tensor, dm).matrix
+    element = fem.ElementMatrix(fem.elasticity_element(lm.spacing, tensor),
+                                dm.element_dofs(lm.elems), dm.n_dofs)
+    return csr, element
+
+
+@pytest.mark.parametrize("kind", ["csr", "element"])
+def test_symmetric_operator_applies_matrix_as_given(box_geom, kind):
+    # one product path: the operator keeps the object it was given and its
+    # product is that object's own A @ x, on a vector and on blocks
+    csr, element = _clamped_layer_stiffness(box_geom)
+    matrix = csr if kind == "csr" else element
+    op = fem.SymmetricOperator(matrix)
+    assert op.matrix is matrix and op.shape == matrix.shape
     r = rng(8)
     for width in (None, 1, 2, 3):
-        x = r.standard_normal(a.shape[0] if width is None else (a.shape[0], width))
-        assert np.array_equal(prod(x), a @ x)
-    # the blocks read the matrix's own arrays, not copies made at the cut
-    a.data *= 1.5
-    x = r.standard_normal(a.shape[0])
-    assert np.array_equal(prod(x), a @ x)
+        x = r.standard_normal(op.shape[0] if width is None else (op.shape[0], width))
+        assert np.array_equal(op.apply(x), matrix @ x)
+    if kind == "csr":  # the product reads the matrix's own arrays
+        csr.data *= 1.5
+        x = r.standard_normal(op.shape[0])
+        assert np.array_equal(op.apply(x), csr @ x)
 
 
-def test_row_split_block_count_follows_cores_and_floor(monkeypatch):
-    a = _matrix_with_empty_rows()
-    monkeypatch.setattr(fem, "_cores", lambda: 3)
-    for floor, want in ((a.nnz + 1, 1), (a.nnz // 2, 2), (1, 3)):
-        monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", floor)
-        assert len(fem.RowSplitProduct(a).blocks) == want
-    monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", a.nnz + 1)
-    assert fem.RowSplitProduct(a).blocks == [(0, a.shape[0])]
+@pytest.mark.parametrize("width", [None, 1, 2, 4])
+def test_augmented_apply_is_product_plus_constraints(width):
+    # A + V diag(sigma) V^T on a matrix with empty rows; x is left as it was
+    r = rng(6)
+    keep = np.ones(45)
+    keep[[3, 17, 40]] = 0.0
+    b = sp.diags(keep) @ sp.random(45, 60, density=0.1, random_state=6, format="csr")
+    a = (b @ b.T).tocsr()
+    a.eliminate_zeros()
+    assert np.count_nonzero(np.diff(a.indptr) == 0) >= 3
+    vs = r.standard_normal((45, 2))
+    sig = np.array([2.0, 0.5])
+    op = fem.SymmetricOperator(a, vs, sig)
+    x = r.standard_normal(45 if width is None else (45, width))
+    x_in = x.copy()
+    got = op.apply(x)
+    want = (a.toarray() + vs @ np.diag(sig) @ vs.T) @ x
+    assert got.shape == x.shape and np.array_equal(x, x_in)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(op.matvec(x), got)
 
 
-def test_operator_below_floor_never_creates_pool(monkeypatch):
-    monkeypatch.setattr(fem, "_pool", None)
-    a = _matrix_with_empty_rows()
-    x = rng(2).standard_normal(45)
-    assert a.nnz < fem.SPLIT_MIN_NNZ
-    fem.RowSplitProduct(a)(x)
-    fem.SymmetricOperator(a @ a.T).matvec(rng(2).standard_normal(60))
-    assert fem._pool is None
-    _split(a, 2, monkeypatch)(x)
-    assert fem._pool is not None
-    fem._pool.shutdown()
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_element_matmul_matches_assembled_on_clamped_layer(box_geom, width):
+    # the dummy slot of the Dirichlet dofs reads zero and takes no sum
+    csr, element = _clamped_layer_stiffness(box_geom)
+    assert element.dofs.max() == element.shape[0]  # some dof is eliminated
+    x = rng(9).standard_normal(csr.shape[0] if width is None else (csr.shape[0], width))
+    want = csr @ x
+    got = element @ x
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_makes_its_own_row_pool(monkeypatch):
-    # the pool's threads do not survive a fork; a child that reused the
-    # parent's pool would wait forever for its row blocks
-    monkeypatch.setattr(fem, "_pool", None)
-    a = _matrix_with_empty_rows()
-    x = rng(2).standard_normal(45)
-    prod = _split(a, 2, monkeypatch)
-    prod(x)
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - runs in the child
-        signal.alarm(10)
-        os._exit(0 if np.array_equal(prod(x), a @ x) else 1)
-    _, status = os.waitpid(pid, 0)
-    fem._pool.shutdown()
-    assert os.waitstatus_to_exitcode(status) == 0
+def _cell_solve(box_geom):
+    pc.solve_cell_problems(pg.build_cell_mesh(box_geom, 4),
+                           fem.ElasticityTensor4.isotropic(1.0, 1.0), tol=1e-8)
 
 
-def _recorded_solve(op, rhs, precond):
-    seen = []
+def _newmark_solve(box_geom):
+    lm = pg.build_layer_mesh(box_geom, 0.25, SIGMA, 4)
+    ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.25,
+                            preset_load_model("zero"))
+    dt = 0.25 / 8
+    rhs = rng(3).standard_normal((ops.dofmap.n_dofs, 2))
+    fem.solve_spd(pm.effective_operator(ops, dt), rhs, tol=1e-10,
+                  precond=pm.newmark_preconditioner(ops, dt))
 
-    def record(r):
-        seen.append(r.copy())
-        return precond(r)
 
-    return fem.solve_spd(op, rhs, tol=1e-10, precond=record), seen
+def _korn_sweeps(box_geom):
+    inq.korn_constant(pg.build_layer_mesh(box_geom, 0.5, SIGMA, 4), 0.5, tol=1e-4)
 
 
-@pytest.mark.parametrize("filled, width", [(False, None), (True, None), (False, 3), (True, 3)],
-                         ids=["False", "True", "False-block", "True-block"])
-def test_split_products_keep_cg_iterates(box_geom, filled, width, monkeypatch):
-    # with Jacobi or with the cell's filled-cell preconditioner
-    monkeypatch.setattr(fem, "_pool", None)
-    mesh = pg.build_cell_mesh(box_geom, 8)
-    dm = fem.DofMap(mesh, 3, periodic=True)
-    tensor = fem.ElasticityTensor4.isotropic(1.0, 1.0)
-    rhs = rng(4).standard_normal(dm.n_dofs if width is None else (dm.n_dofs, width))
-    runs = []
-    for floor, cores in ((10**12, 1), (1, 3)):
-        monkeypatch.setattr(fem, "SPLIT_MIN_NNZ", floor)
-        monkeypatch.setattr(fem, "_cores", lambda cores=cores: cores)
-        op = pc._cell_operator(mesh, tensor, dm)
-        assert len(op._product.blocks) == cores and op._product.matrix is op.matrix
-        precond = (pc._FilledCell(mesh, tensor, dm, op.sig) if filled
-                   else fem.jacobi(op.diagonal()))
-        runs.append(_recorded_solve(op, rhs, precond))
-    (x_off, seen_off), (x_on, seen_on) = runs
-    assert len(seen_off) == len(seen_on) > 5
-    assert all(np.array_equal(a, b) for a, b in zip(seen_off, seen_on))
-    assert np.array_equal(x_off, x_on)
-    fem._pool.shutdown()
+@pytest.mark.parametrize("run", [_cell_solve, _newmark_solve, _korn_sweeps],
+                         ids=["cell", "newmark", "korn"])
+def test_solves_start_no_thread(box_geom, run, monkeypatch):
+    # every product runs on the calling thread: no pool, no worker
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    before = set(threading.enumerate())
+    run(box_geom)
+    assert started == []
+    assert set(threading.enumerate()) == before
 
 
 # ---------------------------------------------------------------------------
