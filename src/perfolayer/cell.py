@@ -19,7 +19,7 @@ from .geometry import HEX_CORNERS, LayerMesh
 
 INDEX_PAIRS = ((1, 1), (2, 2), (1, 2))
 
-# The six cell problems in column order: stretch, then bending, each over
+# The six cell problems in row order: stretch, then bending, each over
 # ``INDEX_PAIRS``.
 PROBLEMS = tuple((kind, ij) for kind in ("stretch", "bending") for ij in INDEX_PAIRS)
 
@@ -36,12 +36,12 @@ def basis_matrix(i: int, j: int) -> np.ndarray:
 class CellSolutionSet:
     """Periodic solutions of the six cell problems with solver residuals.
 
-    Column c of ``values`` (n_dofs, 6) holds the reduced solution of
-    ``PROBLEMS[c]``, and ``residuals[c]`` its relative residual.  A stretch
-    problem (i, j) relaxes the in-plane unit strain M_ij, a bending problem
-    the unit-curvature strain -y3 M_ij; every solution has zero mean per
-    component.  ``energy`` (6, 6) is the corrector part of the cell energy,
-    X^T K X - R^T X - X^T R for the solution block X, the load block R and
+    Row c of ``values`` (6, n_dofs), a block of rows as in ``fem``, holds
+    the reduced solution of ``PROBLEMS[c]``, and ``residuals[c]`` its
+    relative residual.  A stretch problem (i, j) relaxes the in-plane unit
+    strain M_ij, a bending problem the unit-curvature strain -y3 M_ij; every
+    solution has zero mean per component.  ``energy`` (6, 6) is the corrector part of the cell energy,
+    X K X^T - R X^T - X R^T for the solution rows X, the load rows R and
     the cell stiffness K.
     """
 
@@ -52,8 +52,8 @@ class CellSolutionSet:
     energy: np.ndarray
 
     def nodal(self, c: int) -> np.ndarray:
-        """Nodal array (n_nodes, 3) of the solution in column c."""
-        return self.dofmap.expand(self.values[:, c])
+        """Nodal array (n_nodes, 3) of the solution in row c."""
+        return self.dofmap.expand(self.values[c])
 
 
 @dataclass
@@ -147,12 +147,12 @@ class _FilledCell:
         self.gains = np.array(gains[:-1])
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """B r for a vector r or for each column of an (n, k) block."""
+        """B r for a vector r or for each row of a (k, n) block."""
         n1, n2, n3 = self.shape
         i1, i2, i3 = self.grid
-        cols = r.reshape(i1.size, 3, -1)
-        full = np.zeros((n3 + 1, 3, cols.shape[2], n1, n2))
-        full[i3, :, :, i1, i2] = cols
+        nodal = r.reshape(-1, i1.size, 3).transpose(1, 2, 0)  # (nodes, 3, k)
+        full = np.zeros((n3 + 1, 3, nodal.shape[2], n1, n2))
+        full[i3, :, :, i1, i2] = nodal
         f = np.fft.rfft2(full)
         modes = f.reshape(f.shape[:3] + (-1,))
         zero = self.zero @ modes[..., 0].real.reshape(3 * n3 + 3, -1)
@@ -164,7 +164,7 @@ class _FilledCell:
             rest[j] -= _times(self.gains[j], rest[j + 1])
         modes[..., 0] = zero.reshape(modes.shape[:3])
         u = np.fft.irfft2(f, s=(n1, n2))
-        return u[i3, :, :, i1, i2].reshape(r.shape)
+        return u[i3, :, :, i1, i2].transpose(2, 0, 1).reshape(r.shape)
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -198,9 +198,9 @@ def solve_cell_problems(mesh: LayerMesh, tensor: ElasticityTensor4,
     stretching, three bending) for the in-plane pairs (i, j) in {1, 2}^2.
 
     The stretch problem is forced by M_ij, the bending one by -y3 M_ij.  The
-    problems share one operator and are solved as the columns of one block,
-    in ``PROBLEMS`` order, by ``fem.solve_spd``, preconditioned by the
-    pore-filled cell (``_FilledCell``).  A column whose relative residual
+    problems share one operator and are solved as the rows of one (6, n)
+    block, in ``PROBLEMS`` order, by ``fem.solve_spd``, preconditioned by the
+    pore-filled cell (``_FilledCell``).  A row whose relative residual
     exceeds max(100 tol, 1e-8) raises SolverFailure.  ``workers`` is accepted and
     ignored.  The product of the residual check also gives ``energy``, with
     the mean-zero augmentation taken out.
@@ -208,22 +208,22 @@ def solve_cell_problems(mesh: LayerMesh, tensor: ElasticityTensor4,
     dofmap = _periodic_dofmap(mesh)
     op = _cell_operator(mesh, tensor, dofmap)
     precond = _FilledCell(mesh, tensor, dofmap, op.sig)
-    rhs = np.empty((dofmap.n_dofs, len(PROBLEMS)))
+    rhs = np.empty((len(PROBLEMS), dofmap.n_dofs))
     y3 = fem.quadrature_points(mesh)[:, :, 2:]
     for c, (kind, ij) in enumerate(PROBLEMS):
         stress = fem.sym_to_mandel(tensor.apply(basis_matrix(*ij)))
-        rhs[:, c] = _field_rhs(mesh, dofmap, -stress if kind == "stretch" else y3 * stress)
+        rhs[c] = _field_rhs(mesh, dofmap, -stress if kind == "stretch" else y3 * stress)
     sol = fem.solve_spd(op, rhs, tol=tol, precond=precond)
     prod = op.matvec(sol)
-    bnorm = np.linalg.norm(rhs, axis=0)
-    rnorm = np.linalg.norm(prod - rhs, axis=0)
+    bnorm = np.linalg.norm(rhs, axis=1)
+    rnorm = np.linalg.norm(prod - rhs, axis=1)
     res = np.divide(rnorm, bnorm, out=np.zeros_like(rnorm), where=bnorm > 0)
     for (kind, ij), r in zip(PROBLEMS, res):
         if r > max(100 * tol, 1e-8):
             raise SolverFailure(f"{kind} cell problem {ij} residual {r:.3e}")
-    means = sol.T @ op.vs
-    xr = sol.T @ rhs
-    energy = sol.T @ prod - (means * op.sig) @ means.T - xr - xr.T
+    means = sol @ op.vs
+    xr = sol @ rhs.T
+    energy = sol @ prod.T - (means * op.sig) @ means.T - xr - xr.T
     return CellSolutionSet(mesh=mesh, dofmap=dofmap, values=sol, residuals=res,
                            energy=energy)
 

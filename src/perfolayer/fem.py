@@ -9,9 +9,12 @@ default, or any symmetric positive definite preconditioner, such as the
 fast-diagonalization inverse of the pore-filled clamped layer,
 ``FilledLayer``).
 
-Every operator is applied by one ``A @ x`` on the calling thread, to a
-vector or to an (n, k) block: scipy's CSR kernel for an assembled matrix,
-the element loop of ``ElementMatrix`` for an unassembled one.
+A block of k vectors is a C-ordered (k, n) array, one contiguous vector per
+row, everywhere a block goes through this module.  Every operator is
+applied by the matrix's own vector product ``A @ x`` on the calling
+thread, to a vector or to each row of a block: scipy's CSR kernel for an
+assembled matrix, the element loop of ``ElementMatrix`` for an unassembled
+one.
 
 Sparse operators are assembled through an ``AssemblyPlan``: the sparsity
 pattern of an element set on node blocks (the dofs of a node are
@@ -20,8 +23,7 @@ sparse-dense products of local blocks, written run of block rows by run
 into CSR arrays of the final size.  ``assemble_forms`` fills one plan with
 several forms; no plan outlives the call that built it.  An operator of one
 local matrix over the elements of a voxel mesh can instead stay unassembled
-and be applied element by element, to a vector or to an (n, k) block
-(``ElementMatrix``).
+and be applied element by element (``ElementMatrix``).
 """
 
 from __future__ import annotations
@@ -308,13 +310,21 @@ def _periodic_masters(mesh) -> np.ndarray:
 # operators
 # ---------------------------------------------------------------------------
 
+def _rows_product(a, x: np.ndarray) -> np.ndarray:
+    """A x for a vector x, or A v for each row v of a (k, n) block x, by the
+    vector product ``A @ v`` of A, a CSR matrix (of any shape) or an
+    ``ElementMatrix``.  (Private, so the benchmark's tracer, which wraps the
+    public functions, adds no span to every product.)"""
+    return a @ x if x.ndim == 1 else np.stack([a @ v for v in x])
+
+
 class SymmetricOperator:
     """Symmetric operator A + V diag(sigma) V^T: a matrix A plus optional
-    constraint columns ``vs`` V (n, k) with weights ``sig`` sigma (k,), the
+    constraint columns ``vs`` V (n, c) with weights ``sig`` sigma (c,), the
     symmetric augmentations that realize mean-zero constraints or fix a rigid
     kernel.  A is a CSR matrix or an ``ElementMatrix``, applied as ``A @ x``
-    on the calling thread.  The product and the diagonal read the same
-    arrays, for a vector or for each column of an (n, k) block."""
+    on the calling thread to a vector or to each row of a (k, n) block.  The
+    product and the diagonal read the same arrays."""
 
     def __init__(self, matrix, vs: np.ndarray | None = None,
                  sig: np.ndarray | None = None):
@@ -328,10 +338,11 @@ class SymmetricOperator:
         return self.matrix.shape
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x + V (sigma * (V^T x)) for a vector or an (n, k) block."""
-        y = self.matrix @ x
+        """A x + V (sigma * (V^T x)) for a vector x or each row of a (k, n)
+        block x."""
+        y = _rows_product(self.matrix, x)
         if self.vs is not None:
-            y += self.vs @ (self.sig * (x.T @ self.vs)).T
+            y += (self.sig * (x @ self.vs)) @ self.vs.T
         return y
 
     # the name ``solve_spd`` calls: the benchmark's tracer counts these calls
@@ -349,15 +360,6 @@ class SymmetricOperator:
         return self._diagonal
 
 
-# Elements per chunk of an (n, k) block product.  A chunk's gathered
-# element vectors take 192 k bytes per element: 0.3 MB at k = 6, where the
-# whole gather of the n = 32 cell would take 66 MB.  On the box cell at
-# n = 8, 16 and 24, six columns, 256 was the fastest or within 20 % of the
-# fastest of 128 to 4096, and about twice as fast as one chunk of all
-# elements (README, "How sparse products are applied").
-_BLOCK_ELEMS = 256
-
-
 class ElementMatrix:
     """The matrix sum_e P_e^T L P_e of one local matrix L (nd, nd) over the
     elements of a dof table, kept unassembled: every element of a voxel mesh
@@ -365,19 +367,18 @@ class ElementMatrix:
     couples row a to column b, as in ``AssemblyPlan.fill``.
 
     ``dofs`` (E, 8 ncomp) is a ``DofMap.element_dofs`` table (eliminated
-    dofs at the dummy slot n).  A product ``A @ x`` gathers x through it
-    (the dummy slot reads a zero row appended to x), multiplies the element
-    vectors by L and sums them back through the scatter pattern
-    (``scatter``).  A vector takes one (E, nd) @ (nd, nd) product; an (n, k)
-    block is gathered and multiplied ``_BLOCK_ELEMS`` elements at a time
-    into one (E, nd, k) array, which is scattered once.  The diagonal is the
-    scatter of L's diagonal.
+    dofs at the dummy slot n).  A product ``A @ x`` of a vector x gathers x
+    through it (the dummy slot reads a zero appended to x), multiplies the
+    (E, nd) element vectors by L in one product and sums them back through
+    the scatter pattern (``scatter``); a block is applied row by row
+    (``SymmetricOperator.apply``).  The diagonal is the scatter of L's
+    diagonal.
 
     The pattern (n / ncomp, 8 E) is a CSR matrix of ones with one row per
     node block and one column per element node e * 8 + a: row b holds the
     element nodes of block b in ascending order, and an eliminated node has
     no entry.  The scatter is scipy's CSR kernel on the element vectors
-    taken as (8 E, ncomp k) rows, so each dof sums its contributions in
+    taken as (8 E, ncomp) rows, so each dof sums its contributions in
     element order, from zero, as ``np.add.at`` does.  ``with_local`` makes
     the matrix of another L on the same table and pattern.
     """
@@ -402,23 +403,15 @@ class ElementMatrix:
         return other
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A x for a vector x or an (n, k) block."""
-        if x.ndim == 1:
-            return self.scatter(np.take(np.append(x, 0.0), self.dofs) @ self._local_t)
-        xa = np.concatenate((x, np.zeros((1, x.shape[1]))))
-        dofs = self.dofs
-        v = np.empty(dofs.shape + x.shape[1:])
-        for s in range(0, dofs.shape[0], _BLOCK_ELEMS):
-            g = np.take(xa, dofs[s:s + _BLOCK_ELEMS], axis=0)
-            np.matmul(self.local, g, out=v[s:s + _BLOCK_ELEMS])
-        return self.scatter(v)
+        """A x for a vector x (a block raises ValueError in the concatenation)."""
+        return self.scatter(np.take(np.concatenate((x, [0.0])), self.dofs) @ self._local_t)
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
-        """sum_e P_e^T v_e of per-element vectors v, (E, nd) or (E, nd, k)."""
+        """sum_e P_e^T v_e of per-element vectors v (E, nd)."""
         p = self.pattern
-        y = np.zeros(self.shape[:1] + v.shape[2:])
+        y = np.zeros(self.shape[0])
         rows = y.reshape(p.shape[0], -1)
-        # the kernel reads (8 E, ncomp k) values: the reshape checks the size
+        # the kernel reads (8 E, ncomp) values: the reshape checks the size
         _add_rows_product(p, 0, p.shape[0], np.reshape(v, (p.shape[1], rows.shape[1])), rows)
         return y
 
@@ -694,16 +687,15 @@ def quadrature_points(mesh) -> np.ndarray:
 
 def jacobi(diagonal: np.ndarray):
     """Jacobi preconditioner r -> r / diagonal, for a vector or for each
-    column of an (n, k) block.  Raises SingularWithoutConstraints on a zero
-    and IndefiniteDetected on a negative diagonal entry."""
+    row of a (k, n) block.  Raises SingularWithoutConstraints on a zero and
+    IndefiniteDetected on a negative diagonal entry."""
     if np.any(diagonal == 0):
         raise SingularWithoutConstraints(
             "operator has empty rows; constraints were probably not applied")
     if np.any(diagonal < 0):
         raise IndefiniteDetected("operator has negative diagonal entries")
     inv_d = 1.0 / diagonal
-    inv_col = inv_d[:, None]
-    return lambda r: (inv_d if r.ndim == 1 else inv_col) * r
+    return lambda r: inv_d * r
 
 
 def _q1_eigenbasis(intervals: int, h: float, clamped: bool):
@@ -740,10 +732,10 @@ class FilledLayer:
     inside the clamped grid, which keeps R B^-1 R^T positive definite; a
     free dof on a lateral grid face raises InconsistentMesh.
 
-    A product scatters r through one flat dof index into a kept zero grid
-    (k, 3, x3, x1, x2) for k columns, applies V^T along x3, x1 and x2 by
-    matmuls, divides by the eigenvalues of B and applies V back, into two
-    kept work grids, and gathers.
+    A product scatters r, a vector or a (k, n) block of k rows, through one
+    flat dof index into a kept zero grid (k, 3, x3, x1, x2), applies V^T
+    along x3, x1 and x2 by matmuls, divides by the eigenvalues of B and
+    applies V back, into two kept work grids, and gathers.
     """
 
     def __init__(self, mesh, dofmap: DofMap, tensor: ElasticityTensor4, m: float, s: float):
@@ -771,15 +763,15 @@ class FilledLayer:
         self._grids = ()
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """R B^-1 R^T r for a vector r or for each column of an (n, k) block."""
-        k = 1 if r.ndim == 1 else r.shape[1]
+        """R B^-1 R^T r for a vector r or for each row of a (k, n) block."""
+        k = 1 if r.ndim == 1 else r.shape[0]
         if not self._grids or self._grids[0].shape[0] != k:
             # the first grid stays zero off the dofs; the other two are work
             shape = (k, 3) + self.grid_shape
             self._grids = (np.zeros(shape), np.empty(shape), np.empty(shape))
         grid, w1, w2 = self._grids
         n3, n1, n2 = self.grid_shape
-        grid.reshape(k, -1)[:, self.index] = r.T
+        grid.reshape(k, -1)[:, self.index] = r
         np.matmul(self.v3t, grid.reshape(-1, n3, n1 * n2), out=w1.reshape(-1, n3, n1 * n2))
         np.matmul(self.v1t, w1.reshape(-1, n1, n2), out=w2.reshape(-1, n1, n2))
         np.matmul(w2.reshape(-1, n2), self.v2, out=w1.reshape(-1, n2))
@@ -787,40 +779,40 @@ class FilledLayer:
         np.matmul(w1.reshape(-1, n2), self.v2t, out=w2.reshape(-1, n2))
         np.matmul(self.v1, w2.reshape(-1, n1, n2), out=w1.reshape(-1, n1, n2))
         np.matmul(self.v3, w1.reshape(-1, n3, n1 * n2), out=w2.reshape(-1, n3, n1 * n2))
-        z = w2.reshape(k, -1)[:, self.index]
-        return z[0] if r.ndim == 1 else z.T
+        return w2.reshape(k, -1)[:, self.index].reshape(r.shape)
 
 
-def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the matching columns of two (n, k) blocks."""
-    return np.einsum("ij,ij->j", a, b)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the matching rows of two (k, n) blocks, as (k, 1)."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
 
 
-def _column_norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_column_dot(a, a))
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dot(a, a))
 
 
 def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
               x0: np.ndarray | None = None, max_iter: int | None = None,
               precond=None) -> np.ndarray:
     """Preconditioned conjugate gradients with a fixed iteration order, for a
-    right-hand side b of shape (n,) or (n, k) and ``x0`` of the same shape.
+    right-hand side b of shape (n,) or a (k, n) block of k rows, and ``x0``
+    of the same shape.
 
-    A block runs k independent recurrences in lockstep: column j has its own
+    A block runs k independent recurrences in lockstep: row j has its own
     step lengths and r . z and stops at |r_j| <= tol |b_j|; each iteration
-    makes one ``op.matvec`` and one ``precond`` call on the columns still
-    active.  A converged column is frozen, and a zero column returns zeros.
-    A vector b is reduced by ``np.dot`` and ``np.linalg.norm``, a block by
-    column sums.
+    makes one ``op.matvec`` and one ``precond`` call on the rows still
+    active.  A converged row is frozen, and a zero row returns zeros.  A
+    vector b is reduced by ``np.dot`` and ``np.linalg.norm``, a block by
+    row sums.
 
     ``precond`` maps a residual r (a vector or a block) to z = B r for a
     symmetric positive definite B; the default is ``jacobi(op.diagonal())``.
     Raises MaxIterationsExceeded beyond the cap 20 sqrt(n) + 200, naming
-    the columns of a block that stalled, and IndefiniteDetected on a
+    the rows of a block that stalled, and IndefiniteDetected on a
     nonpositive curvature direction or a nonpositive r . z (an indefinite
-    preconditioner) in an active column.
+    preconditioner) in an active row.
     """
-    n = rhs.shape[0]
+    n = rhs.shape[-1]
     if n == 0:
         return rhs.copy()
     if max_iter is None:
@@ -828,23 +820,24 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
     if precond is None:
         precond = jacobi(op.diagonal())
     block = rhs.ndim == 2
-    # a vector's tests are on scalars, where bool() is much cheaper than np.any
+    # a vector's tests are on scalars, where bool() is much cheaper than
+    # np.any; a block's reductions are (k, 1) columns, which scale its rows
     if block:
-        dot, norm, anyof = _column_dot, _column_norm, np.any
+        dot, norm, anyof = _row_dot, _row_norm, np.any
     else:
         dot, norm, anyof = np.dot, np.linalg.norm, bool
     bnorm = norm(rhs)
     if not block:
         if not bnorm:
             return np.zeros(n)
-    else:  # the active columns; the zero ones are solved already
+    else:  # the active rows; the zero ones are solved already
         out = np.zeros(rhs.shape)
-        cols = np.flatnonzero(bnorm)
-        if not cols.size:
+        rows = np.flatnonzero(bnorm)
+        if not rows.size:
             return out
-        if cols.size < bnorm.size:
-            rhs, bnorm = rhs[:, cols], bnorm[cols]
-            x0 = None if x0 is None else x0[:, cols]
+        if rows.size < bnorm.size:
+            rhs, bnorm = rhs[rows], bnorm[rows]
+            x0 = None if x0 is None else x0[rows]
     x = np.zeros(rhs.shape) if x0 is None else x0.copy()
     r = rhs - op.matvec(x) if x0 is not None else rhs.copy()
     z = precond(r)
@@ -855,12 +848,13 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
         if anyof(done):
             if not block:
                 return x
-            out[:, cols[done]] = x[:, done]
+            done = done[:, 0]
+            out[rows[done]] = x[done]
             if np.all(done):
                 return out
             live = ~done
-            cols, bnorm, rz = cols[live], bnorm[live], rz[live]
-            x, r, p = x[:, live], r[:, live], p[:, live]
+            rows, bnorm, rz = rows[live], bnorm[live], rz[live]
+            x, r, p = x[live], r[live], p[live]
         if it == max_iter:
             break
         if anyof(rz <= 0):
@@ -883,13 +877,13 @@ def solve_spd(op: SymmetricOperator, rhs: np.ndarray, tol: float = 1e-10,
         rz = rz_new
         p *= beta
         p += z
-    stalled = f" in columns {cols.tolist()}" if block else ""
+    stalled = f" in rows {rows.tolist()}" if block else ""
     raise MaxIterationsExceeded(
         f"CG stalled{stalled} at relative residual {np.max(norm(r) / bnorm):.3e} "
         f"after {max_iter} iterations")
 
 
-EIGEN_BLOCK = 3  # columns of the LOBPCG block
+EIGEN_BLOCK = 3  # rows of the LOBPCG block
 EIGEN_MAX_SWEEPS = 400  # sweeps before max_rayleigh_pair gives up
 
 
@@ -905,15 +899,16 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
     """Largest mu with B x = mu A x by block LOBPCG (Knyazev, SIAM J. Sci.
     Comput. 23(2), 2001).
 
-    ``apply_a`` and ``apply_b`` map an (n, k) block to its image; A must be
-    positive definite on the iteration subspace, of diagonal ``a_diag``.
-    ``precond`` maps the residual block to the search directions through a
-    symmetric positive definite approximation of A^-1, as in ``solve_spd``;
-    the default is ``jacobi(a_diag)``.  Each sweep is
-    a Rayleigh-Ritz step over [X, W, P]: the Ritz block, the preconditioned
-    residuals and the previous update.  Only W meets the operators; A and B
-    on X and P are carried by recombination.  ``project`` removes a known
-    common kernel from the start block and from W.  Stops once the top
+    Every block is a (k, n) stack of k vectors, one per row.  ``apply_a``
+    and ``apply_b`` map a block to its image; A must be positive definite
+    on the iteration subspace, of diagonal ``a_diag``.  ``precond`` maps the
+    residual block to the search directions through a symmetric positive
+    definite approximation of A^-1, as in ``solve_spd``; the default is
+    ``jacobi(a_diag)``.  Each sweep is a Rayleigh-Ritz step over the rows
+    [X; W; P]: the Ritz block, the preconditioned residuals and the previous
+    update.  Only W meets the operators; A and B on X and P are carried by
+    recombination.  ``project`` removes a known common kernel from the
+    start block and from W.  Stops once the top
     pair's relative residual |Bx - mu Ax| / |Bx| is at most sqrt(tol), which
     puts mu within about tol of the eigenvalue, and raises
     ConvergenceFailure after ``EIGEN_MAX_SWEEPS`` sweeps.
@@ -922,48 +917,50 @@ def max_rayleigh_pair(apply_b, apply_a, a_diag: np.ndarray, tol: float = 1e-8,
         precond = jacobi(a_diag)
     rng = np.random.default_rng(seed)
     n = a_diag.size
-    X = rng.standard_normal((n, max(1, min(EIGEN_BLOCK, n))))
+    # drawn as (n, k) and transposed: a seed keeps its start vectors
+    X = np.ascontiguousarray(rng.standard_normal((n, max(1, min(EIGEN_BLOCK, n)))).T)
     if project is not None:
         X = project(X)
     S, AS, BS = X, apply_a(X), apply_b(X)
-    nx = X.shape[1]  # leading columns of S that hold the previous Ritz block
+    nx = X.shape[0]  # leading rows of S that hold the previous Ritz block
     residual = np.inf
     for it in range(1, EIGEN_MAX_SWEEPS + 1):
-        C, mu = _rayleigh_ritz(S, AS, BS, X.shape[1])
-        X, AX, BX = S @ C, AS @ C, BS @ C
-        R = BX - AX * mu
-        bnorm = np.linalg.norm(BX[:, 0])
-        residual = float(np.linalg.norm(R[:, 0]) / bnorm) if bnorm > 0 else 0.0
+        C, mu = _rayleigh_ritz(S, AS, BS, X.shape[0])
+        X, AX, BX = C.T @ S, C.T @ AS, C.T @ BS
+        R = BX - mu[:, None] * AX
+        bnorm = np.linalg.norm(BX[0])
+        residual = float(np.linalg.norm(R[0]) / bnorm) if bnorm > 0 else 0.0
         if residual <= np.sqrt(tol):
             return EigenResult(float(mu[0]), residual, it)
         # the update without its part along the previous block (zero on the
-        # first sweep: the Ritz step drops zero columns)
-        P, AP, BP = (M[:, nx:] @ C[nx:] for M in (S, AS, BS))
+        # first sweep: the Ritz step drops zero rows)
+        P, AP, BP = (C[nx:].T @ M[nx:] for M in (S, AS, BS))
         W = precond(R)
         if project is not None:
             W = project(W)
-        S = np.hstack([X, W, P])
-        AS = np.hstack([AX, apply_a(W), AP])
-        BS = np.hstack([BX, apply_b(W), BP])
-        nx = X.shape[1]
+        S = np.concatenate([X, W, P])
+        AS = np.concatenate([AX, apply_a(W), AP])
+        BS = np.concatenate([BX, apply_b(W), BP])
+        nx = X.shape[0]
     raise ConvergenceFailure(
         f"eigen iteration did not converge in {EIGEN_MAX_SWEEPS} sweeps "
         f"(last residual {residual:.3e})")
 
 
 def _rayleigh_ritz(S, AS, BS, k: int):
-    """Top k Ritz pairs of (B, A) on span(S), as coefficients C with
-    (S C)^T A (S C) = I and descending values.  The span is A-orthonormalized
-    through the eigendecomposition of the column-scaled Gram matrix, and
-    directions below 1e-13 of its largest eigenvalue are discarded."""
-    ga = S.T @ AS
+    """Top k Ritz pairs of (B, A) on the span of the rows of S, as
+    coefficients C with (C^T S) A (C^T S)^T = I and descending values.  The
+    span is A-orthonormalized through the eigendecomposition of the scaled
+    Gram matrix, and directions below 1e-13 of its largest eigenvalue are
+    discarded."""
+    ga = S @ AS.T
     d = np.diag(ga)
     scale = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0)
     ga = scale[:, None] * (0.5 * (ga + ga.T)) * scale
     lam, U = np.linalg.eigh(ga)
     keep = lam > 1e-13 * lam[-1]
     Q = scale[:, None] * U[:, keep] / np.sqrt(lam[keep])
-    gb = S.T @ BS
+    gb = S @ BS.T
     H = Q.T @ (0.5 * (gb + gb.T)) @ Q
     mu, V = np.linalg.eigh(H)
     top = np.argsort(mu)[::-1][:k]

@@ -152,18 +152,17 @@ def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
 def extend_field(prob: ExtensionProblem, solid: np.ndarray) -> np.ndarray:
     """Energy-minimizing extension of solid values into the void.
 
-    ``solid`` holds values on the solid dofs, (n_solid,) or a block
-    (n_solid, k); the result holds the full-layer dofs, (n_dofs,) or
-    (n_dofs, k), with the solid values unchanged and the void values
+    ``solid`` holds values on the solid dofs, (n_solid,) or a (k, n_solid)
+    block of k rows; the result holds the full-layer dofs, (n_dofs,) or
+    (k, n_dofs), with the solid values unchanged and the void values
     minimizing the void strain energy with the solid values as Dirichlet
-    data (one block solve, to a relative residual of 1e-12)."""
-    full = np.zeros((prob.dofmap.n_dofs,) + solid.shape[1:])
-    full[prob.solid_dofs] = solid
+    data (one block solve, to a relative residual of 1e-12, within
+    ``fem.solve_spd``'s default iteration cap)."""
+    full = np.zeros(solid.shape[:-1] + (prob.dofmap.n_dofs,))
+    full[..., prob.solid_dofs] = solid
     if prob.void_dofs.size:
-        cap = max(4000, 60 * int(np.sqrt(prob.void_dofs.size)) + 200)
-        full[prob.void_dofs] = fem.solve_spd(SymmetricOperator(prob.void_vv),
-                                             -(prob.void_vs @ solid), tol=1e-12,
-                                             max_iter=cap)
+        full[..., prob.void_dofs] = fem.solve_spd(
+            SymmetricOperator(prob.void_vv), -fem._rows_product(prob.void_vs, solid), tol=1e-12)
     return full
 
 
@@ -197,13 +196,13 @@ def extension_norm(prob: ExtensionProblem, tol: float = 1e-8,
     s = prob.solid_energy
     f = prob.full_energy
 
-    def project(V):
-        return V - rigid.T @ (rigid @ (m @ V))
+    def project(V):  # the rows of V, M-orthogonally off the rigid modes
+        return V - (fem._rows_product(m, V) @ rigid.T) @ rigid
 
     def apply_n(V):
-        # the extension zeroes the void rows of f E V, so its solid rows are
-        # the Schur complement of the void block applied to V
-        return (f @ extend_field(prob, V))[prob.solid_dofs]
+        # the extension zeroes the void dofs of f E v, so its solid dofs are
+        # the Schur complement of the void block applied to each row v of V
+        return fem._rows_product(f, extend_field(prob, V))[:, prob.solid_dofs]
 
     # rank-6 augmentation keeps the Gram matrices definite across the rigid
     # kernel; on the projected iterates it equals the solid energy

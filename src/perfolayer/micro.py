@@ -392,7 +392,7 @@ class PlateTransfer:
     point, the six plate coefficients (membrane strain, then Hessian, each
     as 11, 22, 12 + 21) to the Mandel limit strain: the Kirchhoff-Love part
     e - y3 H in the plane plus the symmetric gradients of the six cell
-    correctors, coefficient c taking the corrector in column c of
+    correctors, coefficient c taking the corrector in row c of
     ``sols.values`` (``cell.PROBLEMS`` order: stretch, then bending, each
     over 11, 22, 12).
     """

@@ -44,7 +44,7 @@ def test_cell_standard_gauge_invariance(full_cell_n8, iso_tensor):
     mesh, sols, _ = full_cell_n8
     dm = sols.dofmap
     k = fem.assemble_elasticity(mesh, iso_tensor, dm)
-    chi = sols.values[:, column("stretch", (1, 1))]
+    chi = sols.values[column("stretch", (1, 1))]
     shifted = chi + dm.restrict(np.full((mesh.n_nodes, 3), 0.37))
     r1 = k.matvec(chi)
     r2 = k.matvec(shifted)
@@ -225,15 +225,15 @@ def _element_stiffness(mesh, tensor, dm):
 @pytest.mark.parametrize("n", [4, 8])
 def test_element_cell_operator_matches_assembled(kind, n, iso_tensor):
     # the element stiffness with its own mean-zero augmentation against the
-    # assembled cell operator, on a vector, on an (n, 6) block and on the
+    # assembled cell operator, on a vector, on a (6, n) block and on the
     # diagonal
     mesh = pg.build_cell_mesh(_cell_geometry(kind), n)
     dm = fem.DofMap(mesh, 3, periodic=True)
     want_op = pc._cell_operator(mesh, iso_tensor, dm)
     k = fem.SymmetricOperator(_element_stiffness(mesh, iso_tensor, dm))
     op = fem.SymmetricOperator(k.matrix, *fem.mean_zero_augmentations(mesh, dm, k))
-    block = rng(21).standard_normal((dm.n_dofs, 6))
-    for x in (block[:, 0], block):
+    block = rng(21).standard_normal((6, dm.n_dofs))
+    for x in (block[0], block):
         want = want_op.matvec(x)
         got = op.matvec(x)
         assert got.shape == want.shape
@@ -241,19 +241,6 @@ def test_element_cell_operator_matches_assembled(kind, n, iso_tensor):
     d = want_op.diagonal()
     assert np.abs(op.diagonal() - d).max() <= 1e-14 * np.abs(d).max()
 
-
-@pytest.mark.parametrize("chunk", [1, 100, 255])
-def test_element_block_product_chunks_keep_bits(chunk, box_geom, iso_tensor, monkeypatch):
-    # chunks that do not divide the elements, the last one short, sum as
-    # one chunk does
-    mesh = pg.build_cell_mesh(box_geom, 8)
-    k = _element_stiffness(mesh, iso_tensor, fem.DofMap(mesh, 3, periodic=True))
-    assert chunk == 1 or k.dofs.shape[0] % chunk
-    x = rng(22).standard_normal((k.shape[0], 6))
-    monkeypatch.setattr(fem, "_BLOCK_ELEMS", k.dofs.shape[0])
-    whole = k @ x
-    monkeypatch.setattr(fem, "_BLOCK_ELEMS", chunk)
-    assert np.array_equal(k @ x, whole)
 
 def test_voigt_keeps_asymmetric_coupling_block(iso_tensor):
     # an off-centre channel breaks the vertical reflection, and b* is then
@@ -316,7 +303,7 @@ def test_galerkin_orthogonality(box_cell_n4, iso_tensor):
     r = rng(17)
     stress = iso_tensor.apply(pc.basis_matrix(1, 1))
     rhs = pc._field_rhs(mesh, dm, -fem.sym_to_mandel(stress))
-    chi = sols.values[:, column("stretch", (1, 1))]
+    chi = sols.values[column("stretch", (1, 1))]
     resid = op.matvec(chi) - rhs
     for _ in range(20):
         phi = dm.restrict(r.standard_normal((mesh.n_nodes, 3)))
@@ -414,7 +401,7 @@ def test_filled_cell_inverts_unperforated_cell(n, anisotropic, iso_tensor):
     # y2, so no Nyquist mode)
     tensor = _anisotropic_tensor() if anisotropic else iso_tensor
     op, precond = _filled_cell("full", n, tensor)
-    b = precond(np.eye(op.shape[0]))
+    b = precond(np.eye(op.shape[0])).T  # column j: the product of e_j
     assert np.abs(b @ dense(op) - np.eye(op.shape[0])).max() <= 1e-12
 
 
@@ -424,7 +411,7 @@ def test_filled_cell_symmetric_positive(kind, kappa, iso_tensor):
     # symmetric positive definite, and the preconditioned operator has the
     # condition number of the pore extension (3.79 on box, 20.2 on channel)
     op, precond = _filled_cell(kind, 4, iso_tensor)
-    b = precond(np.eye(op.shape[0]))
+    b = precond(np.eye(op.shape[0])).T  # column j: the product of e_j
     assert np.abs(b - b.T).max() <= 1e-14 * np.abs(b).max()
     assert np.linalg.eigvalsh(b).min() > 0
     lam = np.linalg.eigvals(b @ dense(op)).real
@@ -433,9 +420,9 @@ def test_filled_cell_symmetric_positive(kind, kappa, iso_tensor):
 
 def test_filled_cell_applies_to_vectors_and_blocks(iso_tensor):
     op, precond = _filled_cell("box", 8, iso_tensor)
-    r = rng(9).standard_normal((op.shape[0], 4))
+    r = rng(9).standard_normal((4, op.shape[0]))
     got = precond(r)
-    want = np.column_stack([precond(c) for c in r.T])
+    want = np.stack([precond(v) for v in r])
     assert got.shape == r.shape and want.shape == r.shape
     assert got.dtype == want.dtype == np.float64
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -496,7 +483,7 @@ def test_cell_block_solve_one_matvec_per_iteration(box_geom, iso_tensor, monkeyp
     pc.solve_cell_problems(pg.build_cell_mesh(box_geom, 8), iso_tensor)
     # one preconditioner call before the first iteration, then one per iteration
     assert len(matvecs) == len(preconds) - 1 >= 5
-    widths = [shape[1] for shape in matvecs]
+    widths = [shape[0] for shape in matvecs]
     assert widths[0] == 6 and widths == sorted(widths, reverse=True)
 
 

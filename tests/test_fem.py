@@ -289,7 +289,7 @@ def _widths(op, rhs, **kw):
     widths = []
 
     def record(r):
-        widths.append(r.shape[1])
+        widths.append(r.shape[0])
         return jac(r)
 
     return fem.solve_spd(op, rhs, precond=record, **kw), widths
@@ -300,71 +300,71 @@ def test_augmented_matvec_applies_to_blocks(box_geom):
     dm = fem.DofMap(mesh, 3, periodic=True)
     op = pc._cell_operator(mesh, fem.ElasticityTensor4.isotropic(1.0, 1.0), dm)
     assert op.vs.shape == (op.shape[0], 3)
-    x = rng(10).standard_normal((op.shape[0], 5))
+    x = rng(10).standard_normal((5, op.shape[0]))
     got = op.matvec(x)
-    want = np.column_stack([op.matvec(c) for c in x.T])
+    want = np.stack([op.matvec(v) for v in x])
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert np.abs(got - dense(op) @ x).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got - x @ dense(op).T).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_block_solve_spd_columns_against_dense():
-    # a column b = D v, v an eigenvector of D^-1 A, converges in one Jacobi
+    # a row b = D v, v an eigenvector of D^-1 A, converges in one Jacobi
     # step and a mix of three in three; the scales are far apart, a zero
-    # column returns zeros, and the other columns run on without them
+    # row returns zeros, and the other rows run on without them
     op = _layer_operator()
     a, d = dense(op), op.diagonal()
     vecs = sla.eigh(a, np.diag(d))[1]
     r = rng(11)
-    rhs = np.column_stack([1e6 * d * vecs[:, 3], np.zeros(op.shape[0]),
-                           1e-6 * d * (vecs[:, [0, 5, 9]] @ [1.0, -2.0, 0.5]),
-                           r.standard_normal(op.shape[0])])
+    rhs = np.stack([1e6 * d * vecs[:, 3], np.zeros(op.shape[0]),
+                    1e-6 * d * (vecs[:, [0, 5, 9]] @ [1.0, -2.0, 0.5]),
+                    r.standard_normal(op.shape[0])])
     tol = 1e-11
     x, widths = _widths(op, rhs, tol=tol)
     assert widths[:2] == [3, 3] and widths[2:4] == [2, 2] and widths[-1] == 1
-    want = np.linalg.solve(a, rhs)
+    want = np.linalg.solve(a, rhs.T).T
     for j in (0, 2, 3):
-        assert np.linalg.norm(x[:, j] - want[:, j]) <= 10 * tol * np.linalg.norm(want[:, j])
-    assert not np.any(x[:, 1]) and not np.signbit(x[:, 1]).any()
-    zeros = np.zeros((op.shape[0], 2))
+        assert np.linalg.norm(x[j] - want[j]) <= 10 * tol * np.linalg.norm(want[j])
+    assert not np.any(x[1]) and not np.signbit(x[1]).any()
+    zeros = np.zeros((2, op.shape[0]))
     assert np.array_equal(fem.solve_spd(op, zeros), zeros)
 
 
 def test_block_solve_spd_starts_from_block_x0():
     op = _layer_operator()
     r = rng(12)
-    rhs = r.standard_normal((op.shape[0], 3))
-    want = np.linalg.solve(dense(op), rhs)
+    rhs = r.standard_normal((3, op.shape[0]))
+    want = np.linalg.solve(dense(op), rhs.T).T
     x0 = r.standard_normal(rhs.shape)
-    x0[:, 1] = want[:, 1]  # converged on entry: returned as given
-    x0[:, 2] = want[:, 2] + 1e-3 * r.standard_normal(op.shape[0])
+    x0[1] = want[1]  # converged on entry: returned as given
+    x0[2] = want[2] + 1e-3 * r.standard_normal(op.shape[0])
     tol = 1e-11
     x, widths = _widths(op, rhs, tol=tol, x0=x0)
     assert widths[0] == 3 and set(widths[1:]) == {2}
-    assert np.array_equal(x[:, 1], x0[:, 1])
+    assert np.array_equal(x[1], x0[1])
     for j in (0, 2):
-        assert np.linalg.norm(x[:, j] - want[:, j]) <= 10 * tol * np.linalg.norm(want[:, j])
-    assert np.array_equal(x0[:, 1], want[:, 1])  # x0 itself is not written
+        assert np.linalg.norm(x[j] - want[j]) <= 10 * tol * np.linalg.norm(want[j])
+    assert np.array_equal(x0[1], want[1])  # x0 itself is not written
 
 
 def test_block_solve_spd_guards_each_column():
     op = fem.SymmetricOperator(sp.diags([1.0, 2.0, -1.0, 3.0]).tocsr())
     eye = np.eye(4)
-    x = fem.solve_spd(op, eye[:, [0, 1, 3]], precond=lambda r: r.copy())
-    assert np.allclose(x, eye[:, [0, 1, 3]] / [1.0, 2.0, 3.0])
+    x = fem.solve_spd(op, eye[[0, 1, 3]], precond=lambda r: r.copy())
+    assert np.allclose(x, eye[[0, 1, 3]] / [[1.0], [2.0], [3.0]])
     with pytest.raises(IndefiniteDetected):
-        fem.solve_spd(op, eye[:, [0, 2]], precond=lambda r: r.copy())
+        fem.solve_spd(op, eye[[0, 2]], precond=lambda r: r.copy())
 
 
 def test_block_solve_spd_names_stalled_columns():
     op = _layer_operator()
     d = op.diagonal()
     v = sla.eigh(dense(op), np.diag(d))[1][:, 2]
-    rhs = np.column_stack([rng(13).standard_normal(op.shape[0]), d * v,
-                           rng(14).standard_normal(op.shape[0])])
-    with pytest.raises(MaxIterationsExceeded, match=r"in columns \[0, 2\] .* after 2 iter"):
+    rhs = np.stack([rng(13).standard_normal(op.shape[0]), d * v,
+                    rng(14).standard_normal(op.shape[0])])
+    with pytest.raises(MaxIterationsExceeded, match=r"in rows \[0, 2\] .* after 2 iter"):
         fem.solve_spd(op, rhs, tol=1e-11, max_iter=2)
     with pytest.raises(MaxIterationsExceeded, match=r"^CG stalled at relative residual"):
-        fem.solve_spd(op, rhs[:, 0], tol=1e-11, max_iter=2)
+        fem.solve_spd(op, rhs[0], tol=1e-11, max_iter=2)
 
 
 def test_max_rayleigh_pair_vs_dense():
@@ -929,19 +929,44 @@ def _clamped_layer_stiffness(box_geom):
 @pytest.mark.parametrize("kind", ["csr", "element"])
 def test_symmetric_operator_applies_matrix_as_given(box_geom, kind):
     # one product path: the operator keeps the object it was given and its
-    # product is that object's own A @ x, on a vector and on blocks
+    # product is that object's own A @ x (a block: test_block_is_its_rows)
     csr, element = _clamped_layer_stiffness(box_geom)
     matrix = csr if kind == "csr" else element
     op = fem.SymmetricOperator(matrix)
     assert op.matrix is matrix and op.shape == matrix.shape
     r = rng(8)
-    for width in (None, 1, 2, 3):
-        x = r.standard_normal(op.shape[0] if width is None else (op.shape[0], width))
-        assert np.array_equal(op.apply(x), matrix @ x)
+    x = r.standard_normal(op.shape[0])
+    assert np.array_equal(op.apply(x), matrix @ x)
     if kind == "csr":  # the product reads the matrix's own arrays
         csr.data *= 1.5
         x = r.standard_normal(op.shape[0])
         assert np.array_equal(op.apply(x), csr @ x)
+    else:  # an element matrix takes vectors only, and refuses a block
+        with pytest.raises(ValueError):
+            matrix @ r.standard_normal((2, op.shape[0]))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("kind", ["csr", "element", "augmented"])
+def test_block_is_its_rows(box_geom, kind, k):
+    # a (k, n) block is k contiguous vectors: its product is the stack of
+    # the rows' vector products, bit for bit without augmentation; the
+    # mean-zero term's block GEMM may round its last bit apart
+    csr, element = _clamped_layer_stiffness(box_geom)
+    if kind == "augmented":
+        mesh = pg.build_cell_mesh(box_geom, 4)
+        dm = fem.DofMap(mesh, 3, periodic=True)
+        op = pc._cell_operator(mesh, shear_tensor(), dm)
+    else:
+        op = fem.SymmetricOperator(csr if kind == "csr" else element)
+    x = rng(7).standard_normal((k, op.shape[0]))
+    got = op.apply(x)
+    want = np.stack([op.apply(v) for v in x])
+    assert got.shape == x.shape and got.flags.c_contiguous
+    if kind == "augmented":
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    else:
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("width", [None, 1, 2, 4])
@@ -957,10 +982,10 @@ def test_augmented_apply_is_product_plus_constraints(width):
     vs = r.standard_normal((45, 2))
     sig = np.array([2.0, 0.5])
     op = fem.SymmetricOperator(a, vs, sig)
-    x = r.standard_normal(45 if width is None else (45, width))
+    x = r.standard_normal(45 if width is None else (width, 45))
     x_in = x.copy()
     got = op.apply(x)
-    want = (a.toarray() + vs @ np.diag(sig) @ vs.T) @ x
+    want = x @ (a.toarray() + vs @ np.diag(sig) @ vs.T)  # symmetric: rows or vector
     assert got.shape == x.shape and np.array_equal(x, x_in)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.array_equal(op.matvec(x), got)
@@ -971,9 +996,9 @@ def test_element_matmul_matches_assembled_on_clamped_layer(box_geom, width):
     # the dummy slot of the Dirichlet dofs reads zero and takes no sum
     csr, element = _clamped_layer_stiffness(box_geom)
     assert element.dofs.max() == element.shape[0]  # some dof is eliminated
-    x = rng(9).standard_normal(csr.shape[0] if width is None else (csr.shape[0], width))
-    want = csr @ x
-    got = element @ x
+    x = rng(9).standard_normal(csr.shape[0] if width is None else (width, csr.shape[0]))
+    want = fem.SymmetricOperator(csr).apply(x)
+    got = fem.SymmetricOperator(element).apply(x)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -988,7 +1013,7 @@ def _newmark_solve(box_geom):
     ops = pm.assemble_micro(lm, fem.ElasticityTensor4.isotropic(1.0, 1.0), 0.25,
                             preset_load_model("zero"))
     dt = 0.25 / 8
-    rhs = rng(3).standard_normal((ops.dofmap.n_dofs, 2))
+    rhs = rng(3).standard_normal((2, ops.dofmap.n_dofs))
     fem.solve_spd(pm.effective_operator(ops, dt), rhs, tol=1e-10,
                   precond=pm.newmark_preconditioner(ops, dt))
 
@@ -1026,7 +1051,7 @@ def test_jacobi_checks_diagonal_and_applies_to_blocks():
         fem.jacobi(np.array([1.0, -2.0]))
     jac = fem.jacobi(np.array([2.0, 4.0]))
     assert np.array_equal(jac(np.array([1.0, 1.0])), [0.5, 0.25])
-    assert np.array_equal(jac(np.ones((2, 3))), np.tile([[0.5], [0.25]], 3))
+    assert np.array_equal(jac(np.ones((3, 2))), np.tile([0.5, 0.25], (3, 1)))
 
 
 def test_solve_spd_rejects_indefinite_preconditioner():

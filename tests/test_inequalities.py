@@ -175,15 +175,15 @@ def test_extend_solid_values_unchanged(box_problem):
     assert np.allclose(ext.reshape(-1)[prob.solid_dofs], flat[prob.solid_dofs])
 
 
-def test_extend_block_columns_match_vectors(box_problem):
+def test_extend_block_rows_match_vectors(box_problem):
     prob = box_problem
-    v = rng(10).standard_normal((prob.solid_dofs.size, 3))
+    v = rng(10).standard_normal((3, prob.solid_dofs.size))
     block = pi.extend_field(prob, v)
-    assert block.shape == (prob.dofmap.n_dofs, 3)
-    for col, vj in zip(block.T, v.T):
+    assert block.shape == (3, prob.dofmap.n_dofs)
+    for row, vj in zip(block, v):
         want = pi.extend_field(prob, vj)
-        assert np.array_equal(col[prob.solid_dofs], vj)
-        assert np.linalg.norm(col - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(row[prob.solid_dofs], vj)
+        assert np.linalg.norm(row - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_extension_minimality(box_problem):

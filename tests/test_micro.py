@@ -306,14 +306,14 @@ def test_element_operator_matches_assembled_csr(void_layers, iso_tensor, name, e
         assert np.abs(op.matvec(x) - y).max() <= 1e-14 * np.abs(y).max()
         d = want.diagonal()
         assert np.abs(op.diagonal() - d).max() <= 1e-14 * np.abs(d).max()
-        # a block, also a strided view, one column or in Fortran order,
-        # multiplies each column as a vector would
-        block = rng(13).standard_normal((x.size, 4))
-        for b in (block, block[:, ::2], block[:, 1:2], np.asfortranarray(block)):
-            cols = np.column_stack([op.matvec(col) for col in b.T])
+        # a block, also a strided view, one row or in Fortran order,
+        # multiplies each row as a vector would
+        block = rng(13).standard_normal((4, x.size))
+        for b in (block, block[::2], block[1:2], np.asfortranarray(block)):
+            rows = np.stack([op.matvec(row) for row in b])
             got = op.matvec(b)
             assert got.shape == b.shape
-            assert np.abs(got - cols).max() <= 1e-14 * np.abs(cols).max()
+            assert np.abs(got - rows).max() <= 1e-14 * np.abs(rows).max()
 
 
 def test_micro_operators_share_one_dof_table(void_layers, iso_tensor):
@@ -729,7 +729,7 @@ def test_two_scale_memo_follows_system_and_cells(coupled_small, box_cell_n4):
 
     stretch = [column("stretch", ij) for ij in INDEX_PAIRS]
     values = sols.values.copy()
-    values[:, stretch] *= 2.0
+    values[stretch] *= 2.0
     doubled = replace(sols, values=values)
     rep = pm.two_scale_errors(ms, ps, doubled)
     transfer = ops.lmesh.memo["plate_transfer"]
@@ -778,7 +778,7 @@ def test_filled_layer_inverts_unperforated_layer(full_geom2, m, s):
     precond = fem.FilledLayer(lmesh, dm, tensor, m, s)
     form = _filled_layer_form(lmesh, dm, tensor, m, s)
     eye = np.eye(dm.n_dofs)
-    assert np.abs(precond(form) - eye).max() <= 1e-12
+    assert np.abs(precond(form).T - eye).max() <= 1e-12  # column j: P B e_j
 
 
 @pytest.mark.parametrize("name", ["box", "channel"])
@@ -786,13 +786,13 @@ def test_filled_layer_symmetric_positive(void_layers, iso_tensor, name):
     lmesh = void_layers[name, 0.5]
     ops = pm.assemble_micro(lmesh, iso_tensor, 0.5, preset_load_model("zero"))
     precond = pm.newmark_preconditioner(ops, 0.5 / 8)
-    p = precond(np.eye(ops.dofmap.n_dofs))
+    p = precond(np.eye(ops.dofmap.n_dofs)).T  # column j: the product of e_j
     assert np.abs(p - p.T).max() <= 1e-14 * np.abs(p).max()
     assert np.linalg.eigvalsh(p).min() > 0
-    # a vector and each column of a block take the same product
-    r = rng(22).standard_normal((ops.dofmap.n_dofs, 3))
-    cols = np.column_stack([precond(c) for c in r.T])
-    assert np.abs(precond(r) - cols).max() <= 1e-14 * np.abs(cols).max()
+    # a vector and each row of a block take the same product
+    r = rng(22).standard_normal((3, ops.dofmap.n_dofs))
+    rows = np.stack([precond(v) for v in r])
+    assert np.abs(precond(r) - rows).max() <= 1e-14 * np.abs(rows).max()
 
 
 def test_filled_layer_refuses_free_lateral_dofs(iso_tensor):
