@@ -533,11 +533,10 @@ def elasticity_element(spacing, tensor: ElasticityTensor4) -> np.ndarray:
     return np.einsum("q,qia,ij,qjb->ab", hex_reference(spacing)[2], B, tensor.mandel(), B)
 
 
-def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap,
-                        elems=None) -> SymmetricOperator:
+def assemble_elasticity(mesh, tensor: ElasticityTensor4, dofmap: DofMap) -> SymmetricOperator:
     """Operator of (u, v) -> int A D(u) : D(v) over the mesh elements."""
     local = elasticity_element(mesh.spacing, tensor)
-    return SymmetricOperator(assemble_forms(mesh, dofmap, [local], elems)[0])
+    return SymmetricOperator(assemble_forms(mesh, dofmap, [local])[0])
 
 
 def mass_element(spacing, ncomp: int) -> np.ndarray:

@@ -104,49 +104,45 @@ def _clamped_constant(inequality: str, lmesh: LayerMesh, eps: float, scale, tol:
 
 @dataclass
 class ExtensionProblem:
-    """Cached matrices of the void extension on a full-layer mesh."""
+    """Forms of the void extension on a full-layer mesh: the full energy on
+    ``dofmap``, the solid energy and mass on ``solid_dofs`` (the dofs of
+    nodes touching a solid element), and the void rows of the full energy
+    on the void and the solid columns."""
 
     lmesh: LayerMesh
     dofmap: DofMap
     solid_dofs: np.ndarray
     void_dofs: np.ndarray
     full_energy: sp.csr_matrix
-    solid_energy: sp.csr_matrix   # restricted to solid dofs
+    solid_energy: sp.csr_matrix
     solid_mass: sp.csr_matrix
     void_vv: sp.csr_matrix
     void_vs: sp.csr_matrix
 
 
 def extension_problem(lmesh: LayerMesh) -> ExtensionProblem:
-    """Split the plain strain energy of the full layer into solid and void
-    blocks (solid dofs = dofs of nodes touching a solid element)."""
+    """Two assemblies, each on the numbering that reads it: the solid forms
+    over the solid elements with the void-only nodes eliminated, so they
+    come out on ``solid_dofs`` in order, and the energy over every element,
+    whose void rows hold the void energy alone (a void dof touches only
+    void elements)."""
     dofmap = DofMap(lmesh, ncomp=3)
     solid_elems = lmesh.elems[lmesh.solid]
-    void_elems = lmesh.elems[~lmesh.solid]
-
-    n = dofmap.n_dofs
-    solid_nodes = np.zeros(lmesh.n_nodes, dtype=bool)
-    solid_nodes[solid_elems.ravel()] = True
-    sd_mask = np.repeat(solid_nodes, 3)
-    solid_dofs = np.nonzero(sd_mask)[0]
-    void_dofs = np.nonzero(~sd_mask)[0]
-
+    void_nodes = np.ones(lmesh.n_nodes, dtype=bool)
+    void_nodes[solid_elems] = False
+    solid_dofs = np.nonzero(np.repeat(~void_nodes, 3))[0]
+    void_dofs = np.nonzero(np.repeat(void_nodes, 3))[0]
     ident = ElasticityTensor4.identity()
-    s_mat, m_mat = fem.assemble_forms(lmesh, dofmap, [
-        fem.elasticity_element(lmesh.spacing, ident), fem.mass_element(lmesh.spacing, 3)],
+    solid_energy, solid_mass = fem.assemble_forms(
+        lmesh, DofMap(lmesh, ncomp=3, dirichlet_nodes=np.nonzero(void_nodes)[0]),
+        [fem.elasticity_element(lmesh.spacing, ident), fem.mass_element(lmesh.spacing, 3)],
         elems=solid_elems)
-    if void_elems.shape[0]:
-        v_mat = fem.assemble_elasticity(lmesh, ident, dofmap, elems=void_elems).matrix
-    else:
-        v_mat = sp.csr_matrix((n, n))
+    full_energy = fem.assemble_elasticity(lmesh, ident, dofmap).matrix
+    void_rows = full_energy[void_dofs]
     return ExtensionProblem(
         lmesh=lmesh, dofmap=dofmap, solid_dofs=solid_dofs, void_dofs=void_dofs,
-        full_energy=(s_mat + v_mat).tocsr(),
-        solid_energy=s_mat[solid_dofs][:, solid_dofs].tocsr(),
-        solid_mass=m_mat[solid_dofs][:, solid_dofs].tocsr(),
-        void_vv=v_mat[void_dofs][:, void_dofs].tocsr(),
-        void_vs=v_mat[void_dofs][:, solid_dofs].tocsr(),
-    )
+        full_energy=full_energy, solid_energy=solid_energy, solid_mass=solid_mass,
+        void_vv=void_rows[:, void_dofs], void_vs=void_rows[:, solid_dofs])
 
 
 def extend_field(prob: ExtensionProblem, solid: np.ndarray) -> np.ndarray:
@@ -167,18 +163,12 @@ def extend_field(prob: ExtensionProblem, solid: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_rigid(prob: ExtensionProblem) -> np.ndarray:
-    """Rigid modes on the solid dofs, orthonormalized against the solid mass."""
+    """Rigid modes on the solid dofs, orthonormalized against the solid mass
+    by the Cholesky factor of their Gram matrix (which raises on a
+    dependent set)."""
     modes = fem.rigid_modes(prob.lmesh.coords).reshape(6, -1)[:, prob.solid_dofs]
-    m = prob.solid_mass
-    basis = []
-    for v in modes:
-        w = v.copy()
-        for b in basis:
-            w -= float(b @ (m @ w)) * b
-        nrm = np.sqrt(max(float(w @ (m @ w)), 0.0))
-        if nrm > 1e-12:
-            basis.append(w / nrm)
-    return np.array(basis)
+    low = np.linalg.cholesky(modes @ (prob.solid_mass @ modes.T))
+    return np.linalg.solve(low, modes)
 
 
 def extension_norm(prob: ExtensionProblem, tol: float = 1e-8,

@@ -349,6 +349,18 @@ def test_helmholtz_constant_field_orthogonality(full_mesh_n4):
         assert abs(pairing) <= 1e-8 * max(sol_norm * _vol_norm(mesh, dphi), 1e-30)
 
 
+def test_helmholtz_solve_is_one_step(full_mesh_n4, monkeypatch):
+    # on the unperforated cell the filled-cell preconditioner is the exact
+    # inverse of the operator, so one CG step meets the 1e-13 stop
+    mesh = full_mesh_n4
+    solve = fem.solve_spd
+    monkeypatch.setattr(fem, "solve_spd",
+                        lambda op, rhs, **kw: solve(op, rhs, **{**kw, "max_iter": 1}))
+    xi = rng(5).standard_normal((mesh.n_elems, 8, 3, 3))
+    solenoidal = pc.helmholtz_decompose(mesh, xi + np.swapaxes(xi, -1, -2))
+    assert np.isfinite(solenoidal).all()
+
+
 def test_helmholtz_zero_and_asymmetric(full_mesh_n4):
     mesh = full_mesh_n4
     nq = fem.hex_reference(mesh.spacing)[0].shape[0]

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perfolayer
 from perfolayer.cli import run_command
 from perfolayer.config import SimConfig, load_config, validate_tree
 from perfolayer.errors import ParseError, ValidationError
@@ -852,3 +855,20 @@ def test_cli_converge_determinism(tmp_path):
         b1, b2 = (Path(out, name).read_bytes() for out in outs)
         assert b1 == b2, name
         assert len(b1.splitlines()) >= 2
+
+
+def test_package_imports_no_heavy_scipy_module():
+    # importing scipy.linalg, scipy.sparse.linalg or scipy.ndimage costs a
+    # process 37-143 ms and 6-9 MB of RSS (README, "Install"); the test
+    # process has loaded them itself, so a fresh one imports the package
+    src = str(Path(perfolayer.__file__).resolve().parents[1])
+    code = ("import pkgutil, importlib, sys, perfolayer, perfolayer.cli\n"
+            "for m in pkgutil.iter_modules(perfolayer.__path__):\n"
+            "    importlib.import_module('perfolayer.' + m.name)\n"
+            "print(' '.join(m for m in ('scipy.linalg', 'scipy.sparse.linalg',"
+            " 'scipy.ndimage') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []

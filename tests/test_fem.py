@@ -599,7 +599,8 @@ def test_volume_assembly_matches_element_loop(box_geom):
         k_loc, m_loc = _volume_locals(mesh, tensor)
         edofs = dm.element_dofs(mesh.elems if elems is None else elems)
         shape = (dm.n_dofs, dm.n_dofs)
-        k = fem.assemble_elasticity(mesh, tensor, dm, elems=elems).matrix
+        k = fem.assemble_forms(mesh, dm, [fem.elasticity_element(mesh.spacing, tensor)],
+                               elems)[0]
         _assert_matches_loop(k, _element_loop(k_loc, edofs, edofs, shape))
         m = mass_operator(mesh, dm, elems=elems).matrix
         _assert_matches_loop(m, _element_loop(m_loc, edofs, edofs, shape))
@@ -689,10 +690,10 @@ def test_plan_counts_per_assembly(box_geom, monkeypatch):
         "korn_constant": 1, "trace_constant": 2, "extension_problem": 2,
         "solve_cell_problems": 1, "assemble_micro": 0}
     # Korn's two forms over the layer; the extension's solid forms (energy
-    # and mass), then its void energy
+    # and mass) over the solid elements, then its energy over all of them
     n_solid = int(np.count_nonzero(full.solid))
     assert built_by["korn_constant"] == [lm.n_elems]
-    assert built_by["extension_problem"] == [n_solid, full.n_elems - n_solid]
+    assert built_by["extension_problem"] == [n_solid, full.n_elems]
 
 
 def _block_to_csr(plan, local):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from perfolayer import fem
 from perfolayer import geometry as pg
@@ -209,11 +210,54 @@ def test_extension_minimality(box_problem):
         assert void_energy(competitor.reshape(-1, 3)) >= e_min - 1e-10
 
 
-def test_extension_norm_unperforated_is_one(full_geom2):
-    lmesh = pg.build_layer_mesh(full_geom2, 0.5, SIGMA, 2, include_void=True)
+def _former_extension_blocks(lmesh):
+    """The former construction of the extension's matrices: the solid
+    energy and mass and the void energy as n x n forms of the whole layer,
+    then summed and cut to the solid and void dofs."""
+    dm = fem.DofMap(lmesh, 3)
+    n = dm.n_dofs
+    energy = fem.elasticity_element(lmesh.spacing, fem.ElasticityTensor4.identity())
+    solid, void = lmesh.elems[lmesh.solid], lmesh.elems[~lmesh.solid]
+    s_mat, m_mat = fem.assemble_forms(lmesh, dm, [energy, fem.mass_element(lmesh.spacing, 3)],
+                                      elems=solid)
+    v_mat = (fem.assemble_forms(lmesh, dm, [energy], elems=void)[0] if void.shape[0]
+             else sp.csr_matrix((n, n)))
+    touched = np.zeros(lmesh.n_nodes, dtype=bool)
+    touched[solid] = True
+    sd = np.flatnonzero(np.repeat(touched, 3))
+    vd = np.flatnonzero(np.repeat(~touched, 3))
+    return sd, vd, {"full_energy": (s_mat + v_mat).tocsr(),
+                    "solid_energy": s_mat[sd][:, sd].tocsr(),
+                    "solid_mass": m_mat[sd][:, sd].tocsr(),
+                    "void_vv": v_mat[vd][:, vd].tocsr(),
+                    "void_vs": v_mat[vd][:, sd].tocsr()}
+
+
+@pytest.mark.parametrize("geom,eps", [("box", 0.5), ("box", 0.25), ("channel", 0.5),
+                                      ("channel", 0.25), ("full", 0.5)])
+def test_extension_blocks_equal_former_cuts(box_geom, channel_geom, full_geom2, geom, eps):
+    # the solid forms assembled on the solid numbering and the void blocks
+    # cut from the full energy's void rows hold the bits of the n x n forms
+    # cut down; the full energy is one sum where it was two.  On the
+    # unperforated layer the extension is the identity.
+    g = {"box": box_geom, "channel": channel_geom, "full": full_geom2}[geom]
+    lmesh = pg.build_layer_mesh(g, eps, SIGMA, 4 if geom != "full" else 2, include_void=True)
     prob = pi.extension_problem(lmesh)
-    est = pi.extension_norm(prob)
-    assert est.constant == 1.0
+    sd, vd, want = _former_extension_blocks(lmesh)
+    assert np.array_equal(prob.solid_dofs, sd) and np.array_equal(prob.void_dofs, vd)
+    for name in ("solid_energy", "solid_mass", "void_vv", "void_vs"):
+        got, ref = getattr(prob, name), want[name]
+        assert got.format == "csr" and got.shape == ref.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part)), (name, part)
+    full, ref = prob.full_energy, want["full_energy"]
+    assert full.shape == ref.shape
+    assert abs(full - ref).max() <= 1e-15 * abs(ref).max()
+    if geom == "full":
+        assert prob.void_dofs.size == 0
+        assert pi.extension_norm(prob).constant == 1.0
+    else:
+        assert prob.void_dofs.size > 0
 
 
 def test_extension_norm_at_least_one(box_problem):
